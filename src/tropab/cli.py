@@ -32,7 +32,7 @@ def _frac(x):
             return Fraction(x)
         if isinstance(x, (int, float)):
             return Fraction(x)
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise MalformedInput("bad rational %r: %s" % (x, e))
     raise MalformedInput("bad rational %r" % (x,))
 
@@ -51,10 +51,17 @@ def _int_matrix(m):
     return np.array([[int(x) for x in row] for row in f], dtype=object)
 
 
+def _int(x):
+    f = _frac(x)
+    if f.denominator != 1:
+        raise MalformedInput("expected an integer, got %r" % (x,))
+    return int(f)
+
+
 def _int_vector(v):
     if not isinstance(v, list):
         raise MalformedInput("expected an integer vector")
-    return tuple(int(x) for x in v)
+    return tuple(_int(x) for x in v)
 
 
 def _complex_matrix(m):
@@ -103,11 +110,11 @@ def ser_paving(p):
 def de_paving(obj):
     try:
         cells = [quadform_delaunay.LatticePolytope(
-            tuple(tuple(int(x) for x in v) for v in c))
+            tuple(tuple(_int(x) for x in v) for v in c))
             for c in obj["cells"]]
         return quadform_delaunay.PeriodicPaving(
-            int(obj["rank"]), _int_matrix(obj["period_basis"]), cells,
-            int(obj.get("window", 4)))
+            _int(obj["rank"]), _int_matrix(obj["period_basis"]), cells,
+            _int(obj.get("window", 4)))
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedInput("bad paving: %s" % e)
 
@@ -126,7 +133,7 @@ def ser_pwa(f):
 def de_pwa(obj):
     try:
         paving = de_paving(obj["paving"])
-        k = int(obj.get("payload_rank", 1))
+        k = _int(obj.get("payload_rank", 1))
         affs = [([[_frac(x) for x in row] for row in ca["linear"]],
                  [_frac(x) for x in ca["constant"]])
                 for ca in obj["cell_affines"]]
@@ -138,14 +145,14 @@ def de_pwa(obj):
 
 
 def _delta(obj):
-    return exact_linalg.PolarizationType(tuple(int(x) for x in obj))
+    return exact_linalg.PolarizationType(tuple(_int(x) for x in obj))
 
 
 def _heis_el(obj, delta, m):
     try:
         t, a, b = obj
         return theta_heisenberg.HeisenbergElement(
-            int(t), _int_vector(a), _int_vector(b), delta, m)
+            _int(t), _int_vector(a), _int_vector(b), delta, m)
     except (TypeError, ValueError) as e:
         raise MalformedInput("bad Heisenberg element: %s" % e)
 
@@ -211,7 +218,7 @@ def _h_bend(doc, opts):
 
 
 def _h_qp_decompose(doc, opts):
-    samples = {tuple(int(x) for x in pt): _frac(v)
+    samples = {tuple(_int(x) for x in pt): _frac(v)
                for pt, v in doc["samples"]}
     dec = pavings_pwl.quasiperiodic_decompose(
         samples, _int_matrix(doc["period_basis"]))
@@ -222,7 +229,7 @@ def _h_qp_decompose(doc, opts):
 
 
 def _h_cy_cone(doc, opts):
-    samples = {tuple(int(x) for x in pt): _frac(v)
+    samples = {tuple(_int(x) for x in pt): _frac(v)
                for pt, v in doc["samples"]}
     t = de_paving(doc["paving"])
     member = pavings_pwl.cone_cy_membership(
@@ -238,7 +245,7 @@ def _h_sigma(doc, opts):
 
 def _h_legendre(doc, opts):
     f = de_pwa(doc["function"])
-    window = int(doc.get("window", opts.window))
+    window = _int(doc.get("window", opts.window))
     vals = pavings_pwl.legendre_transform(f, window)
     return {"kind": "legendre",
             "values": [[list(mu), ser(v)]
@@ -248,7 +255,7 @@ def _h_legendre(doc, opts):
 def _de_monoid_element(obj):
     try:
         return degeneration_monoids.TwistedMonoidElement(
-            int(obj["degree"]), _int_vector(obj["point"]),
+            _int(obj["degree"]), _int_vector(obj["point"]),
             tuple(_frac(x) for x in obj["payload"]))
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedInput("bad monoid element: %s" % e)
@@ -264,7 +271,7 @@ def _h_monoid_add(doc, opts):
 
 def _h_fourier(doc, opts):
     reps, t = degeneration_monoids.fourier_indices(
-        int(doc["rank"]), _int_matrix(doc["phi_map"]))
+        _int(doc["rank"]), _int_matrix(doc["phi_map"]))
     return {"kind": "fourier", "reps": [list(r) for r in reps],
             "type": list(t.diag)}
 
@@ -282,7 +289,7 @@ def _h_fiber(doc, opts):
 
 def _h_face(doc, opts):
     monoid = pavings_pwl.ToricMonoid(
-        int(doc["monoid"]["rank"]),
+        _int(doc["monoid"]["rank"]),
         [_int_vector(u) for u in doc["monoid"]["functionals"]])
     fq = degeneration_monoids.face_quotient(
         monoid, [_int_vector(u) for u in doc["face_functionals"]],
@@ -311,14 +318,14 @@ def _h_cayley(doc, opts):
 def _h_trop(doc, opts):
     tau = siegel_trop.SiegelPoint(_complex_matrix(doc["tau"]), tol=opts.tol)
     delta = _delta(doc.get("delta", [1] * tau.g))
-    cusp = siegel_trop.CuspSpec(int(doc.get("gprime", 0)), delta)
+    cusp = siegel_trop.CuspSpec(_int(doc.get("gprime", 0)), delta)
     return {"kind": "matrix",
             "value": ser(siegel_trop.tropicalize(tau, cusp))}
 
 
 def _h_heis(doc, opts):
     delta = _delta(doc["delta"])
-    m = int(doc.get("modulus", 2 * delta.diag[-1]))
+    m = _int(doc.get("modulus", 2 * delta.diag[-1]))
     z = theta_heisenberg.heis_mul(_heis_el(doc["x"], delta, m),
                                   _heis_el(doc["y"], delta, m), delta, m)
     return {"kind": "heisenberg-element", "t": z.scalar_exp,
@@ -327,7 +334,7 @@ def _h_heis(doc, opts):
 
 def _h_kw(doc, opts):
     delta = _delta(doc["delta"])
-    m = int(doc.get("modulus", 2 * delta.diag[-1]))
+    m = _int(doc.get("modulus", 2 * delta.diag[-1]))
     spaces = theta_heisenberg.kw_decompose(delta, m)
     return {"kind": "kw",
             "spaces": [{"index": list(idx), "dimension": len(basis)}
@@ -336,7 +343,7 @@ def _h_kw(doc, opts):
 
 def _h_balanced(doc, opts):
     delta = _delta(doc["delta"])
-    m = int(doc.get("modulus", 2 * delta.diag[-1]))
+    m = _int(doc.get("modulus", 2 * delta.diag[-1]))
     secs = theta_heisenberg.enumerate_balanced_set(delta, m)
     pats = sorted(
         tuple(sorted((k, e) for k, e in
@@ -371,9 +378,9 @@ def _h_twist(doc, opts):
 
 def _h_profile(doc, opts):
     delta = _delta(doc["delta"])
-    m = int(doc.get("modulus", 2 * delta.diag[-1]))
-    coeffs = {tuple(int(x) for x in k):
-              theta_heisenberg.CyclotomicInteger.zeta_power(m, int(e))
+    m = _int(doc.get("modulus", 2 * delta.diag[-1]))
+    coeffs = {tuple(_int(x) for x in k):
+              theta_heisenberg.CyclotomicInteger.zeta_power(m, _int(e))
               for k, e in doc["section"]}
     section = theta_heisenberg.SchrodingerVector(delta, m, coeffs)
     q = quadform_delaunay.QuadraticForm(_frac_matrix(doc["q"]))

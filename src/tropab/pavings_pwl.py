@@ -9,6 +9,7 @@ transform.  Everything is exact rational arithmetic.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -79,8 +80,8 @@ class PwAffineFunction:
         lin, const = self.cell_affines[idx]
         new_lin, new_const = [], []
         for i in range(self.payload_rank):
-            b = self.quasi_bilinear[i]
-            blam = tuple((b @ _col(lam))[j, 0] for j in range(self.rank))
+            blam = tuple(geom.dot(row, lam)
+                         for row in self.quasi_bilinear[i].tolist())
             new_lin.append(tuple(lin[i][j] + blam[j] for j in range(self.rank)))
             new_const.append(const[i]
                              - geom.dot(lin[i], lam)
@@ -203,7 +204,8 @@ class ToricMonoid:
     def hilbert_basis(self, bound: int = 6):
         """Irreducible monoid elements within a coordinate box; naive
         pairwise-subtraction sieve, desk scale only."""
-        pts = [p for p in _int_window(self.rank, bound)
+        pts = [p for p in product(range(-bound, bound + 1),
+                                  repeat=self.rank)
                if any(p) and self.contains(p)]
         pts.sort(key=lambda p: (sum(abs(x) for x in p), p))
         basis = []
@@ -215,15 +217,6 @@ class ToricMonoid:
                 continue
             basis.append(p)
         return basis
-
-
-def _int_window(r, w):
-    if r == 0:
-        yield ()
-        return
-    for rest in _int_window(r - 1, w):
-        for x in range(-w, w + 1):
-            yield rest + (x,)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +397,7 @@ def cone_cy_membership(psi: Dict[tuple, Fraction], t: PeriodicPaving,
     if any(b[0] < 0 for b in bending_parameters(g).values()):
         return False
     vert_orbits = t.vertex_orbits()
-    for alpha in _int_window(t.rank, t.window):
+    for alpha in product(range(-t.window, t.window + 1), repeat=t.rank):
         res = geom.vsub(alpha, t._reduce_shift(alpha))
         if tuple(res) in vert_orbits:
             continue
@@ -471,21 +464,20 @@ def legendre_transform(f: PwAffineFunction, window: int):
     if not is_positive_definite(f.quasi_bilinear[0]):
         raise Unbounded("associated quadratic form is not positive definite")
 
-    pb = f.paving.period_basis
+    pb_rows = f.paving.period_basis.tolist()
     r = f.rank
     vwindow = 2 * window + 2   # search strictly beyond the dual box
+    orbits = f.paving.vertex_orbits()
     verts = []
-    for k in _int_window(r, vwindow):
-        shift = tuple(int(x) for x in
-                      (pb @ np.array([[c] for c in k], dtype=object))[:, 0])
-        for v in f.paving.vertex_orbits():
-            y = geom.vadd(v, shift)
-            interior = all(abs(c) < vwindow for c in k)
-            verts.append((y, interior))
+    for k in product(range(-vwindow, vwindow + 1), repeat=r):
+        shift = tuple(geom.dot(row, k) for row in pb_rows)
+        interior = all(abs(c) < vwindow for c in k)
+        for v in orbits:
+            verts.append((geom.vadd(v, shift), interior))
     fvals = {y: f.evaluate(y) for y, _ in verts}
 
     out = {}
-    for mu in _int_window(r, window):
+    for mu in product(range(-window, window + 1), repeat=r):
         best, best_interior = None, False
         for y, interior in verts:
             val = fvals[y] + geom.dot(y, mu)

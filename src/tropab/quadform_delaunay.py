@@ -8,6 +8,8 @@ window of lattice points, with cospherical cells kept whole.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
+from math import lcm
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -102,21 +104,28 @@ class PeriodicPaving:
             (c if isinstance(c, LatticePolytope) else LatticePolytope(tuple(c))
              for c in cells),
             key=lambda c: c.vertices)
-        self._pb_inv = frac_inv(self.period_basis)
+        self._pb_rows = self.period_basis.tolist()
+        inv = frac_inv(self.period_basis)
+        # period coordinates of x are (_inv_num . x) / _inv_den
+        self._inv_den = lcm(*(x.denominator for x in inv.flat))
+        self._inv_num = tuple(tuple(int(x * self._inv_den) for x in row)
+                              for row in inv)
         self._facet_cache = {}
         self._wall_cache = None
+        self._locator = None
 
     # -- canonical translates -------------------------------------------
 
     def _reduce_shift(self, point):
         """Lattice vector t with point - t in the fundamental half-open
         parallelepiped of the period basis."""
-        coords = self._pb_inv @ np.array([[Fraction(x)] for x in point],
-                                         dtype=object)
-        floors = [c.numerator // c.denominator
-                  for c in (Fraction(coords[i, 0]) for i in range(self.rank))]
-        t = self.period_basis @ np.array([[f] for f in floors], dtype=object)
-        return tuple(int(t[i, 0]) for i in range(self.rank))
+        return self._reduce_cleared(*_clear_denominators(point))
+
+    def _reduce_cleared(self, num, den):
+        """_reduce_shift of the point num / den (int numerators, den > 0)."""
+        d = self._inv_den * den
+        floors = [geom.dot(row, num) // d for row in self._inv_num]
+        return tuple(geom.dot(row, floors) for row in self._pb_rows)
 
     def canonical_cell(self, vertices):
         vs = sorted(tuple(v) for v in vertices)
@@ -164,19 +173,56 @@ class PeriodicPaving:
         return walls
 
     def find_containing_cell(self, point):
-        """Locate (cell_index, shift) with point in cells[idx] + shift."""
-        pt = tuple(Fraction(x) for x in point)
-        t0 = self._reduce_shift(pt)
-        for idx in range(len(self.cells)):
-            facets = self.cell_facets(idx)
-            for k in _box_points(self.rank, 2):
-                shift = self.period_basis @ np.array([[x] for x in k],
-                                                     dtype=object)
-                shift = tuple(int(shift[i, 0]) + t0[i] for i in range(self.rank))
-                local = geom.vsub(pt, shift)
-                if geom.point_in_polytope(local, facets):
-                    return idx, shift
+        """Locate (cell_index, shift) with point in cells[idx] + shift.
+
+        The point is reduced by a lattice vector t0 into the half-open
+        fundamental parallelepiped P of the period basis B, then tested
+        against the closed translates cells[idx] + B k, k in [-2, 2]^r,
+        cell-major and then in box order; the first one containing it
+        wins (shift = B k + t0), which fixes the tie-break for points on
+        walls and vertices.  The translates come from a locator built
+        lazily once per paving: it keeps, in that order, only those whose
+        period-coordinate bounding box meets the closed P, each with its
+        facet inequalities as integer rows.  Every translate containing a
+        point of P is kept, so the first match is the one a full
+        cells x [-2, 2]^r scan finds.  The rows are tested in integers on
+        the reduced point's numerators over their common denominator.
+        """
+        num, den = _clear_denominators(point)
+        t0 = self._reduce_cleared(num, den)
+        local = tuple(x - den * t for x, t in zip(num, t0))
+        for idx, bk, rows in self._point_locator():
+            if all(geom.dot(a, local) <= b * den for a, b in rows):
+                return idx, geom.vadd(bk, t0)
         raise InvalidPaving("point %r not covered by the paving" % (point,))
+
+    def _point_locator(self):
+        """[(idx, B k, rows)] for find_containing_cell; rows are integer
+        (a, b) with <a, x> <= b exactly on cells[idx] + B k."""
+        if self._locator is not None:
+            return self._locator
+        den = self._inv_den
+        locator = []
+        for idx, cell in enumerate(self.cells):
+            facets = self.cell_facets(idx)
+            # per period coordinate, the k_i that let the translate's
+            # bounding box meet [0, 1]; coordinates are scaled by den
+            ks = []
+            for row in self._inv_num:
+                coords = [geom.dot(row, v) for v in cell.vertices]
+                lo, hi = min(coords), max(coords)
+                ks.append([k for k in range(-2, 3)
+                           if hi + k * den >= 0 and lo + k * den <= den])
+            for k in product(*ks):
+                bk = tuple(geom.dot(row, k) for row in self._pb_rows)
+                rows = []
+                for _f, n, c in facets:
+                    b = c + geom.dot(n, bk)
+                    rows.append((tuple(x * b.denominator for x in n),
+                                 b.numerator))
+                locator.append((idx, bk, tuple(rows)))
+        self._locator = locator
+        return locator
 
     def __eq__(self, other):
         if not isinstance(other, PeriodicPaving):
@@ -191,13 +237,13 @@ class PeriodicPaving:
             self.rank, len(self.cells), self.window)
 
 
-def _box_points(r, w):
-    if r == 0:
-        yield ()
-        return
-    for rest in _box_points(r - 1, w):
-        for x in range(-w, w + 1):
-            yield rest + (x,)
+def _clear_denominators(point):
+    """Integer numerators of a rational point over their least common
+    positive denominator."""
+    fs = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+          for x in point]
+    den = lcm(*(f.denominator for f in fs))
+    return tuple(f.numerator * (den // f.denominator) for f in fs), den
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +333,9 @@ def _lower_hull(sites, heights, r):
     """Lower-hull facets of the lifted sites, by exact gift-wrapping.
 
     Yields each facet as the frozenset of sites lying on its supporting
-    affine functional (the equality set), breadth-first from an initial
-    facet so that callers can stop once they have seen enough.
+    affine functional (the equality set), depth-first from an initial
+    facet (the newest facet found is expanded next), so that callers can
+    stop once they have seen enough.
     """
     site_list = list(sites)
 
@@ -312,7 +359,7 @@ def _lower_hull(sites, heights, r):
     facet_fn = {start: ell}
     yield start
 
-    # ---- breadth-first over ridges -----------------------------------
+    # ---- depth-first over ridges -------------------------------------
     queue = [start]
     done_ridges = set()
     while queue:
@@ -431,7 +478,7 @@ def empty_sphere_check(cell, q: QuadraticForm, window: int) -> bool:
         return False
     radius = _qdist(q, verts[0], center)
     vset = set(verts)
-    for p in _box_points(r, window):
+    for p in product(range(-window, window + 1), repeat=r):
         if p in vset:
             continue
         if _qdist(q, p, center) <= radius:

@@ -14,7 +14,7 @@ from .errors import (BadLift, BadModulus, BadTwistPair, EmptyComponent,
                      InconsistentData, TooLarge)
 from .exact_linalg import PolarizationType, as_int_matrix, frac_inv
 from .degeneration_monoids import fourier_indices, fourier_reduce
-from .pavings_pwl import PwAffineFunction, _int_window
+from .pavings_pwl import PwAffineFunction
 from .quadform_delaunay import QuadraticForm
 
 
@@ -487,6 +487,7 @@ def section_valuation_profile(section: SchrodingerVector,
     section: min over window periods of phi at the class
     representatives."""
     pm = as_int_matrix(phi_map)
+    pm_rows = pm.tolist()
     r = phi.rank
     reps, _ = fourier_indices(r, pm)
     out = {}
@@ -496,10 +497,8 @@ def section_valuation_profile(section: SchrodingerVector,
             raise EmptyComponent("class %r has no section component"
                                  % (rep,))
         best = None
-        for k in _int_window(r, window):
-            shift = tuple(int((pm @ np.array([[x] for x in k],
-                                             dtype=object))[i, 0])
-                          for i in range(r))
+        for k in product(range(-window, window + 1), repeat=r):
+            shift = tuple(geom.dot(row, k) for row in pm_rows)
             val = phi.evaluate(geom.vadd(rep, shift))
             if best is None or val < best:
                 best = val

@@ -168,6 +168,55 @@ def q_dist(qmat, x, c):
                for i in range(r) for j in range(r))
 
 
+def locate_by_scan(cells, period_basis, point):
+    """(cell index, shift) with point in cells[idx] + shift, or None.
+
+    Reduces the point into the half-open fundamental parallelepiped by a
+    lattice vector t0, then scans cell by cell and, within a cell, the
+    shifts B k + t0 for k in [-2, 2]^r in lexicographic order (B the
+    period basis); the first closed translate containing the point wins.
+    Containment is tested against the supporting hyperplanes of the
+    vertex hull, found from every r-subset of vertices by cofactors.
+    """
+    r = len(period_basis)
+    pt = [Fraction(x) for x in point]
+    coords = frac_solve(period_basis, pt)
+    floors = [c.numerator // c.denominator for c in coords]
+    t0 = [sum(period_basis[i][j] * floors[j] for j in range(r))
+          for i in range(r)]
+    hulls = [_halfspaces(verts) for verts in cells]
+    for idx, halfspaces in enumerate(hulls):
+        for k in product(range(-2, 3), repeat=r):
+            shift = tuple(t0[i] + sum(period_basis[i][j] * k[j]
+                                      for j in range(r)) for i in range(r))
+            local = [p - s for p, s in zip(pt, shift)]
+            if all(sum(n * c for n, c in zip(normal, local)) <= level
+                   for normal, level in halfspaces):
+                return idx, shift
+    return None
+
+
+def _halfspaces(verts):
+    """(normal, level) with <normal, x> <= level for every supporting
+    hyperplane through r vertices of a full-dimensional vertex set."""
+    r = len(verts[0])
+    out = []
+    for sub in combinations(verts, r):
+        diffs = [[Fraction(a) - b for a, b in zip(v, sub[0])]
+                 for v in sub[1:]]
+        normal = [(-1) ** i * (frac_det([d[:i] + d[i + 1:] for d in diffs])
+                               if diffs else 1) for i in range(r)]
+        if not any(normal):
+            continue
+        level = sum(n * c for n, c in zip(normal, sub[0]))
+        vals = [sum(n * c for n, c in zip(normal, v)) for v in verts]
+        if all(v <= level for v in vals):
+            out.append((normal, level))
+        elif all(v >= level for v in vals):
+            out.append(([-n for n in normal], -level))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # quasiperiodic decomposition, 1-d slow route
 # ---------------------------------------------------------------------------

@@ -204,6 +204,15 @@ def test_heis_mul():
                    "b": [1]}
 
 
+@pytest.mark.parametrize("x", [[0.5, [1.7], [0]], [0, [1], ["1/2"]],
+                               [float("inf"), [1], [0]]])
+def test_heis_rejects_non_integral_numbers(x):
+    code, out, err = run("heis", {"delta": [3], "modulus": 6,
+                                  "x": x, "y": [0, [0], [1]]})
+    assert (code, out) == (2, "")
+    assert "malformed" in err
+
+
 def test_kw_dimensions():
     got = run_json("kw", {"delta": [3]})
     assert got["spaces"] == [{"index": [0], "dimension": 1},

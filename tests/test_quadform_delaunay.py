@@ -2,6 +2,7 @@
 empty-sphere certificate, and second-Voronoi cone membership."""
 
 from fractions import Fraction
+import random
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
                                       empty_sphere_check,
                                       voronoi_cone_contains)
 
-from oracles import brute_force_delaunay_cells, circumcenter, q_dist
+from oracles import (brute_force_delaunay_cells, circumcenter,
+                     locate_by_scan, q_dist)
 
 
 def _obj(m):
@@ -245,3 +247,48 @@ def test_find_containing_cell():
     from tropab import _geometry as geom
     assert geom.point_in_polytope((Fraction(7, 3), Fraction(10, 3)),
                                   cell.facets())
+
+
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+
+
+def _location_probes(pav, rng):
+    """Lattice, edge-midpoint, vertex and random rational points."""
+    r = pav.rank
+    pts = [tuple(rng.randint(-6, 6) for _ in range(r)) for _ in range(12)]
+    for cell in pav.cells:
+        vs = cell.vertices
+        for a in vs:
+            t = tuple(rng.randint(-4, 4) for _ in range(r))
+            pts.append(tuple(x + s for x, s in zip(a, t)))
+            for b in vs:
+                if a < b:
+                    pts.append(tuple(Fraction(x + y, 2) + s
+                                     for x, y, s in zip(a, b, t)))
+    pts += [tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 6))
+                  for _ in range(r)) for _ in range(30)]
+    return pts
+
+
+@pytest.mark.parametrize("q, pb, window", [
+    ([[2, 1], [1, 2]], [[1, 0], [0, 1]], 4),
+    ([[2, 1], [1, 3]], [[2, 1], [0, 1]], 4),
+    (A3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
+])
+def test_find_containing_cell_matches_reference_scan(q, pb, window):
+    pav = delaunay_subdivision(QuadraticForm(_obj(q)), _obj(pb), window)
+    cells = [c.vertices for c in pav.cells]
+    for pt in _location_probes(pav, random.Random(7)):
+        assert pav.find_containing_cell(pt) == \
+            locate_by_scan(cells, pb, pt), pt
+
+
+def test_find_containing_cell_refuses_uncovered_point():
+    pav = delaunay_subdivision(A2, I2, 4)
+    kept, dropped = pav.cells[0], pav.cells[1]
+    holed = PeriodicPaving(2, I2, [kept], 4)
+    inside = tuple(sum(Fraction(v[i]) for v in dropped.vertices) / 3
+                   for i in range(2))
+    assert locate_by_scan([kept.vertices], [[1, 0], [0, 1]], inside) is None
+    with pytest.raises(InvalidPaving):
+        holed.find_containing_cell(inside)
