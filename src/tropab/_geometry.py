@@ -1,18 +1,18 @@
 """Exact polyhedral helpers shared by the Delaunay and paving machinery.
 
-Everything works over the rationals with numpy object arrays or plain
-tuples of Fraction/int.  Dimensions are desk scale (r <= 3), so the
-facet enumeration is allowed to be quadratic/cubic in the number of
-points.
+Everything works over the rationals on plain tuples of Fraction/int;
+numpy object arrays are only the public boundary of the package, and
+every elimination goes through ``exact_linalg.row_reduce``.  Dimensions
+are desk scale (r <= 3), so the facet enumeration is allowed to be
+quadratic/cubic in the number of points.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
-import numpy as np
-
-from .exact_linalg import frac_det, frac_inv
+from .exact_linalg import (frac_det, independent_rows, kernel, rank,
+                           row_reduce)
 
 
 def vsub(a, b):
@@ -37,43 +37,21 @@ def affine_dim(points):
     if not pts:
         return -1
     p0 = pts[0]
-    mat = [list(vsub(p, p0)) for p in pts[1:]]
-    return _rank(mat)
+    return rank([vsub(p, p0) for p in pts[1:]])
 
 
-def _rank(rows):
-    rows = [[Fraction(x) for x in row] for row in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-    return rank
+def gcd_reduced(vec):
+    """Divide an integer vector by the gcd of its entries, keeping the
+    sign (for one-sided inequalities)."""
+    v = tuple(int(x) for x in vec)
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g else v
 
 
 def primitive(vec):
-    """Divide an integer vector by the gcd of its entries; canonical sign
-    (first nonzero entry positive)."""
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
-    if g == 0:
-        return tuple(int(x) for x in vec)
-    v = tuple(int(x) // g for x in vec)
+    """gcd_reduced with the canonical sign of a hyperplane normal (first
+    nonzero entry positive)."""
+    v = gcd_reduced(vec)
     for x in v:
         if x != 0:
             return v if x > 0 else tuple(-y for y in v)
@@ -81,27 +59,14 @@ def primitive(vec):
 
 
 def normal_through(points):
-    """Integer normal of the hyperplane through r affinely independent
-    points in Z^r (or Q^r), via Cramer minors.  Returns None if the
-    points are affinely dependent."""
+    """Primitive integer normal of the hyperplane spanned by points in
+    Q^r; None unless their affine span is a hyperplane."""
     pts = list(points)
-    r = len(pts[0])
-    diffs = [vsub(p, pts[0]) for p in pts[1:]]
-    if len(diffs) != r - 1:
+    ker = kernel([vsub(p, pts[0]) for p in pts[1:]], len(pts[0]))
+    if len(ker) != 1:
         return None
-    n = []
-    for i in range(r):
-        cols = [j for j in range(r) if j != i]
-        m = [[Fraction(d[j]) for j in cols] for d in diffs]
-        det = frac_det(np.array(m, dtype=object)) if cols else Fraction(1)
-        n.append((-1) ** i * det)
-    if all(x == 0 for x in n):
-        return None
-    # clear denominators, make primitive
-    den = 1
-    for x in n:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return primitive(tuple(x * den for x in n))
+    den = lcm(*(x.denominator for x in ker[0]))
+    return primitive(x * den for x in ker[0])
 
 
 def polytope_facets(points):
@@ -145,43 +110,34 @@ def extreme_points(points):
     d = affine_dim(pts)
     if d == 0:
         return pts[:1]
-    coords, basis_pts = _hull_coordinates(pts, d)
+    coords = _hull_coordinates(pts)
     if d == 1:
         lo = min(range(len(pts)), key=lambda i: coords[i])
         hi = max(range(len(pts)), key=lambda i: coords[i])
         return sorted({pts[lo], pts[hi]})
-    facets = polytope_facets([tuple(c) for c in coords])
+    facets = polytope_facets(coords)
     count = {}
     for f, _, _ in facets:
         for p in f:
             count[p] = count.get(p, 0) + 1
     out = []
     for p, c in zip(pts, coords):
-        if count.get(tuple(c), 0) >= d:
+        if count.get(c, 0) >= d:
             out.append(p)
     return sorted(out)
 
 
-def _hull_coordinates(pts, d):
-    """Exact coordinates of pts w.r.t. an affinely independent sub-basis
-    of dimension d chosen from pts themselves."""
-    p0 = pts[0]
-    basis = []
-    for p in pts[1:]:
-        trial = basis + [vsub(p, p0)]
-        if _rank([list(t) for t in trial]) == len(trial):
-            basis.append(vsub(p, p0))
-        if len(basis) == d:
-            break
-    bmat = np.array([[Fraction(x) for x in b] for b in basis], dtype=object)
-    gram = bmat @ bmat.T
-    ginv = frac_inv(gram)
-    coords = []
-    for p in pts:
-        rhs = np.array([[dot(vsub(p, p0), b)] for b in basis], dtype=object)
-        sol = ginv @ rhs
-        coords.append(tuple(sol[i, 0] for i in range(d)))
-    return coords, basis
+def _hull_coordinates(pts):
+    """Exact coordinates of pts w.r.t. the greedy affinely independent
+    sub-basis p - pts[0] chosen from pts themselves."""
+    diffs = [vsub(p, pts[0]) for p in pts]
+    basis = [diffs[i] for i in independent_rows(diffs)]
+    # solve gram t = (<p - p0, b>)_b for every point at once
+    d = len(basis)
+    aug = [[dot(b, c) for c in basis] + [dot(x, b) for x in diffs]
+           for b in basis]
+    reduced = row_reduce(aug, d)[0]
+    return [tuple(row[d + k] for row in reduced) for k in range(len(pts))]
 
 
 def triangulate(points):
@@ -195,9 +151,9 @@ def triangulate(points):
     d = affine_dim(pts)
     if d <= 0:
         return []
-    coords, _ = _hull_coordinates(pts, d)
-    back = {tuple(c): p for c, p in zip(coords, pts)}
-    simps = _triangulate_fulldim([tuple(c) for c in coords])
+    coords = _hull_coordinates(pts)
+    back = dict(zip(coords, pts))
+    simps = _triangulate_fulldim(coords)
     return [[back[v] for v in s] for s in simps]
 
 
@@ -214,10 +170,9 @@ def _triangulate_fulldim(pts):
         if len(facet) == d:      # simplex facet
             out.append([apex] + list(facet))
             continue
-        fd = affine_dim(facet)
-        coords, _ = _hull_coordinates(list(facet), fd)
-        back = {tuple(cc): p for cc, p in zip(coords, facet)}
-        for s in _triangulate_fulldim([tuple(cc) for cc in coords]):
+        coords = _hull_coordinates(list(facet))
+        back = dict(zip(coords, facet))
+        for s in _triangulate_fulldim(coords):
             out.append([apex] + [back[v] for v in s])
     return out
 
@@ -234,9 +189,7 @@ def polytope_volume(points):
     for s in triangulate(pts):
         if len(s) != r + 1:
             continue
-        m = np.array([[Fraction(x) for x in vsub(v, s[0])] for v in s[1:]],
-                     dtype=object)
-        total += abs(frac_det(m))
+        total += abs(frac_det([vsub(v, s[0]) for v in s[1:]]))
     return total / fact
 
 

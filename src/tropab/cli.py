@@ -448,7 +448,6 @@ def build_parser():
                    help="input JSON file, or - for stdin")
     p.add_argument("--window", type=int, default=4)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--degree-bound", type=int, default=3)
     p.add_argument("--format", choices=["json", "text"], default="json")
     return p
 

@@ -15,7 +15,7 @@ from .errors import (InconsistentData, NotAFace, NotInjective, NotInvariant,
 from .exact_linalg import (PolarizationType, as_int_matrix, frac_det,
                            frac_inv, hermite_normal_form, is_symmetric,
                            lattice_membership, polarization_type,
-                           smith_normal_form)
+                           saturated_quotient)
 from .pavings_pwl import PwAffineFunction, ToricMonoid, affine_region_paving
 from .quadform_delaunay import LatticePolytope, PeriodicPaving, QuadraticForm
 
@@ -269,6 +269,8 @@ def face_quotient(p: ToricMonoid, face_functionals,
         raise NotAFace("payload rank does not match the monoid")
     gens = p.hilbert_basis(gen_bound)
     funcs = [tuple(int(x) for x in u) for u in face_functionals]
+    if any(len(u) != p.rank for u in funcs):
+        raise ValueError("face functionals must have length %d" % p.rank)
     for u in funcs:
         for g in gens:
             if geom.dot(u, g) < 0:
@@ -283,17 +285,18 @@ def face_quotient(p: ToricMonoid, face_functionals,
                        for i in range(k)], dtype=object)
         quotient = ToricMonoid(k, p.functionals)
     else:
-        span = np.array(face_gens, dtype=object).T      # columns span F
-        diag, u, v = smith_normal_form(span)
-        fdim = sum(1 for x in diag if x != 0)
-        pi = u[fdim:, :]                                # quotient map
-        uinv = frac_inv(u)
-        sec = as_int_matrix(uinv[:, fdim:])             # a section of pi
+        # columns of the transpose span F
+        pi, sec, face_basis = saturated_quotient(
+            np.array(face_gens, dtype=object).T)
         quotient = ToricMonoid(
-            k - fdim, _project_inequalities(p.functionals, sec,
-                                            as_int_matrix(uinv[:, :fdim])))
+            pi.shape[0], _project_inequalities(p.functionals, sec,
+                                               face_basis))
 
     kq = pi.shape[0]
+    if kq == 0:
+        # quotient by everything: the pushed function is identically 0
+        return FaceQuotientData(quotient, _ZeroFunction(phi.paving), None,
+                                False)
     affs = []
     for lin, const in phi.cell_affines:
         lmat = np.array([list(row) for row in lin], dtype=object)
@@ -309,12 +312,6 @@ def face_quotient(p: ToricMonoid, face_functionals,
     new_l = pi @ lmat
     lins = tuple(tuple(new_l[i, j] for j in range(phi.rank))
                  for i in range(kq))
-    if kq == 0:
-        # quotient by everything: the pushed function is identically 0
-        affs = [((), ())] * len(phi.cell_affines)
-        bil, lins = [], ()
-        pushed = _ZeroFunction(phi.paving)
-        return FaceQuotientData(quotient, pushed, None, False)
     pushed = PwAffineFunction(phi.paving, affs, bil, lins, payload_rank=kq)
     try:
         coarser = affine_region_paving(pushed)
@@ -362,17 +359,5 @@ def _project_inequalities(functionals, sec, face_basis):
     out = []
     for yp, _ in rows:
         if any(yp):
-            out.append(_primitive_signed(yp))
+            out.append(geom.gcd_reduced(yp))
     return sorted(set(out))
-
-
-def _primitive_signed(vec):
-    """Divide by the gcd, keeping the sign (these are one-sided
-    inequalities, unlike hyperplane normals)."""
-    from math import gcd
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(int(x)))
-    if g == 0:
-        return tuple(int(x) for x in vec)
-    return tuple(int(x) // g for x in vec)

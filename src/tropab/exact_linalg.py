@@ -1,9 +1,13 @@
 """Exact integer/rational linear algebra.
 
-Normal forms (Hermite, Smith), symplectic reduction of integral
-alternating forms, polarization types, and the GL(X,Y)-action on
-quadratic forms.  All arithmetic is exact: matrices are numpy arrays
-with dtype=object holding python ints or Fractions.
+One rational row reduction (``row_reduce``, Gauss-Jordan over plain
+lists of Fraction) from which the determinant, inverse, rank, kernel and
+greedy independent subsets are derived; normal forms (Hermite, Smith),
+saturated quotients, symplectic reduction of integral alternating
+forms, polarization types, and the GL(X,Y)-action on quadratic forms.
+All arithmetic is exact.  Numpy arrays with dtype=object holding python
+ints or Fractions are only the public boundary: the integer normal forms
+take and return them, and ``frac_inv`` returns one.
 """
 
 from dataclasses import dataclass
@@ -49,53 +53,95 @@ def eye(n) -> np.ndarray:
     return np.eye(n, dtype=object)
 
 
-def frac_det(m) -> Fraction:
-    """Exact determinant by Gaussian elimination over the rationals."""
-    a = as_frac_matrix(m)
-    n = a.shape[0]
-    assert a.shape[1] == n
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r, col] != 0:
-                piv = r
-                break
+def row_reduce(rows, ncols=None):
+    """Gauss-Jordan elimination over Q: the one exact elimination routine.
+
+    Pivots are sought in the first ``ncols`` columns (all of them by
+    default), taking the first nonzero entry at or below the current
+    row; the row operations act on whole rows, so trailing columns are
+    carried along as an augmented block.  Returns (reduced, pivots, det):
+    the nonzero rows of the reduced row echelon form (pivot entries 1,
+    zeros above and below them) as lists of Fraction, their pivot
+    columns, and the determinant of the leading ncols x ncols block when
+    the input has ncols rows (0 if it is singular or not square).
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots, det = [], Fraction(1)
+    for col in range(ncols):
+        lead = len(pivots)
+        piv = next((i for i in range(lead, len(a)) if a[i][col] != 0), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
+            continue
+        if piv != lead:
+            a[lead], a[piv] = a[piv], a[lead]
             det = -det
-        det *= a[col, col]
-        inv = 1 / a[col, col]
-        for r in range(col + 1, n):
-            if a[r, col] != 0:
-                f = a[r, col] * inv
-                a[r, col:] = a[r, col:] - f * a[col, col:]
-    return det
+        p = a[lead][col]
+        det *= p
+        pr = a[lead] = [x / p for x in a[lead]]
+        for i, row in enumerate(a):
+            if i != lead and row[col] != 0:
+                f = row[col]
+                a[i] = [x - f * y for x, y in zip(row, pr)]
+        pivots.append(col)
+    if not len(pivots) == len(a) == ncols:
+        det = Fraction(0)
+    return a[:len(pivots)], pivots, det
+
+
+def _square_rows(m):
+    rows = [list(row) for row in m]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("expected a square matrix")
+    return rows
+
+
+def frac_det(m) -> Fraction:
+    """Exact determinant of a square rational matrix."""
+    return row_reduce(_square_rows(m))[2]
 
 
 def frac_inv(m) -> np.ndarray:
-    """Exact inverse by Gauss-Jordan; raises Degenerate if singular."""
-    a = as_frac_matrix(m)
-    n = a.shape[0]
-    assert a.shape[1] == n
-    aug = np.concatenate([a, as_frac_matrix(eye(n))], axis=1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r, col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise Degenerate("matrix is singular")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = aug[col] * (1 / aug[col, col])
-        for r in range(n):
-            if r != col and aug[r, col] != 0:
-                aug[r] = aug[r] - aug[r, col] * aug[col]
-    return aug[:, n:]
+    """Exact inverse as an object array; raises Degenerate if singular."""
+    rows = _square_rows(m)
+    n = len(rows)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    reduced, _, det = row_reduce(aug, n)
+    if det == 0:
+        raise Degenerate("matrix is singular")
+    out = np.empty((n, n), dtype=object)
+    for i, row in enumerate(reduced):
+        out[i, :] = row[n:]
+    return out
+
+
+def rank(rows) -> int:
+    """Rank of a list of rational row vectors."""
+    return len(row_reduce(rows)[1])
+
+
+def kernel(rows, ncols):
+    """Basis of {v : <row, v> = 0 for every row} in Q^ncols, one vector
+    per free column of the reduced echelon form, with 1 at that column
+    and 0 at the other free columns."""
+    reduced, pivots, _ = row_reduce(rows, ncols)
+    out = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        out.append(tuple(v))
+    return out
+
+
+def independent_rows(rows):
+    """Indices of the greedy (lexicographically first) linearly
+    independent subset of rows: a row is kept iff it is not in the span
+    of the rows before it.  These are the pivot columns of the
+    transpose."""
+    return row_reduce(list(zip(*rows)), len(rows))[1]
 
 
 def is_symmetric(m) -> bool:
@@ -277,6 +323,22 @@ def smith_normal_form(m) -> Tuple[List[int], np.ndarray, np.ndarray]:
     diag = [int(d[k, k]) for k in range(n)]
     assert (u @ as_int_matrix(m) @ v == d).all()
     return diag, u, v
+
+
+def saturated_quotient(span):
+    """Z^n -> Z^n / S for S the saturation of the lattice spanned by the
+    columns of the integer matrix ``span``.
+
+    Returns (pi, sec, sat): the (n-k) x n quotient map pi, an integral
+    section sec (n x (n-k), pi @ sec = 1) and a basis sat (n x k) of S,
+    with k the rank of span.  All three come from the Smith form
+    u @ span @ v: pi is the last n-k rows of u, and sec and sat are the
+    last n-k and first k columns of u^-1.
+    """
+    diag, u, _ = smith_normal_form(span)
+    k = sum(1 for x in diag if x != 0)
+    uinv = as_int_matrix(frac_inv(u))
+    return u[k:, :], uinv[:, k:], uinv[:, :k]
 
 
 def symplectic_normal_form(e) -> SymplecticDecomposition:

@@ -15,11 +15,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import _geometry as geom
-from .errors import (MissingVertexValue, NonMatchingFaces, NotConvex,
-                     NotPositiveDefinite, NotQuasiperiodic, NotSimplicial,
-                     RankMismatch, Unbounded, WindowTooSmall)
+from .errors import (Degenerate, MissingVertexValue, NonMatchingFaces,
+                     NotConvex, NotPositiveDefinite, NotQuasiperiodic,
+                     NotSimplicial, RankMismatch, Unbounded, WindowTooSmall)
 from .exact_linalg import (as_frac_matrix, as_int_matrix, frac_inv,
-                           is_positive_definite)
+                           is_positive_definite, rank, row_reduce)
 from .quadform_delaunay import (LatticePolytope, PeriodicPaving,
                                 QuadraticForm, delaunay_subdivision)
 
@@ -34,7 +34,9 @@ def _as_rows(lin, k, r):
     if lin and not isinstance(lin[0], (list, tuple, np.ndarray)):
         lin = [lin]
     out = tuple(tuple(Fraction(x) for x in row) for row in lin)
-    assert len(out) == k and all(len(row) == r for row in out)
+    if len(out) != k or any(len(row) != r for row in out):
+        raise ValueError("linear part must be %d row(s) of length %d"
+                         % (k, r))
     return out
 
 
@@ -42,7 +44,8 @@ def _as_vec(const, k):
     if not isinstance(const, (list, tuple, np.ndarray)):
         const = [const]
     out = tuple(Fraction(x) for x in const)
-    assert len(out) == k
+    if len(out) != k:
+        raise ValueError("constant must have length %d" % k)
     return out
 
 
@@ -69,7 +72,10 @@ class PwAffineFunction:
         self.cell_affines = [(_as_rows(lin, k, r), _as_vec(const, k))
                              for lin, const in cell_affines]
         self.quasi_bilinear = [as_frac_matrix(b) for b in quasi_bilinear]
-        assert len(self.quasi_bilinear) == k
+        if len(self.quasi_bilinear) != k or any(
+                b.shape != (r, r) for b in self.quasi_bilinear):
+            raise ValueError("quasi_bilinear must be %d matrices of size %d"
+                             % (k, r))
         self.quasi_linear = _as_rows(quasi_linear, k, r)
 
     # -- evaluation -----------------------------------------------------
@@ -180,7 +186,8 @@ class ToricMonoid:
         self.rank = int(rank)
         self.functionals = tuple(tuple(int(x) for x in u)
                                  for u in functionals)
-        assert all(len(u) == self.rank for u in self.functionals)
+        if any(len(u) != self.rank for u in self.functionals):
+            raise ValueError("functionals must have length %d" % self.rank)
 
     @staticmethod
     def nonnegative_orthant(rank: int) -> "ToricMonoid":
@@ -199,7 +206,7 @@ class ToricMonoid:
 
     def is_sharp(self) -> bool:
         """No nonzero invertibles: the functionals span full rank."""
-        return geom._rank([list(u) for u in self.functionals]) == self.rank
+        return rank(self.functionals) == self.rank
 
     def hilbert_basis(self, bound: int = 6):
         """Irreducible monoid elements within a coordinate box; naive
@@ -234,7 +241,8 @@ def bending_parameters(f: PwAffineFunction):
     out = {}
     for key, incidences in f.paving.walls().items():
         (i, si), (j, sj) = incidences
-        n, c = _wall_hyperplane(key, f.rank)
+        n = geom.normal_through(key)
+        c = geom.dot(n, key[0])
         aff_i = f.affine_on_cell(i, si)
         aff_j = f.affine_on_cell(j, sj)
         # the two pieces must agree on the wall itself
@@ -256,18 +264,6 @@ def bending_parameters(f: PwAffineFunction):
                                         zip(plus[0][p], minus[0][p])), omega)
                          for p in range(f.payload_rank))
     return out
-
-
-def _wall_hyperplane(wall_vertices, r):
-    verts = [tuple(Fraction(x) for x in v) for v in wall_vertices]
-    base = [verts[0]]
-    for v in verts[1:]:
-        if geom.affine_dim(base + [v]) > geom.affine_dim(base):
-            base.append(v)
-        if len(base) == r:
-            break
-    n = geom.normal_through(base)
-    return n, geom.dot(n, verts[0])
 
 
 def _barycenter_of(paving, idx, shift):
@@ -361,6 +357,19 @@ def quasiperiodic_decompose(samples: Dict[tuple, Fraction],
 # interpolation over a periodic triangulation
 # ---------------------------------------------------------------------------
 
+def _affine_through(points, values):
+    """(lin, const) of the affine function taking each value at its
+    point.  Degenerate unless the points affinely span Q^r and the
+    values lie on one affine function (no pivot in the value column)."""
+    r = len(points[0])
+    reduced, pivots, _ = row_reduce(
+        [list(p) + [1, v] for p, v in zip(points, values)], r + 2)
+    if pivots != list(range(r + 1)):
+        raise Degenerate("no unique affine function through the points")
+    sol = [row[r + 1] for row in reduced]
+    return tuple(sol[:r]), sol[r]
+
+
 def interpolate_on_triangulation(values: Dict[tuple, Fraction],
                                  t: PeriodicPaving) -> PwAffineFunction:
     """The function affine on each simplex of t matching the sampled
@@ -372,17 +381,9 @@ def interpolate_on_triangulation(values: Dict[tuple, Fraction],
             raise NotSimplicial("cell %r is not a simplex" % (c.vertices,))
     dec = quasiperiodic_decompose(values, t.period_basis)
 
-    affines = []
-    for c in t.cells:
-        rows, rhs = [], []
-        for v in c.vertices:
-            rows.append([Fraction(x) for x in v] + [Fraction(1)])
-            rhs.append(dec.reconstruct(v))
-        sol = frac_inv(np.array(rows, dtype=object)) @ \
-            np.array([[x] for x in rhs], dtype=object)
-        lin = tuple(sol[i, 0] for i in range(r))
-        affines.append((lin, sol[r, 0]))
-
+    affines = [_affine_through(c.vertices,
+                               [dec.reconstruct(v) for v in c.vertices])
+               for c in t.cells]
     return PwAffineFunction(t, affines, [dec.bilinear],
                             [dec.quadratic_linear], payload_rank=1)
 
@@ -423,25 +424,10 @@ def sigma_section(q: QuadraticForm, period_basis,
     single affine piece per cell even on non-simplices.
     """
     pav = delaunay_subdivision(q, period_basis, window)
-    r = q.rank
-    affines = []
-    for c in pav.cells:
-        base = [c.vertices[0]]
-        for v in c.vertices[1:]:
-            if geom.affine_dim(base + [v]) > geom.affine_dim(base):
-                base.append(v)
-            if len(base) == r + 1:
-                break
-        rows = [[Fraction(x) for x in v] + [Fraction(1)] for v in base]
-        rhs = [q.value(v) / 2 for v in base]
-        sol = frac_inv(np.array(rows, dtype=object)) @ \
-            np.array([[x] for x in rhs], dtype=object)
-        lin = tuple(sol[i, 0] for i in range(r))
-        const = sol[r, 0]
-        for v in c.vertices:  # cosphericity: the rest lie on the same plane
-            assert geom.dot(lin, v) + const == q.value(v) / 2
-        affines.append((lin, const))
-    zero = tuple(Fraction(0) for _ in range(r))
+    affines = [_affine_through(c.vertices,
+                               [q.value(v) / 2 for v in c.vertices])
+               for c in pav.cells]
+    zero = tuple(Fraction(0) for _ in range(q.rank))
     return PwAffineFunction(pav, affines, [q.matrix], [zero], payload_rank=1)
 
 

@@ -18,9 +18,10 @@ from . import _geometry as geom
 from .errors import (Degenerate, InvalidPaving, NotPositiveDefinite,
                      WindowTooSmall)
 from .exact_linalg import (as_frac_matrix, as_int_matrix, frac_det, frac_inv,
-                           hermite_normal_form, is_positive_definite,
-                           is_positive_semidefinite, is_symmetric,
-                           smith_normal_form)
+                           hermite_normal_form, independent_rows,
+                           is_positive_definite, is_positive_semidefinite,
+                           is_symmetric, kernel, row_reduce,
+                           saturated_quotient)
 
 
 @dataclass(frozen=True)
@@ -267,20 +268,11 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
         raise WindowTooSmall("window must be >= 2")
     r = q.rank
     pb = as_int_matrix(period_basis)
-    pb_inv = frac_inv(pb)
     shift = tuple(Fraction(x) for x in (shift or (0,) * r))
-
-    sites = _window_sites(pb, pb_inv, window, r, shift)
+    paving = PeriodicPaving(r, pb, [], window)
+    sites, boundary = _window_sites(paving, window, shift)
     heights = {s: q.value(s) / 2 for s in sites}
 
-    boundary = set()
-    for s in sites:
-        coords = pb_inv @ np.array([[x] for x in geom.vsub(s, shift)],
-                                   dtype=object)
-        if any(abs(coords[i, 0]) == window for i in range(r)):
-            boundary.add(s)
-
-    paving = PeriodicPaving(r, pb, [], window)
     covol = abs(frac_det(pb))
     reps = {}
     total = Fraction(0)
@@ -301,32 +293,25 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
     return PeriodicPaving(r, pb, list(reps.values()), window)
 
 
-def _window_sites(pb, pb_inv, window, r, shift):
+def _window_sites(paving, window, shift):
+    """The sites p + shift for the lattice points p whose period
+    coordinates lie in [-window, window] (first coordinate of p varying
+    fastest), and the set of those with a coordinate at +-window."""
+    # period coordinates of p are (_inv_num . p) / _inv_den
+    bound = window * paving._inv_den
     # bounding box of the parallelepiped pb * [-w, w]^r, in std coords
-    lo = [Fraction(0)] * r
-    hi = [Fraction(0)] * r
-    for i in range(r):
-        span = sum(abs(pb[i, j]) * window for j in range(r))
-        lo[i], hi[i] = -span, span
-    sites = []
-    for p in _int_box(lo, hi):
-        coords = pb_inv @ np.array([[x] for x in p], dtype=object)
-        if all(-window <= coords[i, 0] <= window for i in range(r)):
-            sites.append(tuple(Fraction(x) + s for x, s in zip(p, shift)))
-    return sites
-
-
-def _int_box(lo, hi):
-    rngs = [range(int(l), int(h) + 1) for l, h in zip(lo, hi)]
-
-    def rec(i):
-        if i == len(rngs):
-            yield ()
-            return
-        for rest in rec(i + 1):
-            for x in rngs[i]:
-                yield (x,) + rest
-    return rec(0)
+    ranges = [range(-s, s + 1) for s in
+              (window * sum(abs(x) for x in row) for row in paving._pb_rows)]
+    sites, boundary = [], set()
+    for p in product(*reversed(ranges)):
+        p = p[::-1]
+        coords = [abs(geom.dot(row, p)) for row in paving._inv_num]
+        if max(coords) <= bound:
+            s = tuple(Fraction(x) + t for x, t in zip(p, shift))
+            sites.append(s)
+            if bound in coords:
+                boundary.add(s)
+    return sites, boundary
 
 
 def _lower_hull(sites, heights, r):
@@ -348,11 +333,13 @@ def _lower_hull(sites, heights, r):
     ell = ((Fraction(0),) * r, m)
     tight = [x for x in site_list if slack(ell, x) == 0]
     while geom.affine_dim(tight) < r:
-        u = _orthogonal_direction(tight, r)
-        ell2, tight2 = _tilt(ell, u, tight[0], site_list, slack)
+        # a direction orthogonal to the affine span of the tight sites
+        u = kernel([geom.vsub(x, tight[0]) for x in tight[1:]], r)[0]
+        c = geom.dot(u, tight[0])
+        ell2, tight2 = _tilt(ell, u, c, site_list, slack)
         if ell2 is None:  # no site on the positive side; tilt the other way
-            u = tuple(-x for x in u)
-            ell2, tight2 = _tilt(ell, u, tight[0], site_list, slack)
+            u, c = tuple(-x for x in u), -c
+            ell2, tight2 = _tilt(ell, u, c, site_list, slack)
             assert ell2 is not None, "sites do not affinely span"
         ell, tight = ell2, tight2
     start = frozenset(tight)
@@ -371,72 +358,24 @@ def _lower_hull(sites, heights, r):
             if rkey in done_ridges:
                 continue
             done_ridges.add(rkey)
-            # rotate away from the facet: need <n,.> - c negative on eq\ridge,
-            # which the outward convention already gives us via n -> n.
-            u = n  # outward: <n, x> <= c on the facet
-            best_t, tight2 = None, []
-            for x in site_list:
-                d = geom.dot(u, x) - c
-                if d <= 0:
-                    continue
-                s = slack(ell, x)
-                t = Fraction(s, d)
-                if best_t is None or t < best_t:
-                    best_t, tight2 = t, [x]
-                elif t == best_t:
-                    tight2.append(x)
-            if best_t is None:
+            # rotate about the ridge away from the facet, which lies on
+            # the side <n, x> <= c of the outward ridge normal
+            ell2, tight2 = _tilt(ell, n, c, site_list, slack)
+            if ell2 is None:
                 continue  # hull boundary within the window
-            a, b = ell
-            ell2 = (tuple(ai + best_t * ui for ai, ui in zip(a, u)),
-                    b - best_t * c)
-            new_eq = frozenset(x for x in site_list if slack(ell2, x) == 0)
+            new_eq = frozenset(tight2)
             if new_eq not in facet_fn:
                 facet_fn[new_eq] = ell2
                 queue.append(new_eq)
                 yield new_eq
 
 
-def _orthogonal_direction(tight, r):
-    """A nonzero rational direction orthogonal to the affine span."""
-    p0 = tight[0]
-    diffs = [geom.vsub(p, p0) for p in tight[1:]]
-    # kernel of the difference matrix via row reduction with identity
-    rows = [[Fraction(x) for x in d] for d in diffs]
-    # find a vector u with <u, d> = 0 for all d: nullspace of the matrix
-    aug = [list(row) for row in rows]
-    # gaussian elimination to echelon; free columns give kernel vectors
-    pivots = []
-    lead = 0
-    for col in range(r):
-        piv = None
-        for i in range(lead, len(aug)):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[lead], aug[piv] = aug[piv], aug[lead]
-        pr = aug[lead]
-        for i in range(len(aug)):
-            if i != lead and aug[i][col] != 0:
-                f = aug[i][col] / pr[col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], pr)]
-        pivots.append(col)
-        lead += 1
-    free = [c for c in range(r) if c not in pivots]
-    assert free, "already full dimensional"
-    fc = free[0]
-    u = [Fraction(0)] * r
-    u[fc] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        u[pc] = -aug[i][fc] / aug[i][pc]
-    return tuple(u)
-
-
-def _tilt(ell, u, x0, site_list, slack):
+def _tilt(ell, u, c0, site_list, slack):
+    """Rotate the lower supporting functional ell about the set
+    <u, x> = c0, raising it on the side <u, x> > c0 until it meets a
+    site there.  Returns the new functional and its tight sites, or
+    (None, None) if no site lies on that side."""
     a, b = ell
-    c0 = geom.dot(u, x0)
     best_t, tight = None, []
     for x in site_list:
         d = geom.dot(u, x) - c0
@@ -497,39 +436,22 @@ def _equidistant_center(verts, q):
     when the cell is lower-dimensional (minimal radius)."""
     r = q.rank
     v0 = verts[0]
-    d = geom.affine_dim(verts)
+    diffs = [geom.vsub(v, v0) for v in verts[1:]]
+    basis = [diffs[i] for i in independent_rows(diffs)]
+    d = len(basis)
     if d == 0:
         return tuple(Fraction(x) for x in v0)
-    basis = []
-    for v in verts[1:]:
-        trial = basis + [geom.vsub(v, v0)]
-        if geom.affine_dim([(0,) * r] + [tuple(t) for t in trial]) == len(trial):
-            basis.append(geom.vsub(v, v0))
-        if len(basis) == d:
-            break
     # center c = v0 + sum t_k basis_k ; equations Q(v - c) = Q(v0 - c)
-    rows, rhs = [], []
-    for v in verts[1:]:
-        dv = geom.vsub(v, v0)
-        row = [2 * sum(q.matrix[i, j] * Fraction(dv[i]) * Fraction(bk[j])
+    system = [[2 * sum(q.matrix[i, j] * Fraction(dv[i]) * Fraction(bk[j])
                        for i in range(r) for j in range(r))
-               for bk in basis]
-        rows.append(row)
-        rhs.append(q.value(dv))
-    # solve the (possibly overdetermined) system exactly
-    sq, sr = [], []
-    for row, t in zip(rows, rhs):
-        if geom._rank(sq + [row]) > len(sq):
-            sq.append(row)
-            sr.append(t)
-    if len(sq) < d:
+               for bk in basis] + [q.value(dv)]
+              for dv in diffs]
+    # the (possibly overdetermined) system needs a unique solution: a
+    # pivot in every t column and none in the right-hand side
+    reduced, pivots, _ = row_reduce(system, d + 1)
+    if pivots != list(range(d)):
         return None
-    sol = frac_inv(np.array(sq, dtype=object)) @ \
-        np.array([[x] for x in sr], dtype=object)
-    ts = [sol[i, 0] for i in range(d)]
-    for row, t in zip(rows, rhs):
-        if sum(a * b for a, b in zip(row, ts)) != t:
-            return None
+    ts = [row[d] for row in reduced]
     c = [Fraction(x) for x in v0]
     for t, bk in zip(ts, basis):
         for i in range(r):
@@ -560,7 +482,7 @@ def voronoi_cone_contains(paving: PeriodicPaving, q: QuadraticForm) -> bool:
         return _refines(paving, dq)
     if all(q.matrix[i, j] == 0 for i in range(q.rank) for j in range(q.rank)):
         return True  # single cell = everything; coarser than any paving
-    pi, sec = _kernel_quotient(q)
+    pi, sec, _ = _kernel_quotient(q)
     qprime = QuadraticForm(sec.T @ q.matrix @ sec)
     pb_quot = _projected_lattice_basis(pi @ paving.period_basis)
     dq = delaunay_subdivision(qprime, pb_quot, max(paving.window + 1, 3))
@@ -595,55 +517,14 @@ def _some_cell_contains(dq, points):
 
 
 def _kernel_quotient(q):
-    """Projection pi and section sec for Z^r -> Z^r / ker(q) (saturated)."""
-    m = q.matrix
-    r = q.rank
-    # rational kernel basis, then saturate to an integral basis
-    rows = [[m[i, j] for j in range(r)] for i in range(r)]
-    kern = _rational_kernel(rows, r)
+    """saturated_quotient for Z^r -> Z^r / ker(q): the rational kernel
+    basis, with denominators cleared, spans a lattice whose saturation
+    is ker(q) in Z^r."""
     ints = []
-    for v in kern:
-        den = 1
-        for x in v:
-            den = den * x.denominator // np.gcd(den, x.denominator)
+    for v in kernel(q.matrix, q.rank):
+        den = lcm(*(x.denominator for x in v))
         ints.append([int(x * den) for x in v])
-    kb = np.array(ints, dtype=object).T  # columns = kernel basis
-    diag, u, v = smith_normal_form(kb)
-    k = kb.shape[1]
-    # u maps the saturation of the kernel onto span(e_1..e_k)
-    pi = u[k:, :]
-    uinv = frac_inv(u)
-    sec = as_int_matrix(uinv[:, k:])
-    return pi, sec
-
-
-def _rational_kernel(rows, n):
-    aug = [[Fraction(x) for x in row] for row in rows]
-    pivots, lead = [], 0
-    for col in range(n):
-        piv = None
-        for i in range(lead, len(aug)):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[lead], aug[piv] = aug[piv], aug[lead]
-        pr = aug[lead]
-        for i in range(len(aug)):
-            if i != lead and aug[i][col] != 0:
-                f = aug[i][col] / pr[col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], pr)]
-        pivots.append(col)
-        lead += 1
-    out = []
-    for fc in [c for c in range(n) if c not in pivots]:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -aug[i][fc] / aug[i][pc]
-        out.append(v)
-    return out
+    return saturated_quotient(np.array(ints, dtype=object).T)
 
 
 def _projected_lattice_basis(cols):

@@ -175,6 +175,34 @@ def test_face():
     assert got["quotient"]["rank"] == 1
 
 
+@pytest.mark.parametrize("edit", [
+    lambda f: f["cell_affines"][0].update(linear=[["1/2", "1"]]),
+    lambda f: f["cell_affines"][0].update(constant=["0", "1"]),
+    lambda f: f.update(quasi_bilinear=[]),
+], ids=["linear", "constant", "quasi_bilinear"])
+def test_bend_rejects_misshapen_function_exit_2(edit):
+    sig = run_json("sigma", {"q": [[1]]})
+    edit(sig)
+    code, out, err = run("bend", {"function": sig})
+    assert code == 2 and out == ""
+    assert err.startswith("malformed input")
+
+
+@pytest.mark.parametrize("functionals, face_functionals", [
+    ([[1, 0]], [[1]]),
+    ([[1]], [[1, 5]]),
+], ids=["monoid", "face"])
+def test_face_rejects_functional_of_wrong_length_exit_2(functionals,
+                                                         face_functionals):
+    sig = run_json("sigma", {"q": [[1]]})
+    code, out, err = run("face", {"monoid": {"rank": 1,
+                                             "functionals": functionals},
+                                  "face_functionals": face_functionals,
+                                  "function": sig})
+    assert code == 2 and out == ""
+    assert err.startswith("malformed input")
+
+
 # -- Siegel commands --------------------------------------------------------
 
 def test_trop_at_the_cusp():

@@ -12,10 +12,12 @@ from tropab.errors import (Degenerate, NotInGLXY, NotInjective, NotSkew,
                            NotUnimodular)
 from tropab.exact_linalg import (PolarizationType, frac_det, frac_inv,
                                  glxy_act, hermite_normal_form,
-                                 lattice_membership, polarization_type,
+                                 independent_rows, kernel,
+                                 lattice_membership, polarization_type, rank,
                                  smith_normal_form, standard_symplectic_form,
                                  symplectic_normal_form)
 
+from oracles import frac_det as cofactor_det
 from oracles import snf_diag_via_minor_gcds
 
 
@@ -211,3 +213,52 @@ def test_frac_inv_roundtrip():
     assert (frac_inv(frac_inv(m)) == np.array(
         [[Fraction(1, 2), Fraction(1)], [Fraction(0), Fraction(3)]],
         dtype=object)).all()
+
+
+# -- the rational row reduction ---------------------------------------------
+
+small_frac = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Rational matrices up to 4 x 4; half of them with one row replaced
+    by a rational combination of the others (a zero row when alone), so
+    that singular and rank-deficient inputs are common."""
+    n = draw(st.integers(1, 4))
+    m = n if square else draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(small_frac, min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        coeffs = draw(st.lists(small_frac, min_size=n, max_size=n))
+        rows[i] = [sum((c * rows[k][j] for k, c in enumerate(coeffs)
+                        if k != i), Fraction(0)) for j in range(m)]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(square=True))
+def test_det_and_inverse_match_cofactor_oracle(m):
+    det = frac_det(m)
+    assert det == cofactor_det(m)
+    if det == 0:
+        with pytest.raises(Degenerate):
+            frac_inv(m)
+    else:
+        assert (frac_inv(m) @ _obj(m) == np.eye(len(m), dtype=object)).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_rank_kernel_and_independent_rows(m):
+    ncols = len(m[0])
+    ker = kernel(m, ncols)
+    for v in ker:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+    assert rank(m) + len(ker) == ncols
+    keep = independent_rows(m)
+    assert rank([m[i] for i in keep]) == len(keep) == rank(m)
+    # greedy: a row is left out iff it lies in the span of those before it
+    for i in range(len(m)):
+        assert (i in keep) == (rank(m[:i + 1]) > rank(m[:i]))

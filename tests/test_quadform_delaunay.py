@@ -196,6 +196,14 @@ def test_voronoi_cone_boundary_rays():
     assert voronoi_cone_contains(tri, ax)
     assert voronoi_cone_contains(tri, diag)
     assert not voronoi_cone_contains(sq, diag)
+    # rank 3, two-dimensional kernels; that of (x+y)^2 is not spanned by
+    # coordinate vectors
+    i3 = np.eye(3, dtype=object)
+    cube = delaunay_subdivision(QuadraticForm(i3), i3, 3)
+    assert voronoi_cone_contains(
+        cube, QuadraticForm(_obj([[1, 0, 0], [0, 0, 0], [0, 0, 0]])))
+    assert not voronoi_cone_contains(
+        cube, QuadraticForm(_obj([[1, 1, 0], [1, 1, 0], [0, 0, 0]])))
 
 
 def test_voronoi_cone_rejects_non_psd():
