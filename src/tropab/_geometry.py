@@ -27,6 +27,13 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def bilinear(m, x, y):
+    """x^T m y, for the square matrix m given by its rows; ValueError
+    unless x, y and the rows of m have one length."""
+    return sum(xi * sum(a * b for a, b in zip(row, y, strict=True))
+               for xi, row in zip(x, m, strict=True))
+
+
 def scale(a, c):
     return tuple(c * x for x in a)
 

@@ -1,23 +1,24 @@
 """Graded monoids twisted by the convexity cocycle of a piecewise
 affine function, Fourier-index combinatorics of X/phi(Y), lattice-torus
 actions on monomials, central-fiber dual complexes, and face-quotient
-data."""
+data.
 
-from dataclasses import dataclass, field
+Lattice vectors and matrices are plain int/Fraction tuples inside;
+numpy object arrays are only the public boundary (the matrices callers
+pass in, and those PwAffineFunction holds)."""
+
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from itertools import product
+from typing import Optional
 
 from . import _geometry as geom
 from .errors import (InconsistentData, NotAFace, NotInjective, NotInvariant,
                      OutsideSupport, Unbounded)
-from .exact_linalg import (PolarizationType, as_int_matrix, frac_det,
-                           frac_inv, hermite_normal_form, is_symmetric,
-                           lattice_membership, polarization_type,
-                           saturated_quotient)
+from .exact_linalg import (as_int_matrix, frac_det, hermite_normal_form,
+                           polarization_type, saturated_quotient)
 from .pavings_pwl import PwAffineFunction, ToricMonoid, affine_region_paving
-from .quadform_delaunay import LatticePolytope, PeriodicPaving, QuadraticForm
+from .quadform_delaunay import PeriodicPaving, QuadraticForm
 
 
 class HomogenizedFunction:
@@ -127,19 +128,9 @@ def fourier_indices(x_rank: int, phi_map):
         raise NotInjective("phi must be an injective map of rank %d" % r)
     ptype = polarization_type(m)
     h, _ = hermite_normal_form(m.T)   # rows of h generate the lattice
-    reps = []
-
-    def rec(i, partial):
-        if i == r:
-            reps.append(tuple(partial))
-            return
-        for v in range(int(h[i, i])):
-            rec(i + 1, partial + [v])
-
     # vectors with 0 <= v_i < h[i][i] are exactly one per coset: reduce
     # ascending through the pivots of the upper-triangular HNF rows
-    rec(0, [])
-    return reps, ptype
+    return list(product(*(range(int(h[i, i])) for i in range(r)))), ptype
 
 
 def fourier_reduce(vec, phi_map):
@@ -180,9 +171,7 @@ def y_action_on_monomial(lam, mu, data):
             "pairing matrix must equal the polarization of A")
     lam = tuple(int(x) for x in lam)
     mu = tuple(int(x) for x in mu)
-    shift = tuple(int((pc @ np.array([[x] for x in lam],
-                                     dtype=object))[i, 0]) for i in range(r))
-    new_mu = geom.vadd(mu, shift)
+    new_mu = geom.vadd(mu, tuple(geom.dot(row, lam) for row in pc.tolist()))
     q_exponent = a_form.value(lam) / 2
     return new_mu, q_exponent, mu
 
@@ -208,18 +197,18 @@ def central_fiber_complex(paving: PeriodicPaving,
     (self-incidences allowed)."""
     phib = as_int_matrix(phi_image_basis)
     r = paving.rank
-    for j in range(r):
-        col = tuple(int(phib[i, j]) for i in range(r))
-        if not lattice_membership(paving.period_basis, col):
+    lat = paving.lattice
+    gens = [tuple(col) for col in phib.T.tolist()]
+    for col in gens:
+        if not lat.contains(col):
             raise NotInvariant(
                 "phi-image generator %r is not a paving period" % (col,))
 
-    # cosets of phi(Y) inside the paving period lattice
-    m = as_int_matrix(frac_inv(paving.period_basis) @ phib)
+    # cosets of phi(Y) inside the paving period lattice, in the period
+    # coordinates of the phi-image generators
+    m = list(zip(*map(lat.coordinates, gens)))
     coset_coords, _ = fourier_indices(r, m)
-    cosets = [tuple(int((paving.period_basis
-                         @ np.array([[c] for c in k], dtype=object))[i, 0])
-                    for i in range(r)) for k in coset_coords]
+    cosets = [lat.vector(k) for k in coset_coords]
 
     sub = PeriodicPaving(r, phib, [], max(paving.window, 2))
     comp_index = {}
@@ -281,38 +270,31 @@ def face_quotient(p: ToricMonoid, face_functionals,
 
     k = p.rank
     if not face_gens:
-        pi = np.array([[1 if i == j else 0 for j in range(k)]
-                       for i in range(k)], dtype=object)
+        pi = [tuple(int(i == j) for j in range(k)) for i in range(k)]
         quotient = ToricMonoid(k, p.functionals)
     else:
-        # columns of the transpose span F
-        pi, sec, face_basis = saturated_quotient(
-            np.array(face_gens, dtype=object).T)
+        # the face generators are the columns spanning F
+        pi, sec, face_basis = saturated_quotient(list(zip(*face_gens)))
+        pi = pi.tolist()
         quotient = ToricMonoid(
-            pi.shape[0], _project_inequalities(p.functionals, sec,
-                                               face_basis))
+            len(pi), _project_inequalities(p.functionals, sec, face_basis))
 
-    kq = pi.shape[0]
+    kq = len(pi)
     if kq == 0:
         # quotient by everything: the pushed function is identically 0
         return FaceQuotientData(quotient, _ZeroFunction(phi.paving), None,
                                 False)
-    affs = []
-    for lin, const in phi.cell_affines:
-        lmat = np.array([list(row) for row in lin], dtype=object)
-        new_lin = pi @ lmat
-        new_const = tuple(sum(pi[i, j] * const[j] for j in range(k))
-                          for i in range(kq))
-        affs.append((tuple(tuple(new_lin[i, j] for j in range(phi.rank))
-                           for i in range(kq)), new_const))
-    bil = [sum((pi[i, j] * phi.quasi_bilinear[j] for j in range(k)),
-               np.zeros((phi.rank, phi.rank), dtype=object))
-           for i in range(kq)]
-    lmat = np.array([list(row) for row in phi.quasi_linear], dtype=object)
-    new_l = pi @ lmat
-    lins = tuple(tuple(new_l[i, j] for j in range(phi.rank))
-                 for i in range(kq))
-    pushed = PwAffineFunction(phi.paving, affs, bil, lins, payload_rank=kq)
+
+    def push(rows):
+        """pi @ rows, for the k rows of a k x r matrix."""
+        cols = list(zip(*rows))
+        return tuple(tuple(geom.dot(row, c) for c in cols) for row in pi)
+
+    affs = [(push(lin), tuple(geom.dot(row, const) for row in pi))
+            for lin, const in phi.cell_affines]
+    bil = [sum(c * b for c, b in zip(row, phi.quasi_bilinear)) for row in pi]
+    pushed = PwAffineFunction(phi.paving, affs, bil, push(phi.quasi_linear),
+                              payload_rank=kq)
     try:
         coarser = affine_region_paving(pushed)
         return FaceQuotientData(quotient, pushed, coarser, True)
@@ -337,14 +319,10 @@ def _project_inequalities(functionals, sec, face_basis):
     """Fourier-Motzkin image of {u_i >= 0} under quotient by the span of
     face_basis columns: substitute x = sec y + face_basis z, then
     eliminate the z variables."""
-    nz = face_basis.shape[1]
-    rows = []
-    for u in functionals:
-        urow = np.array([[int(x) for x in u]], dtype=object)
-        ypart = [int(x) for x in (urow @ sec)[0]]
-        zpart = [int(x) for x in (urow @ face_basis)[0]]
-        rows.append((ypart, zpart))
-    for zi in range(nz):
+    sec_cols, face_cols = sec.T.tolist(), face_basis.T.tolist()
+    rows = [([geom.dot(u, c) for c in sec_cols],
+             [geom.dot(u, c) for c in face_cols]) for u in functionals]
+    for zi in range(len(face_cols)):
         pos = [rw for rw in rows if rw[1][zi] > 0]
         neg = [rw for rw in rows if rw[1][zi] < 0]
         zero = [rw for rw in rows if rw[1][zi] == 0]

@@ -5,6 +5,7 @@ lists of Fraction) from which the determinant, inverse, rank, kernel and
 greedy independent subsets are derived; normal forms (Hermite, Smith),
 saturated quotients, symplectic reduction of integral alternating
 forms, polarization types, and the GL(X,Y)-action on quadratic forms.
+``LatticeCoordinates`` is the one reduction of points modulo a lattice.
 All arithmetic is exact.  Numpy arrays with dtype=object holding python
 ints or Fractions are only the public boundary: the integer normal forms
 take and return them, and ``frac_inv`` returns one.
@@ -13,6 +14,7 @@ take and return them, and ``frac_inv`` returns one.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import List, Tuple
 
 import numpy as np
@@ -91,7 +93,10 @@ def row_reduce(rows, ncols=None):
 
 
 def _square_rows(m):
-    rows = [list(row) for row in m]
+    try:
+        rows = [list(row) for row in m]
+    except TypeError:
+        raise ValueError("expected a square matrix") from None
     if any(len(row) != len(rows) for row in rows):
         raise ValueError("expected a square matrix")
     return rows
@@ -169,7 +174,7 @@ def is_positive_semidefinite(m) -> bool:
     n = a.shape[0]
     for k in range(1, n + 1):
         for idx in combinations(range(n), k):
-            if frac_det(a[np.ix_(idx, idx)]) < 0:
+            if frac_det([[a[i, j] for j in idx] for i in idx]) < 0:
                 return False
     return True
 
@@ -456,11 +461,66 @@ def polarization_type(phi) -> PolarizationType:
     return PolarizationType(tuple(diag))
 
 
+class LatticeCoordinates:
+    """Coordinates for the lattice spanned by the columns of a square
+    basis B (rows in ``basis``): B^-1 is computed once, as the integer
+    rows ``inv_rows`` over one positive ``den``.  Points are int or
+    Fraction.  A singular B raises Degenerate, a non-square one
+    ValueError."""
+
+    def __init__(self, basis):
+        rows = _square_rows(basis)
+        inv = frac_inv(rows)
+        self.basis = tuple(tuple(row) for row in rows)
+        self.den = lcm(*(x.denominator for x in inv.flat))
+        self.inv_rows = tuple(tuple(int(x * self.den) for x in row)
+                              for row in inv)
+
+    @staticmethod
+    def clear_denominators(point):
+        """Integer numerators of a rational point over their least common
+        positive denominator."""
+        fs = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+              for x in point]
+        den = lcm(*(f.denominator for f in fs))
+        return tuple(f.numerator * (den // f.denominator) for f in fs), den
+
+    def shift(self, point):
+        """The lattice vector t = B floor(B^-1 x): x - t lies in the
+        half-open fundamental parallelepiped B [0, 1)^r."""
+        return self.shift_cleared(*self.clear_denominators(point))
+
+    def shift_cleared(self, num, den):
+        """``shift`` of the point num / den (int numerators, den > 0)."""
+        d = self.den * den
+        return self.vector([_dot(row, num) // d for row in self.inv_rows])
+
+    def vector(self, coords):
+        """B k: the point with coordinates k."""
+        return tuple(_dot(row, coords) for row in self.basis)
+
+    def coordinates(self, point):
+        """B^-1 x, as a tuple of Fraction."""
+        num, den = self.clear_denominators(point)
+        if len(num) != len(self.inv_rows):
+            raise ValueError("point of length %d in rank %d"
+                             % (len(num), len(self.inv_rows)))
+        return tuple(Fraction(_dot(row, num), self.den * den)
+                     for row in self.inv_rows)
+
+    def contains(self, point) -> bool:
+        """Is x in the lattice, i.e. are its coordinates integers?"""
+        return all(c.denominator == 1 for c in self.coordinates(point))
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
 def lattice_membership(basis, vec) -> bool:
     """Is vec in the lattice generated by the columns of basis?"""
-    b = as_frac_matrix(basis)
-    sol = frac_inv(b) @ as_frac_matrix(np.array(vec, dtype=object).reshape(-1, 1))
-    return all(x.denominator == 1 for x in sol[:, 0])
+    return LatticeCoordinates(basis).contains(
+        np.array(vec, dtype=object).ravel())
 
 
 def glxy_act(u, q, y_basis) -> np.ndarray:

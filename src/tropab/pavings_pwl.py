@@ -9,23 +9,20 @@ transform.  Everything is exact rational arithmetic.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
 from . import _geometry as geom
 from .errors import (Degenerate, MissingVertexValue, NonMatchingFaces,
-                     NotConvex, NotPositiveDefinite, NotQuasiperiodic,
-                     NotSimplicial, RankMismatch, Unbounded, WindowTooSmall)
-from .exact_linalg import (as_frac_matrix, as_int_matrix, frac_inv,
+                     NotConvex, NotQuasiperiodic, NotSimplicial,
+                     RankMismatch, Unbounded, WindowTooSmall)
+from .exact_linalg import (LatticeCoordinates, as_frac_matrix, as_int_matrix,
                            is_positive_definite, rank, row_reduce)
-from .quadform_delaunay import (LatticePolytope, PeriodicPaving,
-                                QuadraticForm, delaunay_subdivision)
-
-
-def _col(v):
-    return np.array([[Fraction(x)] for x in v], dtype=object)
+from .quadform_delaunay import (PeriodicPaving, QuadraticForm,
+                                delaunay_subdivision)
 
 
 def _as_rows(lin, k, r):
@@ -153,29 +150,22 @@ class QuasiperiodicDecomposition:
     periodic: dict                # residue point -> value
     period_basis: np.ndarray
 
+    @cached_property
+    def lattice(self) -> LatticeCoordinates:
+        """Coordinates for the period lattice, built on first use."""
+        return LatticeCoordinates(self.period_basis)
+
     def quadratic_part(self, x):
-        v = _col(x)
-        b = self.bilinear
-        return (Fraction((v.T @ b @ v)[0, 0]) / 2
-                + geom.dot(self.quadratic_linear,
-                           tuple(Fraction(t) for t in x)) / 2)
+        v = tuple(Fraction(t) for t in x)
+        return (Fraction(geom.bilinear(self.bilinear, v, v)) / 2
+                + geom.dot(self.quadratic_linear, v) / 2)
 
     def reconstruct(self, x):
-        res = _residue(x, self.period_basis)
+        res = tuple(Fraction(a) - t for a, t in zip(x, self.lattice.shift(x)))
         if res not in self.periodic:
             raise MissingVertexValue("no sampled value in the orbit of %r"
                                      % (x,))
         return self.quadratic_part(x) + self.periodic[res]
-
-
-def _residue(x, period_basis):
-    pbi = frac_inv(period_basis)
-    coords = pbi @ _col(x)
-    r = period_basis.shape[0]
-    floors = [Fraction(coords[i, 0]).numerator
-              // Fraction(coords[i, 0]).denominator for i in range(r)]
-    t = period_basis @ np.array([[f] for f in floors], dtype=object)
-    return tuple(Fraction(x[i]) - t[i, 0] for i in range(r))
 
 
 class ToricMonoid:
@@ -305,7 +295,7 @@ def quasiperiodic_decompose(samples: Dict[tuple, Fraction],
                for k, v in samples.items()}
     gens = [tuple(int(pb[i, j]) for i in range(r)) for j in range(r)]
 
-    gram = np.empty((r, r), dtype=object)
+    gram = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
             vals = set()
@@ -319,10 +309,14 @@ def quasiperiodic_decompose(samples: Dict[tuple, Fraction],
                 raise NotQuasiperiodic(
                     "second difference along generators (%d, %d) is not "
                     "constant" % (i, j))
-            gram[i, j] = gram[j, i] = vals.pop()
+            gram[i][j] = gram[j][i] = vals.pop()
 
-    pbi = frac_inv(pb)
-    bil = pbi.T @ gram @ pbi
+    # B = P^-T G P^-1 and L = (L . gens) P^-1; the columns of P^-1 are
+    # those of the integer inverse rows over den
+    lat = LatticeCoordinates(pb)
+    cols = list(zip(*lat.inv_rows))
+    bil = [[Fraction(geom.bilinear(gram, ca, cb), lat.den ** 2) for cb in cols]
+           for ca in cols]
 
     lvals = []
     for i in range(r):
@@ -330,27 +324,25 @@ def quasiperiodic_decompose(samples: Dict[tuple, Fraction],
         for x in samples:
             y = geom.vadd(x, gens[i])
             if y in samples:
-                bx = (np.array([[Fraction(t) for t in x]], dtype=object)
-                      @ bil @ _col(gens[i]))[0, 0]
-                vals.add(samples[y] - samples[x] - bx)
+                vals.add(samples[y] - samples[x]
+                         - geom.bilinear(bil, x, gens[i]))
         if len(vals) != 1:
             raise NotQuasiperiodic(
                 "increment along generator %d is not affine" % i)
         a_gen = vals.pop()                      # A(gen_i)
-        lvals.append(2 * a_gen - Fraction(gram[i, i]))  # L . gen_i
+        lvals.append(2 * a_gen - gram[i][i])    # L . gen_i
 
-    lrow = tuple(Fraction(x)
-                 for x in (np.array([lvals], dtype=object) @ pbi)[0])
+    lrow = tuple(Fraction(geom.dot(lvals, c), lat.den) for c in cols)
 
-    dec = QuasiperiodicDecomposition(bil, lrow, {}, pb)
-    periodic = {}
+    dec = QuasiperiodicDecomposition(np.array(bil, dtype=object), lrow, {},
+                                     pb)
     for x, v in samples.items():
-        res = _residue(x, pb)
+        res = tuple(Fraction(a) - t for a, t in zip(x, lat.shift(x)))
         p = v - dec.quadratic_part(x)
-        if periodic.setdefault(res, p) != p:
+        if dec.periodic.setdefault(res, p) != p:
             raise NotQuasiperiodic("residue %r has inconsistent periodic "
                                    "part" % (res,))
-    return QuasiperiodicDecomposition(bil, lrow, periodic, pb)
+    return dec
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +391,7 @@ def cone_cy_membership(psi: Dict[tuple, Fraction], t: PeriodicPaving,
         return False
     vert_orbits = t.vertex_orbits()
     for alpha in product(range(-t.window, t.window + 1), repeat=t.rank):
-        res = geom.vsub(alpha, t._reduce_shift(alpha))
-        if tuple(res) in vert_orbits:
+        if geom.vsub(alpha, t.lattice.shift(alpha)) in vert_orbits:
             continue
         try:
             target = dec.reconstruct(alpha)
@@ -450,13 +441,12 @@ def legendre_transform(f: PwAffineFunction, window: int):
     if not is_positive_definite(f.quasi_bilinear[0]):
         raise Unbounded("associated quadratic form is not positive definite")
 
-    pb_rows = f.paving.period_basis.tolist()
     r = f.rank
     vwindow = 2 * window + 2   # search strictly beyond the dual box
     orbits = f.paving.vertex_orbits()
     verts = []
     for k in product(range(-vwindow, vwindow + 1), repeat=r):
-        shift = tuple(geom.dot(row, k) for row in pb_rows)
+        shift = f.paving.lattice.vector(k)
         interior = all(abs(c) < vwindow for c in k)
         for v in orbits:
             verts.append((geom.vadd(v, shift), interior))

@@ -6,19 +6,17 @@ x -> 1/2 Q(x): exact gift-wrapping of the lower hull over a finite
 window of lattice points, with cospherical cells kept whole.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from . import _geometry as geom
-from .errors import (Degenerate, InvalidPaving, NotPositiveDefinite,
-                     WindowTooSmall)
-from .exact_linalg import (as_frac_matrix, as_int_matrix, frac_det, frac_inv,
-                           hermite_normal_form, independent_rows,
+from .errors import InvalidPaving, NotPositiveDefinite, WindowTooSmall
+from .exact_linalg import (LatticeCoordinates, as_frac_matrix, as_int_matrix,
+                           frac_det, hermite_normal_form, independent_rows,
                            is_positive_definite, is_positive_semidefinite,
                            is_symmetric, kernel, row_reduce,
                            saturated_quotient)
@@ -42,8 +40,7 @@ class QuadraticForm:
 
     def value(self, x) -> Fraction:
         v = [Fraction(t) for t in x]
-        return sum(self.matrix[i, j] * v[i] * v[j]
-                   for i in range(self.rank) for j in range(self.rank))
+        return geom.bilinear(self.matrix, v, v)
 
     def is_positive_definite(self) -> bool:
         return is_positive_definite(self.matrix)
@@ -69,7 +66,8 @@ class LatticePolytope:
     def __post_init__(self):
         vs = tuple(sorted(tuple(_as_int_if_possible(x) for x in v)
                           for v in self.vertices))
-        assert len(set(vs)) == len(vs), "duplicate vertices"
+        if len(set(vs)) != len(vs):
+            raise ValueError("duplicate vertices in cell %r" % (vs,))
         object.__setattr__(self, "vertices", vs)
 
     @property
@@ -105,32 +103,16 @@ class PeriodicPaving:
             (c if isinstance(c, LatticePolytope) else LatticePolytope(tuple(c))
              for c in cells),
             key=lambda c: c.vertices)
-        self._pb_rows = self.period_basis.tolist()
-        inv = frac_inv(self.period_basis)
-        # period coordinates of x are (_inv_num . x) / _inv_den
-        self._inv_den = lcm(*(x.denominator for x in inv.flat))
-        self._inv_num = tuple(tuple(int(x * self._inv_den) for x in row)
-                              for row in inv)
+        self.lattice = LatticeCoordinates(self.period_basis)
         self._facet_cache = {}
         self._wall_cache = None
         self._locator = None
 
     # -- canonical translates -------------------------------------------
 
-    def _reduce_shift(self, point):
-        """Lattice vector t with point - t in the fundamental half-open
-        parallelepiped of the period basis."""
-        return self._reduce_cleared(*_clear_denominators(point))
-
-    def _reduce_cleared(self, num, den):
-        """_reduce_shift of the point num / den (int numerators, den > 0)."""
-        d = self._inv_den * den
-        floors = [geom.dot(row, num) // d for row in self._inv_num]
-        return tuple(geom.dot(row, floors) for row in self._pb_rows)
-
     def canonical_cell(self, vertices):
         vs = sorted(tuple(v) for v in vertices)
-        t = self._reduce_shift(vs[0])
+        t = self.lattice.shift(vs[0])
         return LatticePolytope(tuple(geom.vsub(v, t) for v in vs))
 
     # -- structure ------------------------------------------------------
@@ -147,7 +129,7 @@ class PeriodicPaving:
         out = set()
         for c in self.cells:
             for v in c.vertices:
-                t = self._reduce_shift(v)
+                t = self.lattice.shift(v)
                 out.add(geom.vsub(v, t))
         return out
 
@@ -162,7 +144,7 @@ class PeriodicPaving:
         walls = {}
         for idx in range(len(self.cells)):
             for fverts, _n, _c in self.cell_facets(idx):
-                t = self._reduce_shift(sorted(fverts)[0])
+                t = self.lattice.shift(sorted(fverts)[0])
                 key = tuple(sorted(geom.vsub(v, t) for v in fverts))
                 shift = tuple(-x for x in t)
                 walls.setdefault(key, []).append((idx, shift))
@@ -189,8 +171,8 @@ class PeriodicPaving:
         cells x [-2, 2]^r scan finds.  The rows are tested in integers on
         the reduced point's numerators over their common denominator.
         """
-        num, den = _clear_denominators(point)
-        t0 = self._reduce_cleared(num, den)
+        num, den = self.lattice.clear_denominators(point)
+        t0 = self.lattice.shift_cleared(num, den)
         local = tuple(x - den * t for x, t in zip(num, t0))
         for idx, bk, rows in self._point_locator():
             if all(geom.dot(a, local) <= b * den for a, b in rows):
@@ -202,20 +184,20 @@ class PeriodicPaving:
         (a, b) with <a, x> <= b exactly on cells[idx] + B k."""
         if self._locator is not None:
             return self._locator
-        den = self._inv_den
+        den = self.lattice.den
         locator = []
         for idx, cell in enumerate(self.cells):
             facets = self.cell_facets(idx)
             # per period coordinate, the k_i that let the translate's
             # bounding box meet [0, 1]; coordinates are scaled by den
             ks = []
-            for row in self._inv_num:
+            for row in self.lattice.inv_rows:
                 coords = [geom.dot(row, v) for v in cell.vertices]
                 lo, hi = min(coords), max(coords)
                 ks.append([k for k in range(-2, 3)
                            if hi + k * den >= 0 and lo + k * den <= den])
             for k in product(*ks):
-                bk = tuple(geom.dot(row, k) for row in self._pb_rows)
+                bk = self.lattice.vector(k)
                 rows = []
                 for _f, n, c in facets:
                     b = c + geom.dot(n, bk)
@@ -236,15 +218,6 @@ class PeriodicPaving:
     def __repr__(self):
         return "PeriodicPaving(rank=%d, cells=%d, window=%d)" % (
             self.rank, len(self.cells), self.window)
-
-
-def _clear_denominators(point):
-    """Integer numerators of a rational point over their least common
-    positive denominator."""
-    fs = [x if isinstance(x, (int, Fraction)) else Fraction(x)
-          for x in point]
-    den = lcm(*(f.denominator for f in fs))
-    return tuple(f.numerator * (den // f.denominator) for f in fs), den
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +270,15 @@ def _window_sites(paving, window, shift):
     """The sites p + shift for the lattice points p whose period
     coordinates lie in [-window, window] (first coordinate of p varying
     fastest), and the set of those with a coordinate at +-window."""
-    # period coordinates of p are (_inv_num . p) / _inv_den
-    bound = window * paving._inv_den
+    lat = paving.lattice
+    bound = window * lat.den
     # bounding box of the parallelepiped pb * [-w, w]^r, in std coords
     ranges = [range(-s, s + 1) for s in
-              (window * sum(abs(x) for x in row) for row in paving._pb_rows)]
+              (window * sum(abs(x) for x in row) for row in lat.basis)]
     sites, boundary = [], set()
     for p in product(*reversed(ranges)):
         p = p[::-1]
-        coords = [abs(geom.dot(row, p)) for row in paving._inv_num]
+        coords = [abs(geom.dot(row, p)) for row in lat.inv_rows]
         if max(coords) <= bound:
             s = tuple(Fraction(x) + t for x, t in zip(p, shift))
             sites.append(s)
@@ -415,20 +388,14 @@ def empty_sphere_check(cell, q: QuadraticForm, window: int) -> bool:
     center = _equidistant_center(verts, q)
     if center is None:
         return False
-    radius = _qdist(q, verts[0], center)
+    radius = q.value(geom.vsub(verts[0], center))
     vset = set(verts)
     for p in product(range(-window, window + 1), repeat=r):
         if p in vset:
             continue
-        if _qdist(q, p, center) <= radius:
+        if q.value(geom.vsub(p, center)) <= radius:
             return False
     return True
-
-
-def _qdist(q, x, c):
-    d = [Fraction(a) - b for a, b in zip(x, c)]
-    return sum(q.matrix[i, j] * d[i] * d[j]
-               for i in range(q.rank) for j in range(q.rank))
 
 
 def _equidistant_center(verts, q):
@@ -442,10 +409,8 @@ def _equidistant_center(verts, q):
     if d == 0:
         return tuple(Fraction(x) for x in v0)
     # center c = v0 + sum t_k basis_k ; equations Q(v - c) = Q(v0 - c)
-    system = [[2 * sum(q.matrix[i, j] * Fraction(dv[i]) * Fraction(bk[j])
-                       for i in range(r) for j in range(r))
-               for bk in basis] + [q.value(dv)]
-              for dv in diffs]
+    system = [[2 * geom.bilinear(q.matrix, dv, bk) for bk in basis]
+              + [q.value(dv)] for dv in diffs]
     # the (possibly overdetermined) system needs a unique solution: a
     # pivot in every t column and none in the right-hand side
     reduced, pivots, _ = row_reduce(system, d + 1)
@@ -479,28 +444,18 @@ def voronoi_cone_contains(paving: PeriodicPaving, q: QuadraticForm) -> bool:
     if q.is_positive_definite():
         dq = delaunay_subdivision(q, paving.period_basis,
                                   max(paving.window, 2))
-        return _refines(paving, dq)
+        return all(_some_cell_contains(dq, c.vertices) for c in paving.cells)
     if all(q.matrix[i, j] == 0 for i in range(q.rank) for j in range(q.rank)):
         return True  # single cell = everything; coarser than any paving
     pi, sec, _ = _kernel_quotient(q)
     qprime = QuadraticForm(sec.T @ q.matrix @ sec)
     pb_quot = _projected_lattice_basis(pi @ paving.period_basis)
     dq = delaunay_subdivision(qprime, pb_quot, max(paving.window + 1, 3))
-    for idx in range(len(paving.cells)):
-        proj = [tuple(int(y) for y in (pi @ np.array([[x] for x in v],
-                                                     dtype=object))[:, 0])
-                for v in paving.cells[idx].vertices]
-        if not _some_cell_contains(dq, proj):
-            return False
-    return True
-
-
-def _refines(paving, dq):
-    """Every cell of ``paving`` sits inside a single cell of ``dq``."""
-    for idx in range(len(paving.cells)):
-        if not _some_cell_contains(dq, paving.cells[idx].vertices):
-            return False
-    return True
+    pi_rows = pi.tolist()
+    return all(_some_cell_contains(dq, [tuple(int(geom.dot(row, v))
+                                              for row in pi_rows)
+                                        for v in c.vertices])
+               for c in paving.cells)
 
 
 def _some_cell_contains(dq, points):
@@ -520,16 +475,12 @@ def _kernel_quotient(q):
     """saturated_quotient for Z^r -> Z^r / ker(q): the rational kernel
     basis, with denominators cleared, spans a lattice whose saturation
     is ker(q) in Z^r."""
-    ints = []
-    for v in kernel(q.matrix, q.rank):
-        den = lcm(*(x.denominator for x in v))
-        ints.append([int(x * den) for x in v])
-    return saturated_quotient(np.array(ints, dtype=object).T)
+    ints = [LatticeCoordinates.clear_denominators(v)[0]
+            for v in kernel(q.matrix, q.rank)]
+    return saturated_quotient(list(zip(*ints)))
 
 
 def _projected_lattice_basis(cols):
     """A square basis for the lattice generated by the columns of cols."""
     h, _ = hermite_normal_form(as_int_matrix(cols).T)
-    rows = [tuple(int(x) for x in h[i]) for i in range(h.shape[0])
-            if any(h[i, j] != 0 for j in range(h.shape[1]))]
-    return np.array(rows, dtype=object).T
+    return list(zip(*(row for row in h.tolist() if any(row))))

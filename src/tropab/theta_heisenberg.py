@@ -1,6 +1,10 @@
 """Finite Heisenberg groups, the Schroedinger representation over exact
 cyclotomic integers, balanced theta sections and their valuation
-profiles, and the degeneration/twist exponent data."""
+profiles, and the degeneration/twist exponent data.
+
+The exponents are integer sums over plain tuples with one Fraction at
+the end; numpy object arrays are only the public boundary (the matrices
+DegenerationData holds)."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,8 +16,8 @@ import numpy as np
 from . import _geometry as geom
 from .errors import (BadLift, BadModulus, BadTwistPair, EmptyComponent,
                      InconsistentData, TooLarge)
-from .exact_linalg import PolarizationType, as_int_matrix, frac_inv
-from .degeneration_monoids import fourier_indices, fourier_reduce
+from .exact_linalg import PolarizationType, as_int_matrix
+from .degeneration_monoids import fourier_indices
 from .pavings_pwl import PwAffineFunction
 from .quadform_delaunay import QuadraticForm
 
@@ -83,14 +87,19 @@ class CyclotomicInteger:
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
+    def _check_ring(self, other):
+        if self.m != other.m:
+            raise ValueError("cyclotomic integers of orders %d and %d"
+                             % (self.m, other.m))
+
     def __add__(self, other):
-        assert self.m == other.m
+        self._check_ring(other)
         a, b = self.coeffs, other.coeffs
         return CyclotomicInteger(self.m,
                                  [x + y for x, y in zip(a, b)])
 
     def __sub__(self, other):
-        assert self.m == other.m
+        self._check_ring(other)
         return CyclotomicInteger(self.m, [x - y for x, y in
                                           zip(self.coeffs, other.coeffs)])
 
@@ -101,7 +110,7 @@ class CyclotomicInteger:
         if isinstance(other, int):
             return CyclotomicInteger(self.m,
                                      [other * x for x in self.coeffs])
-        assert self.m == other.m
+        self._check_ring(other)
         out = [0] * (2 * len(self.coeffs))
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -187,8 +196,9 @@ def heis_mul(x: HeisenbergElement, y: HeisenbergElement,
     (S_(t,a,b) f)(x) = zeta^t zeta^(<b,x>) f(x+a) is a homomorphism.
     """
     _check_modulus(delta, m)
-    assert x.delta == delta and y.delta == delta
-    assert x.modulus == m and y.modulus == m
+    if {(x.delta, x.modulus), (y.delta, y.modulus)} != {(delta, m)}:
+        raise ValueError("factors must lie in H(%r) mod %d"
+                         % (delta.diag, m))
     t = x.scalar_exp + y.scalar_exp + _pairing_exp(y.b, x.a, delta, m)
     return HeisenbergElement(t, geom.vadd(x.a, y.a), geom.vadd(x.b, y.b),
                              delta, m)
@@ -279,7 +289,8 @@ class SchrodingerVector:
 def schrodinger_action(g: HeisenbergElement,
                        v: SchrodingerVector) -> SchrodingerVector:
     """(S_g v)(x) = zeta^t zeta^{<b, x>_M} v(x + a)."""
-    assert g.delta == v.delta and g.modulus == v.modulus
+    if (g.delta, g.modulus) != (v.delta, v.modulus):
+        raise ValueError("element and vector of different Heisenberg groups")
     m = v.modulus
     out = {}
     for x, c in v.coeffs.items():
@@ -414,11 +425,13 @@ class DegenerationData:
         pc = as_int_matrix(self.phi_check)
         object.__setattr__(self, "phi_check", pc)
         g = self.q_form.rank
-        dmat = np.diag(np.array([int(x) for x in self.d_type.diag],
-                                dtype=object))
-        expected = 2 * (self.q_form.matrix @ frac_inv(dmat))
+        d = self.d_type.diag
+        if len(d) != g:
+            raise ValueError("d_type must have %d entries" % g)
+        q = self.q_form.matrix
+        # phi_check == 2 Q d^-1, compared column by column as pc d == 2 Q
         if pc.shape != (g, g) or any(
-                Fraction(expected[i, j]) != pc[i, j]
+                pc[i, j] * d[j] != 2 * q[i, j]
                 for i in range(g) for j in range(g)):
             raise InconsistentData(
                 "phi_check must equal 2 Q d^{-1} and be integral")
@@ -427,11 +440,10 @@ class DegenerationData:
             raise BadTwistPair("S_xi must be skew-symmetric")
         object.__setattr__(self, "s_xi", sx)
         if self.s_prime is None:
-            sp = np.array([[int(sx[i, j]) % 2 if i != j else 0
-                            for j in range(g)] for i in range(g)],
+            # the symmetric mod-2 lift of S_xi with zero diagonal
+            sp = np.array([[int(sx[min(i, j), max(i, j)]) % 2 if i != j
+                            else 0 for j in range(g)] for i in range(g)],
                           dtype=object)
-            sp = np.array([[sp[min(i, j), max(i, j)] for j in range(g)]
-                           for i in range(g)], dtype=object)
         else:
             sp = as_int_matrix(self.s_prime)
             if (sp.T != sp).any():
@@ -444,36 +456,34 @@ class DegenerationData:
 
 def degen_exponents(data: DegenerationData, lam, alpha):
     """a-exponent Q(lambda) and b-exponent lambda^T (2 Q d^{-1}) alpha
-    of the period action on the degenerating family."""
-    lam = tuple(int(x) for x in lam)
-    alpha = tuple(int(x) for x in alpha)
-    a_exp = data.q_form.value(lam)
-    pc_alpha = data.phi_check @ np.array([[x] for x in alpha], dtype=object)
-    b_exp = sum(Fraction(l) * Fraction(pc_alpha[i, 0])
-                for i, l in enumerate(lam))
-    return a_exp, b_exp
+    of the period action on the degenerating family; Q(lambda) is
+    taken as 1/2 lambda^T phi_check d lambda, an integer over 2.  A
+    vector of the wrong length raises ValueError."""
+    lam, alpha = tuple(map(int, lam)), tuple(map(int, alpha))
+    pc = data.phi_check.tolist()
+    d_lam = tuple(x * d for x, d in zip(lam, data.d_type.diag, strict=True))
+    return (Fraction(geom.bilinear(pc, lam, d_lam), 2),
+            Fraction(geom.bilinear(pc, lam, alpha)))
 
 
 def twist_data(data: DegenerationData, lam, alpha):
     """Exponents (mod 2) of the quadratic twist: a' = exp(pi i *
     (-1/2 lambda^T S' lambda)), b' = exp(pi i * (-lambda^T S_xi d^{-1}
-    alpha))."""
-    g = data.q_form.rank
-    lam = np.array([[int(x)] for x in lam], dtype=object)
-    alpha = np.array([[int(x)] for x in alpha], dtype=object)
-    dmat = np.diag(np.array([int(x) for x in data.d_type.diag],
-                            dtype=object))
-    b_raw = -(lam.T @ data.s_xi @ frac_inv(dmat) @ alpha)[0, 0]
-    a_raw = -Fraction((lam.T @ data.s_prime @ lam)[0, 0], 2)
-    return Fraction(a_raw) % 2, Fraction(b_raw) % 2
+    alpha)); d^{-1} alpha = (alpha_j d_g / d_j) / d_g, as d_j | d_g."""
+    lam, alpha = tuple(map(int, lam)), tuple(map(int, alpha))
+    dg = data.d_type.diag[-1]
+    scaled = tuple(x * (dg // d)
+                   for x, d in zip(alpha, data.d_type.diag, strict=True))
+    a = Fraction(-geom.bilinear(data.s_prime.tolist(), lam, lam), 2)
+    b = Fraction(-geom.bilinear(data.s_xi.tolist(), lam, scaled), dg)
+    return a % 2, b % 2
 
 
 def twist_bilinear_form(data: DegenerationData, lam, mu):
     """chi's associated bilinear form: a'(l+m) - a'(l) - a'(m) mod 2,
     which must match -lambda^T S' mu."""
-    l = np.array([[int(x)] for x in lam], dtype=object)
-    m = np.array([[int(x)] for x in mu], dtype=object)
-    return Fraction(-(l.T @ data.s_prime @ m)[0, 0]) % 2
+    lam, mu = tuple(map(int, lam)), tuple(map(int, mu))
+    return Fraction(-geom.bilinear(data.s_prime.tolist(), lam, mu)) % 2
 
 
 # ---------------------------------------------------------------------------

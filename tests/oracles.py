@@ -291,6 +291,26 @@ def homogenized(f, d, x):
 
 
 # ---------------------------------------------------------------------------
+# degeneration and twist exponents, straight from their definitions
+# ---------------------------------------------------------------------------
+
+def period_exponents(q, d, s_xi, s_prime, lam, alpha, mu):
+    """(a, b, a', b', chi) for lists-of-lists q, s_xi, s_prime and the
+    type d: a = Q(lam), b = lam^T (2 Q d^-1) alpha, a' = -1/2 lam^T S'
+    lam mod 2, b' = -lam^T S_xi d^-1 alpha mod 2 and chi = -lam^T S' mu
+    mod 2, every entry a Fraction and d^-1 the diagonal of 1/d_j."""
+    g = len(lam)
+    idx = [(i, j) for i in range(g) for j in range(g)]
+    a = sum(Fraction(q[i][j]) * lam[i] * lam[j] for i, j in idx)
+    b = sum(2 * Fraction(q[i][j]) / d[j] * lam[i] * alpha[j]
+            for i, j in idx)
+    at = -sum(Fraction(s_prime[i][j] * lam[i] * lam[j]) for i, j in idx) / 2
+    bt = -sum(Fraction(s_xi[i][j] * lam[i] * alpha[j], d[j]) for i, j in idx)
+    chi = -sum(Fraction(s_prime[i][j] * lam[i] * mu[j]) for i, j in idx)
+    return a, b, at % 2, bt % 2, chi % 2
+
+
+# ---------------------------------------------------------------------------
 # balanced sections, brute force over all lifts
 # ---------------------------------------------------------------------------
 

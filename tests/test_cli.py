@@ -203,6 +203,16 @@ def test_face_rejects_functional_of_wrong_length_exit_2(functionals,
     assert err.startswith("malformed input")
 
 
+def test_fiber_rejects_duplicate_cell_vertices_exit_2():
+    code, out, err = run("fiber", {
+        "paving": {"rank": 1, "period_basis": [[1]],
+                   "cells": [[[0], [0], [1]]]},
+        "phi_image_basis": [[2]]})
+    assert (code, out) == (2, "")
+    assert err.startswith("malformed input")
+    assert "duplicate vertices" in err
+
+
 # -- Siegel commands --------------------------------------------------------
 
 def test_trop_at_the_cusp():

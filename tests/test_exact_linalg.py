@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 
 from tropab.errors import (Degenerate, NotInGLXY, NotInjective, NotSkew,
                            NotUnimodular)
-from tropab.exact_linalg import (PolarizationType, frac_det, frac_inv,
-                                 glxy_act, hermite_normal_form,
-                                 independent_rows, kernel,
-                                 lattice_membership, polarization_type, rank,
-                                 smith_normal_form, standard_symplectic_form,
+from tropab.exact_linalg import (LatticeCoordinates, PolarizationType,
+                                 frac_det, frac_inv, glxy_act,
+                                 hermite_normal_form, independent_rows,
+                                 kernel, lattice_membership,
+                                 polarization_type, rank, smith_normal_form,
+                                 standard_symplectic_form,
                                  symplectic_normal_form)
 
 from oracles import frac_det as cofactor_det
+from oracles import frac_solve
 from oracles import snf_diag_via_minor_gcds
 
 
@@ -262,3 +264,34 @@ def test_rank_kernel_and_independent_rows(m):
     # greedy: a row is left out iff it lies in the span of those before it
     for i in range(len(m)):
         assert (i in keep) == (rank(m[:i + 1]) > rank(m[:i]))
+
+
+# -- lattice coordinates ----------------------------------------------------
+
+@st.composite
+def lattice_points(draw):
+    """A nonsingular integer basis up to 3 x 3 and a rational point,
+    integral half of the time."""
+    n = draw(st.integers(1, 3))
+    basis = draw(int_matrix(n).filter(lambda m: cofactor_det(m) != 0))
+    if draw(st.booleans()):
+        point = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    else:
+        point = draw(st.lists(small_frac, min_size=n, max_size=n))
+    return basis, tuple(point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_points())
+def test_lattice_coordinates_match_solve_oracle(case):
+    basis, point = case
+    coords = frac_solve(basis, point)
+    assert lattice_membership(basis, point) == all(
+        Fraction(c).denominator == 1 for c in coords)
+    shift = LatticeCoordinates(basis).shift(point)
+    # the shift is a lattice vector, and x - shift has period
+    # coordinates in [0, 1)
+    assert all(Fraction(c).denominator == 1
+               for c in frac_solve(basis, shift))
+    rest = frac_solve(basis, [x - t for x, t in zip(point, shift)])
+    assert all(0 <= c < 1 for c in rest)

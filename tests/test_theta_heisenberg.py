@@ -27,7 +27,7 @@ from tropab.theta_heisenberg import (CyclotomicInteger, DegenerationData,
                                      section_valuation_profile, twist_data,
                                      twist_bilinear_form)
 
-from oracles import brute_force_balanced_patterns_rank1
+from oracles import brute_force_balanced_patterns_rank1, period_exponents
 
 F = Fraction
 
@@ -291,3 +291,85 @@ def test_valuation_profile_requires_full_support():
     phi = sigma_section(QuadraticForm(_obj([[1]])), _obj([[1]]), 4)
     with pytest.raises(EmptyComponent):
         section_valuation_profile(sec, phi, _obj([[3]]), 3)
+
+
+# -- exponents at generic alpha ---------------------------------------------
+
+# (d, phi_check, S_xi, S'): Q = phi_check d / 2, S_xi != 0, and S' either
+# the default mod-2 lift (None) or an explicit one
+GENERIC_CASES = [
+    ((1, 3), [[2, 1], [3, 4]], [[0, 5], [-5, 0]], None),
+    ((2, 4), [[1, 1], [2, 3]], [[0, -3], [3, 0]], None),
+    ((2, 4), [[1, 1], [2, 3]], [[0, -3], [3, 0]], [[2, 1], [1, 4]]),
+]
+
+
+def _generic_data(d, pc, sx, sp):
+    q = [[F(pc[i][j] * d[j], 2) for j in range(2)] for i in range(2)]
+    data = DegenerationData(QuadraticForm(_obj(q)), _obj(pc),
+                            PolarizationType(d), _obj(sx),
+                            None if sp is None else _obj(sp))
+    return q, data
+
+
+def test_exponents_pinned_at_generic_alpha():
+    _, a = _generic_data(*GENERIC_CASES[0])
+    assert degen_exponents(a, (1, -2), (1, 1)) == (F(19), F(-11))
+    assert twist_data(a, (1, -2), (1, 1)) == (F(0), F(1, 3))
+    assert twist_bilinear_form(a, (1, -2), (1, 1)) == F(1)
+    _, b = _generic_data(*GENERIC_CASES[1])
+    assert degen_exponents(b, (1, 1), (1, 1)) == (F(11), F(7))
+    assert twist_data(b, (1, 1), (1, 1)) == (F(1), F(5, 4))
+    assert twist_bilinear_form(b, (1, 1), (1, 0)) == F(1)
+
+
+@pytest.mark.parametrize("case", GENERIC_CASES, ids=["d13", "d24", "d24-S'"])
+def test_exponents_match_fraction_oracle(case):
+    q, data = _generic_data(*case)
+    d, sx = case[0], case[2]
+    sp = data.s_prime.tolist()
+    for lam in product(range(-2, 3), repeat=2):
+        for alpha in product(range(-3, 4), repeat=2):
+            a, b, at, bt, chi = period_exponents(q, d, sx, sp, lam, alpha,
+                                                 alpha)
+            assert degen_exponents(data, lam, alpha) == (a, b)
+            assert twist_data(data, lam, alpha) == (at, bt)
+            assert twist_bilinear_form(data, lam, alpha) == chi
+
+
+def test_exponents_reject_vectors_of_the_wrong_length():
+    _, data = _generic_data(*GENERIC_CASES[0])
+    for fn in (degen_exponents, twist_data, twist_bilinear_form):
+        with pytest.raises(ValueError):
+            fn(data, (1, 2, 3), (1, 1))
+        with pytest.raises(ValueError):
+            fn(data, (1, 2), (1,))
+
+
+# -- mismatched groups and rings --------------------------------------------
+
+def test_cyclotomic_arithmetic_rejects_mixed_orders():
+    a, b = CyclotomicInteger(4, [1]), CyclotomicInteger(6, [1])
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        with pytest.raises(ValueError):
+            op()
+
+
+def test_heis_mul_rejects_elements_of_another_group():
+    d2 = PolarizationType((2,))
+    x = HeisenbergElement(1, (1,), (0,), d2, 4)
+    y = HeisenbergElement(0, (0,), (1,), d2, 4)
+    with pytest.raises(ValueError):
+        heis_mul(x, y, d2, 8)
+    other = HeisenbergElement(0, (0,), (1,), PolarizationType((1,)), 4)
+    with pytest.raises(ValueError):
+        heis_mul(x, other, d2, 4)
+
+
+def test_schrodinger_action_rejects_a_vector_of_another_group():
+    d2 = PolarizationType((2,))
+    g = HeisenbergElement(1, (1,), (0,), d2, 4)
+    with pytest.raises(ValueError):
+        schrodinger_action(g, SchrodingerVector.delta_function(d2, 8, (0,)))
+    with pytest.raises(ValueError):
+        schrodinger_action(g, SchrodingerVector.delta_function(D3, 6, (0,)))
