@@ -9,7 +9,7 @@ quadratic/cubic in the number of points.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .exact_linalg import (frac_det, independent_rows, kernel, rank,
                            row_reduce)
@@ -186,13 +186,14 @@ def _triangulate_fulldim(pts):
 
 def polytope_volume(points):
     """Exact volume of conv(points) (full-dimensional in its ambient
-    space), as a Fraction."""
+    space), as a Fraction.  r + 1 points are one simplex, of volume
+    |det(v_i - v_0)| / r! (0 when degenerate); more are triangulated."""
     pts = sorted(set(tuple(p) for p in points))
     r = len(pts[0])
+    fact = factorial(r)
+    if len(pts) == r + 1:
+        return abs(frac_det([vsub(v, pts[0]) for v in pts[1:]])) / fact
     total = Fraction(0)
-    fact = 1
-    for k in range(1, r + 1):
-        fact *= k
     for s in triangulate(pts):
         if len(s) != r + 1:
             continue

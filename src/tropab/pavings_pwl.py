@@ -16,9 +16,9 @@ from typing import Dict
 import numpy as np
 
 from . import _geometry as geom
-from .errors import (Degenerate, MissingVertexValue, NonMatchingFaces,
-                     NotConvex, NotQuasiperiodic, NotSimplicial,
-                     RankMismatch, Unbounded, WindowTooSmall)
+from .errors import (Degenerate, InvalidPaving, MissingVertexValue,
+                     NonMatchingFaces, NotConvex, NotQuasiperiodic,
+                     NotSimplicial, RankMismatch, Unbounded, WindowTooSmall)
 from .exact_linalg import (LatticeCoordinates, as_frac_matrix, as_int_matrix,
                            is_positive_definite, rank, row_reduce)
 from .quadform_delaunay import (PeriodicPaving, QuadraticForm,
@@ -383,8 +383,17 @@ def interpolate_on_triangulation(values: Dict[tuple, Fraction],
 def cone_cy_membership(psi: Dict[tuple, Fraction], t: PeriodicPaving,
                        period_basis) -> bool:
     """Is the interpolation of psi over t convex and below psi at every
-    non-vertex lattice point of the window?"""
+    non-vertex lattice point of the window?
+
+    psi is quasiperiodic for the lattice of ``period_basis``, and the
+    interpolation decomposes it over t's period lattice, so the first
+    must contain the second (InvalidPaving otherwise)."""
     pb = as_int_matrix(period_basis)
+    lattice = LatticeCoordinates(pb)
+    if not all(lattice.contains(col) for col in zip(*t.period_basis)):
+        raise InvalidPaving("period_basis does not generate a lattice "
+                            "containing the paving's period lattice",
+                            field="period_basis")
     dec = quasiperiodic_decompose(psi, pb)
     g = interpolate_on_triangulation(psi, t)
     if any(b[0] < 0 for b in bending_parameters(g).values()):

@@ -3,18 +3,28 @@ quadratic forms, and membership in the closed second-Voronoi cones.
 
 The subdivision is computed as the regular subdivision of the lift
 x -> 1/2 Q(x): exact gift-wrapping of the lower hull over a finite
-window of lattice points, with cospherical cells kept whole.
+window of lattice points, with cospherical cells kept whole.  The hull
+runs in Python integers: the sites are scaled by the common denominator
+D of the shift, the heights are x^T (L Q) x with L the common
+denominator of Q, and every supporting functional is kept as integer
+numerators over one positive denominator.  Positive scalings change
+neither the tight sets nor the order of the tilt ratios, so the facets
+are those of the rational lift; each accepted facet is mapped back to
+the rational sites once.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import floor, gcd, lcm, prod
+from operator import mul
 from typing import List, Tuple
 
 import numpy as np
 
 from . import _geometry as geom
-from .errors import InvalidPaving, NotPositiveDefinite, WindowTooSmall
+from .errors import (InvalidPaving, NotPositiveDefinite, TooLarge,
+                     WindowTooSmall)
 from .exact_linalg import (LatticeCoordinates, as_frac_matrix, as_int_matrix,
                            frac_det, hermite_normal_form, independent_rows,
                            is_positive_definite, is_positive_semidefinite,
@@ -224,6 +234,13 @@ class PeriodicPaving:
 # regular subdivision of the lift x -> 1/2 Q(x)
 # ---------------------------------------------------------------------------
 
+# The most lattice points the bounding box of a Delaunay window may hold.
+# Every tilt of the hull scans all sites, so the work grows with the
+# square of this count; rank 2 at window 16 visits 1089 points and rank 3
+# at window 8 visits 4913.
+MAX_WINDOW_POINTS = 100_000
+
+
 def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
                          shift=None) -> PeriodicPaving:
     """The Delaunay decomposition of Q, as a periodic paving.
@@ -233,7 +250,9 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
     the window boundary are discarded, and completeness of the surviving
     cell orbits is certified by exact volume accounting (WindowTooSmall
     otherwise).  An optional rational ``shift`` moves the site set (used
-    for cusp models on shifted lattices).
+    for cusp models on shifted lattices).  A window whose bounding box
+    holds more than MAX_WINDOW_POINTS lattice points is refused with
+    TooLarge before any site is enumerated.
     """
     if not q.is_positive_definite():
         raise NotPositiveDefinite("Delaunay needs a positive definite form")
@@ -243,15 +262,24 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
     pb = as_int_matrix(period_basis)
     shift = tuple(Fraction(x) for x in (shift or (0,) * r))
     paving = PeriodicPaving(r, pb, [], window)
-    sites, boundary = _window_sites(paving, window, shift)
-    heights = {s: q.value(s) / 2 for s in sites}
+    # bounding box of the parallelepiped pb * [-w, w]^r, in std coords
+    spans = [window * sum(abs(x) for x in row)
+             for row in paving.lattice.basis]
+    points = prod(2 * s + 1 for s in spans)
+    if points > MAX_WINDOW_POINTS:
+        raise TooLarge("window %d spans %d lattice points, more than %d"
+                       % (window, points, MAX_WINDOW_POINTS), field="window")
+    sites, boundary, scale = _window_sites(paving, window, spans, shift)
+    heights = _lift(q, sites)
 
     covol = abs(frac_det(pb))
     reps = {}
     total = Fraction(0)
-    for eq in _lower_hull(sites, heights, r):
+    for eq, _fn in _lower_hull(sites, heights, r):
         if any(v in boundary for v in eq):
             continue
+        if scale != 1:
+            eq = [tuple(Fraction(x, scale) for x in v) for v in eq]
         cell = paving.canonical_cell(eq)
         if cell.vertices in reps:
             continue
@@ -266,65 +294,71 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
     return PeriodicPaving(r, pb, list(reps.values()), window)
 
 
-def _window_sites(paving, window, shift):
-    """The sites p + shift for the lattice points p whose period
-    coordinates lie in [-window, window] (first coordinate of p varying
-    fastest), and the set of those with a coordinate at +-window."""
+def _window_sites(paving, window, spans, shift):
+    """The sites for the lattice points p whose period coordinates lie
+    in [-window, window], visiting the box |p_i| <= spans[i] (first
+    coordinate of p varying fastest), in integer coordinates
+    X = D (p + shift) with D the least common denominator of the shift;
+    the set of those with a period coordinate at +-window; and D."""
     lat = paving.lattice
     bound = window * lat.den
-    # bounding box of the parallelepiped pb * [-w, w]^r, in std coords
-    ranges = [range(-s, s + 1) for s in
-              (window * sum(abs(x) for x in row) for row in lat.basis)]
+    num, scale = LatticeCoordinates.clear_denominators(shift)
     sites, boundary = [], set()
-    for p in product(*reversed(ranges)):
+    for p in product(*(range(-s, s + 1) for s in reversed(spans))):
         p = p[::-1]
         coords = [abs(geom.dot(row, p)) for row in lat.inv_rows]
         if max(coords) <= bound:
-            s = tuple(Fraction(x) + t for x, t in zip(p, shift))
-            sites.append(s)
+            x = tuple(scale * a + b for a, b in zip(p, num))
+            sites.append(x)
             if bound in coords:
-                boundary.add(s)
-    return sites, boundary
+                boundary.add(x)
+    return sites, boundary, scale
+
+
+def _lift(q, sites):
+    """The integer heights x^T (L Q) x of integer sites, L the least
+    common denominator of Q's entries."""
+    scale = lcm(*(x.denominator for x in q.matrix.flat))
+    lq = [[int(x * scale) for x in row] for row in q.matrix]
+    return [geom.bilinear(lq, x, x) for x in sites]
 
 
 def _lower_hull(sites, heights, r):
-    """Lower-hull facets of the lifted sites, by exact gift-wrapping.
+    """Lower-hull facets of the lifted integer sites (x, heights[i]), by
+    exact gift-wrapping in integers.
 
     Yields each facet as the frozenset of sites lying on its supporting
-    affine functional (the equality set), depth-first from an initial
-    facet (the newest facet found is expanded next), so that callers can
-    stop once they have seen enough.
+    affine functional (the equality set), together with that functional
+    as (A, B, den): den > 0, gcd 1, and den * slack(x) = den * h(x) -
+    <A, x> - B >= 0 for every site, zero exactly on the facet.  Facets
+    come depth-first from an initial facet (the newest facet found is
+    expanded next), so that callers can stop once they have seen enough.
     """
-    site_list = list(sites)
-
-    def slack(ell, x):
-        a, b = ell
-        return heights[x] - (geom.dot(a, x) + b)
-
     # ---- initial facet: start from the global minimum and tilt up ----
-    m = min(heights.values())
-    ell = ((Fraction(0),) * r, m)
-    tight = [x for x in site_list if slack(ell, x) == 0]
+    m = min(heights)
+    fn = ((0,) * r, m, 1)
+    tight = [x for x, h in zip(sites, heights) if h == m]
     while geom.affine_dim(tight) < r:
         # a direction orthogonal to the affine span of the tight sites
-        u = kernel([geom.vsub(x, tight[0]) for x in tight[1:]], r)[0]
+        u = LatticeCoordinates.clear_denominators(
+            kernel([geom.vsub(x, tight[0]) for x in tight[1:]], r)[0])[0]
         c = geom.dot(u, tight[0])
-        ell2, tight2 = _tilt(ell, u, c, site_list, slack)
-        if ell2 is None:  # no site on the positive side; tilt the other way
+        fn2, tight2 = _tilt(fn, u, c, sites, heights)
+        if fn2 is None:  # no site on the positive side; tilt the other way
             u, c = tuple(-x for x in u), -c
-            ell2, tight2 = _tilt(ell, u, c, site_list, slack)
-            assert ell2 is not None, "sites do not affinely span"
-        ell, tight = ell2, tight2
+            fn2, tight2 = _tilt(fn, u, c, sites, heights)
+            assert fn2 is not None, "sites do not affinely span"
+        fn, tight = fn2, tight2
     start = frozenset(tight)
-    facet_fn = {start: ell}
-    yield start
+    facet_fn = {start: fn}
+    yield start, fn
 
     # ---- depth-first over ridges -------------------------------------
     queue = [start]
     done_ridges = set()
     while queue:
         eq = queue.pop()
-        ell = facet_fn[eq]
+        fn = facet_fn[eq]
         verts = sorted(eq)
         for ridge, n, c in geom.polytope_facets(verts):
             rkey = (frozenset(ridge), frozenset(eq))
@@ -333,38 +367,47 @@ def _lower_hull(sites, heights, r):
             done_ridges.add(rkey)
             # rotate about the ridge away from the facet, which lies on
             # the side <n, x> <= c of the outward ridge normal
-            ell2, tight2 = _tilt(ell, n, c, site_list, slack)
-            if ell2 is None:
+            fn2, tight2 = _tilt(fn, n, c, sites, heights)
+            if fn2 is None:
                 continue  # hull boundary within the window
             new_eq = frozenset(tight2)
             if new_eq not in facet_fn:
-                facet_fn[new_eq] = ell2
+                facet_fn[new_eq] = fn2
                 queue.append(new_eq)
-                yield new_eq
+                yield new_eq, fn2
 
 
-def _tilt(ell, u, c0, site_list, slack):
-    """Rotate the lower supporting functional ell about the set
-    <u, x> = c0, raising it on the side <u, x> > c0 until it meets a
-    site there.  Returns the new functional and its tight sites, or
-    (None, None) if no site lies on that side."""
-    a, b = ell
-    best_t, tight = None, []
-    for x in site_list:
-        d = geom.dot(u, x) - c0
-        if d <= 0:
-            continue
-        t = Fraction(slack(ell, x), d)
-        if best_t is None or t < best_t:
-            best_t, tight = t, [x]
-        elif t == best_t:
-            tight.append(x)
-    if best_t is None:
+def _tilt(fn, u, c0, sites, heights):
+    """Rotate the lower functional fn = (A, B, den) about the set
+    <u, x> = c0 (u, c0 integers), raising it on the side <u, x> > c0 by
+    the least ratio t = slack(x) / d(x), d(x) = <u, x> - c0 > 0, until
+    it meets a site there.  Returns the new functional and its tight
+    sites, or (None, None) if no site lies on that side.
+
+    For the minimising (den * slack, d) = (bs, bd), den' slack' is
+    proportional to bd * den * slack - bs * d, so the tight sites are
+    the minimisers, the sites with d = 0 and slack 0, and, when bs = 0,
+    those with d < 0 and slack 0 (all slacks are >= 0)."""
+    a, b, den = fn
+    bs = bd = None
+    best, flat, below = [], [], []
+    for x, h in zip(sites, heights):
+        d = sum(map(mul, u, x)) - c0
+        s = den * h - sum(map(mul, a, x)) - b
+        if d > 0:
+            if bs is None or s * bd < bs * d:
+                bs, bd, best = s, d, [x]
+            elif s * bd == bs * d:
+                best.append(x)
+        elif s == 0:
+            (flat if d == 0 else below).append(x)
+    if bs is None:
         return None, None
-    ell2 = (tuple(ai + best_t * ui for ai, ui in zip(a, u)),
-            b - best_t * c0)
-    new_tight = [x for x in site_list if slack(ell2, x) == 0]
-    return ell2, new_tight
+    a2 = tuple(bd * ai + bs * ui for ai, ui in zip(a, u))
+    b2, den2 = bd * b - bs * c0, bd * den
+    g = gcd(*a2, b2, den2)
+    fn2 = (tuple(x // g for x in a2), b2 // g, den2 // g)
+    return fn2, best + flat + (below if bs == 0 else [])
 
 
 # ---------------------------------------------------------------------------
@@ -374,23 +417,24 @@ def _tilt(ell, u, c0, site_list, slack):
 def empty_sphere_check(cell, q: QuadraticForm, window: int) -> bool:
     """Does the cell satisfy the empty-sphere condition for Q?
 
-    True iff some rational center is Q-equidistant from all cell
+    True iff some rational center c is Q-equidistant from all cell
     vertices and strictly closer to them than to every other lattice
-    point in the window.  For full-dimensional cells the center is
-    unique; for lower-dimensional cells the minimal-radius center
-    (constrained to the affine hull) is the candidate tested.
+    point p with |p_i - floor(c_i)| <= window.  For full-dimensional
+    cells the center is unique; for lower-dimensional cells the
+    minimal-radius center (constrained to the affine hull) is the
+    candidate tested.
     """
     if not q.is_positive_definite():
         raise NotPositiveDefinite("empty-sphere check needs Q > 0")
     verts = cell.vertices if isinstance(cell, LatticePolytope) else \
         tuple(tuple(v) for v in cell)
-    r = q.rank
     center = _equidistant_center(verts, q)
     if center is None:
         return False
     radius = q.value(geom.vsub(verts[0], center))
     vset = set(verts)
-    for p in product(range(-window, window + 1), repeat=r):
+    lows = [floor(x) - window for x in center]
+    for p in product(*(range(a, a + 2 * window + 1) for a in lows)):
         if p in vset:
             continue
         if q.value(geom.vsub(p, center)) <= radius:

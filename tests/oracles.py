@@ -129,6 +129,77 @@ def brute_force_delaunay_cells(qmat, window):
     return out
 
 
+def lower_hull_reference(sites, heights, r):
+    """Lower-hull facets of the lifted sites (x, heights[x]) by
+    gift-wrapping over Fraction, as (equality set, (a, b)) with
+    slack(x) = heights[x] - <a, x> - b >= 0.
+
+    The rational form of the library's integer hull: it walks the same
+    ridges in the same order (depth-first, the ridges of a facet from
+    the library's polytope_facets, the initial tilt directions from its
+    kernel), so the two yield the same facet sequence.
+    """
+    from tropab._geometry import affine_dim, dot, polytope_facets, vsub
+    from tropab.exact_linalg import kernel
+
+    site_list = list(sites)
+
+    def slack(ell, x):
+        a, b = ell
+        return heights[x] - (dot(a, x) + b)
+
+    def tilt(ell, u, c0):
+        a, b = ell
+        best_t, tight = None, []
+        for x in site_list:
+            d = dot(u, x) - c0
+            if d <= 0:
+                continue
+            t = Fraction(slack(ell, x), d)
+            if best_t is None or t < best_t:
+                best_t, tight = t, [x]
+            elif t == best_t:
+                tight.append(x)
+        if best_t is None:
+            return None, None
+        ell2 = (tuple(ai + best_t * ui for ai, ui in zip(a, u)),
+                b - best_t * c0)
+        return ell2, [x for x in site_list if slack(ell2, x) == 0]
+
+    m = min(heights.values())
+    ell = ((Fraction(0),) * r, m)
+    tight = [x for x in site_list if slack(ell, x) == 0]
+    while affine_dim(tight) < r:
+        u = kernel([vsub(x, tight[0]) for x in tight[1:]], r)[0]
+        c = dot(u, tight[0])
+        ell2, tight2 = tilt(ell, u, c)
+        if ell2 is None:
+            u, c = tuple(-x for x in u), -c
+            ell2, tight2 = tilt(ell, u, c)
+        ell, tight = ell2, tight2
+    start = frozenset(tight)
+    facet_fn = {start: ell}
+    yield start, ell
+    queue = [start]
+    done_ridges = set()
+    while queue:
+        eq = queue.pop()
+        ell = facet_fn[eq]
+        for ridge, n, c in polytope_facets(sorted(eq)):
+            rkey = (frozenset(ridge), frozenset(eq))
+            if rkey in done_ridges:
+                continue
+            done_ridges.add(rkey)
+            ell2, tight2 = tilt(ell, n, c)
+            if ell2 is None:
+                continue
+            new_eq = frozenset(tight2)
+            if new_eq not in facet_fn:
+                facet_fn[new_eq] = ell2
+                queue.append(new_eq)
+                yield new_eq, ell2
+
+
 def circumcenter(vertices, qmat):
     """Q-circumcenter of a full-dimensional simplex/cell, or None.
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from tropab import quadform_delaunay
 from tropab.cli import main
 
 
@@ -107,6 +108,18 @@ def test_delaunay_hexagonal():
     assert got["kind"] == "paving"
     assert got["cells"] == [[[0, 0], [0, 1], [1, 0]],
                             [[0, 0], [1, -1], [1, 0]]]
+
+
+def test_delaunay_refuses_a_huge_window_before_enumerating(monkeypatch):
+    def enumerate_sites(*args):
+        raise AssertionError("the window's sites were enumerated")
+
+    monkeypatch.setattr(quadform_delaunay, "_window_sites", enumerate_sites)
+    code, out, _ = run("delaunay", HEX_Q, args=("--window", "1000000000"))
+    assert code == 1
+    got = json.loads(out)
+    assert (got["code"], got["field"]) == ("TooLarge", "window")
+    assert "4000000004000000001 lattice points" in got["message"]
 
 
 def test_delaunay_roundtrips_into_voronoi_cone():

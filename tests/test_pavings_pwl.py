@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropab.errors import (NonMatchingFaces, NotConvex, NotQuasiperiodic,
-                           NotSimplicial, RankMismatch, Unbounded)
+from tropab.errors import (InvalidPaving, NonMatchingFaces, NotConvex,
+                           NotQuasiperiodic, NotSimplicial, RankMismatch,
+                           Unbounded)
 from tropab.pavings_pwl import (PwAffineFunction, ToricMonoid,
                                 affine_region_paving, bending_parameters,
                                 cone_cy_membership,
@@ -214,6 +215,14 @@ def test_cone_cy_membership_cases():
     coarse = PeriodicPaving(1, _obj([[2]]),
                             [LatticePolytope(((0,), (2,)))], 4)
     assert not cone_cy_membership(psi, coarse, _obj([[2]]))
+
+
+def test_cone_cy_refuses_a_period_lattice_not_containing_the_pavings():
+    # psi is quasiperiodic for 2Z only; the paving's period lattice is Z
+    psi = {(x,): F(x * x, 2) + x % 2 for x in range(-5, 6)}
+    with pytest.raises(InvalidPaving) as err:
+        cone_cy_membership(psi, unit_intervals(), _obj([[2]]))
+    assert err.value.field == "period_basis"
 
 
 def test_cone_cy_rejects_non_quasiperiodic():

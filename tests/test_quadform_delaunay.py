@@ -2,6 +2,8 @@
 empty-sphere certificate, and second-Voronoi cone membership."""
 
 from fractions import Fraction
+from itertools import islice, zip_longest
+from math import gcd, lcm
 import random
 
 import numpy as np
@@ -13,12 +15,13 @@ from tropab.errors import (InvalidPaving, NotPositiveDefinite,
                            WindowTooSmall)
 from tropab.exact_linalg import glxy_act
 from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
-                                      QuadraticForm, delaunay_subdivision,
+                                      QuadraticForm, _lift, _lower_hull,
+                                      _window_sites, delaunay_subdivision,
                                       empty_sphere_check,
                                       voronoi_cone_contains)
 
 from oracles import (brute_force_delaunay_cells, circumcenter,
-                     locate_by_scan, q_dist)
+                     locate_by_scan, lower_hull_reference, q_dist)
 
 
 def _obj(m):
@@ -105,6 +108,79 @@ def test_delaunay_window_too_small():
     assert sum(c.volume() for c in pav.cells) == 1
 
 
+def test_shifted_sites_translate_the_paving():
+    shift = (Fraction(1, 3), Fraction(1, 2))
+    pav = delaunay_subdivision(A2, I2, 4, shift=shift)
+    assert [c.vertices for c in pav.cells] == [
+        ((Fraction(1, 3), Fraction(1, 2)), (Fraction(1, 3), Fraction(3, 2)),
+         (Fraction(4, 3), Fraction(1, 2))),
+        ((Fraction(1, 3), Fraction(1, 2)), (Fraction(4, 3), Fraction(-1, 2)),
+         (Fraction(4, 3), Fraction(1, 2)))]
+    assert [c.vertices for c in pav.cells] == [
+        c.translated(shift).vertices
+        for c in delaunay_subdivision(A2, I2, 4).cells]
+
+
+def test_rational_form_paves_like_its_integer_multiple():
+    third = QuadraticForm(_obj([[Fraction(2, 3), Fraction(1, 3)],
+                                [Fraction(1, 3), Fraction(2, 3)]]))
+    assert delaunay_subdivision(third, I2, 4) == \
+        delaunay_subdivision(A2, I2, 4)
+
+
+# -- the integer hull vs the Fraction reference -----------------------------
+
+def _hull_matches_reference(qm, pb, window, shift=None, limit=None):
+    """The integer hull and lower_hull_reference over the same window
+    yield the same facets, and functionals that agree up to the factor
+    k = 2 L D^2 (L, D the common denominators of Q and the shift)."""
+    q = QuadraticForm(_obj(qm))
+    r = q.rank
+    shift = tuple(Fraction(x) for x in (shift or (0,) * r))
+    paving = PeriodicPaving(r, _obj(pb), [], window)
+    spans = [window * sum(abs(x) for x in row)
+             for row in paving.lattice.basis]
+    sites, _, scale = _window_sites(paving, window, spans, shift)
+    rational = {x: tuple(Fraction(c, scale) for c in x) for x in sites}
+    ref = lower_hull_reference(
+        list(rational.values()),
+        {s: q.value(s) / 2 for s in rational.values()}, r)
+    k = 2 * lcm(*(x.denominator for x in q.matrix.flat)) * scale ** 2
+    pairs = zip_longest(islice(_lower_hull(sites, _lift(q, sites), r), limit),
+                        islice(ref, limit))
+    for got, want in pairs:
+        (eq, (a, b, den)), (ref_eq, (ref_a, ref_b)) = got, want
+        assert {rational[x] for x in eq} == ref_eq
+        assert den > 0 and gcd(*a, b, den) == 1
+        assert ref_a == tuple(Fraction(x * scale, den * k) for x in a)
+        assert ref_b == Fraction(b, den * k)
+
+
+@settings(max_examples=10, deadline=None)
+@given(pd2_forms(), st.integers(-2, 2), st.booleans())
+def test_integer_hull_matches_reference_on_sheared_forms(q, k, transpose):
+    u = _obj([[1, 0], [k, 1]] if transpose else [[1, k], [0, 1]])
+    _hull_matches_reference(glxy_act(u, q.matrix, I2).tolist(), I2, 3)
+
+
+@pytest.mark.parametrize("qm, pb, window, shift, limit", [
+    ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], np.eye(3, dtype=object), 2,
+     None, 60),
+    ([[4, -1, 2], [-1, 3, 0], [2, 0, 5]], np.eye(3, dtype=object), 2,
+     None, 60),
+    ([[2, 1], [1, 2]], I2, 3, (Fraction(1, 3), Fraction(1, 2)), None),
+    ([[2, 1], [1, 3]], [[2, 1], [0, 1]], 2,
+     (Fraction(1, 4), Fraction(-2, 7)), None),
+    ([[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]],
+     I2, 3, None, None),
+    ([[Fraction(1, 2), Fraction(1, 5)], [Fraction(1, 5), 1]], I2, 3,
+     (Fraction(1, 2), 0), None),
+], ids=["A3", "reduced-rank3", "shifted", "shifted-basis", "rational",
+        "rational-shifted"])
+def test_integer_hull_matches_reference(qm, pb, window, shift, limit):
+    _hull_matches_reference(qm, pb, window, shift, limit)
+
+
 # -- Delaunay vs the exhaustive lower-hull oracle ---------------------------
 
 def reduced_pd2_forms():
@@ -152,6 +228,13 @@ def test_empty_sphere_frozen_cases():
     # a doubled interval has a lattice point strictly inside its sphere
     one = QuadraticForm(_obj([[1]]))
     assert not empty_sphere_check(((0,), (2,)), one, 3)
+
+
+def test_empty_sphere_box_follows_the_cell():
+    # the doubled triangle holds (1, 0), (0, 1) and (1, 1) in its
+    # circumellipse, wherever it is translated
+    assert not empty_sphere_check(((0, 0), (2, 0), (0, 2)), A2, 3)
+    assert not empty_sphere_check(((10, 10), (12, 10), (10, 12)), A2, 3)
 
 
 def test_hexagonal_circumcenter_is_barycentric():
