@@ -1,18 +1,19 @@
 """Exact polyhedral helpers shared by the Delaunay and paving machinery.
 
 Everything works over the rationals on plain tuples of Fraction/int;
-numpy object arrays are only the public boundary of the package, and
-every elimination goes through ``exact_linalg.row_reduce``.  Dimensions
-are desk scale (r <= 3), so the facet enumeration is allowed to be
-quadratic/cubic in the number of points.
+numpy object arrays are only the public boundary of the package.  Ranks,
+volumes and coordinates go through ``exact_linalg.row_reduce``; facet
+normals are integer cofactors of points whose denominators are cleared
+once.  Dimensions are desk scale (r <= 3), so the facet enumeration is
+allowed to be quadratic/cubic in the number of points.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
-from .exact_linalg import (frac_det, independent_rows, kernel, rank,
-                           row_reduce)
+from .exact_linalg import (LatticeCoordinates, frac_det, independent_rows,
+                           rank, row_reduce)
 
 
 def vsub(a, b):
@@ -68,20 +69,54 @@ def primitive(vec):
 def normal_through(points):
     """Primitive integer normal of the hyperplane spanned by points in
     Q^r; None unless their affine span is a hyperplane."""
-    pts = list(points)
-    ker = kernel([vsub(p, pts[0]) for p in pts[1:]], len(pts[0]))
-    if len(ker) != 1:
+    return _integer_normal(_cleared(points))
+
+
+def _cleared(points):
+    """Integer numerators of rational points over their least common
+    positive denominator: a positive scaling, which changes neither the
+    direction of a normal nor the side of a point."""
+    pts = [tuple(p) for p in points]
+    r = len(pts[0])
+    flat = LatticeCoordinates.clear_denominators(
+        [x for p in pts for x in p])[0]
+    return [flat[i:i + r] for i in range(0, len(flat), r)]
+
+
+def _integer_normal(pts):
+    """normal_through for integer points: the cofactors of r - 1
+    independent difference rows, if every other row is orthogonal to
+    them."""
+    r = len(pts[0])
+    diffs = [vsub(p, pts[0]) for p in pts[1:]]
+    for rows in combinations(diffs, r - 1):
+        n = tuple((-1) ** i * _det([row[:i] + row[i + 1:] for row in rows])
+                  for i in range(r))
+        if any(n):
+            break
+    else:
         return None
-    den = lcm(*(x.denominator for x in ker[0]))
-    return primitive(x * den for x in ker[0])
+    if any(dot(n, d) for d in diffs):
+        return None
+    return primitive(n)
+
+
+def _det(rows):
+    """Determinant of a small square integer matrix, by cofactors."""
+    if len(rows) <= 1:
+        return rows[0][0] if rows else 1
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:]
+                                     for row in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
 
 
 def polytope_facets(points):
     """Facets of the convex hull of a full-dimensional point set in Q^r.
 
     Returns a list of (facet_points, normal, offset) with the outward
-    convention <normal, x> <= offset inside.  Enumeration over r-subsets;
-    fine for the small cells this package produces.
+    convention <normal, x> <= offset inside, sorted by (normal, offset).
+    Enumeration over r-subsets, with the sides tested in integers on
+    the cleared points; fine for the small cells this package produces.
     """
     pts = [tuple(p) for p in points]
     r = len(pts[0])
@@ -89,21 +124,20 @@ def polytope_facets(points):
         lo = min(pts)
         hi = max(pts)
         return [((lo,), (-1,), -lo[0]), ((hi,), (1,), hi[0])]
+    ints = _cleared(pts)
     seen = {}
-    for sub in combinations(pts, r):
-        n = normal_through(sub)
+    for sub in combinations(range(len(pts)), r):
+        n = _integer_normal([ints[i] for i in sub])
         if n is None:
             continue
-        c = dot(n, sub[0])
-        sides = {(-1 if dot(n, p) < c else (1 if dot(n, p) > c else 0))
-                 for p in pts}
-        if 1 in sides and -1 in sides:
+        levels = [dot(n, p) for p in ints]
+        c = levels[sub[0]]
+        if min(levels) < c < max(levels):
             continue
-        if 1 in sides:
+        if max(levels) > c:
             n = tuple(-x for x in n)
-            c = -c
-        facet = tuple(sorted(p for p in pts if dot(n, p) == c))
-        seen[(n, c)] = facet
+        facet = tuple(sorted(p for p, lv in zip(pts, levels) if lv == c))
+        seen[(n, dot(n, pts[sub[0]]))] = facet
     return [(f, n, c) for (n, c), f in sorted(seen.items())]
 
 

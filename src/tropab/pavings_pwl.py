@@ -22,7 +22,7 @@ from .errors import (Degenerate, InvalidPaving, MissingVertexValue,
 from .exact_linalg import (LatticeCoordinates, as_frac_matrix, as_int_matrix,
                            is_positive_definite, rank, row_reduce)
 from .quadform_delaunay import (PeriodicPaving, QuadraticForm,
-                                delaunay_subdivision)
+                                check_window_points, delaunay_subdivision)
 
 
 def _as_rows(lin, k, r):
@@ -387,7 +387,9 @@ def cone_cy_membership(psi: Dict[tuple, Fraction], t: PeriodicPaving,
 
     psi is quasiperiodic for the lattice of ``period_basis``, and the
     interpolation decomposes it over t's period lattice, so the first
-    must contain the second (InvalidPaving otherwise)."""
+    must contain the second (InvalidPaving otherwise).  A window box of
+    more than MAX_WINDOW_POINTS lattice points is refused (TooLarge)."""
+    check_window_points(t.window, (2 * t.window + 1) ** t.rank)
     pb = as_int_matrix(period_basis)
     lattice = LatticeCoordinates(pb)
     if not all(lattice.contains(col) for col in zip(*t.period_basis)):
@@ -421,7 +423,9 @@ def sigma_section(q: QuadraticForm, period_basis,
 
     The result is quasiperiodic with quadratic matrix Q and no linear
     part; each Delaunay cell is cospherical, so the interpolation is a
-    single affine piece per cell even on non-simplices.
+    single affine piece per cell even on non-simplices.  Its paving is
+    the one delaunay_subdivision keeps on q, if q has been paved with
+    these arguments before.
     """
     pav = delaunay_subdivision(q, period_basis, window)
     affines = [_affine_through(c.vertices,
@@ -440,10 +444,14 @@ def legendre_transform(f: PwAffineFunction, window: int):
     on dual lattice points with coordinates in [-window, window].
 
     The minimizing vertex must be strictly inside the vertex window
-    searched, otherwise the truncation is not certified.
+    searched, otherwise the truncation is not certified.  That vertex
+    window is 2 window + 2; a box of more than MAX_WINDOW_POINTS lattice
+    points there is refused (TooLarge) before anything is enumerated.
     """
     if f.payload_rank != 1:
         raise RankMismatch("Legendre transform needs scalar payload")
+    vwindow = 2 * window + 2   # search strictly beyond the dual box
+    check_window_points(window, (2 * vwindow + 1) ** f.rank)
     bends = bending_parameters(f)
     if any(b[0] < 0 for b in bends.values()):
         raise NotConvex("negative bending parameter")
@@ -451,7 +459,6 @@ def legendre_transform(f: PwAffineFunction, window: int):
         raise Unbounded("associated quadratic form is not positive definite")
 
     r = f.rank
-    vwindow = 2 * window + 2   # search strictly beyond the dual box
     orbits = f.paving.vertex_orbits()
     verts = []
     for k in product(range(-vwindow, vwindow + 1), repeat=r):

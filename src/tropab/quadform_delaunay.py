@@ -11,6 +11,13 @@ numerators over one positive denominator.  Positive scalings change
 neither the tight sets nor the order of the tilt ratios, so the facets
 are those of the rational lift; each accepted facet is mapped back to
 the rational sites once.
+
+A QuadraticForm keeps the pavings computed from it, one per (period
+basis, window, shift), for as long as the form lives: sigma_section and
+voronoi_cone_contains, called on the form a caller has just paved, get
+that paving back with the facets, walls and point locator it has
+cached, instead of running the hull again.  The form's matrix is
+read-only, so a kept paving cannot go stale.
 """
 
 from dataclasses import dataclass
@@ -34,7 +41,13 @@ from .exact_linalg import (LatticeCoordinates, as_frac_matrix, as_int_matrix,
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """A symmetric rational matrix; Q(x) = x^T M x."""
+    """A symmetric rational matrix; Q(x) = x^T M x.
+
+    The matrix is a read-only copy of the one given (assigning into it
+    raises ValueError); ``+`` and ``scaled`` build new forms.  The form
+    keeps, in a private dict freed with it, every Delaunay paving
+    delaunay_subdivision has computed from it.
+    """
 
     matrix: np.ndarray
 
@@ -42,7 +55,9 @@ class QuadraticForm:
         m = as_frac_matrix(self.matrix)
         if not is_symmetric(m):
             raise ValueError("quadratic form matrix must be symmetric")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_pavings", {})
 
     @property
     def rank(self) -> int:
@@ -241,6 +256,14 @@ class PeriodicPaving:
 MAX_WINDOW_POINTS = 100_000
 
 
+def check_window_points(window, points):
+    """Refuse, with TooLarge on the field ``window``, work over a window
+    whose box holds more than MAX_WINDOW_POINTS lattice points."""
+    if points > MAX_WINDOW_POINTS:
+        raise TooLarge("window %d spans %d lattice points, more than %d"
+                       % (window, points, MAX_WINDOW_POINTS), field="window")
+
+
 def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
                          shift=None) -> PeriodicPaving:
     """The Delaunay decomposition of Q, as a periodic paving.
@@ -249,26 +272,31 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
     period-basis coordinates lie in [-window, window]; cells touching
     the window boundary are discarded, and completeness of the surviving
     cell orbits is certified by exact volume accounting (WindowTooSmall
-    otherwise).  An optional rational ``shift`` moves the site set (used
-    for cusp models on shifted lattices).  A window whose bounding box
-    holds more than MAX_WINDOW_POINTS lattice points is refused with
-    TooLarge before any site is enumerated.
+    on the field ``window`` otherwise).  An optional rational ``shift``
+    moves the site set (used for cusp models on shifted lattices).  A
+    window whose bounding box holds more than MAX_WINDOW_POINTS lattice
+    points is refused with TooLarge before any site is enumerated.
+
+    The paving is kept on q, keyed by (period basis, window, shift), and
+    a later call with the same key returns that same object.  Refusals
+    are not kept: they are raised again on every call.
     """
     if not q.is_positive_definite():
-        raise NotPositiveDefinite("Delaunay needs a positive definite form")
+        raise NotPositiveDefinite("Delaunay needs a positive definite form",
+                                  field="q")
     if window < 2:
-        raise WindowTooSmall("window must be >= 2")
+        raise WindowTooSmall("window must be >= 2", field="window")
     r = q.rank
     pb = as_int_matrix(period_basis)
     shift = tuple(Fraction(x) for x in (shift or (0,) * r))
+    key = (tuple(map(tuple, pb.tolist())), window, shift)
+    if key in q._pavings:
+        return q._pavings[key]
     paving = PeriodicPaving(r, pb, [], window)
     # bounding box of the parallelepiped pb * [-w, w]^r, in std coords
     spans = [window * sum(abs(x) for x in row)
              for row in paving.lattice.basis]
-    points = prod(2 * s + 1 for s in spans)
-    if points > MAX_WINDOW_POINTS:
-        raise TooLarge("window %d spans %d lattice points, more than %d"
-                       % (window, points, MAX_WINDOW_POINTS), field="window")
+    check_window_points(window, prod(2 * s + 1 for s in spans))
     sites, boundary, scale = _window_sites(paving, window, spans, shift)
     heights = _lift(q, sites)
 
@@ -290,8 +318,9 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
     if total != covol:
         raise WindowTooSmall(
             "cell orbits cover volume %s of %s; enlarge the window"
-            % (total, covol))
-    return PeriodicPaving(r, pb, list(reps.values()), window)
+            % (total, covol), field="window")
+    q._pavings[key] = PeriodicPaving(r, pb, list(reps.values()), window)
+    return q._pavings[key]
 
 
 def _window_sites(paving, window, spans, shift):
@@ -338,10 +367,20 @@ def _lower_hull(sites, heights, r):
     m = min(heights)
     fn = ((0,) * r, m, 1)
     tight = [x for x, h in zip(sites, heights) if h == m]
+    units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
     while geom.affine_dim(tight) < r:
-        # a direction orthogonal to the affine span of the tight sites
-        u = LatticeCoordinates.clear_denominators(
-            kernel([geom.vsub(x, tight[0]) for x in tight[1:]], r)[0])[0]
+        # a direction orthogonal to the affine span of the tight sites:
+        # the one that is zero past the least coordinate t it can be
+        # nonzero at, and positive at t (a positive multiple of the
+        # first kernel vector of their difference rows).  It is the
+        # normal of the tight sites with tight[0] + e_j, j > t, added.
+        for t in range(r):
+            u = geom.normal_through(
+                tight + [geom.vadd(tight[0], e) for e in units[t + 1:]])
+            if u is not None:
+                break
+        if u[t] < 0:
+            u = tuple(-x for x in u)
         c = geom.dot(u, tight[0])
         fn2, tight2 = _tilt(fn, u, c, sites, heights)
         if fn2 is None:  # no site on the positive side; tilt the other way
@@ -426,6 +465,7 @@ def empty_sphere_check(cell, q: QuadraticForm, window: int) -> bool:
     """
     if not q.is_positive_definite():
         raise NotPositiveDefinite("empty-sphere check needs Q > 0")
+    check_window_points(window, (2 * window + 1) ** q.rank)
     verts = cell.vertices if isinstance(cell, LatticePolytope) else \
         tuple(tuple(v) for v in cell)
     center = _equidistant_center(verts, q)
@@ -475,7 +515,9 @@ def _equidistant_center(verts, q):
 def voronoi_cone_contains(paving: PeriodicPaving, q: QuadraticForm) -> bool:
     """Is q in the closed cone C(paving) of the second Voronoi fan?
 
-    True iff Delaunay(q) is equal to or coarser than the paving.
+    True iff Delaunay(q) is equal to or coarser than the paving.  For a
+    positive definite q that is the paving delaunay_subdivision keeps
+    on q, if q has been paved at this paving's basis and window.
     Semidefinite forms are handled by passing to the quotient by the
     exact kernel lattice.
     """

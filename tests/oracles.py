@@ -129,6 +129,52 @@ def brute_force_delaunay_cells(qmat, window):
     return out
 
 
+def normal_through_reference(points):
+    """Primitive integer normal of the hyperplane spanned by points in
+    Q^r, from the one rational kernel vector of their difference rows;
+    None unless that kernel is a line."""
+    from tropab._geometry import primitive, vsub
+    from tropab.exact_linalg import kernel
+
+    pts = list(points)
+    ker = kernel([vsub(p, pts[0]) for p in pts[1:]], len(pts[0]))
+    if len(ker) != 1:
+        return None
+    den = math.lcm(*(x.denominator for x in ker[0]))
+    return primitive(x * den for x in ker[0])
+
+
+def polytope_facets_reference(points):
+    """Facets (facet_points, normal, offset) of the hull of a
+    full-dimensional point set in Q^r, <normal, x> <= offset inside,
+    sorted by (normal, offset): every r-subset spanning a hyperplane,
+    with the sides of the points compared over Fraction."""
+    from tropab._geometry import dot
+
+    pts = [tuple(p) for p in points]
+    r = len(pts[0])
+    if r == 1:
+        lo = min(pts)
+        hi = max(pts)
+        return [((lo,), (-1,), -lo[0]), ((hi,), (1,), hi[0])]
+    seen = {}
+    for sub in combinations(pts, r):
+        n = normal_through_reference(sub)
+        if n is None:
+            continue
+        c = dot(n, sub[0])
+        sides = {(-1 if dot(n, p) < c else (1 if dot(n, p) > c else 0))
+                 for p in pts}
+        if 1 in sides and -1 in sides:
+            continue
+        if 1 in sides:
+            n = tuple(-x for x in n)
+            c = -c
+        facet = tuple(sorted(p for p in pts if dot(n, p) == c))
+        seen[(n, c)] = facet
+    return [(f, n, c) for (n, c), f in sorted(seen.items())]
+
+
 def lower_hull_reference(sites, heights, r):
     """Lower-hull facets of the lifted sites (x, heights[x]) by
     gift-wrapping over Fraction, as (equality set, (a, b)) with
@@ -136,10 +182,10 @@ def lower_hull_reference(sites, heights, r):
 
     The rational form of the library's integer hull: it walks the same
     ridges in the same order (depth-first, the ridges of a facet from
-    the library's polytope_facets, the initial tilt directions from its
-    kernel), so the two yield the same facet sequence.
+    polytope_facets_reference, the initial tilt directions from the
+    library's kernel), so the two yield the same facet sequence.
     """
-    from tropab._geometry import affine_dim, dot, polytope_facets, vsub
+    from tropab._geometry import affine_dim, dot, vsub
     from tropab.exact_linalg import kernel
 
     site_list = list(sites)
@@ -185,7 +231,7 @@ def lower_hull_reference(sites, heights, r):
     while queue:
         eq = queue.pop()
         ell = facet_fn[eq]
-        for ridge, n, c in polytope_facets(sorted(eq)):
+        for ridge, n, c in polytope_facets_reference(sorted(eq)):
             rkey = (frozenset(ridge), frozenset(eq))
             if rkey in done_ridges:
                 continue

@@ -122,6 +122,17 @@ def test_delaunay_refuses_a_huge_window_before_enumerating(monkeypatch):
     assert "4000000004000000001 lattice points" in got["message"]
 
 
+@pytest.mark.parametrize("doc, args, want", [
+    ({"q": [[1, 2], [2, 1]]}, (), ("NotPositiveDefinite", "q")),
+    ({"q": [[1, 3], [3, 10]]}, ("--window", "2"), ("WindowTooSmall", "window")),
+], ids=["indefinite", "window"])
+def test_delaunay_refusals_name_their_field(doc, args, want):
+    code, out, _ = run("delaunay", doc, args=args)
+    assert code == 1
+    got = json.loads(out)
+    assert (got["code"], got["field"]) == want
+
+
 def test_delaunay_roundtrips_into_voronoi_cone():
     pav = run_json("delaunay", HEX_Q)
     got = run_json("voronoi-cone", {"paving": pav, "q": HEX_Q["q"]})
@@ -139,6 +150,20 @@ def test_sigma_pipes_into_bend_and_legendre():
     leg = run_json("legendre", {"function": sig, "window": 2})
     assert leg["values"] == [[[-2], "2"], [[-1], "1/2"], [[0], "0"],
                              [[1], "1/2"], [[2], "2"]]
+
+
+def test_legendre_refuses_a_huge_window_before_enumerating(monkeypatch):
+    sig = run_json("sigma", {"q": [[1]]})
+
+    def orbits(self):
+        raise AssertionError("the window was enumerated")
+
+    monkeypatch.setattr(quadform_delaunay.PeriodicPaving, "vertex_orbits",
+                        orbits)
+    code, out, _ = run("legendre", {"function": sig, "window": 10 ** 9})
+    assert code == 1
+    got = json.loads(out)
+    assert (got["code"], got["field"]) == ("TooLarge", "window")
 
 
 def test_qp_decompose():

@@ -1,0 +1,85 @@
+"""Facet normals and hulls in cleared integers against the Fraction
+reference."""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from tropab._geometry import normal_through, polytope_facets
+from tropab.exact_linalg import rank
+
+from oracles import normal_through_reference, polytope_facets_reference
+
+
+def points(r):
+    """Rational points of rank r with denominators at most 4."""
+    return st.tuples(*[st.builds(Fraction, st.integers(-6, 6),
+                                 st.integers(1, 4))] * r)
+
+
+def _barycentre(pts):
+    return tuple(sum(p[i] for p in pts) / len(pts)
+                 for i in range(len(pts[0])))
+
+
+@st.composite
+def hulls(draw):
+    """A full-dimensional point set: r + 1 to r + 3 points, their
+    centroid (inside), and barycentres of some 2..r of them, which lie
+    on a facet whenever those points do."""
+    r = draw(st.sampled_from((2, 3)))
+    base = draw(st.lists(points(r), min_size=r + 1, max_size=r + 3))
+    assume(rank([[a - b for a, b in zip(p, base[0])] for p in base[1:]])
+           == r)
+    subsets = draw(st.lists(st.lists(st.sampled_from(range(len(base))),
+                                     min_size=2, max_size=r, unique=True),
+                            max_size=3))
+    extra = [_barycentre(base)] + [_barycentre([base[i] for i in s])
+                                   for s in subsets]
+    return draw(st.permutations(base + extra))
+
+
+@st.composite
+def spans(draw):
+    """Points spanning an affine subspace of dimension len(base) - 1 of
+    Q^r (a hyperplane when that is r - 1): the base points, affine
+    combinations of them with integer weights, and sometimes one free
+    point, which may raise the dimension by one."""
+    r = draw(st.sampled_from((2, 3)))
+    base = draw(st.lists(points(r), min_size=1, max_size=r))
+    combos = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base),
+                                    max_size=len(base)), max_size=3))
+    pts = base + [tuple(p0 + sum(w * (p[i] - p0) for w, p in zip(ws, base))
+                        for i, p0 in enumerate(base[0])) for ws in combos]
+    free = draw(st.one_of(st.none(), points(r)))
+    return draw(st.permutations(pts + ([free] if free else [])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spans())
+def test_normal_through_matches_reference(pts):
+    assert normal_through(pts) == normal_through_reference(pts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hulls())
+def test_polytope_facets_match_reference(pts):
+    got = polytope_facets(pts)
+    want = polytope_facets_reference(pts)
+    assert got == want
+    assert [type(c) for _f, _n, c in got] == [type(c) for _f, _n, c in want]
+
+
+def test_normal_through_frozen_cases():
+    half = Fraction(1, 2)
+    # the line x + 2y = 1 through rational points
+    assert normal_through([(1, 0), (0, half)]) == (1, 2)
+    assert normal_through([(1, 0), (0, half), (-1, 1)]) == (1, 2)
+    # a square facet of the unit cube, more than r points
+    assert normal_through([(0, 0, 1), (1, 0, 1), (0, 1, 1),
+                           (1, 1, 1)]) == (0, 0, 1)
+    # a point, a line in rank 3, and a spanning set: no hyperplane
+    assert normal_through([(half, half)]) is None
+    assert normal_through([(0, 0, 0), (1, 1, 1), (2, 2, 2)]) is None
+    assert normal_through([(0, 0), (1, 0), (0, 1)]) is None

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tropab.errors import (InvalidPaving, NonMatchingFaces, NotConvex,
                            NotQuasiperiodic, NotSimplicial, RankMismatch,
-                           Unbounded)
+                           TooLarge, Unbounded)
 from tropab.pavings_pwl import (PwAffineFunction, ToricMonoid,
                                 affine_region_paving, bending_parameters,
                                 cone_cy_membership,
@@ -223,6 +223,17 @@ def test_cone_cy_refuses_a_period_lattice_not_containing_the_pavings():
     with pytest.raises(InvalidPaving) as err:
         cone_cy_membership(psi, unit_intervals(), _obj([[2]]))
     assert err.value.field == "period_basis"
+
+
+def test_cone_cy_refuses_a_huge_window_before_enumerating(monkeypatch):
+    def orbits(self):
+        raise AssertionError("the window was enumerated")
+
+    monkeypatch.setattr(PeriodicPaving, "vertex_orbits", orbits)
+    psi = {(x,): F(x * x, 2) for x in range(-5, 6)}
+    with pytest.raises(TooLarge) as err:
+        cone_cy_membership(psi, unit_intervals(window=10 ** 9), I1)
+    assert err.value.field == "window"
 
 
 def test_cone_cy_rejects_non_quasiperiodic():

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropab.errors import (InvalidPaving, NotPositiveDefinite,
+from tropab import quadform_delaunay
+from tropab.errors import (InvalidPaving, NotPositiveDefinite, TooLarge,
                            WindowTooSmall)
 from tropab.exact_linalg import glxy_act
+from tropab.pavings_pwl import sigma_section
 from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
                                       QuadraticForm, _lift, _lower_hull,
                                       _window_sites, delaunay_subdivision,
@@ -54,6 +56,63 @@ def test_form_algebra():
     s = A2 + IDENT
     assert (s.matrix == _obj([[3, 1], [1, 3]])).all()
     assert (A2.scaled(3).matrix == 3 * A2.matrix).all()
+
+
+def test_form_matrix_is_a_read_only_copy():
+    m = _obj([[2, 1], [1, 2]])
+    q = QuadraticForm(m)
+    with pytest.raises(ValueError):
+        q.matrix[0, 0] = 5
+    m[0, 0] = 5
+    assert q.matrix[0, 0] == 2
+    assert (q + q).matrix.flags.writeable is False
+
+
+# -- the pavings a form keeps -----------------------------------------------
+
+def test_the_callers_paving_is_reused(monkeypatch):
+    q = QuadraticForm(_obj([[2, 1], [1, 2]]))
+    pav = delaunay_subdivision(q, I2, 4)
+
+    def hull(*args):
+        raise AssertionError("the lower hull ran again")
+
+    monkeypatch.setattr(quadform_delaunay, "_lower_hull", hull)
+    assert sigma_section(q, I2, 4).paving is pav
+    assert delaunay_subdivision(q, _obj([[1, 0], [0, 1]]), 4,
+                                shift=(0, 0)) is pav
+    assert voronoi_cone_contains(pav, q)
+
+
+@pytest.mark.parametrize("pb, window, shift", [
+    (I2, 5, None),
+    (_obj([[2, 1], [0, 1]]), 4, None),
+    (I2, 4, (Fraction(1, 3), Fraction(1, 2))),
+], ids=["window", "basis", "shift"])
+def test_other_arguments_get_their_own_paving(pb, window, shift):
+    q = QuadraticForm(_obj([[2, 1], [1, 3]]))
+    first = delaunay_subdivision(q, I2, 4)
+    other = delaunay_subdivision(q, pb, window, shift)
+    assert other is not first
+    assert delaunay_subdivision(q, pb, window, shift) is other
+    assert delaunay_subdivision(q, I2, 4) is first
+    fresh = delaunay_subdivision(QuadraticForm(_obj([[2, 1], [1, 3]])),
+                                 pb, window, shift)
+    assert (other.window, [c.vertices for c in other.cells]) == \
+        (fresh.window, [c.vertices for c in fresh.cells])
+    assert other == fresh
+
+
+def test_a_refusal_is_not_kept():
+    skew = QuadraticForm(_obj([[1, 3], [3, 10]]))
+    for _ in range(2):
+        with pytest.raises(WindowTooSmall) as err:
+            delaunay_subdivision(skew, I2, 2)
+        assert err.value.field == "window"
+    pav = delaunay_subdivision(skew, I2, 8)
+    assert sum(c.volume() for c in pav.cells) == 1
+    with pytest.raises(WindowTooSmall):
+        delaunay_subdivision(skew, I2, 2)
 
 
 # -- Delaunay, frozen examples ----------------------------------------------
@@ -237,6 +296,16 @@ def test_empty_sphere_box_follows_the_cell():
     assert not empty_sphere_check(((10, 10), (12, 10), (10, 12)), A2, 3)
 
 
+def test_empty_sphere_refuses_a_huge_window_before_enumerating(monkeypatch):
+    def center(*args):
+        raise AssertionError("the check started")
+
+    monkeypatch.setattr(quadform_delaunay, "_equidistant_center", center)
+    with pytest.raises(TooLarge) as err:
+        empty_sphere_check(((0, 0), (0, 1), (1, 0)), A2, 10 ** 9)
+    assert err.value.field == "window"
+
+
 def test_hexagonal_circumcenter_is_barycentric():
     qm = [[2, 1], [1, 2]]
     c = circumcenter([(0, 0), (0, 1), (1, 0)], qm)
@@ -312,6 +381,24 @@ def test_delaunay_gl_equivariance(q, k):
     """Delaunay((u^T)^{-1} Q u^{-1}) = u . Delaunay(Q)."""
     u = _obj([[1, k], [0, 1]])
     q2 = QuadraticForm(glxy_act(u, q.matrix, I2))
+    pav = delaunay_subdivision(q, I2, 6)
+    pav2 = delaunay_subdivision(q2, I2, 6)
+    mapped = {pav2.canonical_cell(
+        [tuple(int((u @ _obj([[x] for x in v]))[i, 0]) for i in range(2))
+         for v in c.vertices]).vertices for c in pav.cells}
+    assert mapped == {c.vertices for c in pav2.cells}
+
+
+@pytest.mark.xfail(strict=True, raises=WindowTooSmall,
+                   reason="overlapping cell orbits: the window-6 hull of "
+                   "[[2,-7],[-7,25]] covers volume 2 of 1")
+def test_delaunay_gl_equivariance_on_a_shear_by_two():
+    """The draw q = [[2,-3],[-3,5]], k = 2 of the property above, whose
+    sheared form is [[2,-7],[-7,25]]."""
+    q = QuadraticForm(_obj([[2, -3], [-3, 5]]))
+    u = _obj([[1, 2], [0, 1]])
+    q2 = QuadraticForm(glxy_act(u, q.matrix, I2))
+    assert q2.matrix.tolist() == [[2, -7], [-7, 25]]
     pav = delaunay_subdivision(q, I2, 6)
     pav2 = delaunay_subdivision(q2, I2, 6)
     mapped = {pav2.canonical_cell(
