@@ -11,6 +11,7 @@ allowed to be quadratic/cubic in the number of points.
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd
+from operator import mul
 
 from .exact_linalg import (LatticeCoordinates, frac_det, independent_rows,
                            rank, row_reduce)
@@ -25,7 +26,7 @@ def vadd(a, b):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def bilinear(m, x, y):

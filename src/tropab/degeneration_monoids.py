@@ -14,9 +14,10 @@ from typing import Optional
 
 from . import _geometry as geom
 from .errors import (InconsistentData, NotAFace, NotInjective, NotInvariant,
-                     OutsideSupport, Unbounded)
-from .exact_linalg import (as_int_matrix, frac_det, hermite_normal_form,
-                           polarization_type, saturated_quotient)
+                     OutsideSupport, RankMismatch, Unbounded)
+from .exact_linalg import (LatticeCoordinates, as_int_matrix, frac_det,
+                           hermite_normal_form, polarization_type,
+                           saturated_quotient)
 from .pavings_pwl import PwAffineFunction, ToricMonoid, affine_region_paving
 from .quadform_delaunay import PeriodicPaving, QuadraticForm
 
@@ -36,15 +37,20 @@ class HomogenizedFunction:
         return z[0] if self.payload_rank == 1 else z
 
     def value(self, degree: int, point):
+        """d f(x / d) at degree d and point x; the point's denominators
+        are cleared once and f is evaluated at num / (den d)."""
         d = int(degree)
         if d < 0:
             raise OutsideSupport("negative degree %d" % d)
-        pt = tuple(Fraction(x) for x in point)
+        num, den = LatticeCoordinates.clear_denominators(point)
         if d == 0:
-            if any(pt):
+            if len(num) != self.rank:
+                raise RankMismatch("point of length %d for a function of "
+                                   "rank %d" % (len(num), self.rank))
+            if any(num):
                 raise OutsideSupport("degree 0 admits only the origin")
             return self._zero()
-        v = self.base.evaluate(tuple(x / d for x in pt))
+        v = self.base.evaluate_cleared(num, den * d)
         if self.payload_rank == 1:
             return d * v
         return tuple(d * x for x in v)
@@ -279,12 +285,6 @@ def face_quotient(p: ToricMonoid, face_functionals,
         quotient = ToricMonoid(
             len(pi), _project_inequalities(p.functionals, sec, face_basis))
 
-    kq = len(pi)
-    if kq == 0:
-        # quotient by everything: the pushed function is identically 0
-        return FaceQuotientData(quotient, _ZeroFunction(phi.paving), None,
-                                False)
-
     def push(rows):
         """pi @ rows, for the k rows of a k x r matrix."""
         cols = list(zip(*rows))
@@ -294,25 +294,15 @@ def face_quotient(p: ToricMonoid, face_functionals,
             for lin, const in phi.cell_affines]
     bil = [sum(c * b for c, b in zip(row, phi.quasi_bilinear)) for row in pi]
     pushed = PwAffineFunction(phi.paving, affs, bil, push(phi.quasi_linear),
-                              payload_rank=kq)
+                              payload_rank=len(pi))
+    if not pi:
+        # quotient by everything: the pushed function is identically 0
+        return FaceQuotientData(quotient, pushed, None, False)
     try:
         coarser = affine_region_paving(pushed)
         return FaceQuotientData(quotient, pushed, coarser, True)
     except Unbounded:
         return FaceQuotientData(quotient, pushed, None, False)
-
-
-class _ZeroFunction:
-    """Stand-in for a function with zero-dimensional payload (quotient
-    by the whole monoid): identically zero, every wall unbent."""
-
-    def __init__(self, paving):
-        self.paving = paving
-        self.rank = paving.rank
-        self.payload_rank = 0
-
-    def evaluate(self, point):
-        return ()
 
 
 def _project_inequalities(functionals, sec, face_basis):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import List, Tuple
 
 import numpy as np
@@ -514,7 +515,7 @@ class LatticeCoordinates:
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def lattice_membership(basis, vec) -> bool:

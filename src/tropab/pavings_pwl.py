@@ -5,12 +5,22 @@ payloads, the quadratic + periodic splitting of quasiperiodic
 functions, interpolation over periodic triangulations, the linear
 section Q -> interpolation of 1/2 Q, and the discrete Legendre
 transform.  Everything is exact rational arithmetic.
+
+A PwAffineFunction is evaluated in cleared-denominator integers: one
+integer table per function holds its coefficients over a common
+denominator D, a point is cleared once to integer numerators over one
+denominator and located on them, and each value is a single Fraction
+built from integer sums.  The shifted affine piece on a translated cell
+has one definition, on that table, shared by evaluation and by
+affine_on_cell (hence bending parameters and affine regions).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import lcm
+from operator import add
 from typing import Dict
 
 import numpy as np
@@ -56,6 +66,14 @@ class PwAffineFunction:
         f(x + m) - f(x) = sum_i e_i (m^T B_i x + 1/2 m^T B_i m + 1/2 L_i m)
 
     with B_i the symmetric quadratic matrices and L_i the linear rows.
+
+    The data is immutable: ``cell_affines`` and ``quasi_linear`` are
+    tuples and ``quasi_bilinear`` a tuple of read-only copies of the
+    matrices given.  Evaluation runs on one integer table built from it:
+    D, the least common denominator of every coefficient and of every
+    entry of B_i / 2 and L_i / 2; per payload i the integer rows of
+    D B_i and D L_i / 2; per cell the integers D lin and D const.  A
+    value at a point num / den is one Fraction over D den.
     """
 
     def __init__(self, paving: PeriodicPaving, cell_affines,
@@ -66,41 +84,93 @@ class PwAffineFunction:
         k, r = self.payload_rank, self.rank
         if len(cell_affines) != len(paving.cells):
             raise ValueError("one affine piece per representative cell")
-        self.cell_affines = [(_as_rows(lin, k, r), _as_vec(const, k))
-                             for lin, const in cell_affines]
-        self.quasi_bilinear = [as_frac_matrix(b) for b in quasi_bilinear]
+        self.cell_affines = tuple((_as_rows(lin, k, r), _as_vec(const, k))
+                                  for lin, const in cell_affines)
+        self.quasi_bilinear = tuple(as_frac_matrix(b) for b in quasi_bilinear)
         if len(self.quasi_bilinear) != k or any(
                 b.shape != (r, r) for b in self.quasi_bilinear):
             raise ValueError("quasi_bilinear must be %d matrices of size %d"
                              % (k, r))
+        for b in self.quasi_bilinear:
+            b.flags.writeable = False
         self.quasi_linear = _as_rows(quasi_linear, k, r)
+
+        bils = [b.tolist() for b in self.quasi_bilinear]
+        coeffs = [x for lin, const in self.cell_affines
+                  for row in lin + (const,) for x in row]
+        coeffs += [x / 2 for b in bils for row in b for x in row]
+        coeffs += [x / 2 for row in self.quasi_linear for x in row]
+        self._den = den = lcm(*(x.denominator for x in coeffs))
+
+        def ints(row):
+            return tuple(int(x * den) for x in row)
+        self._quasi_ints = tuple((tuple(ints(row) for row in b),
+                                  ints(x / 2 for x in lin))
+                                 for b, lin in zip(bils, self.quasi_linear))
+        self._cell_ints = tuple(tuple(zip((ints(row) for row in lin),
+                                          ints(const)))
+                                for lin, const in self.cell_affines)
 
     # -- evaluation -----------------------------------------------------
 
+    def _piece(self, idx, lam):
+        """D lin and D const, per payload, of the piece on cells[idx] +
+        lam (lam an integer vector), in integers:
+
+            lin + B lam  and  const - lin.lam - 1/2 lam^T B lam + 1/2 L.lam
+
+        Every entry of D B is even, so lam^T (D B) lam halves exactly."""
+        out = []
+        for (lin, const), (b, half_l) in zip(self._cell_ints[idx],
+                                             self._quasi_ints):
+            blam = [geom.dot(row, lam) for row in b]
+            out.append((tuple(map(add, lin, blam)),
+                        const - geom.dot(lin, lam) - geom.dot(lam, blam) // 2
+                        + geom.dot(half_l, lam)))
+        return out
+
     def affine_on_cell(self, idx: int, shift):
-        """The affine piece valid on cells[idx] + shift."""
+        """The affine piece (lin, const) valid on cells[idx] + shift.
+
+        The shift must be an integer vector of length r (ValueError
+        otherwise).  The piece is read from the integer table, one
+        Fraction per coefficient."""
         lam = tuple(Fraction(x) for x in shift)
-        lin, const = self.cell_affines[idx]
-        new_lin, new_const = [], []
-        for i in range(self.payload_rank):
-            blam = tuple(geom.dot(row, lam)
-                         for row in self.quasi_bilinear[i].tolist())
-            new_lin.append(tuple(lin[i][j] + blam[j] for j in range(self.rank)))
-            new_const.append(const[i]
-                             - geom.dot(lin[i], lam)
-                             - geom.dot(lam, blam) / 2
-                             + geom.dot(self.quasi_linear[i], lam) / 2)
-        return tuple(new_lin), tuple(new_const)
+        if len(lam) != self.rank or any(x.denominator != 1 for x in lam):
+            raise ValueError("shift %r is not an integer vector of length %d"
+                             % (tuple(shift), self.rank))
+        piece = self._piece(idx, [x.numerator for x in lam])
+        return (tuple(tuple(Fraction(x, self._den) for x in lin)
+                      for lin, _ in piece),
+                tuple(Fraction(const, self._den) for _, const in piece))
 
     def evaluate(self, point):
-        pt = tuple(Fraction(x) for x in point)
-        idx, shift = self.paving.find_containing_cell(pt)
-        lin, const = self.affine_on_cell(idx, shift)
-        vals = tuple(geom.dot(lin[i], pt) + const[i]
-                     for i in range(self.payload_rank))
-        return vals[0] if self.payload_rank == 1 else vals
+        """f(point), a Fraction for k = 1 and a k-tuple otherwise.
+
+        The point's denominators are cleared once, to integer numerators
+        over one denominator, and evaluate_cleared does the rest."""
+        return self.evaluate_cleared(
+            *LatticeCoordinates.clear_denominators(point))
 
     __call__ = evaluate
+
+    def evaluate_cleared(self, num, den):
+        """f(num / den) for integer numerators num and an integer den > 0.
+
+        A point whose length is not the rank raises RankMismatch.  The
+        point is located on its numerators (PeriodicPaving.locate_cleared)
+        and each payload value is one Fraction over D den."""
+        if len(num) != self.rank:
+            raise RankMismatch("point of length %d for a function of rank %d"
+                               % (len(num), self.rank))
+        loc = self.paving.locate_cleared(num, den)
+        if loc is None:
+            raise InvalidPaving("point %r not covered by the paving"
+                                % (tuple(Fraction(x, den) for x in num),))
+        scale = self._den * den
+        vals = tuple(Fraction(geom.dot(lin, num) + den * const, scale)
+                     for lin, const in self._piece(*loc))
+        return vals[0] if self.payload_rank == 1 else vals
 
     # -- algebra --------------------------------------------------------
 

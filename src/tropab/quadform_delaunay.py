@@ -45,7 +45,8 @@ class QuadraticForm:
 
     The matrix is a read-only copy of the one given (assigning into it
     raises ValueError); ``+`` and ``scaled`` build new forms.  The form
-    keeps, in a private dict freed with it, every Delaunay paving
+    keeps, in private attributes freed with it, whether it is positive
+    definite, once asked, and every Delaunay paving
     delaunay_subdivision has computed from it.
     """
 
@@ -58,6 +59,7 @@ class QuadraticForm:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_pavings", {})
+        object.__setattr__(self, "_positive_definite", None)
 
     @property
     def rank(self) -> int:
@@ -68,7 +70,11 @@ class QuadraticForm:
         return geom.bilinear(self.matrix, v, v)
 
     def is_positive_definite(self) -> bool:
-        return is_positive_definite(self.matrix)
+        """Sylvester's criterion, run on the first call only."""
+        if self._positive_definite is None:
+            object.__setattr__(self, "_positive_definite",
+                               is_positive_definite(self.matrix))
+        return self._positive_definite
 
     def __add__(self, other):
         return QuadraticForm(self.matrix + other.matrix)
@@ -183,6 +189,19 @@ class PeriodicPaving:
     def find_containing_cell(self, point):
         """Locate (cell_index, shift) with point in cells[idx] + shift.
 
+        The point's denominators are cleared once and locate_cleared
+        does the search; a point outside every translate raises
+        InvalidPaving naming the point as given."""
+        loc = self.locate_cleared(*self.lattice.clear_denominators(point))
+        if loc is None:
+            raise InvalidPaving("point %r not covered by the paving"
+                                % (point,))
+        return loc
+
+    def locate_cleared(self, num, den):
+        """(cell_index, shift) for the point num / den (integer
+        numerators over den > 0), or None if no cell contains it.
+
         The point is reduced by a lattice vector t0 into the half-open
         fundamental parallelepiped P of the period basis B, then tested
         against the closed translates cells[idx] + B k, k in [-2, 2]^r,
@@ -194,18 +213,17 @@ class PeriodicPaving:
         facet inequalities as integer rows.  Every translate containing a
         point of P is kept, so the first match is the one a full
         cells x [-2, 2]^r scan finds.  The rows are tested in integers on
-        the reduced point's numerators over their common denominator.
+        the reduced numerators.
         """
-        num, den = self.lattice.clear_denominators(point)
         t0 = self.lattice.shift_cleared(num, den)
         local = tuple(x - den * t for x, t in zip(num, t0))
         for idx, bk, rows in self._point_locator():
             if all(geom.dot(a, local) <= b * den for a, b in rows):
                 return idx, geom.vadd(bk, t0)
-        raise InvalidPaving("point %r not covered by the paving" % (point,))
+        return None
 
     def _point_locator(self):
-        """[(idx, B k, rows)] for find_containing_cell; rows are integer
+        """[(idx, B k, rows)] for locate_cleared; rows are integer
         (a, b) with <a, x> <= b exactly on cells[idx] + B k."""
         if self._locator is not None:
             return self._locator
@@ -525,12 +543,12 @@ def voronoi_cone_contains(paving: PeriodicPaving, q: QuadraticForm) -> bool:
         raise InvalidPaving("need a nonempty periodic paving")
     if q.rank != paving.rank:
         raise InvalidPaving("rank mismatch between form and paving")
-    if not is_positive_semidefinite(q.matrix):
-        return False
     if q.is_positive_definite():
         dq = delaunay_subdivision(q, paving.period_basis,
                                   max(paving.window, 2))
         return all(_some_cell_contains(dq, c.vertices) for c in paving.cells)
+    if not is_positive_semidefinite(q.matrix):
+        return False
     if all(q.matrix[i, j] == 0 for i in range(q.rank) for j in range(q.rank)):
         return True  # single cell = everything; coarser than any paving
     pi, sec, _ = _kernel_quotient(q)

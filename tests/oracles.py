@@ -408,6 +408,44 @@ def homogenized(f, d, x):
 
 
 # ---------------------------------------------------------------------------
+# piecewise affine functions by the Fraction formula
+# ---------------------------------------------------------------------------
+
+def shifted_affine_reference(f, idx, shift):
+    """(lin, const) of f on cells[idx] + shift, for a PwAffineFunction f,
+    in Fraction arithmetic straight from its public data: per payload i,
+
+        lin_i + B_i lam  and  const_i - lin_i.lam - 1/2 lam^T B_i lam
+                              + 1/2 L_i.lam."""
+    lam = [Fraction(x) for x in shift]
+    lin, const = f.cell_affines[idx]
+    new_lin, new_const = [], []
+    for i in range(f.payload_rank):
+        blam = [sum(Fraction(x) * y for x, y in zip(row, lam))
+                for row in f.quasi_bilinear[i].tolist()]
+        new_lin.append(tuple(a + c for a, c in zip(lin[i], blam)))
+        new_const.append(const[i]
+                         - sum(x * y for x, y in zip(lin[i], lam))
+                         - sum(x * y for x, y in zip(lam, blam)) / 2
+                         + sum(x * y for x, y in zip(f.quasi_linear[i], lam))
+                         / 2)
+    return tuple(new_lin), tuple(new_const)
+
+
+def evaluate_reference(f, point):
+    """f(point): located by locate_by_scan, then the shifted piece of
+    shifted_affine_reference; a Fraction for payload rank 1 and a tuple
+    otherwise."""
+    pt = [Fraction(x) for x in point]
+    cells = [c.vertices for c in f.paving.cells]
+    idx, shift = locate_by_scan(cells, f.paving.period_basis.tolist(), pt)
+    lin, const = shifted_affine_reference(f, idx, shift)
+    vals = tuple(sum((a * x for a, x in zip(row, pt)), Fraction(0)) + c
+                 for row, c in zip(lin, const))
+    return vals[0] if f.payload_rank == 1 else vals
+
+
+# ---------------------------------------------------------------------------
 # degeneration and twist exponents, straight from their definitions
 # ---------------------------------------------------------------------------
 

@@ -24,7 +24,8 @@ from tropab.pavings_pwl import (PwAffineFunction, ToricMonoid,
 from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
                                       QuadraticForm, delaunay_subdivision)
 
-from oracles import homogenized, interp_half_square
+from oracles import (evaluate_reference, homogenized, interp_half_square,
+                     shifted_affine_reference)
 
 F = Fraction
 
@@ -218,6 +219,18 @@ def test_face_quotient_by_everything(phi1):
     assert not fq.admissible
     assert fq.coarsened_paving is None
     assert fq.pushed_function.evaluate((F(1, 2),)) == ()
+
+
+def test_face_quotient_by_everything_pushes_to_payload_rank_zero(phi1):
+    nat = ToricMonoid.nonnegative_orthant(1)
+    pushed = face_quotient(nat, [], phi1.base).pushed_function
+    assert isinstance(pushed, PwAffineFunction)
+    assert pushed.payload_rank == 0
+    x = (F(7, 3),)
+    assert pushed.evaluate(x) == evaluate_reference(pushed, x) == ()
+    assert pushed.affine_on_cell(0, (3,)) == \
+        shifted_affine_reference(pushed, 0, (3,)) == ((), ())
+    assert HomogenizedFunction(pushed).value(2, x) == ()
 
 
 def test_face_quotient_rejects_non_face(phi1):

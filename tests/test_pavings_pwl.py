@@ -3,12 +3,14 @@ decomposition into quadratic + periodic, interpolation, the linear
 section sigma, Legendre duality, and affine-region coarsening."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropab.degeneration_monoids import HomogenizedFunction
 from tropab.errors import (InvalidPaving, NonMatchingFaces, NotConvex,
                            NotQuasiperiodic, NotSimplicial, RankMismatch,
                            TooLarge, Unbounded)
@@ -21,8 +23,9 @@ from tropab.pavings_pwl import (PwAffineFunction, ToricMonoid,
 from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
                                       QuadraticForm, delaunay_subdivision)
 
-from oracles import (brute_force_legendre, interp_half_square,
-                     second_difference_quadratic_1d)
+from oracles import (brute_force_legendre, evaluate_reference,
+                     interp_half_square, second_difference_quadratic_1d,
+                     shifted_affine_reference)
 
 F = Fraction
 
@@ -322,3 +325,125 @@ def test_affine_regions_of_affine_function_are_unbounded():
                             [_obj([[0]])], [(F(2),)])
     with pytest.raises(Unbounded):
         affine_region_paving(flat)
+
+
+# -- evaluation in cleared integers -----------------------------------------
+
+@pytest.mark.parametrize("q, pb, point", [
+    (Q1, I1, (F(5, 2), 7)),
+    (Q1, I1, ()),
+    (A2, I2, (1,)),
+    (A2, I2, (1, 2, 3)),
+], ids=["rank1-at-2", "rank1-at-0", "hex-at-1", "hex-at-3"])
+def test_points_of_the_wrong_length_are_refused(q, pb, point):
+    s = sigma_section(q, pb, 4)
+    phi = HomogenizedFunction(s)
+    for read in (s.evaluate, s, lambda x: phi.value(1, x),
+                 lambda x: phi.value(0, x)):
+        with pytest.raises(RankMismatch) as err:
+            read(point)
+        assert str(err.value) == ("point of length %d for a function of "
+                                  "rank %d" % (len(point), q.rank))
+
+
+def test_function_data_is_immutable():
+    bil = _obj([[0]])
+    f = PwAffineFunction(unit_intervals(), [((F(1),), F(0))], [bil],
+                         [(F(2),)])
+    assert isinstance(f.cell_affines, tuple)
+    assert isinstance(f.quasi_bilinear, tuple)
+    with pytest.raises(ValueError):
+        f.quasi_bilinear[0][0, 0] = F(5)
+    bil[0, 0] = 7    # the function holds its own copy
+    assert f.quasi_bilinear[0][0, 0] == 0
+    assert f((F(7, 2),)) == F(7, 2)
+
+
+def test_affine_on_cell_refuses_a_non_integral_shift():
+    s = sigma_section(Q1, I1, 3)
+    for shift in [(F(1, 2),), ("5/2",), (1, 0)]:
+        with pytest.raises(ValueError):
+            s.affine_on_cell(0, shift)
+    assert s.affine_on_cell(0, (F(2),)) == s.affine_on_cell(0, (2,))
+
+
+def test_uncovered_point_message_names_the_point():
+    pav = delaunay_subdivision(A2, I2, 4)
+    holed = PeriodicPaving(2, I2, [pav.cells[0]], 4)
+    f = PwAffineFunction(holed, [((0, 0), 0)], [_obj([[0, 0], [0, 0]])],
+                         [(0, 0)])
+    with pytest.raises(InvalidPaving) as err:
+        f.evaluate((F(17, 3), "-1/3"))
+    assert str(err.value) == ("point (Fraction(17, 3), Fraction(-1, 3)) "
+                              "not covered by the paving")
+
+
+# (form, period basis, window) for the pavings of the property test:
+# the period bases I_r, [[2, 1], [0, 1]] and [[2]]
+PAVED = [
+    ([[1]], [[1]], 3),
+    ([[1]], [[2]], 3),
+    ([[2, 1], [1, 2]], [[1, 0], [0, 1]], 4),
+    ([[2, 1], [1, 3]], [[2, 1], [0, 1]], 4),
+    ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
+]
+
+
+@lru_cache(maxsize=None)
+def _paved(i):
+    q, pb, window = PAVED[i]
+    return delaunay_subdivision(QuadraticForm(_obj(q)), _obj(pb), window)
+
+
+_coefficients = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def pw_functions(draw):
+    """Random data on a Delaunay paving: payload rank 0-2, coefficients
+    with denominators up to 6, symmetric B_i."""
+    pav = _paved(draw(st.integers(0, len(PAVED) - 1)))
+    r, k = pav.rank, draw(st.integers(0, 2))
+
+    def rows(n):
+        return [[draw(_coefficients) for _ in range(r)] for _ in range(n)]
+    affs = [(rows(k), [draw(_coefficients) for _ in range(k)])
+            for _ in pav.cells]
+    bils = []
+    for _ in range(k):
+        b = rows(r)
+        bils.append([[b[min(i, j)][max(i, j)] for j in range(r)]
+                     for i in range(r)])
+    return PwAffineFunction(pav, affs, bils, rows(k), payload_rank=k)
+
+
+def _points(r):
+    """Points within +-60 with denominators up to 4."""
+    coord = st.integers(1, 4).flatmap(
+        lambda d: st.builds(Fraction, st.integers(-60 * d, 60 * d),
+                            st.just(d)))
+    return st.tuples(*[coord] * r)
+
+
+def _typed(v):
+    return type(v), v if type(v) is not tuple else tuple(map(_typed, v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_integer_evaluation_matches_fraction_reference(data):
+    f = data.draw(pw_functions())
+    r = f.rank
+    idx = data.draw(st.integers(0, len(f.paving.cells) - 1))
+    shift = data.draw(st.tuples(*[st.integers(-60, 60)] * r))
+    assert _typed(f.affine_on_cell(idx, shift)) == \
+        _typed(shifted_affine_reference(f, idx, shift))
+    phi = HomogenizedFunction(f)
+    for x in data.draw(st.lists(_points(r), min_size=1, max_size=3)):
+        assert _typed(f.evaluate(x)) == _typed(evaluate_reference(f, x))
+        for d in (1, 2, 3):
+            want = evaluate_reference(f, [c / d for c in x])
+            want = d * want if f.payload_rank == 1 else \
+                tuple(d * v for v in want)
+            assert _typed(phi.value(d, x)) == _typed(want)

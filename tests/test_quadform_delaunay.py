@@ -468,5 +468,31 @@ def test_find_containing_cell_refuses_uncovered_point():
     inside = tuple(sum(Fraction(v[i]) for v in dropped.vertices) / 3
                    for i in range(2))
     assert locate_by_scan([kept.vertices], [[1, 0], [0, 1]], inside) is None
-    with pytest.raises(InvalidPaving):
+    with pytest.raises(InvalidPaving) as err:
         holed.find_containing_cell(inside)
+    assert str(err.value) == ("point (Fraction(2, 3), Fraction(-1, 3)) "
+                              "not covered by the paving")
+    assert holed.locate_cleared((2, -1), 3) is None
+
+
+def test_positive_definiteness_is_decided_once_per_form(monkeypatch):
+    calls = {"pd": 0, "psd": 0}
+
+    def counting(name, check):
+        def wrapped(m):
+            calls[name] += 1
+            return check(m)
+        return wrapped
+    monkeypatch.setattr(quadform_delaunay, "is_positive_definite",
+                        counting("pd", quadform_delaunay.is_positive_definite))
+    monkeypatch.setattr(quadform_delaunay, "is_positive_semidefinite",
+                        counting("psd",
+                                 quadform_delaunay.is_positive_semidefinite))
+    q = QuadraticForm(_obj([[2, 1], [1, 3]]))
+    pav = delaunay_subdivision(q, I2, 4)
+    assert delaunay_subdivision(q, I2, 5) is not pav
+    assert voronoi_cone_contains(pav, q)
+    assert calls == {"pd": 1, "psd": 0}
+    # only a form that is not positive definite is tested semidefinite
+    voronoi_cone_contains(pav, QuadraticForm(_obj([[1, 0], [0, 0]])))
+    assert calls["psd"] == 1
