@@ -1,10 +1,12 @@
 """Exact integer/rational linear algebra.
 
-One rational row reduction (``row_reduce``, Gauss-Jordan over plain
-lists of Fraction) from which the determinant, inverse, rank, kernel and
-greedy independent subsets are derived; normal forms (Hermite, Smith),
-saturated quotients, symplectic reduction of integral alternating
-forms, polarization types, and the GL(X,Y)-action on quadratic forms.
+One fraction-free row reduction (``row_reduce``, Gauss-Jordan with the
+Bareiss update on rows of python ints, each row cleared of its
+denominators once) from which the determinant, inverse, rank, kernel
+and greedy independent subsets are derived; normal forms (Hermite,
+Smith), saturated quotients, symplectic reduction of integral
+alternating forms, polarization types, and the GL(X,Y)-action on
+quadratic forms.  The normal forms work on lists of int rows.
 ``LatticeCoordinates`` is the one reduction of points modulo a lattice.
 All arithmetic is exact.  Numpy arrays with dtype=object holding python
 ints or Fractions are only the public boundary: the integer normal forms
@@ -52,8 +54,13 @@ def as_frac_matrix(m) -> np.ndarray:
     return out
 
 
-def eye(n) -> np.ndarray:
-    return np.eye(n, dtype=object)
+def clear_denominators(point):
+    """Integer numerators of a rational point over their least common
+    positive denominator."""
+    fs = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+          for x in point]
+    den = lcm(*(f.denominator for f in fs))
+    return tuple(f.numerator * (den // f.denominator) for f in fs), den
 
 
 def row_reduce(rows, ncols=None):
@@ -67,30 +74,46 @@ def row_reduce(rows, ncols=None):
     zeros above and below them) as lists of Fraction, their pivot
     columns, and the determinant of the leading ncols x ncols block when
     the input has ncols rows (0 if it is singular or not square).
+
+    The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
+    each row is cleared of its denominators once, and with p the new
+    pivot and ``prev`` the one before it (1 at the start) every other
+    row becomes (p row - f pivot_row) // prev, f its entry in the pivot
+    column.  The division is exact, every pivot row ends as ``prev``
+    times its reduced row, and ``prev`` ends as the determinant times
+    the product of the row denominators.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
+    a, scale = [], 1
+    for row in rows:
+        num, den = clear_denominators(row)
+        a.append(num)
+        scale *= den
     if ncols is None:
         ncols = len(a[0]) if a else 0
-    pivots, det = [], Fraction(1)
+    pivots, sign, prev = [], 1, 1
     for col in range(ncols):
         lead = len(pivots)
-        piv = next((i for i in range(lead, len(a)) if a[i][col] != 0), None)
+        piv = next((i for i in range(lead, len(a)) if a[i][col]), None)
         if piv is None:
             continue
         if piv != lead:
             a[lead], a[piv] = a[piv], a[lead]
-            det = -det
-        p = a[lead][col]
-        det *= p
-        pr = a[lead] = [x / p for x in a[lead]]
+            sign = -sign
+        pr = a[lead]
+        p = pr[col]
         for i, row in enumerate(a):
-            if i != lead and row[col] != 0:
+            if i != lead:
                 f = row[col]
-                a[i] = [x - f * y for x, y in zip(row, pr)]
+                if f:
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
+                else:
+                    a[i] = [p * x // prev for x in row]
+        prev = p
         pivots.append(col)
-    if not len(pivots) == len(a) == ncols:
-        det = Fraction(0)
-    return a[:len(pivots)], pivots, det
+    det = Fraction(sign * prev, scale) if len(pivots) == len(a) == ncols \
+        else Fraction(0)
+    return ([[Fraction(x, prev) for x in row] for row in a[:len(pivots)]],
+            pivots, det)
 
 
 def _square_rows(m):
@@ -216,6 +239,24 @@ class SymplecticDecomposition:
     basis_change: np.ndarray  # unimodular B with B e B^T in standard form
 
 
+def _eye_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _axpy(x, c, y):
+    """The row x + c y."""
+    return [a + c * b for a, b in zip(x, y)]
+
+
+def _matmul(x, y):
+    cols = list(zip(*y))
+    return [[_dot(row, col) for col in cols] for row in x]
+
+
+def _object_matrix(rows, ncols) -> np.ndarray:
+    return np.array(rows, dtype=object).reshape(len(rows), ncols)
+
+
 def hermite_normal_form(m) -> Tuple[np.ndarray, np.ndarray]:
     """Row-style Hermite normal form.
 
@@ -223,42 +264,42 @@ def hermite_normal_form(m) -> Tuple[np.ndarray, np.ndarray]:
     with positive pivots and the entries above each pivot reduced into
     [0, pivot).
     """
-    h = as_int_matrix(m)
-    rows, cols = h.shape
-    u = eye(rows)
+    a = as_int_matrix(m)
+    rows, cols = a.shape
+    h, u = a.tolist(), _eye_rows(rows)
     r = 0
     for c in range(cols):
         if r >= rows:
             break
         # kill everything below position (r, c) by gcd row operations
         while True:
-            nz = [i for i in range(r, rows) if h[i, c] != 0]
+            nz = [i for i in range(r, rows) if h[i][c] != 0]
             if not nz:
                 break
-            piv = min(nz, key=lambda i: (abs(h[i, c]), i))
+            piv = min(nz, key=lambda i: (abs(h[i][c]), i))
             if piv != r:
-                h[[r, piv]] = h[[piv, r]]
-                u[[r, piv]] = u[[piv, r]]
-            if all(h[i, c] == 0 for i in range(r + 1, rows)):
+                h[r], h[piv] = h[piv], h[r]
+                u[r], u[piv] = u[piv], u[r]
+            if all(h[i][c] == 0 for i in range(r + 1, rows)):
                 break
             for i in range(r + 1, rows):
-                if h[i, c] != 0:
-                    q = h[i, c] // h[r, c]
-                    h[i] = h[i] - q * h[r]
-                    u[i] = u[i] - q * u[r]
-        if h[r, c] == 0:
+                if h[i][c] != 0:
+                    q = h[i][c] // h[r][c]
+                    h[i] = _axpy(h[i], -q, h[r])
+                    u[i] = _axpy(u[i], -q, u[r])
+        if h[r][c] == 0:
             continue
-        if h[r, c] < 0:
-            h[r] = -h[r]
-            u[r] = -u[r]
+        if h[r][c] < 0:
+            h[r] = [-x for x in h[r]]
+            u[r] = [-x for x in u[r]]
         for i in range(r):
-            q = h[i, c] // h[r, c]
+            q = h[i][c] // h[r][c]
             if q != 0:
-                h[i] = h[i] - q * h[r]
-                u[i] = u[i] - q * u[r]
+                h[i] = _axpy(h[i], -q, h[r])
+                u[i] = _axpy(u[i], -q, u[r])
         r += 1
-    assert (u @ as_int_matrix(m) == h).all()
-    return h, u
+    assert _matmul(u, a.tolist()) == h
+    return _object_matrix(h, cols), _object_matrix(u, rows)
 
 
 def smith_normal_form(m) -> Tuple[List[int], np.ndarray, np.ndarray]:
@@ -266,19 +307,25 @@ def smith_normal_form(m) -> Tuple[List[int], np.ndarray, np.ndarray]:
 
     Zero diagonal entries are sorted last.  u, v are unimodular.
     """
-    d = as_int_matrix(m)
-    rows, cols = d.shape
-    u, v = eye(rows), eye(cols)
+    a = as_int_matrix(m)
+    rows, cols = a.shape
+    d, u, v = a.tolist(), _eye_rows(rows), _eye_rows(cols)
     n = min(rows, cols)
 
     def min_entry(s):
-        best = None
+        best, least = None, None
         for i in range(s, rows):
+            row = d[i]
             for j in range(s, cols):
-                if d[i, j] != 0 and (best is None
-                                     or abs(d[i, j]) < abs(d[best[0], best[1]])):
-                    best = (i, j)
+                x = abs(row[j])
+                if x and (best is None or x < least):
+                    best, least = (i, j), x
         return best
+
+    def add_column(x, j, c, s):
+        """Column j of the rows x plus c times column s."""
+        for row in x:
+            row[j] += c * row[s]
 
     for s in range(n):
         while True:
@@ -287,48 +334,42 @@ def smith_normal_form(m) -> Tuple[List[int], np.ndarray, np.ndarray]:
                 break
             i, j = pos
             if i != s:
-                d[[s, i]] = d[[i, s]]
-                u[[s, i]] = u[[i, s]]
+                d[s], d[i] = d[i], d[s]
+                u[s], u[i] = u[i], u[s]
             if j != s:
-                d[:, [s, j]] = d[:, [j, s]]
-                v[:, [s, j]] = v[:, [j, s]]
-            p = d[s, s]
+                for row in d + v:
+                    row[s], row[j] = row[j], row[s]
+            p = d[s][s]
             dirty = False
             for i in range(s + 1, rows):
-                if d[i, s] != 0:
-                    q = d[i, s] // p
-                    d[i] = d[i] - q * d[s]
-                    u[i] = u[i] - q * u[s]
-                    if d[i, s] != 0:
+                if d[i][s] != 0:
+                    q = d[i][s] // p
+                    d[i] = _axpy(d[i], -q, d[s])
+                    u[i] = _axpy(u[i], -q, u[s])
+                    if d[i][s] != 0:
                         dirty = True
             for j in range(s + 1, cols):
-                if d[s, j] != 0:
-                    q = d[s, j] // p
-                    d[:, j] = d[:, j] - q * d[:, s]
-                    v[:, j] = v[:, j] - q * v[:, s]
-                    if d[s, j] != 0:
+                if d[s][j] != 0:
+                    q = d[s][j] // p
+                    add_column(d, j, -q, s)
+                    add_column(v, j, -q, s)
+                    if d[s][j] != 0:
                         dirty = True
             if dirty:
                 continue
             # pivot must divide the rest of the block
-            offender = None
-            for i in range(s + 1, rows):
-                for j in range(s + 1, cols):
-                    if d[i, j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(s + 1, rows)
+                             if any(x % p for x in d[i][s + 1:])), None)
             if offender is None:
                 break
-            d[s] = d[s] + d[offender]
-            u[s] = u[s] + u[offender]
-        if d[s, s] < 0:
-            d[:, s] = -d[:, s]
-            v[:, s] = -v[:, s]
-    diag = [int(d[k, k]) for k in range(n)]
-    assert (u @ as_int_matrix(m) @ v == d).all()
-    return diag, u, v
+            d[s] = _axpy(d[s], 1, d[offender])
+            u[s] = _axpy(u[s], 1, u[offender])
+        if d[s][s] < 0:
+            for row in d + v:
+                row[s] = -row[s]
+    assert _matmul(_matmul(u, a.tolist()), v) == d
+    return ([d[k][k] for k in range(n)], _object_matrix(u, rows),
+            _object_matrix(v, cols))
 
 
 def saturated_quotient(span):
@@ -351,47 +392,51 @@ def symplectic_normal_form(e) -> SymplecticDecomposition:
     """Symplectic reduction of a nondegenerate integral alternating form.
 
     Returns B (unimodular) and the type delta with
-    B @ e @ B.T == [[0, diag(delta)], [-diag(delta), 0]].
+    B @ e @ B.T == [[0, diag(delta)], [-diag(delta), 0]].  A degenerate
+    form raises Degenerate when the reduction meets an all-zero block.
     """
     a = as_int_matrix(e)
     n = a.shape[0]
     if a.shape[1] != n or n % 2 != 0:
         raise NotSkew("form must be square of even size")
-    if (a.T != -a).any() or any(a[i, i] != 0 for i in range(n)):
+    rows = a.tolist()
+    if any(rows[i][j] != -rows[j][i] for i in range(n) for j in range(i, n)):
         raise NotSkew("form is not alternating")
-    if frac_det(a) == 0:
-        raise Degenerate("form is degenerate")
     g = n // 2
 
-    m = a.copy()
-    b = eye(n)  # invariant: m == b @ a @ b.T
+    m = [list(row) for row in rows]
+    b = _eye_rows(n)  # invariant: m == b a b^T
 
     def congr_swap(i, j):
-        m[[i, j]] = m[[j, i]]
-        m[:, [i, j]] = m[:, [j, i]]
-        b[[i, j]] = b[[j, i]]
+        m[i], m[j] = m[j], m[i]
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        b[i], b[j] = b[j], b[i]
 
     def congr_add(t, src, c):
         """row_t += c*row_src, plus the mirrored column operation."""
-        m[t] = m[t] + c * m[src]
-        m[:, t] = m[:, t] + c * m[:, src]
-        b[t] = b[t] + c * b[src]
+        m[t] = _axpy(m[t], c, m[src])
+        for row in m:
+            row[t] += c * row[src]
+        b[t] = _axpy(b[t], c, b[src])
 
     def congr_neg(i):
-        m[i] = -m[i]
-        m[:, i] = -m[:, i]
-        b[i] = -b[i]
+        m[i] = [-x for x in m[i]]
+        for row in m:
+            row[i] = -row[i]
+        b[i] = [-x for x in b[i]]
 
     for s in range(0, n, 2):
         while True:
             # minimal nonzero entry in the remaining block, lowest index ties
-            best = None
+            best, least = None, None
             for i in range(s, n):
                 for j in range(i + 1, n):
-                    if m[i, j] != 0 and (best is None
-                                         or abs(m[i, j]) < abs(m[best[0], best[1]])):
-                        best = (i, j)
-            assert best is not None, "nondegenerate form ran out of entries"
+                    x = abs(m[i][j])
+                    if x and (best is None or x < least):
+                        best, least = (i, j), x
+            if best is None:
+                raise Degenerate("form is degenerate")
             i, j = best
             if i != s:
                 congr_swap(s, i)
@@ -399,49 +444,36 @@ def symplectic_normal_form(e) -> SymplecticDecomposition:
                     j = i
             if j != s + 1:
                 congr_swap(s + 1, j)
-            if m[s, s + 1] < 0:
+            if m[s][s + 1] < 0:
                 congr_neg(s + 1)
-            p = m[s, s + 1]
+            p = m[s][s + 1]
             dirty = False
             for t in range(s + 2, n):
-                if m[s, t] != 0:
-                    q = m[s, t] // p
-                    congr_add(t, s + 1, -q)  # changes m[s, t] by -q*p
-                    if m[s, t] != 0:
+                if m[s][t] != 0:
+                    q = m[s][t] // p
+                    congr_add(t, s + 1, -q)  # changes m[s][t] by -q*p
+                    if m[s][t] != 0:
                         dirty = True
-                if m[s + 1, t] != 0:
-                    q = m[s + 1, t] // p     # m[s+1, t] - q*p via row s
-                    congr_add(t, s, q)       # adds q*m[s+1, s] = -q*p
-                    if m[s + 1, t] != 0:
+                if m[s + 1][t] != 0:
+                    q = m[s + 1][t] // p     # m[s+1][t] - q*p via row s
+                    congr_add(t, s, q)       # adds q*m[s+1][s] = -q*p
+                    if m[s + 1][t] != 0:
                         dirty = True
             if dirty:
                 continue
-            offender = None
-            for i2 in range(s + 2, n):
-                for j2 in range(i2 + 1, n):
-                    if m[i2, j2] % p != 0:
-                        offender = i2
-                        break
-                if offender is not None:
-                    break
+            offender = next((i2 for i2 in range(s + 2, n)
+                             if any(x % p for x in m[i2][i2 + 1:])), None)
             if offender is None:
                 break
             congr_add(s, offender, 1)
 
     # permute basis (x1, y1, x2, y2, ...) -> (x1..xg, y1..yg)
-    perm = [2 * k for k in range(g)] + [2 * k + 1 for k in range(g)]
-    p = np.zeros((n, n), dtype=object)
-    for new, old in enumerate(perm):
-        p[new, old] = 1
-    b = p @ b
-    m = p @ m @ p.T
-
-    diag = tuple(int(m[k, g + k]) for k in range(g))
-    typ = PolarizationType(diag)
-    std = standard_symplectic_form(typ)
-    assert (b @ a @ b.T == std).all()
+    typ = PolarizationType(tuple(m[2 * k][2 * k + 1] for k in range(g)))
+    b = [b[2 * k] for k in range(g)] + [b[2 * k + 1] for k in range(g)]
+    assert _matmul(_matmul(b, rows), list(zip(*b))) == \
+        standard_symplectic_form(typ).tolist()
     assert abs(frac_det(b)) == 1
-    return SymplecticDecomposition(type=typ, basis_change=b)
+    return SymplecticDecomposition(type=typ, basis_change=_object_matrix(b, n))
 
 
 def standard_symplectic_form(delta: PolarizationType) -> np.ndarray:
@@ -456,9 +488,9 @@ def standard_symplectic_form(delta: PolarizationType) -> np.ndarray:
 def polarization_type(phi) -> PolarizationType:
     """Type of an injective lattice map: the SNF diagonal of its matrix."""
     a = as_int_matrix(phi)
-    if a.shape[0] != a.shape[1] or frac_det(a) == 0:
+    diag = smith_normal_form(a)[0]
+    if a.shape[0] != a.shape[1] or 0 in diag:
         raise NotInjective("polarization matrix must be square and injective")
-    diag, _, _ = smith_normal_form(a)
     return PolarizationType(tuple(diag))
 
 
@@ -477,14 +509,7 @@ class LatticeCoordinates:
         self.inv_rows = tuple(tuple(int(x * self.den) for x in row)
                               for row in inv)
 
-    @staticmethod
-    def clear_denominators(point):
-        """Integer numerators of a rational point over their least common
-        positive denominator."""
-        fs = [x if isinstance(x, (int, Fraction)) else Fraction(x)
-              for x in point]
-        den = lcm(*(f.denominator for f in fs))
-        return tuple(f.numerator * (den // f.denominator) for f in fs), den
+    clear_denominators = staticmethod(clear_denominators)
 
     def shift(self, point):
         """The lattice vector t = B floor(B^-1 x): x - t lies in the

@@ -213,6 +213,20 @@ def heis_elements(delta: PolarizationType, m: int):
                 yield HeisenbergElement(t, a, b, delta, m)
 
 
+def heis_pow(g: HeisenbergElement, n: int, delta: PolarizationType,
+             m: int) -> HeisenbergElement:
+    """g^n for n >= 0 in closed form: the k-th factor of the product
+    adds <b, k a>_M, so g^n = (n t + C(n, 2) <b, a>_M, n a, n b)."""
+    _check_modulus(delta, m)
+    if (g.delta, g.modulus) != (delta, m):
+        raise ValueError("element must lie in H(%r) mod %d"
+                         % (delta.diag, m))
+    t = n * g.scalar_exp + n * (n - 1) // 2 * _pairing_exp(g.b, g.a,
+                                                           delta, m)
+    return HeisenbergElement(t, tuple(n * x for x in g.a),
+                             tuple(n * x for x in g.b), delta, m)
+
+
 def power_map_kernel_check(delta: PolarizationType, m: int) -> bool:
     """g^M = 1 for every element, and the M-th power map is a
     homomorphism on pairs (exhaustive when the group is small)."""
@@ -220,23 +234,11 @@ def power_map_kernel_check(delta: PolarizationType, m: int) -> bool:
     if len(els) > 10 ** 4:
         els = els[:: max(1, len(els) // 50)]
     ident = HeisenbergElement.identity(delta, m)
-
-    def power(g, n):
-        acc = ident
-        for _ in range(n):
-            acc = heis_mul(acc, g, delta, m)
-        return acc
-
-    for g in els:
-        if power(g, m) != ident:
-            return False
-    for g in els:
-        for h in els:
-            lhs = power(heis_mul(g, h, delta, m), m)
-            rhs = heis_mul(power(g, m), power(h, m), delta, m)
-            if lhs != rhs:
-                return False
-    return True
+    if any(heis_pow(g, m, delta, m) != ident for g in els):
+        return False
+    # every g^M is 1, so (gh)^M = g^M h^M says (gh)^M = 1
+    return all(heis_pow(heis_mul(g, h, delta, m), m, delta, m) == ident
+               for g in els for h in els)
 
 
 # ---------------------------------------------------------------------------
@@ -469,21 +471,22 @@ def degen_exponents(data: DegenerationData, lam, alpha):
 def twist_data(data: DegenerationData, lam, alpha):
     """Exponents (mod 2) of the quadratic twist: a' = exp(pi i *
     (-1/2 lambda^T S' lambda)), b' = exp(pi i * (-lambda^T S_xi d^{-1}
-    alpha)); d^{-1} alpha = (alpha_j d_g / d_j) / d_g, as d_j | d_g."""
+    alpha)); d^{-1} alpha = (alpha_j d_g / d_j) / d_g, as d_j | d_g.
+    The integer numerators are reduced mod 4 and mod 2 d_g first."""
     lam, alpha = tuple(map(int, lam)), tuple(map(int, alpha))
     dg = data.d_type.diag[-1]
     scaled = tuple(x * (dg // d)
                    for x, d in zip(alpha, data.d_type.diag, strict=True))
-    a = Fraction(-geom.bilinear(data.s_prime.tolist(), lam, lam), 2)
-    b = Fraction(-geom.bilinear(data.s_xi.tolist(), lam, scaled), dg)
-    return a % 2, b % 2
+    a = -geom.bilinear(data.s_prime.tolist(), lam, lam)
+    b = -geom.bilinear(data.s_xi.tolist(), lam, scaled)
+    return Fraction(a % 4, 2), Fraction(b % (2 * dg), dg)
 
 
 def twist_bilinear_form(data: DegenerationData, lam, mu):
     """chi's associated bilinear form: a'(l+m) - a'(l) - a'(m) mod 2,
     which must match -lambda^T S' mu."""
     lam, mu = tuple(map(int, lam)), tuple(map(int, mu))
-    return Fraction(-geom.bilinear(data.s_prime.tolist(), lam, mu)) % 2
+    return Fraction(-geom.bilinear(data.s_prime.tolist(), lam, mu) % 2)
 
 
 # ---------------------------------------------------------------------------

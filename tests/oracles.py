@@ -89,6 +89,233 @@ def frac_solve(a, b):
 
 
 # ---------------------------------------------------------------------------
+# the rational row reduction and the integer normal forms, over Fraction
+# and numpy object arrays
+# ---------------------------------------------------------------------------
+
+def row_reduce_reference(rows, ncols=None):
+    """Gauss-Jordan over Fraction with the library's pivot rule (first
+    nonzero entry at or below the current row, in the first ncols
+    columns): (reduced nonzero rows, pivot columns, determinant of the
+    leading block, 0 unless it is square and nonsingular)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots, det = [], Fraction(1)
+    for col in range(ncols):
+        lead = len(pivots)
+        piv = next((i for i in range(lead, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != lead:
+            a[lead], a[piv] = a[piv], a[lead]
+            det = -det
+        p = a[lead][col]
+        det *= p
+        pr = a[lead] = [x / p for x in a[lead]]
+        for i, row in enumerate(a):
+            if i != lead and row[col] != 0:
+                f = row[col]
+                a[i] = [x - f * y for x, y in zip(row, pr)]
+        pivots.append(col)
+    if not len(pivots) == len(a) == ncols:
+        det = Fraction(0)
+    return a[:len(pivots)], pivots, det
+
+
+def _int_matrix(m):
+    a = np.array(m, dtype=object)
+    out = np.empty(a.shape, dtype=object)
+    for idx in np.ndindex(a.shape):
+        out[idx] = int(a[idx])
+    return out
+
+
+def hermite_normal_form_reference(m):
+    """Row-style HNF (h, u), h = u m, by gcd row operations on numpy
+    object arrays, with the library's pivot and reduction rules."""
+    h = _int_matrix(m)
+    rows, cols = h.shape
+    u = np.eye(rows, dtype=object)
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        while True:
+            nz = [i for i in range(r, rows) if h[i, c] != 0]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: (abs(h[i, c]), i))
+            if piv != r:
+                h[[r, piv]] = h[[piv, r]]
+                u[[r, piv]] = u[[piv, r]]
+            if all(h[i, c] == 0 for i in range(r + 1, rows)):
+                break
+            for i in range(r + 1, rows):
+                if h[i, c] != 0:
+                    q = h[i, c] // h[r, c]
+                    h[i] = h[i] - q * h[r]
+                    u[i] = u[i] - q * u[r]
+        if h[r, c] == 0:
+            continue
+        if h[r, c] < 0:
+            h[r] = -h[r]
+            u[r] = -u[r]
+        for i in range(r):
+            q = h[i, c] // h[r, c]
+            if q != 0:
+                h[i] = h[i] - q * h[r]
+                u[i] = u[i] - q * u[r]
+        r += 1
+    return h, u
+
+
+def smith_normal_form_reference(m):
+    """SNF (diag, u, v), u m v = diag, by the library's minimal-entry
+    pivoting on numpy object arrays."""
+    d = _int_matrix(m)
+    rows, cols = d.shape
+    u, v = np.eye(rows, dtype=object), np.eye(cols, dtype=object)
+    n = min(rows, cols)
+
+    def min_entry(s):
+        best = None
+        for i in range(s, rows):
+            for j in range(s, cols):
+                if d[i, j] != 0 and (best is None
+                                     or abs(d[i, j]) < abs(d[best[0], best[1]])):
+                    best = (i, j)
+        return best
+
+    for s in range(n):
+        while True:
+            pos = min_entry(s)
+            if pos is None:
+                break
+            i, j = pos
+            if i != s:
+                d[[s, i]] = d[[i, s]]
+                u[[s, i]] = u[[i, s]]
+            if j != s:
+                d[:, [s, j]] = d[:, [j, s]]
+                v[:, [s, j]] = v[:, [j, s]]
+            p = d[s, s]
+            dirty = False
+            for i in range(s + 1, rows):
+                if d[i, s] != 0:
+                    q = d[i, s] // p
+                    d[i] = d[i] - q * d[s]
+                    u[i] = u[i] - q * u[s]
+                    if d[i, s] != 0:
+                        dirty = True
+            for j in range(s + 1, cols):
+                if d[s, j] != 0:
+                    q = d[s, j] // p
+                    d[:, j] = d[:, j] - q * d[:, s]
+                    v[:, j] = v[:, j] - q * v[:, s]
+                    if d[s, j] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            offender = None
+            for i in range(s + 1, rows):
+                for j in range(s + 1, cols):
+                    if d[i, j] % p != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            d[s] = d[s] + d[offender]
+            u[s] = u[s] + u[offender]
+        if d[s, s] < 0:
+            d[:, s] = -d[:, s]
+            v[:, s] = -v[:, s]
+    return [int(d[k, k]) for k in range(n)], u, v
+
+
+def symplectic_normal_form_reference(e):
+    """(delta, B) with B e B^T = [[0, diag(delta)], [-diag(delta), 0]]
+    for a nondegenerate alternating integer form e, by the library's
+    congruence moves on numpy object arrays; None if e is degenerate."""
+    a = _int_matrix(e)
+    n = a.shape[0]
+    if row_reduce_reference(a.tolist())[2] == 0:
+        return None
+    g = n // 2
+    m = a.copy()
+    b = np.eye(n, dtype=object)
+
+    def congr_swap(i, j):
+        m[[i, j]] = m[[j, i]]
+        m[:, [i, j]] = m[:, [j, i]]
+        b[[i, j]] = b[[j, i]]
+
+    def congr_add(t, src, c):
+        m[t] = m[t] + c * m[src]
+        m[:, t] = m[:, t] + c * m[:, src]
+        b[t] = b[t] + c * b[src]
+
+    def congr_neg(i):
+        m[i] = -m[i]
+        m[:, i] = -m[:, i]
+        b[i] = -b[i]
+
+    for s in range(0, n, 2):
+        while True:
+            best = None
+            for i in range(s, n):
+                for j in range(i + 1, n):
+                    if m[i, j] != 0 and (best is None
+                                         or abs(m[i, j]) < abs(m[best[0], best[1]])):
+                        best = (i, j)
+            i, j = best
+            if i != s:
+                congr_swap(s, i)
+                if j == s:
+                    j = i
+            if j != s + 1:
+                congr_swap(s + 1, j)
+            if m[s, s + 1] < 0:
+                congr_neg(s + 1)
+            p = m[s, s + 1]
+            dirty = False
+            for t in range(s + 2, n):
+                if m[s, t] != 0:
+                    q = m[s, t] // p
+                    congr_add(t, s + 1, -q)
+                    if m[s, t] != 0:
+                        dirty = True
+                if m[s + 1, t] != 0:
+                    q = m[s + 1, t] // p
+                    congr_add(t, s, q)
+                    if m[s + 1, t] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            offender = None
+            for i2 in range(s + 2, n):
+                for j2 in range(i2 + 1, n):
+                    if m[i2, j2] % p != 0:
+                        offender = i2
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            congr_add(s, offender, 1)
+
+    perm = [2 * k for k in range(g)] + [2 * k + 1 for k in range(g)]
+    p = np.zeros((n, n), dtype=object)
+    for new, old in enumerate(perm):
+        p[new, old] = 1
+    b = p @ b
+    m = p @ m @ p.T
+    return tuple(int(m[k, g + k]) for k in range(g)), b
+
+
+# ---------------------------------------------------------------------------
 # Delaunay via brute-force lower hull
 # ---------------------------------------------------------------------------
 

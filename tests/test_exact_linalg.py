@@ -14,13 +14,16 @@ from tropab.exact_linalg import (LatticeCoordinates, PolarizationType,
                                  frac_det, frac_inv, glxy_act,
                                  hermite_normal_form, independent_rows,
                                  kernel, lattice_membership,
-                                 polarization_type, rank, smith_normal_form,
+                                 polarization_type, rank, row_reduce,
+                                 smith_normal_form,
                                  standard_symplectic_form,
                                  symplectic_normal_form)
 
 from oracles import frac_det as cofactor_det
-from oracles import frac_solve
-from oracles import snf_diag_via_minor_gcds
+from oracles import (frac_solve, hermite_normal_form_reference,
+                     row_reduce_reference, smith_normal_form_reference,
+                     snf_diag_via_minor_gcds,
+                     symplectic_normal_form_reference)
 
 
 def _obj(m):
@@ -121,6 +124,19 @@ def test_symplectic_rejects_degenerate():
         symplectic_normal_form(z)
 
 
+def test_symplectic_rejects_degeneracy_found_after_the_first_block():
+    # B (J + 2J + 0) B^T for a unimodular B: rank 4, so the reduction
+    # splits off two blocks before it meets the all-zero one
+    e0 = np.zeros((6, 6), dtype=object)
+    e0[0, 1], e0[1, 0], e0[2, 3], e0[3, 2] = 1, -1, 2, -2
+    b = _obj([[1, 0, 0, 0, 0, 0], [2, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0],
+              [0, 0, 3, 1, 0, 0], [1, 0, 0, -1, 1, 0], [0, 2, 0, 0, 1, 1]])
+    e = b @ e0 @ b.T
+    assert e[0, 1] != 0 and rank(e.tolist()) == 4
+    with pytest.raises(Degenerate, match="^form is degenerate$"):
+        symplectic_normal_form(e)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(small_int, min_size=6, max_size=6))
 def test_symplectic_random_4x4(entries):
@@ -168,6 +184,11 @@ def test_polarization_type_divisibility_enforced():
 def test_polarization_type_rejects_singular_map():
     with pytest.raises(NotInjective):
         polarization_type(_obj([[1, 2], [2, 4]]))
+
+
+def test_polarization_type_rejects_singular_3x3():
+    with pytest.raises(NotInjective):
+        polarization_type(_obj([[1, 2, 3], [4, 5, 6], [7, 8, 9]]))
 
 
 # -- lattice membership -----------------------------------------------------
@@ -295,3 +316,97 @@ def test_lattice_coordinates_match_solve_oracle(case):
                for c in frac_solve(basis, shift))
     rest = frac_solve(basis, [x - t for x, t in zip(point, shift)])
     assert all(0 <= c < 1 for c in rest)
+
+
+# -- equality with the Fraction / object-array references --------------------
+
+def _typed(x):
+    """x with the type of every entry, and the shape and dtype of every
+    array, so that equal results are equal in type too."""
+    if isinstance(x, np.ndarray):
+        return ("array", x.shape, x.dtype, [_typed(v) for v in x.flat])
+    if isinstance(x, (list, tuple)):
+        return (type(x).__name__, [_typed(v) for v in x])
+    return (type(x).__name__, x)
+
+
+@st.composite
+def rational_systems(draw):
+    """Rational matrices up to 6 x 7, empty ones included; half of them
+    with one row a rational combination of the others, and ncols either
+    the default or at most the width."""
+    n = draw(st.integers(0, 6))
+    w = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(small_frac | small_int, min_size=w,
+                                  max_size=w), min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        coeffs = draw(st.lists(small_frac, min_size=n, max_size=n))
+        rows[i] = [sum((c * rows[k][j] for k, c in enumerate(coeffs)
+                        if k != i), Fraction(0)) for j in range(w)]
+    ncols = draw(st.none() | st.integers(0, w))
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_systems())
+def test_row_reduce_matches_fraction_reference(case):
+    rows, ncols = case
+    assert _typed(row_reduce(rows, ncols)) == \
+        _typed(row_reduce_reference(rows, ncols))
+
+
+@st.composite
+def int_matrices(draw):
+    """Integer matrices up to 4 x 4, square or not, a third of them with
+    a zero row or a repeated row."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(small_int, min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    kind = draw(st.integers(0, 2))
+    if kind == 1:
+        rows[0] = [0] * m
+    elif kind == 2 and n > 1:
+        rows[-1] = list(rows[0])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+def test_hermite_and_smith_match_object_array_references(m):
+    assert _typed(hermite_normal_form(_obj(m))) == \
+        _typed(hermite_normal_form_reference(m))
+    assert _typed(smith_normal_form(_obj(m))) == \
+        _typed(smith_normal_form_reference(m))
+    if len(m) == len(m[0]):
+        diag = smith_normal_form_reference(m)[0]
+        if 0 in diag:
+            with pytest.raises(NotInjective):
+                polarization_type(_obj(m))
+        else:
+            assert polarization_type(_obj(m)).diag == tuple(diag)
+
+
+@st.composite
+def alternating_forms(draw):
+    """Alternating integer forms of size 2, 4 or 6, a fifth of their
+    upper entries zero, so that degenerate forms occur."""
+    n = draw(st.sampled_from([2, 4, 6]))
+    e = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = draw(st.integers(-6, 6) | st.just(0))
+            e[i][j], e[j][i] = x, -x
+    return e
+
+
+@settings(max_examples=200, deadline=None)
+@given(alternating_forms())
+def test_symplectic_matches_object_array_reference(e):
+    want = symplectic_normal_form_reference(e)
+    if want is None:
+        with pytest.raises(Degenerate, match="^form is degenerate$"):
+            symplectic_normal_form(_obj(e))
+        return
+    dec = symplectic_normal_form(_obj(e))
+    assert _typed((dec.type.diag, dec.basis_change)) == _typed(want)

@@ -19,7 +19,8 @@ from tropab.theta_heisenberg import (CyclotomicInteger, DegenerationData,
                                      character_value_exp,
                                      cyclotomic_polynomial, degen_exponents,
                                      enumerate_balanced_set, heis_elements,
-                                     heis_mul, kw_decompose, mult_operator,
+                                     heis_mul, heis_pow, kw_decompose,
+                                     mult_operator,
                                      normalize_global_scalar,
                                      power_map_kernel_check,
                                      schrodinger_action,
@@ -105,6 +106,16 @@ def test_power_map_kernel():
 
 
 # -- Schroedinger representation --------------------------------------------
+
+@pytest.mark.parametrize("diag,m", [((2,), 4), ((1, 3), 6), ((2, 2), 4)])
+def test_heis_pow_matches_repeated_products(diag, m):
+    delta = PolarizationType(diag)
+    for g in heis_elements(delta, m):
+        acc = HeisenbergElement.identity(delta, m)
+        for n in range(2 * m + 1):
+            assert heis_pow(g, n, delta, m) == acc
+            acc = heis_mul(acc, g, delta, m)
+
 
 def test_representation_is_a_homomorphism():
     basis = [SchrodingerVector.delta_function(D3, M6, (k,))
