@@ -1,30 +1,27 @@
 """Delaunay decompositions of lattices under positive-definite rational
 quadratic forms, and membership in the closed second-Voronoi cones.
 
-The subdivision is computed as the regular subdivision of the lift
-x -> 1/2 Q(x): exact gift-wrapping of the lower hull over a finite
-window of lattice points, with cospherical cells kept whole.  The hull
-runs in Python integers: the sites are scaled by the common denominator
-D of the shift, the heights are x^T (L Q) x with L the common
-denominator of Q, and every supporting functional is kept as integer
-numerators over one positive denominator.  Positive scalings change
-neither the tight sets nor the order of the tilt ratios, so the facets
-are those of the rational lift; each accepted facet is mapped back to
-the rational sites once.
+The subdivision is Voronoi's closed form for rank r <= 3 (Conway and
+Sloane, Proc. R. Soc. A 436, 1992): every such lattice has an obtuse
+superbase v_0 ... v_r, found by Selling flips, and its Delaunay cells are
+the permutation simplices 0, v_s0, v_s0 + v_s1, ..., merged where a
+Selling parameter -v_i^T Q v_j is zero.  Each cell is certified by its
+circumellipsoid, enumerated exactly in integers: the cell is every
+lattice point on it, and no lattice point may lie inside.  The window
+does not enter the computation; it bounds the answer.
 
 A QuadraticForm keeps the pavings computed from it, one per (period
 basis, window, shift), for as long as the form lives: sigma_section and
 voronoi_cone_contains, called on the form a caller has just paved, get
 that paving back with the facets, walls and point locator it has
-cached, instead of running the hull again.  The form's matrix is
+cached, instead of computing it again.  The form's matrix is
 read-only, so a kept paving cannot go stale.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import floor, gcd, lcm, prod
-from operator import mul
+from itertools import combinations, permutations, product
+from math import floor, isqrt, lcm, prod
 from typing import List, Tuple
 
 import numpy as np
@@ -204,16 +201,16 @@ class PeriodicPaving:
 
         The point is reduced by a lattice vector t0 into the half-open
         fundamental parallelepiped P of the period basis B, then tested
-        against the closed translates cells[idx] + B k, k in [-2, 2]^r,
-        cell-major and then in box order; the first one containing it
+        against the closed translates cells[idx] + B k, cell-major and
+        then in lexicographic order of k; the first one containing it
         wins (shift = B k + t0), which fixes the tie-break for points on
         walls and vertices.  The translates come from a locator built
-        lazily once per paving: it keeps, in that order, only those whose
-        period-coordinate bounding box meets the closed P, each with its
-        facet inequalities as integer rows.  Every translate containing a
-        point of P is kept, so the first match is the one a full
-        cells x [-2, 2]^r scan finds.  The rows are tested in integers on
-        the reduced numerators.
+        lazily once per paving: it keeps, in that order, exactly those
+        whose period-coordinate bounding box meets the closed P, each
+        with its facet inequalities as integer rows.  Every translate
+        containing a point of P is kept, however long the cell, so the
+        first match is the one a scan over all k finds.  The rows are
+        tested in integers on the reduced numerators.
         """
         t0 = self.lattice.shift_cleared(num, den)
         local = tuple(x - den * t for x, t in zip(num, t0))
@@ -237,8 +234,7 @@ class PeriodicPaving:
             for row in self.lattice.inv_rows:
                 coords = [geom.dot(row, v) for v in cell.vertices]
                 lo, hi = min(coords), max(coords)
-                ks.append([k for k in range(-2, 3)
-                           if hi + k * den >= 0 and lo + k * den <= den])
+                ks.append(range(-(hi // den), (den - lo) // den + 1))
             for k in product(*ks):
                 bk = self.lattice.vector(k)
                 rows = []
@@ -264,13 +260,14 @@ class PeriodicPaving:
 
 
 # ---------------------------------------------------------------------------
-# regular subdivision of the lift x -> 1/2 Q(x)
+# Delaunay in closed form from an obtuse superbase
 # ---------------------------------------------------------------------------
 
 # The most lattice points the bounding box of a Delaunay window may hold.
-# Every tilt of the hull scans all sites, so the work grows with the
-# square of this count; rank 2 at window 16 visits 1089 points and rank 3
-# at window 8 visits 4913.
+# The closed form does not enumerate the window, but a paving carries its
+# window to the functions that do (legendre_transform, cone_cy_membership),
+# and every window the package accepts is bounded by this one rule; rank 2
+# at window 16 spans 1089 points and rank 3 at window 8 spans 4913.
 MAX_WINDOW_POINTS = 100_000
 
 
@@ -286,14 +283,21 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
                          shift=None) -> PeriodicPaving:
     """The Delaunay decomposition of Q, as a periodic paving.
 
-    Runs the exact lower-hull computation on the lattice points whose
-    period-basis coordinates lie in [-window, window]; cells touching
-    the window boundary are discarded, and completeness of the surviving
-    cell orbits is certified by exact volume accounting (WindowTooSmall
-    on the field ``window`` otherwise).  An optional rational ``shift``
-    moves the site set (used for cusp models on shifted lattices).  A
-    window whose bounding box holds more than MAX_WINDOW_POINTS lattice
-    points is refused with TooLarge before any site is enumerated.
+    Voronoi's closed form for rank r <= 3: the cells of an obtuse
+    superbase are its r! permutation simplices, merged where a Selling
+    parameter is zero, and each cell is every lattice point on the exact
+    circumellipsoid of one of them.  An optional rational ``shift``
+    moves the lattice (used for cusp models on shifted lattices); a
+    period lattice coarser than Z^r splits each orbit into its cosets.
+
+    The window does not change the answer; it is a bound the answer is
+    certified to respect: every cell orbit has a translate whose
+    vertices, less the shift, have period coordinates strictly inside
+    (-window, window).  Otherwise WindowTooSmall on the field ``window``
+    names the least window that holds every orbit.  A window whose
+    bounding box holds more than MAX_WINDOW_POINTS lattice points is
+    refused with TooLarge before anything is computed, and rank 4 or
+    more with TooLarge on the field ``q``.
 
     The paving is kept on q, keyed by (period basis, window, shift), and
     a later call with the same key returns that same object.  Refusals
@@ -305,6 +309,9 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
     if window < 2:
         raise WindowTooSmall("window must be >= 2", field="window")
     r = q.rank
+    if r > 3:
+        raise TooLarge("Delaunay is computed for rank <= 3, not %d" % r,
+                       field="q")
     pb = as_int_matrix(period_basis)
     shift = tuple(Fraction(x) for x in (shift or (0,) * r))
     key = (tuple(map(tuple, pb.tolist())), window, shift)
@@ -315,156 +322,130 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
     spans = [window * sum(abs(x) for x in row)
              for row in paving.lattice.basis]
     check_window_points(window, prod(2 * s + 1 for s in spans))
-    sites, boundary, scale = _window_sites(paving, window, spans, shift)
-    heights = _lift(q, sites)
 
-    covol = abs(frac_det(pb))
+    scale = lcm(*(x.denominator for x in q.matrix.flat))
+    m = [[int(x * scale) for x in row] for row in q.matrix]
+    h, _ = hermite_normal_form(pb.T)    # rows generate the period lattice
+    cosets = list(product(*(range(int(h[i, i])) for i in range(r))))
     reps = {}
-    total = Fraction(0)
-    for eq, _fn in _lower_hull(sites, heights, r):
-        if any(v in boundary for v in eq):
-            continue
-        if scale != 1:
-            eq = [tuple(Fraction(x, scale) for x in v) for v in eq]
-        cell = paving.canonical_cell(eq)
-        if cell.vertices in reps:
-            continue
-        reps[cell.vertices] = cell
-        total += cell.volume()
-        if total == covol:  # one full fundamental domain is accounted for
-            break
-    if total != covol:
+    for cell in _delaunay_cells(m):
+        for t in cosets:
+            c = paving.canonical_cell(geom.vadd(geom.vadd(v, t), shift)
+                                      for v in cell)
+            reps[c.vertices] = c
+    need = max(_least_window(paving.lattice,
+                             [geom.vsub(v, shift) for v in c.vertices])
+               for c in reps.values())
+    if need > window:
         raise WindowTooSmall(
-            "cell orbits cover volume %s of %s; enlarge the window"
-            % (total, covol), field="window")
+            "window %d holds no translate of some cell orbit; the least "
+            "window that holds every orbit is %d" % (window, need),
+            field="window")
     q._pavings[key] = PeriodicPaving(r, pb, list(reps.values()), window)
     return q._pavings[key]
 
 
-def _window_sites(paving, window, spans, shift):
-    """The sites for the lattice points p whose period coordinates lie
-    in [-window, window], visiting the box |p_i| <= spans[i] (first
-    coordinate of p varying fastest), in integer coordinates
-    X = D (p + shift) with D the least common denominator of the shift;
-    the set of those with a period coordinate at +-window; and D."""
-    lat = paving.lattice
-    bound = window * lat.den
-    num, scale = LatticeCoordinates.clear_denominators(shift)
-    sites, boundary = [], set()
-    for p in product(*(range(-s, s + 1) for s in reversed(spans))):
-        p = p[::-1]
-        coords = [abs(geom.dot(row, p)) for row in lat.inv_rows]
-        if max(coords) <= bound:
-            x = tuple(scale * a + b for a, b in zip(p, num))
-            sites.append(x)
-            if bound in coords:
-                boundary.add(x)
-    return sites, boundary, scale
+def _delaunay_cells(m):
+    """One vertex list per Z^r-orbit of Delaunay cells of the integer
+    form m, r <= 3, some orbits listed more than once.
 
-
-def _lift(q, sites):
-    """The integer heights x^T (L Q) x of integer sites, L the least
-    common denominator of Q's entries."""
-    scale = lcm(*(x.denominator for x in q.matrix.flat))
-    lq = [[int(x * scale) for x in row] for row in q.matrix]
-    return [geom.bilinear(lq, x, x) for x in sites]
-
-
-def _lower_hull(sites, heights, r):
-    """Lower-hull facets of the lifted integer sites (x, heights[i]), by
-    exact gift-wrapping in integers.
-
-    Yields each facet as the frozenset of sites lying on its supporting
-    affine functional (the equality set), together with that functional
-    as (A, B, den): den > 0, gcd 1, and den * slack(x) = den * h(x) -
-    <A, x> - B >= 0 for every site, zero exactly on the facet.  Facets
-    come depth-first from an initial facet (the newest facet found is
-    expanded next), so that callers can stop once they have seen enough.
+    In the basis v_0 ... v_{r-1} of an obtuse superbase the permutation
+    simplices are 0, e_s0, e_s0 + e_s1, ..., one per order s of 0 ... r-1
+    (orders that end in v_r give translates of these).  With G the Gram
+    matrix of that basis, a simplex's circumcentre is C / d by Cramer's
+    rule, its squared radius is R = G(C), and its cell is every y in the
+    box around C / d with G(d y - C) = R.  A point with G(d y - C) < R
+    would contradict Voronoi's theorem; it raises InvalidPaving.
     """
-    # ---- initial facet: start from the global minimum and tilt up ----
-    m = min(heights)
-    fn = ((0,) * r, m, 1)
-    tight = [x for x, h in zip(sites, heights) if h == m]
-    units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    while geom.affine_dim(tight) < r:
-        # a direction orthogonal to the affine span of the tight sites:
-        # the one that is zero past the least coordinate t it can be
-        # nonzero at, and positive at t (a positive multiple of the
-        # first kernel vector of their difference rows).  It is the
-        # normal of the tight sites with tight[0] + e_j, j > t, added.
-        for t in range(r):
-            u = geom.normal_through(
-                tight + [geom.vadd(tight[0], e) for e in units[t + 1:]])
-            if u is not None:
-                break
-        if u[t] < 0:
-            u = tuple(-x for x in u)
-        c = geom.dot(u, tight[0])
-        fn2, tight2 = _tilt(fn, u, c, sites, heights)
-        if fn2 is None:  # no site on the positive side; tilt the other way
-            u, c = tuple(-x for x in u), -c
-            fn2, tight2 = _tilt(fn, u, c, sites, heights)
-            assert fn2 is not None, "sites do not affinely span"
-        fn, tight = fn2, tight2
-    start = frozenset(tight)
-    facet_fn = {start: fn}
-    yield start, fn
-
-    # ---- depth-first over ridges -------------------------------------
-    queue = [start]
-    done_ridges = set()
-    while queue:
-        eq = queue.pop()
-        fn = facet_fn[eq]
-        verts = sorted(eq)
-        for ridge, n, c in geom.polytope_facets(verts):
-            rkey = (frozenset(ridge), frozenset(eq))
-            if rkey in done_ridges:
-                continue
-            done_ridges.add(rkey)
-            # rotate about the ridge away from the facet, which lies on
-            # the side <n, x> <= c of the outward ridge normal
-            fn2, tight2 = _tilt(fn, n, c, sites, heights)
-            if fn2 is None:
-                continue  # hull boundary within the window
-            new_eq = frozenset(tight2)
-            if new_eq not in facet_fn:
-                facet_fn[new_eq] = fn2
-                queue.append(new_eq)
-                yield new_eq, fn2
+    r = len(m)
+    basis = _obtuse_superbase(m)[:r]
+    gram = [[geom.bilinear(m, a, b) for b in basis] for a in basis]
+    det = geom._det(gram)
+    # adj(G)_ii: G(z) <= R has |z_i| <= sqrt(R adj(G)_ii / det G)
+    widths = [geom._det([row[:i] + row[i + 1:]
+                         for k, row in enumerate(gram) if k != i])
+              for i in range(r)]
+    cells = []
+    for order in permutations(range(r)):
+        simplex = [tuple(int(i in order[:k]) for i in range(r))
+                   for k in range(r + 1)]
+        a = [[2 * geom.dot(p, col) for col in gram] for p in simplex[1:]]
+        b = [geom.bilinear(gram, p, p) for p in simplex[1:]]
+        d = geom._det(a)
+        centre = [geom._det([row[:i] + [x] + row[i + 1:]
+                             for row, x in zip(a, b)]) for i in range(r)]
+        if d < 0:
+            d, centre = -d, [-x for x in centre]
+        radius = geom.bilinear(gram, centre, centre)
+        box = []
+        for c, w in zip(centre, widths):
+            half = isqrt(radius * w // det) + 1
+            box.append(range(-((half - c) // d), (c + half) // d + 1))
+        cell = []
+        for y in product(*box):
+            z = [d * x - c for x, c in zip(y, centre)]
+            dist = geom.bilinear(gram, z, z)
+            if dist < radius:
+                raise InvalidPaving(
+                    "lattice point %r lies inside the circumellipsoid of "
+                    "the simplex %r" % (y, simplex))
+            if dist == radius:
+                cell.append(tuple(geom.dot(y, col) for col in zip(*basis)))
+        cells.append(cell)
+    return cells
 
 
-def _tilt(fn, u, c0, sites, heights):
-    """Rotate the lower functional fn = (A, B, den) about the set
-    <u, x> = c0 (u, c0 integers), raising it on the side <u, x> > c0 by
-    the least ratio t = slack(x) / d(x), d(x) = <u, x> - c0 > 0, until
-    it meets a site there.  Returns the new functional and its tight
-    sites, or (None, None) if no site lies on that side.
+def _obtuse_superbase(m):
+    """v_0 ... v_r with sum 0, any r of them a basis of Z^r, and every
+    v_i^T m v_j <= 0 (i != j), for the integer form m, r <= 3.
 
-    For the minimising (den * slack, d) = (bs, bd), den' slack' is
-    proportional to bd * den * slack - bs * d, so the tight sites are
-    the minimisers, the sites with d = 0 and slack 0, and, when bs = 0,
-    those with d < 0 and slack 0 (all slacks are >= 0)."""
-    a, b, den = fn
-    bs = bd = None
-    best, flat, below = [], [], []
-    for x, h in zip(sites, heights):
-        d = sum(map(mul, u, x)) - c0
-        s = den * h - sum(map(mul, a, x)) - b
-        if d > 0:
-            if bs is None or s * bd < bs * d:
-                bs, bd, best = s, d, [x]
-            elif s * bd == bs * d:
-                best.append(x)
-        elif s == 0:
-            (flat if d == 0 else below).append(x)
-    if bs is None:
-        return None, None
-    a2 = tuple(bd * ai + bs * ui for ai, ui in zip(a, u))
-    b2, den2 = bd * b - bs * c0, bd * den
-    g = gcd(*a2, b2, den2)
-    fn2 = (tuple(x // g for x in a2), b2 // g, den2 // g)
-    return fn2, best + flat + (below if bs == 0 else [])
+    The basis is first size-reduced pairwise, so that a skewed form does
+    not take one Selling flip per unit of skew (a shear by k would take k).
+    Then, from v_0 ... v_{r-1} and v_r = -sum, Selling flips: while some
+    v_i^T m v_j > 0, negate v_i and, for r = 3, add the old v_i to the
+    other two; for r = 2, the third becomes v_i - v_j.  Each flip lowers
+    sum v_i^T m v_i by a positive integer, so the loop ends.
+    """
+    r = len(m)
+    vs = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    changed = True
+    while changed:
+        changed = False
+        for i, j in permutations(range(r), 2):
+            n = geom.bilinear(m, vs[i], vs[j])
+            nn = geom.bilinear(m, vs[j], vs[j])
+            if 2 * abs(n) > nn:     # then m(v_i - k v_j) < m(v_i)
+                k = (2 * n + nn) // (2 * nn)    # the integer nearest n / nn
+                vs[i] = geom.vsub(vs[i], geom.scale(vs[j], k))
+                changed = True
+    vs.append(tuple(-sum(col) for col in zip(*vs)))
+    while True:
+        pair = next(((i, j) for i, j in combinations(range(r + 1), 2)
+                     if geom.bilinear(m, vs[i], vs[j]) > 0), None)
+        if pair is None:
+            return vs
+        i, j = pair
+        others = [k for k in range(r + 1) if k not in pair]
+        if r == 2:
+            vs[others[0]] = geom.vsub(vs[i], vs[j])
+        else:
+            for k in others:
+                vs[k] = geom.vadd(vs[k], vs[i])
+        vs[i] = tuple(-x for x in vs[i])
+
+
+def _least_window(lattice, points):
+    """The least window w such that some lattice translate of the integer
+    points has every period coordinate strictly inside (-w, w)."""
+    den = lattice.den
+    need = 0
+    for row in lattice.inv_rows:
+        coords = [geom.dot(row, p) for p in points]
+        lo, hi = min(coords), max(coords)
+        k = -(lo + hi) // (2 * den)     # the best translate is k or k + 1
+        need = max(need, min(max(-lo - j * den, hi + j * den) // den + 1
+                             for j in (k, k + 1)))
+    return need
 
 
 # ---------------------------------------------------------------------------

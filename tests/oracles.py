@@ -512,13 +512,92 @@ def q_dist(qmat, x, c):
                for i in range(r) for j in range(r))
 
 
+def empty_sphere_delaunay_cells(qmat):
+    """The Delaunay cells of Z^r under the positive definite form qmat,
+    by empty circumellipsoids: one sorted vertex tuple per orbit of
+    translations, with its least vertex at 0.
+
+    Every cell with vertex 0 has r independent edges at 0, and an edge
+    0 v of the Delaunay paving is dual to a facet of the Voronoi cell of
+    0, so v is Voronoi-relevant: +-v are the only shortest vectors of
+    v + 2 Z^r.  Since v / 2 lies in that Voronoi cell, Q(v) is at most
+    four times the squared covering radius, which nearest-plane rounding
+    bounds by the sum of the squared Gram-Schmidt lengths D_i / D_(i-1)
+    of the standard basis (D_i the leading principal minors); a box scan
+    finds every such v.  Each independent r-set of relevant vectors spans
+    a simplex with vertex 0; when no lattice point lies strictly inside
+    its circumellipsoid (an exact box scan), the lattice points on it are
+    a cell.  The volumes of the cells must sum to 1, or AssertionError.
+    """
+    from tropab._geometry import polytope_volume
+
+    r = len(qmat)
+    scale = math.lcm(*(Fraction(x).denominator for row in qmat for x in row))
+    q = [[int(Fraction(x) * scale) for x in row] for row in qmat]
+    inv_diag = [frac_solve(q, [int(i == j) for j in range(r)])[i]
+                for i in range(r)]
+    minors = [1] + [frac_det([row[:k] for row in q[:k]])
+                    for k in range(1, r + 1)]
+    bound = sum(minors[k] / minors[k - 1] for k in range(1, r + 1))
+
+    def qint(x):
+        return sum(q[i][j] * x[i] * x[j] for i in range(r) for j in range(r))
+
+    def ball(centre, radius):
+        """(x, Q(x - centre)) for the lattice points x of the box around
+        the ellipsoid Q(x - centre) <= radius."""
+        den = math.lcm(*(c.denominator for c in centre))
+        num = [int(c * den) for c in centre]
+        ranges = []
+        for c, w in zip(centre, inv_diag):
+            b = math.isqrt(math.floor(radius * w)) + 1
+            ranges.append(range(math.floor(c - b), math.ceil(c + b) + 1))
+        for x in product(*ranges):
+            yield x, Fraction(qint([den * a - b for a, b in zip(x, num)]),
+                              den * den)
+
+    zero = (Fraction(0),) * r
+    short = [x for x, d in ball(zero, bound) if any(x) and d <= bound]
+    relevant = []
+    for v in short:
+        coset = [w for w in short
+                 if all((a - b) % 2 == 0 for a, b in zip(v, w))]
+        least = min(qint(w) for w in coset)
+        if sorted(w for w in coset if qint(w) == least) == \
+                sorted([v, tuple(-x for x in v)]):
+            relevant.append(v)
+    cells, centres = set(), set()
+    for sub in combinations(relevant, r):
+        if frac_det([list(v) for v in sub]) == 0:
+            continue
+        centre = tuple(circumcenter([zero] + list(sub), q))
+        if centre in centres:
+            continue
+        centres.add(centre)
+        radius = _qval(q, centre)
+        on = []
+        for x, d in ball(centre, radius):
+            if d < radius:
+                break
+            if d == radius:
+                on.append(x)
+        else:
+            low = min(on)
+            cells.add(tuple(sorted(tuple(a - b for a, b in zip(x, low))
+                                   for x in on)))
+    assert sum(polytope_volume(c) for c in cells) == 1, cells
+    return cells
+
+
 def locate_by_scan(cells, period_basis, point):
     """(cell index, shift) with point in cells[idx] + shift, or None.
 
     Reduces the point into the half-open fundamental parallelepiped by a
     lattice vector t0, then scans cell by cell and, within a cell, the
-    shifts B k + t0 for k in [-2, 2]^r in lexicographic order (B the
-    period basis); the first closed translate containing the point wins.
+    shifts B k + t0 for k in [-K, K]^r in lexicographic order (B the
+    period basis, K one more than the largest absolute period coordinate
+    of the cell's vertices, so every translate meeting the parallelepiped
+    is scanned); the first closed translate containing the point wins.
     Containment is tested against the supporting hyperplanes of the
     vertex hull, found from every r-subset of vertices by cofactors.
     """
@@ -530,7 +609,10 @@ def locate_by_scan(cells, period_basis, point):
           for i in range(r)]
     hulls = [_halfspaces(verts) for verts in cells]
     for idx, halfspaces in enumerate(hulls):
-        for k in product(range(-2, 3), repeat=r):
+        big = max(abs(c) for v in cells[idx]
+                  for c in frac_solve(period_basis, v))
+        span = math.ceil(big) + 1
+        for k in product(range(-span, span + 1), repeat=r):
             shift = tuple(t0[i] + sum(period_basis[i][j] * k[j]
                                       for j in range(r)) for i in range(r))
             local = [p - s for p, s in zip(pt, shift)]

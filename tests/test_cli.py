@@ -111,10 +111,10 @@ def test_delaunay_hexagonal():
 
 
 def test_delaunay_refuses_a_huge_window_before_enumerating(monkeypatch):
-    def enumerate_sites(*args):
-        raise AssertionError("the window's sites were enumerated")
+    def superbase(*args):
+        raise AssertionError("the closed form started")
 
-    monkeypatch.setattr(quadform_delaunay, "_window_sites", enumerate_sites)
+    monkeypatch.setattr(quadform_delaunay, "_obtuse_superbase", superbase)
     code, out, _ = run("delaunay", HEX_Q, args=("--window", "1000000000"))
     assert code == 1
     got = json.loads(out)
@@ -125,12 +125,22 @@ def test_delaunay_refuses_a_huge_window_before_enumerating(monkeypatch):
 @pytest.mark.parametrize("doc, args, want", [
     ({"q": [[1, 2], [2, 1]]}, (), ("NotPositiveDefinite", "q")),
     ({"q": [[1, 3], [3, 10]]}, ("--window", "2"), ("WindowTooSmall", "window")),
-], ids=["indefinite", "window"])
+    ({"q": [[14, -25], [-25, 45]]}, (), ("WindowTooSmall", "window")),
+    ({"q": [[int(i == j) for j in range(4)] for i in range(4)]}, (),
+     ("TooLarge", "q")),
+], ids=["indefinite", "window", "sheared", "rank4"])
 def test_delaunay_refusals_name_their_field(doc, args, want):
     code, out, _ = run("delaunay", doc, args=args)
     assert code == 1
     got = json.loads(out)
     assert (got["code"], got["field"]) == want
+
+
+def test_delaunay_sheared_form_at_window_5():
+    got = run_json("delaunay", {"q": [[14, -25], [-25, 45]]},
+                   args=("--window", "5"))
+    assert got["cells"] == [[[0, 0], [2, 1], [5, 3], [7, 4]]]
+    assert got["window"] == 5
 
 
 def test_delaunay_roundtrips_into_voronoi_cone():

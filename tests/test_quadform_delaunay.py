@@ -2,28 +2,28 @@
 empty-sphere certificate, and second-Voronoi cone membership."""
 
 from fractions import Fraction
-from itertools import islice, zip_longest
-from math import gcd, lcm
+from itertools import combinations, islice, product
+from math import ceil, floor, isqrt
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropab import quadform_delaunay
 from tropab.errors import (InvalidPaving, NotPositiveDefinite, TooLarge,
                            WindowTooSmall)
-from tropab.exact_linalg import glxy_act
+from tropab.exact_linalg import frac_det, glxy_act
 from tropab.pavings_pwl import sigma_section
 from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
-                                      QuadraticForm, _lift, _lower_hull,
-                                      _window_sites, delaunay_subdivision,
+                                      QuadraticForm, delaunay_subdivision,
                                       empty_sphere_check,
                                       voronoi_cone_contains)
 
 from oracles import (brute_force_delaunay_cells, circumcenter,
-                     locate_by_scan, lower_hull_reference, q_dist)
+                     empty_sphere_delaunay_cells, frac_solve, locate_by_scan,
+                     lower_hull_reference, q_dist)
 
 
 def _obj(m):
@@ -74,10 +74,10 @@ def test_the_callers_paving_is_reused(monkeypatch):
     q = QuadraticForm(_obj([[2, 1], [1, 2]]))
     pav = delaunay_subdivision(q, I2, 4)
 
-    def hull(*args):
-        raise AssertionError("the lower hull ran again")
+    def superbase(*args):
+        raise AssertionError("the closed form ran again")
 
-    monkeypatch.setattr(quadform_delaunay, "_lower_hull", hull)
+    monkeypatch.setattr(quadform_delaunay, "_obtuse_superbase", superbase)
     assert sigma_section(q, I2, 4).paving is pav
     assert delaunay_subdivision(q, _obj([[1, 0], [0, 1]]), 4,
                                 shift=(0, 0)) is pav
@@ -187,32 +187,68 @@ def test_rational_form_paves_like_its_integer_multiple():
         delaunay_subdivision(A2, I2, 4)
 
 
-# -- the integer hull vs the Fraction reference -----------------------------
+# -- the closed form vs the windowed lower-hull reference --------------------
 
 def _hull_matches_reference(qm, pb, window, shift=None, limit=None):
-    """The integer hull and lower_hull_reference over the same window
-    yield the same facets, and functionals that agree up to the factor
-    k = 2 L D^2 (L, D the common denominators of Q and the shift)."""
+    """Every facet of lower_hull_reference over the window (the lattice
+    points with period coordinates in [-window, window], moved by the
+    shift) whose circumellipsoid has its bounding box inside the window
+    is a cell of the closed form: every lattice point that could lie on
+    or inside that ellipsoid is a site, so the facet is a Delaunay cell.
+    The window is first widened until a translate of every closed-form
+    cell's box fits.  The closed form's cells cover the covolume of the
+    periods and, when the hull is walked to the end, every one of them
+    is such a facet."""
     q = QuadraticForm(_obj(qm))
     r = q.rank
     shift = tuple(Fraction(x) for x in (shift or (0,) * r))
-    paving = PeriodicPaving(r, _obj(pb), [], window)
-    spans = [window * sum(abs(x) for x in row)
-             for row in paving.lattice.basis]
-    sites, _, scale = _window_sites(paving, window, spans, shift)
-    rational = {x: tuple(Fraction(c, scale) for c in x) for x in sites}
-    ref = lower_hull_reference(
-        list(rational.values()),
-        {s: q.value(s) / 2 for s in rational.values()}, r)
-    k = 2 * lcm(*(x.denominator for x in q.matrix.flat)) * scale ** 2
-    pairs = zip_longest(islice(_lower_hull(sites, _lift(q, sites), r), limit),
-                        islice(ref, limit))
-    for got, want in pairs:
-        (eq, (a, b, den)), (ref_eq, (ref_a, ref_b)) = got, want
-        assert {rational[x] for x in eq} == ref_eq
-        assert den > 0 and gcd(*a, b, den) == 1
-        assert ref_a == tuple(Fraction(x * scale, den * k) for x in a)
-        assert ref_b == Fraction(b, den * k)
+    pav = delaunay_subdivision(q, _obj(pb), 16 if r < 3 else 8, shift)
+    lat = pav.lattice
+    inv_diag = [frac_solve(qm, [int(i == j) for j in range(r)])[i]
+                for i in range(r)]
+
+    def box(verts):
+        """Period coordinates of the corners of the least box of lattice
+        points p with p + shift around the circumellipsoid of verts."""
+        verts = sorted(verts)
+        centre = next(c for sub in combinations(verts, r + 1)
+                      if (c := circumcenter(sub, qm)) is not None)
+        radius = q_dist(qm, verts[0], centre)
+        ranges = []
+        for c, s, w in zip(centre, shift, inv_diag):
+            c, t = c - s, radius * w    # (p - c)^2 <= t on the ellipsoid
+            lo = floor(c) - isqrt(floor(t)) - 1
+            hi = ceil(c) + isqrt(floor(t)) + 1
+            while (c - lo) ** 2 > t:
+                lo += 1
+            while (hi - c) ** 2 > t:
+                hi -= 1
+            ranges.append((lo, hi))
+        return [lat.coordinates(p) for p in product(*ranges)]
+
+    def fits(corners, w):
+        """Does some lattice translate of the corners lie in [-w, w]^r?"""
+        return all(floor(w - max(cs)) >= ceil(-w - min(cs))
+                   for cs in zip(*corners))
+
+    boxes = [box(c.vertices) for c in pav.cells]
+    while not all(fits(b, window) for b in boxes):
+        window += 1
+    spans = [window * sum(abs(x) for x in row) for row in lat.basis]
+    sites = [tuple(a + b for a, b in zip(p, shift))
+             for p in product(*(range(-s, s + 1) for s in spans))
+             if max(abs(c) for c in lat.coordinates(p)) <= window]
+    cells = {c.vertices for c in pav.cells}
+    seen = set()
+    ref = lower_hull_reference(sites, {x: q.value(x) / 2 for x in sites}, r)
+    for eq, _ in islice(ref, limit):
+        if all(abs(x) <= window for p in box(eq) for x in p):
+            cell = pav.canonical_cell(eq).vertices
+            assert cell in cells, cell
+            seen.add(cell)
+    assert sum(c.volume() for c in pav.cells) == abs(frac_det(_obj(pb)))
+    if limit is None:
+        assert seen == cells
 
 
 @settings(max_examples=10, deadline=None)
@@ -238,6 +274,79 @@ def test_integer_hull_matches_reference_on_sheared_forms(q, k, transpose):
         "rational-shifted"])
 def test_integer_hull_matches_reference(qm, pb, window, shift, limit):
     _hull_matches_reference(qm, pb, window, shift, limit)
+
+
+# -- the closed form on skewed and rank-3 forms -----------------------------
+
+SHEARED = [[14, -25], [-25, 45]]
+PARALLELOGRAM = ((0, 0), (2, 1), (5, 3), (7, 4))
+
+
+def test_sheared_form_gives_the_parallelogram():
+    pav = delaunay_subdivision(QuadraticForm(_obj(SHEARED)), I2, 5)
+    assert [c.vertices for c in pav.cells] == [PARALLELOGRAM]
+
+
+@pytest.mark.parametrize("qm, least", [(SHEARED, 5), ([[1, 3], [3, 10]], 3)],
+                         ids=["sheared", "skew"])
+def test_window_too_small_names_the_least_window(qm, least):
+    q = QuadraticForm(_obj(qm))
+    with pytest.raises(WindowTooSmall) as err:
+        delaunay_subdivision(q, I2, least - 1)
+    assert err.value.field == "window"
+    assert str(err.value).endswith(
+        "the least window that holds every orbit is %d" % least)
+    assert delaunay_subdivision(q, I2, least).window == least
+
+
+def test_rank_four_is_refused():
+    i4 = np.eye(4, dtype=object)
+    with pytest.raises(TooLarge) as err:
+        delaunay_subdivision(QuadraticForm(i4), i4, 2)
+    assert err.value.field == "q"
+
+
+def reduced_pd3_forms():
+    """Reduced positive definite 3x3 forms, |q_ij| <= q_ii / 2."""
+    def build(t):
+        d, off = t[:3], t[3:]
+        q = [[d[i] if i == j else 0 for j in range(3)] for i in range(3)]
+        for (i, j), x in zip(((0, 1), (0, 2), (1, 2)), off):
+            lim = min(d[i], d[j]) // 2
+            q[i][j] = q[j][i] = max(-lim, min(lim, x))
+        return q
+    return st.tuples(*[st.integers(2, 8)] * 3,
+                     *[st.integers(-4, 4)] * 3).map(build).filter(
+        lambda q: frac_det(_obj(q)) > 0)
+
+
+def elementary_shears3():
+    """Products of up to two elementary matrices I + k E_ij, |k| <= 2."""
+    def build(steps):
+        u = [[int(i == j) for j in range(3)] for i in range(3)]
+        for i, j, k in steps:
+            if i != j:
+                u = [[u[a][b] + k * (a == i) * u[j][b] for b in range(3)]
+                     for a in range(3)]
+        return u
+    return st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                              st.integers(-2, 2)), max_size=2).map(build)
+
+
+@settings(max_examples=10, deadline=None)
+@given(reduced_pd3_forms(), elementary_shears3())
+@example([[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+         [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+@example([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[1, 2, 0], [0, 1, 1], [0, 0, 1]])
+def test_closed_form_matches_empty_sphere_oracle_in_rank_3(qm, u):
+    """On u^T Q u, the closed form's cells are the cells of empty
+    circumellipsoids found from the Voronoi-relevant vectors."""
+    sheared = (_obj(u).T @ _obj(qm) @ _obj(u)).tolist()
+    i3 = np.eye(3, dtype=object)
+    pav = delaunay_subdivision(QuadraticForm(_obj(sheared)), i3, 20)
+    assert {c.vertices for c in pav.cells} == \
+        {pav.canonical_cell(c).vertices
+         for c in empty_sphere_delaunay_cells(sheared)}
 
 
 # -- Delaunay vs the exhaustive lower-hull oracle ---------------------------
@@ -377,28 +486,12 @@ def test_own_cone_membership_random(q):
 
 @settings(max_examples=10, deadline=None)
 @given(pd2_forms(), st.integers(-2, 2))
+@example(QuadraticForm(_obj([[2, -3], [-3, 5]])), 2)
+@example(QuadraticForm(_obj([[5, -2], [-2, 1]])), 2)
 def test_delaunay_gl_equivariance(q, k):
     """Delaunay((u^T)^{-1} Q u^{-1}) = u . Delaunay(Q)."""
     u = _obj([[1, k], [0, 1]])
     q2 = QuadraticForm(glxy_act(u, q.matrix, I2))
-    pav = delaunay_subdivision(q, I2, 6)
-    pav2 = delaunay_subdivision(q2, I2, 6)
-    mapped = {pav2.canonical_cell(
-        [tuple(int((u @ _obj([[x] for x in v]))[i, 0]) for i in range(2))
-         for v in c.vertices]).vertices for c in pav.cells}
-    assert mapped == {c.vertices for c in pav2.cells}
-
-
-@pytest.mark.xfail(strict=True, raises=WindowTooSmall,
-                   reason="overlapping cell orbits: the window-6 hull of "
-                   "[[2,-7],[-7,25]] covers volume 2 of 1")
-def test_delaunay_gl_equivariance_on_a_shear_by_two():
-    """The draw q = [[2,-3],[-3,5]], k = 2 of the property above, whose
-    sheared form is [[2,-7],[-7,25]]."""
-    q = QuadraticForm(_obj([[2, -3], [-3, 5]]))
-    u = _obj([[1, 2], [0, 1]])
-    q2 = QuadraticForm(glxy_act(u, q.matrix, I2))
-    assert q2.matrix.tolist() == [[2, -7], [-7, 25]]
     pav = delaunay_subdivision(q, I2, 6)
     pav2 = delaunay_subdivision(q2, I2, 6)
     mapped = {pav2.canonical_cell(
@@ -459,6 +552,15 @@ def test_find_containing_cell_matches_reference_scan(q, pb, window):
     for pt in _location_probes(pav, random.Random(7)):
         assert pav.find_containing_cell(pt) == \
             locate_by_scan(cells, pb, pt), pt
+
+
+def test_find_containing_cell_reaches_long_cells():
+    """The parallelogram of SHEARED needs translates far outside
+    [-2, 2]^2 to cover the unit square."""
+    pav = PeriodicPaving(2, I2, [LatticePolytope(PARALLELOGRAM)], 5)
+    for pt in _location_probes(pav, random.Random(11)):
+        assert pav.find_containing_cell(pt) == \
+            locate_by_scan([PARALLELOGRAM], [[1, 0], [0, 1]], pt), pt
 
 
 def test_find_containing_cell_refuses_uncovered_point():
