@@ -31,16 +31,16 @@ def as_int_matrix(m) -> np.ndarray:
     a = np.array(m, dtype=object)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    out = np.empty(a.shape, dtype=object)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            x = a[i, j]
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError("non-integer entry %r" % (x,))
-                x = x.numerator
-            out[i, j] = int(x)
-    return out
+    return _object_matrix([[_as_int(x) for x in row] for row in a.tolist()],
+                          a.shape[1])
+
+
+def _as_int(x):
+    if isinstance(x, Fraction):
+        if x.denominator != 1:
+            raise ValueError("non-integer entry %r" % (x,))
+        return x.numerator
+    return int(x)
 
 
 def as_frac_matrix(m) -> np.ndarray:
@@ -487,9 +487,8 @@ def standard_symplectic_form(delta: PolarizationType) -> np.ndarray:
 
 def polarization_type(phi) -> PolarizationType:
     """Type of an injective lattice map: the SNF diagonal of its matrix."""
-    a = as_int_matrix(phi)
-    diag = smith_normal_form(a)[0]
-    if a.shape[0] != a.shape[1] or 0 in diag:
+    diag, u, v = smith_normal_form(phi)
+    if u.shape != v.shape or 0 in diag:
         raise NotInjective("polarization matrix must be square and injective")
     return PolarizationType(tuple(diag))
 

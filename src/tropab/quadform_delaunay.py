@@ -10,18 +10,14 @@ circumellipsoid, enumerated exactly in integers: the cell is every
 lattice point on it, and no lattice point may lie inside.  The window
 does not enter the computation; it bounds the answer.
 
-A QuadraticForm keeps the pavings computed from it, one per (period
-basis, window, shift), for as long as the form lives: sigma_section and
-voronoi_cone_contains, called on the form a caller has just paved, get
-that paving back with the facets, walls and point locator it has
-cached, instead of computing it again.  The form's matrix is
-read-only, so a kept paving cannot go stale.
+A QuadraticForm keeps its pavings, one per (period basis, window, shift),
+and a paving its facets, walls, point locator and second-Voronoi cone.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import floor, isqrt, lcm, prod
+from math import ceil, floor, isqrt, lcm, prod
 from typing import List, Tuple
 
 import numpy as np
@@ -30,10 +26,9 @@ from . import _geometry as geom
 from .errors import (InvalidPaving, NotPositiveDefinite, TooLarge,
                      WindowTooSmall)
 from .exact_linalg import (LatticeCoordinates, as_frac_matrix, as_int_matrix,
-                           frac_det, hermite_normal_form, independent_rows,
-                           is_positive_definite, is_positive_semidefinite,
-                           is_symmetric, kernel, row_reduce,
-                           saturated_quotient)
+                           clear_denominators, frac_det, hermite_normal_form,
+                           independent_rows, is_positive_definite,
+                           is_symmetric, row_reduce)
 
 
 @dataclass(frozen=True)
@@ -98,10 +93,6 @@ class LatticePolytope:
             raise ValueError("duplicate vertices in cell %r" % (vs,))
         object.__setattr__(self, "vertices", vs)
 
-    @property
-    def dim(self) -> int:
-        return geom.affine_dim(self.vertices)
-
     def translated(self, t) -> "LatticePolytope":
         return LatticePolytope(tuple(geom.vadd(v, t) for v in self.vertices))
 
@@ -135,6 +126,7 @@ class PeriodicPaving:
         self._facet_cache = {}
         self._wall_cache = None
         self._locator = None
+        self._cone = None
 
     # -- canonical translates -------------------------------------------
 
@@ -508,64 +500,72 @@ def _equidistant_center(verts, q):
 
 
 # ---------------------------------------------------------------------------
-# second Voronoi cone membership
+# second Voronoi cones as linear rows in Q
 # ---------------------------------------------------------------------------
 
+def secondary_cone(paving: PeriodicPaving):
+    """The closed cone C(paving) as (equalities, inequalities), sorted
+    primitive integer rows e with <e, q> = 0 or >= 0 on the entries
+    q_ij, i <= j, of Q(x) = sum q_ii x_i^2 + 2 sum_{i<j} q_ij x_i x_j:
+    the interpolation of Q is affine on each cell (an equality per vertex
+    off its affine base), bends non-negatively across each wall orbit
+    (an inequality at a far vertex of one cell) and is <= Q at each point
+    of b_0 + Z^r in a cell that is not a vertex, b_0 its first vertex
+    (Alexeev, Annals 155, 2002).  The rows are kept on the paving."""
+    if paving._cone is not None:
+        return paving._cone
+    excess = [_excess_row(c.vertices, paving.rank) for c in paving.cells]
+    equalities, inequalities = set(), set()
+    for idx, (cell, row) in enumerate(zip(paving.cells, excess)):
+        equalities.update(geom.primitive(e) for e in map(row, cell.vertices)
+                          if any(e))    # zero just on the affine base
+        b0, facets = cell.vertices[0], paving.cell_facets(idx)
+        box = [range(ceil(min(xs) - x0), floor(max(xs) - x0) + 1)
+               for xs, x0 in zip(zip(*cell.vertices), b0)]
+        for p in (geom.vadd(x, b0) for x in product(*box)):
+            if p not in cell.vertices and geom.point_in_polytope(p, facets):
+                inequalities.add(row(p))
+    for key, ((ia, sa), (ib, sb)) in paving.walls().items():
+        far = next(geom.vadd(v, sb) for v in paving.cells[ib].vertices
+                   if geom.vadd(v, sb) not in key)
+        inequalities.add(excess[ia](geom.vsub(far, sa)))
+    paving._cone = (tuple(sorted(equalities)), tuple(sorted(inequalities)))
+    return paving._cone
+
+
+def _excess_row(vertices, r):
+    """p -> the primitive row of d (Q(p) - l(p)), l affine and equal to Q
+    at b_0 = vertices[0] and the first r independent v - b_0 (the columns
+    of B, d B^-1 integral); translation-invariant.  Flat cells refused."""
+    b0 = vertices[0]
+    diffs = [geom.vsub(v, b0) for v in vertices[1:]]
+    cols = next((s for s in combinations(diffs, r) if geom._det(s)), None)
+    if cols is None:
+        raise InvalidPaving("cell %r is not full-dimensional" % (vertices,))
+    lat = LatticeCoordinates(list(zip(*cols)))
+    # Q(x) is the sum of w x_i x_j q_ij over these (i, j, w)
+    pairs = [(i, j, 1 if i == j else 2) for i in range(r) for j in range(i, r)]
+    mons = [[d[i] * d[j] * w for d in cols] for i, j, w in pairs]
+
+    def row(p):
+        x = geom.vsub(p, b0)
+        mu = [geom.dot(a, x) for a in lat.inv_rows]     # d B^-1 x
+        out = [lat.den * x[i] * x[j] * w - geom.dot(mu, m)
+               for (i, j, w), m in zip(pairs, mons)]
+        return geom.gcd_reduced(clear_denominators(out)[0])
+    return row
+
+
 def voronoi_cone_contains(paving: PeriodicPaving, q: QuadraticForm) -> bool:
-    """Is q in the closed cone C(paving) of the second Voronoi fan?
-
-    True iff Delaunay(q) is equal to or coarser than the paving.  For a
-    positive definite q that is the paving delaunay_subdivision keeps
-    on q, if q has been paved at this paving's basis and window.
-    Semidefinite forms are handled by passing to the quotient by the
-    exact kernel lattice.
-    """
+    """Is q in the closed cone C(paving), i.e., for q semidefinite, is
+    Delaunay(q) equal to or coarser than the paving?  One sign check
+    against secondary_cone(paving); nothing is paved.  Other forms fail:
+    they fall below any convex interpolation along some lattice ray."""
     if not isinstance(paving, PeriodicPaving) or not paving.cells:
-        raise InvalidPaving("need a nonempty periodic paving")
+        raise InvalidPaving("need a nonempty periodic paving", field="paving")
     if q.rank != paving.rank:
-        raise InvalidPaving("rank mismatch between form and paving")
-    if q.is_positive_definite():
-        dq = delaunay_subdivision(q, paving.period_basis,
-                                  max(paving.window, 2))
-        return all(_some_cell_contains(dq, c.vertices) for c in paving.cells)
-    if not is_positive_semidefinite(q.matrix):
-        return False
-    if all(q.matrix[i, j] == 0 for i in range(q.rank) for j in range(q.rank)):
-        return True  # single cell = everything; coarser than any paving
-    pi, sec, _ = _kernel_quotient(q)
-    qprime = QuadraticForm(sec.T @ q.matrix @ sec)
-    pb_quot = _projected_lattice_basis(pi @ paving.period_basis)
-    dq = delaunay_subdivision(qprime, pb_quot, max(paving.window + 1, 3))
-    pi_rows = pi.tolist()
-    return all(_some_cell_contains(dq, [tuple(int(geom.dot(row, v))
-                                              for row in pi_rows)
-                                        for v in c.vertices])
-               for c in paving.cells)
-
-
-def _some_cell_contains(dq, points):
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    bary = tuple(sum(p[i] for p in pts) / len(pts)
-                 for i in range(len(pts[0])))
-    try:
-        idx, shift = dq.find_containing_cell(bary)
-    except InvalidPaving:
-        return False
-    facets = [(f, n, c + geom.dot(n, shift))
-              for f, n, c in dq.cell_facets(idx)]
-    return all(geom.point_in_polytope(p, facets) for p in pts)
-
-
-def _kernel_quotient(q):
-    """saturated_quotient for Z^r -> Z^r / ker(q): the rational kernel
-    basis, with denominators cleared, spans a lattice whose saturation
-    is ker(q) in Z^r."""
-    ints = [LatticeCoordinates.clear_denominators(v)[0]
-            for v in kernel(q.matrix, q.rank)]
-    return saturated_quotient(list(zip(*ints)))
-
-
-def _projected_lattice_basis(cols):
-    """A square basis for the lattice generated by the columns of cols."""
-    h, _ = hermite_normal_form(as_int_matrix(cols).T)
-    return list(zip(*(row for row in h.tolist() if any(row))))
+        raise InvalidPaving("rank mismatch between form and paving", field="q")
+    equalities, inequalities = secondary_cone(paving)
+    x = clear_denominators(q.matrix[np.triu_indices(q.rank)])[0]
+    return (all(geom.dot(e, x) == 0 for e in equalities)
+            and all(geom.dot(e, x) >= 0 for e in inequalities))

@@ -644,6 +644,77 @@ def _halfspaces(verts):
 
 
 # ---------------------------------------------------------------------------
+# second-Voronoi cone membership by recomputing Delaunay
+# ---------------------------------------------------------------------------
+
+def voronoi_cone_reference(paving, q):
+    """Is q in the closed cone C(paving)?  True iff Delaunay(q) is equal
+    to or coarser than the paving: every cell's barycentre is located in
+    a Delaunay paving of q, computed afresh at the paving's period basis
+    and window, and the cell's vertices must lie in the cell found.
+    Semidefinite forms pass to the quotient by the exact kernel lattice;
+    a form that is not semidefinite is outside.  Raises what
+    delaunay_subdivision raises (WindowTooSmall on a small window)."""
+    from tropab import _geometry as geom
+    from tropab.exact_linalg import is_positive_semidefinite
+    from tropab.quadform_delaunay import QuadraticForm, delaunay_subdivision
+
+    if q.is_positive_definite():
+        dq = delaunay_subdivision(q, paving.period_basis,
+                                  max(paving.window, 2))
+        return all(_some_cell_contains(dq, c.vertices) for c in paving.cells)
+    if not is_positive_semidefinite(q.matrix):
+        return False
+    if all(q.matrix[i, j] == 0 for i in range(q.rank) for j in range(q.rank)):
+        return True  # single cell = everything; coarser than any paving
+    pi, sec, _ = _kernel_quotient(q)
+    qprime = QuadraticForm(sec.T @ q.matrix @ sec)
+    pb_quot = _projected_lattice_basis(pi @ paving.period_basis)
+    dq = delaunay_subdivision(qprime, pb_quot, max(paving.window + 1, 3))
+    pi_rows = pi.tolist()
+    return all(_some_cell_contains(dq, [tuple(int(geom.dot(row, v))
+                                              for row in pi_rows)
+                                        for v in c.vertices])
+               for c in paving.cells)
+
+
+def _some_cell_contains(dq, points):
+    from tropab import _geometry as geom
+    from tropab.errors import InvalidPaving
+
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    bary = tuple(sum(p[i] for p in pts) / len(pts)
+                 for i in range(len(pts[0])))
+    try:
+        idx, shift = dq.find_containing_cell(bary)
+    except InvalidPaving:
+        return False
+    facets = [(f, n, c + geom.dot(n, shift))
+              for f, n, c in dq.cell_facets(idx)]
+    return all(geom.point_in_polytope(p, facets) for p in pts)
+
+
+def _kernel_quotient(q):
+    """saturated_quotient for Z^r -> Z^r / ker(q): the rational kernel
+    basis, with denominators cleared, spans a lattice whose saturation
+    is ker(q) in Z^r."""
+    from tropab.exact_linalg import (LatticeCoordinates, kernel,
+                                     saturated_quotient)
+
+    ints = [LatticeCoordinates.clear_denominators(v)[0]
+            for v in kernel(q.matrix, q.rank)]
+    return saturated_quotient(list(zip(*ints)))
+
+
+def _projected_lattice_basis(cols):
+    """A square basis for the lattice generated by the columns of cols."""
+    from tropab.exact_linalg import as_int_matrix, hermite_normal_form
+
+    h, _ = hermite_normal_form(as_int_matrix(cols).T)
+    return list(zip(*(row for row in h.tolist() if any(row))))
+
+
+# ---------------------------------------------------------------------------
 # quasiperiodic decomposition, 1-d slow route
 # ---------------------------------------------------------------------------
 

@@ -152,6 +152,19 @@ def test_delaunay_roundtrips_into_voronoi_cone():
     assert got["contains"] is False
 
 
+@pytest.mark.parametrize("cells, q, field", [
+    ([], HEX_Q["q"], "paving"),
+    ([[[0, 0], [0, 1], [1, 0]], [[0, 0], [1, -1], [1, 0]]],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "q"),
+], ids=["empty", "rank"])
+def test_voronoi_cone_refusals_name_their_field(cells, q, field):
+    pav = {"rank": 2, "period_basis": [[1, 0], [0, 1]], "cells": cells}
+    code, out, _ = run("voronoi-cone", {"paving": pav, "q": q})
+    assert code == 1
+    got = json.loads(out)
+    assert (got["code"], got["field"]) == ("InvalidPaving", field)
+
+
 def test_sigma_pipes_into_bend_and_legendre():
     sig = run_json("sigma", {"q": [[1]]})
     assert sig["kind"] == "pw-affine"

@@ -8,22 +8,22 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from tropab import quadform_delaunay
-from tropab.errors import (InvalidPaving, NotPositiveDefinite, TooLarge,
-                           WindowTooSmall)
-from tropab.exact_linalg import frac_det, glxy_act
+from tropab import exact_linalg, quadform_delaunay
+from tropab.errors import (DomainError, InvalidPaving, NotPositiveDefinite,
+                           TooLarge, WindowTooSmall)
+from tropab.exact_linalg import frac_det, glxy_act, rank
 from tropab.pavings_pwl import sigma_section
 from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
                                       QuadraticForm, delaunay_subdivision,
-                                      empty_sphere_check,
+                                      empty_sphere_check, secondary_cone,
                                       voronoi_cone_contains)
 
 from oracles import (brute_force_delaunay_cells, circumcenter,
                      empty_sphere_delaunay_cells, frac_solve, locate_by_scan,
-                     lower_hull_reference, q_dist)
+                     lower_hull_reference, q_dist, voronoi_cone_reference)
 
 
 def _obj(m):
@@ -450,7 +450,7 @@ def test_voronoi_cone_boundary_rays():
     zero = QuadraticForm(np.zeros((2, 2), dtype=object))
     assert voronoi_cone_contains(sq, zero)
     assert voronoi_cone_contains(tri, zero)
-    # rank-one boundary forms: checked through the kernel quotient
+    # rank-one boundary forms, on the boundary of both cones
     ax = QuadraticForm(_obj([[1, 0], [0, 0]]))
     diag = QuadraticForm(_obj([[1, 1], [1, 1]]))
     assert voronoi_cone_contains(sq, ax)
@@ -480,6 +480,110 @@ def test_own_cone_membership_random(q):
     pav = delaunay_subdivision(q, I2, 6)
     assert voronoi_cone_contains(pav, q)
     assert voronoi_cone_contains(pav, q.scaled(Fraction(7, 2)))
+
+
+def test_voronoi_cone_ignores_the_window():
+    """The parallelogram paving of SHEARED, carried at a window that
+    holds none of its translates: the cone rows do not pave again."""
+    q = QuadraticForm(_obj(SHEARED))
+    pav = PeriodicPaving(2, I2, delaunay_subdivision(q, I2, 5).cells, 2)
+    assert voronoi_cone_contains(pav, q)
+    assert voronoi_cone_contains(pav, q.scaled(3))
+
+
+def test_voronoi_cone_refuses_a_holed_paving():
+    kept = delaunay_subdivision(A2, I2, 4).cells[0]
+    holed = PeriodicPaving(2, I2, [kept], 4)
+    with pytest.raises(InvalidPaving):
+        voronoi_cone_contains(holed, A2)
+
+
+def test_secondary_cone_bounds_a_cell_with_an_inner_lattice_point():
+    """(1, 0) lies on an edge of the first cell without being a vertex,
+    so the interpolation of Q must lie below Q there: q_00 <= 0."""
+    pav = PeriodicPaving(2, _obj([[2, 0], [0, 1]]),
+                         [((0, 0), (2, 0), (0, 1)),
+                          ((2, 0), (2, 1), (0, 1))], 3)
+    equalities, inequalities = secondary_cone(pav)
+    assert equalities == ()
+    assert (-1, 0, 0) in inequalities
+    assert not voronoi_cone_contains(pav, IDENT)
+    assert voronoi_cone_contains(pav, QuadraticForm(_obj([[0, 0], [0, 1]])))
+
+
+I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("qm, dim", [
+    ([[2, 1], [1, 2]], 3),
+    ([[1, 0], [0, 1]], 2),
+    ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 4),
+    ([[2, 1, 0], [1, 2, 0], [0, 0, 1]], 4),
+    ([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]], 6),
+    (I3, 3),
+], ids=["hexagonal", "square", "A3", "hexagonal+1", "bcc", "cube"])
+def test_secondary_cone_dimension(qm, dim):
+    """r(r+1)/2 less the rank of the equalities (Voronoi's 2 types in
+    rank 2; 4 of Fedorov's 5 in rank 3)."""
+    r = len(qm)
+    pav = delaunay_subdivision(QuadraticForm(_obj(qm)),
+                               np.eye(r, dtype=object), 3)
+    equalities, _ = secondary_cone(pav)
+    assert r * (r + 1) // 2 - rank(equalities) == dim
+
+
+CONE_PAVING_FORMS = [
+    [[1]],
+    [[2, 1], [1, 2]], [[1, 0], [0, 1]], [[2, -1], [-1, 3]], SHEARED,
+    [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [[2, 1, 0], [1, 2, 0], [0, 0, 1]],
+    [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]], I3,
+    [[4, 1, 1], [1, 3, -1], [1, -1, 5]],
+]
+COARSER_BASES = {1: [[2]], 2: [[2, 1], [0, 1]],
+                 3: [[2, 0, 0], [0, 1, 0], [0, 0, 1]]}
+CONE_WINDOWS = {1: 4, 2: 8, 3: 3}
+
+
+def _gram(rows, r):
+    return [[sum(a[i] * a[j] for a in rows) for j in range(r)]
+            for i in range(r)]
+
+
+@st.composite
+def pavings_and_forms(draw):
+    """A Delaunay paving of rank <= 3, at Z^r or a coarser period
+    lattice, and a form of the same rank: the Gram matrix of k integer
+    rows (semidefinite of rank <= k, k = 0 ... r), less that of a few
+    more rows (indefinite, or semidefinite of either sign), scaled by a
+    positive rational."""
+    qm = draw(st.one_of(st.sampled_from(CONE_PAVING_FORMS),
+                        pd2_forms().map(lambda q: q.matrix.tolist())))
+    r = len(qm)
+    pb = draw(st.sampled_from([np.eye(r, dtype=int).tolist(),
+                               COARSER_BASES[r]]))
+    pav = delaunay_subdivision(QuadraticForm(_obj(qm)), _obj(pb),
+                               CONE_WINDOWS[r])
+    vectors = st.lists(st.integers(-2, 2), min_size=r, max_size=r)
+    k = draw(st.integers(0, r))
+    m = _gram(draw(st.lists(vectors, min_size=k, max_size=k)), r)
+    minus = _gram(draw(st.lists(vectors, max_size=2)), r)
+    scale = Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    m = [[scale * (a - b) for a, b in zip(x, y)] for x, y in zip(m, minus)]
+    return pav, QuadraticForm(_obj(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pavings_and_forms())
+def test_voronoi_cone_matches_the_delaunay_reference(case):
+    """The sign check against the cone rows answers as recomputing
+    Delaunay (through the kernel quotient for semidefinite forms) and
+    locating each cell; draws the reference cannot answer are skipped."""
+    pav, q = case
+    try:
+        want = voronoi_cone_reference(pav, q)
+    except DomainError:
+        reject()
+    assert voronoi_cone_contains(pav, q) == want
 
 
 # -- equivariance -----------------------------------------------------------
@@ -587,14 +691,12 @@ def test_positive_definiteness_is_decided_once_per_form(monkeypatch):
         return wrapped
     monkeypatch.setattr(quadform_delaunay, "is_positive_definite",
                         counting("pd", quadform_delaunay.is_positive_definite))
-    monkeypatch.setattr(quadform_delaunay, "is_positive_semidefinite",
-                        counting("psd",
-                                 quadform_delaunay.is_positive_semidefinite))
+    monkeypatch.setattr(exact_linalg, "is_positive_semidefinite",
+                        counting("psd", exact_linalg.is_positive_semidefinite))
     q = QuadraticForm(_obj([[2, 1], [1, 3]]))
     pav = delaunay_subdivision(q, I2, 4)
     assert delaunay_subdivision(q, I2, 5) is not pav
     assert voronoi_cone_contains(pav, q)
+    # the cone rows ask no form whether it is definite or semidefinite
+    assert voronoi_cone_contains(pav, QuadraticForm(_obj([[1, 0], [0, 0]])))
     assert calls == {"pd": 1, "psd": 0}
-    # only a form that is not positive definite is tested semidefinite
-    voronoi_cone_contains(pav, QuadraticForm(_obj([[1, 0], [0, 0]])))
-    assert calls["psd"] == 1
