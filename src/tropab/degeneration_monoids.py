@@ -9,7 +9,6 @@ pass in, and those PwAffineFunction holds)."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 from . import _geometry as geom
@@ -19,7 +18,8 @@ from .exact_linalg import (LatticeCoordinates, as_int_matrix, frac_det,
                            hermite_normal_form, polarization_type,
                            saturated_quotient)
 from .pavings_pwl import PwAffineFunction, ToricMonoid, affine_region_paving
-from .quadform_delaunay import PeriodicPaving, QuadraticForm
+from .quadform_delaunay import (PeriodicPaving, QuadraticForm,
+                               coset_representatives)
 
 
 class HomogenizedFunction:
@@ -127,16 +127,15 @@ def lift_height(el: TwistedMonoidElement, phi: HomogenizedFunction):
 def fourier_indices(x_rank: int, phi_map):
     """Coset representatives of Z^r / (column lattice of phi_map), in
     the half-open HNF fundamental parallelepiped, plus the quotient type.
+    An index over MAX_WINDOW_POINTS is refused (TooLarge on the field
+    ``phi_map``) before any representative is listed.
     """
     m = as_int_matrix(phi_map)
     r = int(x_rank)
     if m.shape != (r, r) or frac_det(m) == 0:
         raise NotInjective("phi must be an injective map of rank %d" % r)
     ptype = polarization_type(m)
-    h, _ = hermite_normal_form(m.T)   # rows of h generate the lattice
-    # vectors with 0 <= v_i < h[i][i] are exactly one per coset: reduce
-    # ascending through the pivots of the upper-triangular HNF rows
-    return list(product(*(range(int(h[i, i])) for i in range(r)))), ptype
+    return coset_representatives(m, "phi_map"), ptype
 
 
 def fourier_reduce(vec, phi_map):

@@ -2,12 +2,12 @@
 
 One fraction-free row reduction (``row_reduce``, Gauss-Jordan with the
 Bareiss update on rows of python ints, each row cleared of its
-denominators once) from which the determinant, inverse, rank, kernel
-and greedy independent subsets are derived; normal forms (Hermite,
-Smith), saturated quotients, symplectic reduction of integral
-alternating forms, polarization types, and the GL(X,Y)-action on
-quadratic forms.  The normal forms work on lists of int rows.
-``LatticeCoordinates`` is the one reduction of points modulo a lattice.
+denominators once) from which the determinant, inverse, rank and greedy
+independent subsets are derived; normal forms (Hermite, Smith),
+saturated quotients, symplectic reduction of integral alternating
+forms, polarization types, and the GL(X,Y)-action on quadratic forms.
+The normal forms work on lists of int rows.  ``LatticeCoordinates`` is
+the one reduction of points modulo a lattice.
 All arithmetic is exact.  Numpy arrays with dtype=object holding python
 ints or Fractions are only the public boundary: the integer normal forms
 take and return them, and ``frac_inv`` returns one.
@@ -15,7 +15,6 @@ take and return them, and ``frac_inv`` returns one.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from operator import mul
 from typing import List, Tuple
@@ -150,21 +149,6 @@ def rank(rows) -> int:
     return len(row_reduce(rows)[1])
 
 
-def kernel(rows, ncols):
-    """Basis of {v : <row, v> = 0 for every row} in Q^ncols, one vector
-    per free column of the reduced echelon form, with 1 at that column
-    and 0 at the other free columns."""
-    reduced, pivots, _ = row_reduce(rows, ncols)
-    out = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        out.append(tuple(v))
-    return out
-
-
 def independent_rows(rows):
     """Indices of the greedy (lexicographically first) linearly
     independent subset of rows: a row is kept iff it is not in the span
@@ -187,19 +171,6 @@ def is_positive_definite(m) -> bool:
     for k in range(1, n + 1):
         if frac_det(a[:k, :k]) <= 0:
             return False
-    return True
-
-
-def is_positive_semidefinite(m) -> bool:
-    """All principal minors nonnegative.  Exponential in rank; desk scale."""
-    a = as_frac_matrix(m)
-    if not is_symmetric(a):
-        return False
-    n = a.shape[0]
-    for k in range(1, n + 1):
-        for idx in combinations(range(n), k):
-            if frac_det([[a[i, j] for j in idx] for i in idx]) < 0:
-                return False
     return True
 
 

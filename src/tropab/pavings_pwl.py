@@ -32,7 +32,8 @@ from .errors import (Degenerate, InvalidPaving, MissingVertexValue,
 from .exact_linalg import (LatticeCoordinates, as_frac_matrix, as_int_matrix,
                            is_positive_definite, rank, row_reduce)
 from .quadform_delaunay import (PeriodicPaving, QuadraticForm,
-                                check_window_points, delaunay_subdivision)
+                                check_window_points, coset_representatives,
+                                delaunay_subdivision)
 
 
 def _as_rows(lin, k, r):
@@ -234,7 +235,7 @@ class QuasiperiodicDecomposition:
         res = tuple(Fraction(a) - t for a, t in zip(x, self.lattice.shift(x)))
         if res not in self.periodic:
             raise MissingVertexValue("no sampled value in the orbit of %r"
-                                     % (x,))
+                                     % (x,), field="samples")
         return self.quadratic_part(x) + self.periodic[res]
 
 
@@ -452,35 +453,32 @@ def interpolate_on_triangulation(values: Dict[tuple, Fraction],
 
 def cone_cy_membership(psi: Dict[tuple, Fraction], t: PeriodicPaving,
                        period_basis) -> bool:
-    """Is the interpolation of psi over t convex and below psi at every
-    non-vertex lattice point of the window?
+    """Is the interpolation g of psi over t convex and below psi at every
+    lattice point that is not a vertex?
 
     psi is quasiperiodic for the lattice of ``period_basis``, and the
     interpolation decomposes it over t's period lattice, so the first
-    must contain the second (InvalidPaving otherwise).  A window box of
-    more than MAX_WINDOW_POINTS lattice points is refused (TooLarge)."""
-    check_window_points(t.window, (2 * t.window + 1) ** t.rank)
+    must contain the second (InvalidPaving otherwise).  Then psi and g
+    share their quadratic part, psi - g is periodic for t's lattice, and
+    g <= psi is checked once per coset of Z^r modulo it: a lattice of
+    index over MAX_WINDOW_POINTS is refused (TooLarge on the field
+    ``paving``), and a coset psi does not sample raises
+    MissingVertexValue on the field ``samples``.  The paving's window is
+    unused; the answer is the same at every window."""
     pb = as_int_matrix(period_basis)
     lattice = LatticeCoordinates(pb)
     if not all(lattice.contains(col) for col in zip(*t.period_basis)):
         raise InvalidPaving("period_basis does not generate a lattice "
                             "containing the paving's period lattice",
                             field="period_basis")
+    cosets = coset_representatives(t.period_basis, "paving")
     dec = quasiperiodic_decompose(psi, pb)
     g = interpolate_on_triangulation(psi, t)
     if any(b[0] < 0 for b in bending_parameters(g).values()):
         return False
     vert_orbits = t.vertex_orbits()
-    for alpha in product(range(-t.window, t.window + 1), repeat=t.rank):
-        if geom.vsub(alpha, t.lattice.shift(alpha)) in vert_orbits:
-            continue
-        try:
-            target = dec.reconstruct(alpha)
-        except MissingVertexValue:
-            continue
-        if g.evaluate(alpha) > target:
-            return False
-    return True
+    return all(g.evaluate(alpha) <= dec.reconstruct(alpha) for alpha in cosets
+               if geom.vsub(alpha, t.lattice.shift(alpha)) not in vert_orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +602,16 @@ def affine_region_paving(f: PwAffineFunction) -> PeriodicPaving:
 
     merged = []
     for members in groups.values():
-        pts = []
-        for i, off in members:
-            for v in f.paving.cells[i].vertices:
-                pts.append(geom.vadd(v, off))
-        merged.append(f.paving.canonical_cell(geom.extreme_points(pts)))
+        if len(members) == 1:
+            # a lone cell's vertices are its points on r or more facets
+            i = members[0][0]
+            facets = f.paving.cell_facets(i)
+            pts = [v for v in f.paving.cells[i].vertices
+                   if sum(v in fv for fv, _, _ in facets) >= r]
+        else:
+            pts = geom.extreme_points(
+                geom.vadd(v, off) for i, off in members
+                for v in f.paving.cells[i].vertices)
+        merged.append(f.paving.canonical_cell(pts))
     return PeriodicPaving(f.rank, f.paving.period_basis, merged,
                           f.paving.window)

@@ -255,11 +255,11 @@ class PeriodicPaving:
 # Delaunay in closed form from an obtuse superbase
 # ---------------------------------------------------------------------------
 
-# The most lattice points the bounding box of a Delaunay window may hold.
-# The closed form does not enumerate the window, but a paving carries its
-# window to the functions that do (legendre_transform, cone_cy_membership),
-# and every window the package accepts is bounded by this one rule; rank 2
-# at window 16 spans 1089 points and rank 3 at window 8 spans 4913.
+# The most lattice points a box of work may hold: the bounding box of a
+# Delaunay window, the vertex window of legendre_transform, and the cosets
+# a lattice basis spans (coset_representatives: pavings over a coarser
+# period lattice, fourier_indices, cone_cy_membership).  Rank 2 at window
+# 16 spans 1089 points and rank 3 at window 8 spans 4913.
 MAX_WINDOW_POINTS = 100_000
 
 
@@ -269,6 +269,22 @@ def check_window_points(window, points):
     if points > MAX_WINDOW_POINTS:
         raise TooLarge("window %d spans %d lattice points, more than %d"
                        % (window, points, MAX_WINDOW_POINTS), field="window")
+
+
+def coset_representatives(basis, field):
+    """One vector per coset of Z^r modulo the column lattice of the
+    nonsingular square integer ``basis``, in lexicographic order: the box
+    0 <= v_i < h_ii of the pivots of its Hermite normal form, whose
+    upper-triangular rows generate the lattice (reducing ascending
+    through the pivots leaves one vector of each coset in the box).  An
+    index over MAX_WINDOW_POINTS is refused, with TooLarge on ``field``,
+    before any vector is listed."""
+    h, _ = hermite_normal_form(as_int_matrix(basis).T)
+    pivots = [int(h[i, i]) for i in range(len(h))]
+    if prod(pivots) > MAX_WINDOW_POINTS:
+        raise TooLarge("a lattice of index %d has more than %d cosets"
+                       % (prod(pivots), MAX_WINDOW_POINTS), field=field)
+    return list(product(*map(range, pivots)))
 
 
 def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
@@ -317,8 +333,7 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
 
     scale = lcm(*(x.denominator for x in q.matrix.flat))
     m = [[int(x * scale) for x in row] for row in q.matrix]
-    h, _ = hermite_normal_form(pb.T)    # rows generate the period lattice
-    cosets = list(product(*(range(int(h[i, i])) for i in range(r))))
+    cosets = coset_representatives(pb, "period_basis")
     reps = {}
     for cell in _delaunay_cells(m):
         for t in cosets:
@@ -352,11 +367,6 @@ def _delaunay_cells(m):
     r = len(m)
     basis = _obtuse_superbase(m)[:r]
     gram = [[geom.bilinear(m, a, b) for b in basis] for a in basis]
-    det = geom._det(gram)
-    # adj(G)_ii: G(z) <= R has |z_i| <= sqrt(R adj(G)_ii / det G)
-    widths = [geom._det([row[:i] + row[i + 1:]
-                         for k, row in enumerate(gram) if k != i])
-              for i in range(r)]
     cells = []
     for order in permutations(range(r)):
         simplex = [tuple(int(i in order[:k]) for i in range(r))
@@ -369,22 +379,35 @@ def _delaunay_cells(m):
         if d < 0:
             d, centre = -d, [-x for x in centre]
         radius = geom.bilinear(gram, centre, centre)
-        box = []
-        for c, w in zip(centre, widths):
-            half = isqrt(radius * w // det) + 1
-            box.append(range(-((half - c) // d), (c + half) // d + 1))
         cell = []
-        for y in product(*box):
-            z = [d * x - c for x, c in zip(y, centre)]
-            dist = geom.bilinear(gram, z, z)
+        for y, dist in _ellipsoid_points(gram, centre, d, radius):
             if dist < radius:
                 raise InvalidPaving(
                     "lattice point %r lies inside the circumellipsoid of "
                     "the simplex %r" % (y, simplex))
-            if dist == radius:
-                cell.append(tuple(geom.dot(y, col) for col in zip(*basis)))
+            cell.append(tuple(geom.dot(y, col) for col in zip(*basis)))
         cells.append(cell)
     return cells
+
+
+def _ellipsoid_points(gram, centre, d, radius):
+    """Yield (y, G(d y - C)) for each integer vector y in the ellipsoid
+    G(d y - C) <= R, for a positive definite integer Gram matrix G, an
+    integer vector C and integers d > 0, R.  The y are those of a box:
+    with adj(G)_ii the diagonal cofactors, G(z) <= R has
+    |z_i| <= sqrt(R adj(G)_ii / det G)."""
+    det = geom._det(gram)
+    box = []
+    for i, c in enumerate(centre):
+        w = geom._det([row[:i] + row[i + 1:]
+                       for k, row in enumerate(gram) if k != i])
+        half = isqrt(radius * w // det) + 1
+        box.append(range(-((half - c) // d), (c + half) // d + 1))
+    for y in product(*box):
+        z = [d * x - c for x, c in zip(y, centre)]
+        dist = geom.bilinear(gram, z, z)
+        if dist <= radius:
+            yield y, dist
 
 
 def _obtuse_superbase(m):
@@ -449,28 +472,26 @@ def empty_sphere_check(cell, q: QuadraticForm, window: int) -> bool:
 
     True iff some rational center c is Q-equidistant from all cell
     vertices and strictly closer to them than to every other lattice
-    point p with |p_i - floor(c_i)| <= window.  For full-dimensional
-    cells the center is unique; for lower-dimensional cells the
-    minimal-radius center (constrained to the affine hull) is the
-    candidate tested.
+    point.  For full-dimensional cells the center is unique; for
+    lower-dimensional cells the minimal-radius center (constrained to
+    the affine hull) is the candidate tested.  Every lattice point of
+    the ellipsoid is enumerated exactly, in integers: Q scaled to the
+    integer form m, c cleared to C / d and R = m(d v_0 - C).  The window
+    is unused; the answer is the same at every window.
     """
     if not q.is_positive_definite():
         raise NotPositiveDefinite("empty-sphere check needs Q > 0")
-    check_window_points(window, (2 * window + 1) ** q.rank)
     verts = cell.vertices if isinstance(cell, LatticePolytope) else \
         tuple(tuple(v) for v in cell)
     center = _equidistant_center(verts, q)
     if center is None:
         return False
-    radius = q.value(geom.vsub(verts[0], center))
-    vset = set(verts)
-    lows = [floor(x) - window for x in center]
-    for p in product(*(range(a, a + 2 * window + 1) for a in lows)):
-        if p in vset:
-            continue
-        if q.value(geom.vsub(p, center)) <= radius:
-            return False
-    return True
+    scale = lcm(*(x.denominator for x in q.matrix.flat))
+    m = [[int(x * scale) for x in row] for row in q.matrix]
+    num, d = clear_denominators(center)
+    z0 = [d * x - c for x, c in zip(verts[0], num)]
+    return all(y in verts for y, _ in
+               _ellipsoid_points(m, num, d, geom.bilinear(m, z0, z0)))
 
 
 def _equidistant_center(verts, q):

@@ -123,6 +123,31 @@ def row_reduce_reference(rows, ncols=None):
     return a[:len(pivots)], pivots, det
 
 
+def kernel(rows, ncols):
+    """Basis of {v : <row, v> = 0 for every row} in Q^ncols, one vector
+    per free column of the reduced echelon form, with 1 at that column
+    and 0 at the other free columns."""
+    reduced, pivots, _ = row_reduce_reference(rows, ncols)
+    out = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        out.append(tuple(v))
+    return out
+
+
+def is_positive_semidefinite(m):
+    """Symmetric with all principal minors nonnegative."""
+    a = [[Fraction(x) for x in row] for row in np.array(m, dtype=object)]
+    n = len(a)
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(n)):
+        return False
+    return all(frac_det([[a[i][j] for j in idx] for i in idx]) >= 0
+               for k in range(1, n + 1) for idx in combinations(range(n), k))
+
+
 def _int_matrix(m):
     a = np.array(m, dtype=object)
     out = np.empty(a.shape, dtype=object)
@@ -361,7 +386,6 @@ def normal_through_reference(points):
     Q^r, from the one rational kernel vector of their difference rows;
     None unless that kernel is a line."""
     from tropab._geometry import primitive, vsub
-    from tropab.exact_linalg import kernel
 
     pts = list(points)
     ker = kernel([vsub(p, pts[0]) for p in pts[1:]], len(pts[0]))
@@ -410,10 +434,9 @@ def lower_hull_reference(sites, heights, r):
     The rational form of the library's integer hull: it walks the same
     ridges in the same order (depth-first, the ridges of a facet from
     polytope_facets_reference, the initial tilt directions from the
-    library's kernel), so the two yield the same facet sequence.
+    kernel above), so the two yield the same facet sequence.
     """
     from tropab._geometry import affine_dim, dot, vsub
-    from tropab.exact_linalg import kernel
 
     site_list = list(sites)
 
@@ -589,6 +612,60 @@ def empty_sphere_delaunay_cells(qmat):
     return cells
 
 
+def equidistant_centre(vertices, qmat):
+    """The point c of the affine hull of the vertices with Q(v - c) the
+    same at every vertex v, or None unless there is exactly one.  With
+    c = v_0 + sum t_k b_k over the greedy independent differences
+    b_k = v - v_0, each equation reads 2 B(v - v_0, b) . t = Q(v - v_0)."""
+    v0 = [Fraction(x) for x in vertices[0]]
+    diffs = [[Fraction(a) - b for a, b in zip(v, v0)] for v in vertices[1:]]
+    basis = []
+    for dv in diffs:
+        if len(row_reduce_reference(basis + [dv])[1]) > len(basis):
+            basis.append(dv)
+    d = len(basis)
+    system = [[2 * sum(Fraction(qmat[i][j]) * dv[i] * bk[j]
+                       for i in range(len(v0)) for j in range(len(v0)))
+               for bk in basis] + [_qval(qmat, dv)] for dv in diffs]
+    reduced, pivots, _ = row_reduce_reference(system, d + 1)
+    if pivots != list(range(d)):
+        return None
+    ts = [row[d] for row in reduced]
+    return [x + sum((t * bk[i] for t, bk in zip(ts, basis)), Fraction(0))
+            for i, x in enumerate(v0)]
+
+
+def empty_sphere_reference(cell, q, window):
+    """The empty-sphere test over a window: with c the Q-equidistant
+    centre of the vertices (False if there is none), every lattice point
+    p with |p_i - floor(c_i)| <= window, other than a vertex, must lie
+    strictly outside the sphere through the vertices."""
+    qm = q.matrix.tolist()
+    verts = [tuple(v) for v in cell]
+    c = equidistant_centre(verts, qm)
+    if c is None:
+        return False
+    radius = q_dist(qm, verts[0], c)
+    box = [range(math.floor(x) - window, math.floor(x) + window + 1)
+           for x in c]
+    return all(p in verts or q_dist(qm, p, c) > radius for p in product(*box))
+
+
+def ellipsoid_window(cell, q):
+    """A window at which empty_sphere_reference sees every lattice point
+    of the cell's circumellipsoid Q(p - c) <= R: there
+    |p_i - c_i| <= sqrt(R (Q^-1)_ii)."""
+    qm = q.matrix.tolist()
+    verts = [tuple(v) for v in cell]
+    c = equidistant_centre(verts, qm)
+    if c is None:
+        return 0
+    radius = q_dist(qm, verts[0], c)
+    r = len(qm)
+    return max(math.isqrt(math.floor(radius * frac_solve(
+        qm, [int(i == j) for j in range(r)])[i])) + 2 for i in range(r))
+
+
 def locate_by_scan(cells, period_basis, point):
     """(cell index, shift) with point in cells[idx] + shift, or None.
 
@@ -656,7 +733,6 @@ def voronoi_cone_reference(paving, q):
     a form that is not semidefinite is outside.  Raises what
     delaunay_subdivision raises (WindowTooSmall on a small window)."""
     from tropab import _geometry as geom
-    from tropab.exact_linalg import is_positive_semidefinite
     from tropab.quadform_delaunay import QuadraticForm, delaunay_subdivision
 
     if q.is_positive_definite():
@@ -698,8 +774,7 @@ def _kernel_quotient(q):
     """saturated_quotient for Z^r -> Z^r / ker(q): the rational kernel
     basis, with denominators cleared, spans a lattice whose saturation
     is ker(q) in Z^r."""
-    from tropab.exact_linalg import (LatticeCoordinates, kernel,
-                                     saturated_quotient)
+    from tropab.exact_linalg import LatticeCoordinates, saturated_quotient
 
     ints = [LatticeCoordinates.clear_denominators(v)[0]
             for v in kernel(q.matrix, q.rank)]
@@ -712,6 +787,46 @@ def _projected_lattice_basis(cols):
 
     h, _ = hermite_normal_form(as_int_matrix(cols).T)
     return list(zip(*(row for row in h.tolist() if any(row))))
+
+
+# ---------------------------------------------------------------------------
+# the cy-cone over a window
+# ---------------------------------------------------------------------------
+
+def cone_cy_reference(psi, t, period_basis):
+    """Is the interpolation g of psi over t convex and below psi at every
+    lattice point of [-window, window]^r (t's window) that is not a
+    vertex?  Points whose residue psi does not sample are skipped; the
+    answer is certified only when the window holds every coset of Z^r
+    modulo t's period lattice."""
+    from tropab import _geometry as geom
+    from tropab.errors import InvalidPaving, MissingVertexValue
+    from tropab.exact_linalg import LatticeCoordinates, as_int_matrix
+    from tropab.pavings_pwl import (bending_parameters,
+                                    interpolate_on_triangulation,
+                                    quasiperiodic_decompose)
+
+    pb = as_int_matrix(period_basis)
+    lattice = LatticeCoordinates(pb)
+    if not all(lattice.contains(col) for col in zip(*t.period_basis)):
+        raise InvalidPaving("period_basis does not generate a lattice "
+                            "containing the paving's period lattice",
+                            field="period_basis")
+    dec = quasiperiodic_decompose(psi, pb)
+    g = interpolate_on_triangulation(psi, t)
+    if any(b[0] < 0 for b in bending_parameters(g).values()):
+        return False
+    vert_orbits = t.vertex_orbits()
+    for alpha in product(range(-t.window, t.window + 1), repeat=t.rank):
+        if geom.vsub(alpha, t.lattice.shift(alpha)) in vert_orbits:
+            continue
+        try:
+            target = dec.reconstruct(alpha)
+        except MissingVertexValue:
+            continue
+        if g.evaluate(alpha) > target:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,15 @@ from tropab.degeneration_monoids import (HomogenizedFunction,
 from tropab.errors import NotQuasiperiodic, WindowTooSmall
 from tropab.exact_linalg import PolarizationType
 from tropab.pavings_pwl import (ToricMonoid, affine_region_paving,
-                                bending_parameters, is_p_convex,
-                                quasiperiodic_decompose, sigma_section)
+                                is_p_convex, quasiperiodic_decompose,
+                                sigma_section)
 from tropab.quadform_delaunay import (QuadraticForm, delaunay_subdivision,
                                       voronoi_cone_contains)
 from tropab.siegel_trop import CuspSpec, SiegelPoint, gamma_action, tropicalize
 from tropab.theta_heisenberg import (DegenerationData, HeisenbergElement,
                                      SchrodingerVector, degen_exponents,
                                      enumerate_balanced_set, heis_elements,
-                                     heis_mul, kw_decompose,
+                                     kw_decompose,
                                      character_value_exp, mult_operator,
                                      CyclotomicInteger,
                                      power_map_kernel_check,

@@ -227,6 +227,23 @@ def test_fourier_and_fiber():
                                                         (1, 2)]
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("fourier", {"rank": 1, "phi_map": [[10 ** 12]]}),
+    ("fiber", {"phi_image_basis": [[10 ** 12]]}),
+    ("profile", {"delta": [3], "modulus": 6,
+                 "section": [[[0], 0], [[1], 0], [[2], 0]],
+                 "q": [[1]], "phi_map": [[10 ** 12]]}),
+])
+def test_an_index_over_the_limit_is_refused(command, doc):
+    """A lattice of index 10^12 has 10^12 cosets; the refusal comes
+    before any of them is listed."""
+    if command == "fiber":
+        doc = dict(doc, paving=run_json("delaunay", {"q": [[1]]}))
+    code, out, _ = run(command, doc)
+    assert code == 1
+    assert json.loads(out)["code"] == "TooLarge"
+
+
 def test_face():
     sig = run_json("sigma", {"q": [[1]]})
     got = run_json("face", {"monoid": {"rank": 1, "functionals": [[1]]},

@@ -6,8 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tropab.degeneration_monoids import (HomogenizedFunction,
                                          TwistedMonoidElement,

@@ -13,14 +13,13 @@ from tropab.errors import (Degenerate, NotInGLXY, NotInjective, NotSkew,
 from tropab.exact_linalg import (LatticeCoordinates, PolarizationType,
                                  frac_det, frac_inv, glxy_act,
                                  hermite_normal_form, independent_rows,
-                                 kernel, lattice_membership,
-                                 polarization_type, rank, row_reduce,
-                                 smith_normal_form,
+                                 lattice_membership, polarization_type,
+                                 rank, row_reduce, smith_normal_form,
                                  standard_symplectic_form,
                                  symplectic_normal_form)
 
 from oracles import frac_det as cofactor_det
-from oracles import (frac_solve, hermite_normal_form_reference,
+from oracles import (frac_solve, hermite_normal_form_reference, kernel,
                      row_reduce_reference, smith_normal_form_reference,
                      snf_diag_via_minor_gcds,
                      symplectic_normal_form_reference)

@@ -4,6 +4,7 @@ section sigma, Legendre duality, and affine-region coarsening."""
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropab.degeneration_monoids import HomogenizedFunction
-from tropab.errors import (InvalidPaving, NonMatchingFaces, NotConvex,
-                           NotQuasiperiodic, NotSimplicial, RankMismatch,
-                           TooLarge, Unbounded)
+from tropab.errors import (InvalidPaving, MissingVertexValue,
+                           NonMatchingFaces, NotConvex, NotQuasiperiodic,
+                           NotSimplicial, RankMismatch, TooLarge, Unbounded)
+from tropab.exact_linalg import LatticeCoordinates
 from tropab.pavings_pwl import (PwAffineFunction, ToricMonoid,
                                 affine_region_paving, bending_parameters,
                                 cone_cy_membership,
@@ -23,9 +25,9 @@ from tropab.pavings_pwl import (PwAffineFunction, ToricMonoid,
 from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
                                       QuadraticForm, delaunay_subdivision)
 
-from oracles import (brute_force_legendre, evaluate_reference,
-                     interp_half_square, second_difference_quadratic_1d,
-                     shifted_affine_reference)
+from oracles import (brute_force_legendre, cone_cy_reference,
+                     evaluate_reference, interp_half_square,
+                     second_difference_quadratic_1d, shifted_affine_reference)
 
 F = Fraction
 
@@ -228,15 +230,84 @@ def test_cone_cy_refuses_a_period_lattice_not_containing_the_pavings():
     assert err.value.field == "period_basis"
 
 
-def test_cone_cy_refuses_a_huge_window_before_enumerating(monkeypatch):
-    def orbits(self):
-        raise AssertionError("the window was enumerated")
+def test_cone_cy_answers_a_huge_window_as_window_3():
+    psi = {(x,): F(x * x, 2) for x in range(-5, 6)}
+    assert cone_cy_membership(psi, unit_intervals(window=10 ** 9), I1) == \
+        cone_cy_membership(psi, unit_intervals(window=3), I1)
 
-    monkeypatch.setattr(PeriodicPaving, "vertex_orbits", orbits)
+
+@pytest.mark.parametrize("window", [2, 3, 10 ** 9])
+def test_cone_cy_checks_every_residue(window):
+    """psi is 7-periodic with a dip of -1 at residue 3, which no point of
+    [-2, 2] reaches: g = 0 on the cell [0, 7] lies above psi(3)."""
+    psi = {(x,): F(-1 if x % 7 == 3 else 0) for x in range(-10, 11)}
+    t = PeriodicPaving(1, _obj([[7]]), [((0,), (7,))], window)
+    assert not cone_cy_membership(psi, t, _obj([[7]]))
+
+
+def test_cone_cy_refuses_an_unsampled_residue():
+    """psi is sampled at even points only, so g <= psi at odd points is
+    not decided; they used to be skipped."""
+    psi = {(x,): F(x * x, 2) for x in range(-6, 7, 2)}
+    t = PeriodicPaving(1, _obj([[2]]), [((0,), (2,))], 3)
+    with pytest.raises(MissingVertexValue) as err:
+        cone_cy_membership(psi, t, _obj([[2]]))
+    assert err.value.field == "samples"
+
+
+def test_cone_cy_refuses_a_paving_of_huge_index():
     psi = {(x,): F(x * x, 2) for x in range(-5, 6)}
     with pytest.raises(TooLarge) as err:
-        cone_cy_membership(psi, unit_intervals(window=10 ** 9), I1)
-    assert err.value.field == "window"
+        cone_cy_membership(psi, PeriodicPaving(
+            1, _obj([[10 ** 6]]), [((0,), (10 ** 6,))], 3), I1)
+    assert err.value.field == "paving"
+
+
+CY_FORMS = {1: [[[1]], [[2]], [[3]]],
+            2: [[[2, 1], [1, 2]], [[2, 1], [1, 3]], [[3, -1], [-1, 2]],
+                [[4, 1], [1, 2]]]}
+CY_COARSER = {1: [[2]], 2: [[2, 1], [0, 1]]}
+
+
+@st.composite
+def cy_cases(draw):
+    """psi = 1/2 Q plus a periodic perturbation, sampled on a box, for the
+    lattice of pb; and t, the Delaunay triangles of Q at the period basis
+    B scaled by k = 1 or 2, with period lattice k B inside pb's.  At
+    k = 2 the cells hold lattice points that are not vertices.  t's
+    window holds its fundamental parallelepiped, so the reference sees
+    every coset."""
+    r = draw(st.integers(1, 2))
+    qm = draw(st.sampled_from(CY_FORMS[r]))
+    q = QuadraticForm(_obj(qm))
+    b = draw(st.sampled_from([np.eye(r, dtype=int).tolist(), CY_COARSER[r]]))
+    k = draw(st.integers(1, 2))
+    tb = [[k * x for x in row] for row in b]
+    cells = [tuple(tuple(k * x for x in v) for v in c.vertices)
+             for c in delaunay_subdivision(q, _obj(b), 6).cells]
+    window = max(2, max(sum(map(abs, row)) for row in tb))
+    t = PeriodicPaving(r, _obj(tb), cells, window)
+    pb = draw(st.sampled_from([np.eye(r, dtype=int).tolist(), b]))
+    lattice = LatticeCoordinates(pb)
+    box = list(product(range(-6, 7), repeat=r))
+    residue = {p: tuple(x - s for x, s in zip(p, lattice.shift(p)))
+               for p in box}
+    orbits = sorted(set(residue.values()))
+    bumps = dict(zip(orbits, draw(st.lists(
+        st.integers(-2, 2), min_size=len(orbits), max_size=len(orbits)))))
+    psi = {p: q.value(p) / 2 + F(bumps[residue[p]], 2) for p in box}
+    return psi, t, pb
+
+
+@settings(max_examples=40, deadline=None)
+@given(cy_cases())
+def test_cone_cy_matches_the_window_reference(case):
+    """One pass over the cosets answers as the window scan over t's
+    fundamental parallelepiped, at any window t carries."""
+    psi, t, pb = case
+    want = cone_cy_reference(psi, t, pb)
+    t2 = PeriodicPaving(t.rank, t.period_basis, t.cells, 2)
+    assert cone_cy_membership(psi, t2, pb) == want
 
 
 def test_cone_cy_rejects_non_quasiperiodic():
@@ -318,6 +389,18 @@ def test_affine_regions_merge_unbent_walls():
                                                           window=4))
     merged = affine_region_paving(g)
     assert [c.vertices for c in merged.cells] == [((0,), (2,))]
+
+
+def test_affine_regions_drop_a_listed_point_that_is_not_a_vertex():
+    # the interpolation x + y/2 of (x^2 + y^2)/2 on [0, 2] x [0, 1], a
+    # hand-built cell that also lists the edge midpoints (1, 0), (1, 1);
+    # every wall bends, so the cell is a region of its own
+    cell = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1))
+    pav = PeriodicPaving(2, _obj([[2, 0], [0, 1]]), [cell], 3)
+    f = PwAffineFunction(pav, [((F(1), F(1, 2)), F(0))], [I2], [(0, 0)])
+    assert all(b != (0,) for b in bending_parameters(f).values())
+    assert [c.vertices for c in affine_region_paving(f).cells] == \
+        [((0, 0), (0, 1), (2, 0), (2, 1))]
 
 
 def test_affine_regions_of_affine_function_are_unbounded():

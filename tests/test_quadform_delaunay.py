@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from tropab import exact_linalg, quadform_delaunay
+from tropab import quadform_delaunay
 from tropab.errors import (DomainError, InvalidPaving, NotPositiveDefinite,
                            TooLarge, WindowTooSmall)
 from tropab.exact_linalg import frac_det, glxy_act, rank
@@ -21,8 +21,10 @@ from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
                                       empty_sphere_check, secondary_cone,
                                       voronoi_cone_contains)
 
+import oracles
 from oracles import (brute_force_delaunay_cells, circumcenter,
-                     empty_sphere_delaunay_cells, frac_solve, locate_by_scan,
+                     ellipsoid_window, empty_sphere_delaunay_cells,
+                     empty_sphere_reference, frac_solve, locate_by_scan,
                      lower_hull_reference, q_dist, voronoi_cone_reference)
 
 
@@ -405,14 +407,20 @@ def test_empty_sphere_box_follows_the_cell():
     assert not empty_sphere_check(((10, 10), (12, 10), (10, 12)), A2, 3)
 
 
-def test_empty_sphere_refuses_a_huge_window_before_enumerating(monkeypatch):
-    def center(*args):
-        raise AssertionError("the check started")
+def test_empty_sphere_answers_a_huge_window_as_window_3():
+    for cell in (((0, 0), (0, 1), (1, 0)), ((0, 0), (2, 0), (0, 2))):
+        assert empty_sphere_check(cell, A2, 10 ** 9) == \
+            empty_sphere_check(cell, A2, 3)
 
-    monkeypatch.setattr(quadform_delaunay, "_equidistant_center", center)
-    with pytest.raises(TooLarge) as err:
-        empty_sphere_check(((0, 0), (0, 1), (1, 0)), A2, 10 ** 9)
-    assert err.value.field == "window"
+
+@pytest.mark.parametrize("window", [2, 3, 5, 10 ** 9])
+def test_empty_sphere_sees_the_far_vertex_of_a_long_cell(window):
+    """The fourth vertex (7, 4) of the parallelogram cell of SHEARED lies
+    on the circumellipse of the other three, far from its centre: a
+    window box around the centre misses it below window 5."""
+    q = QuadraticForm(_obj(SHEARED))
+    assert not empty_sphere_check(PARALLELOGRAM[:3], q, window)
+    assert empty_sphere_check(PARALLELOGRAM, q, window)
 
 
 def test_hexagonal_circumcenter_is_barycentric():
@@ -430,6 +438,37 @@ def test_every_delaunay_cell_passes_empty_sphere(q):
     pav = delaunay_subdivision(q, I2, 6)
     for c in pav.cells:
         assert empty_sphere_check(c.vertices, q, 5)
+
+
+@st.composite
+def cells_and_parts(draw):
+    """A Delaunay cell of a rank-2 form or of a sheared reduced rank-3
+    form, as it is, as a subset of its vertices (lower-dimensional
+    sub-simplices included), or doubled."""
+    if draw(st.booleans()):
+        q = draw(pd2_forms())
+    else:
+        qm, u = draw(reduced_pd3_forms()), _obj(draw(elementary_shears3()))
+        q = QuadraticForm(u.T @ _obj(qm) @ u)
+    pav = delaunay_subdivision(q, np.eye(q.rank, dtype=object), 20)
+    cell = draw(st.sampled_from(pav.cells)).vertices
+    kind = draw(st.sampled_from(["cell", "part", "doubled"]))
+    if kind == "part":
+        cell = tuple(draw(st.lists(st.sampled_from(cell), min_size=1,
+                                   max_size=len(cell), unique=True)))
+    elif kind == "doubled":
+        cell = tuple(tuple(2 * x for x in v) for v in cell)
+    return cell, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells_and_parts())
+def test_empty_sphere_matches_the_window_reference(case):
+    """The ellipsoid enumeration answers as the window scan at a window
+    that holds the whole circumellipsoid, whatever window it is given."""
+    cell, q = case
+    want = empty_sphere_reference(cell, q, ellipsoid_window(cell, q))
+    assert empty_sphere_check(cell, q, 2) == want
 
 
 # -- second-Voronoi cones ---------------------------------------------------
@@ -691,8 +730,8 @@ def test_positive_definiteness_is_decided_once_per_form(monkeypatch):
         return wrapped
     monkeypatch.setattr(quadform_delaunay, "is_positive_definite",
                         counting("pd", quadform_delaunay.is_positive_definite))
-    monkeypatch.setattr(exact_linalg, "is_positive_semidefinite",
-                        counting("psd", exact_linalg.is_positive_semidefinite))
+    monkeypatch.setattr(oracles, "is_positive_semidefinite",
+                        counting("psd", oracles.is_positive_semidefinite))
     q = QuadraticForm(_obj([[2, 1], [1, 3]]))
     pav = delaunay_subdivision(q, I2, 4)
     assert delaunay_subdivision(q, I2, 5) is not pav
