@@ -199,7 +199,10 @@ def central_fiber_complex(paving: PeriodicPaving,
                           phi_image_basis) -> CentralFiberComplex:
     """Orbit combinatorics of the maximal cells under translation by the
     column lattice of phi_image_basis, with codimension-1 incidences
-    (self-incidences allowed)."""
+    (self-incidences allowed).  A basis that is not square of the
+    paving's rank, or singular, raises NotInjective; one of index over
+    MAX_WINDOW_POINTS in the paving's period lattice is refused (TooLarge
+    on the field ``phi_image_basis``) before any coset is listed."""
     phib = as_int_matrix(phi_image_basis)
     r = paving.rank
     lat = paving.lattice
@@ -211,34 +214,39 @@ def central_fiber_complex(paving: PeriodicPaving,
 
     # cosets of phi(Y) inside the paving period lattice, in the period
     # coordinates of the phi-image generators
-    m = list(zip(*map(lat.coordinates, gens)))
-    coset_coords, _ = fourier_indices(r, m)
-    cosets = [lat.vector(k) for k in coset_coords]
+    m = as_int_matrix(list(zip(*map(lat.coordinates, gens))))
+    if m.shape != (r, r) or frac_det(m) == 0:
+        raise NotInjective("phi must be an injective map of rank %d" % r)
+    cosets = [lat.vector(k)
+              for k in coset_representatives(m, "phi_image_basis")]
 
-    sub = PeriodicPaving(r, phib, [], max(paving.window, 2))
+    # cells[i] + u is keyed by (i, w): its translate cells[i] + w by the
+    # column lattice of phib with first vertex (the least) in that
+    # lattice's fundamental parallelepiped
+    sub = LatticeCoordinates(phib)
+
+    def placed(vertices, u):
+        return geom.vsub(u, sub.shift(geom.vadd(vertices[0], u)))
+
     comp_index = {}
     components = []
     for i, cell in enumerate(paving.cells):
         for t in cosets:
-            rep = sub.canonical_cell(geom.vadd(v, t) for v in cell.vertices)
-            if rep.vertices not in comp_index:
-                comp_index[rep.vertices] = len(components)
-                components.append(rep)
-
-    def component_of(vertices):
-        rep = sub.canonical_cell(vertices)
-        return comp_index[rep.vertices]
+            key = (i, placed(cell.vertices, t))
+            if key not in comp_index:
+                comp_index[key] = len(components)
+                components.append(cell.translated(key[1]))
 
     incidences = set()
     for key, ((i, si), (j, sj)) in paving.walls().items():
         for t in cosets:
-            ci = component_of(geom.vadd(v, geom.vadd(si, t))
-                              for v in paving.cells[i].vertices)
-            cj = component_of(geom.vadd(v, geom.vadd(sj, t))
-                              for v in paving.cells[j].vertices)
-            wall = sub.canonical_cell(geom.vadd(v, t) for v in key)
+            ci = comp_index[i, placed(paving.cells[i].vertices,
+                                      geom.vadd(si, t))]
+            cj = comp_index[j, placed(paving.cells[j].vertices,
+                                      geom.vadd(sj, t))]
+            w = placed(key, t)
             a, b = sorted((ci, cj))
-            incidences.add((a, b, wall.vertices))
+            incidences.add((a, b, tuple(geom.vadd(v, w) for v in key)))
     return CentralFiberComplex(tuple(components), tuple(sorted(incidences)))
 
 

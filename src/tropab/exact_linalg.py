@@ -15,7 +15,7 @@ take and return them, and ``frac_inv`` returns one.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import List, Tuple
 
@@ -55,9 +55,11 @@ def as_frac_matrix(m) -> np.ndarray:
 
 def clear_denominators(point):
     """Integer numerators of a rational point over their least common
-    positive denominator."""
-    fs = [x if isinstance(x, (int, Fraction)) else Fraction(x)
-          for x in point]
+    positive denominator; a point of ints is its own numerators over 1."""
+    fs = tuple(point)
+    if all(type(x) is int for x in fs):
+        return fs, 1
+    fs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in fs]
     den = lcm(*(f.denominator for f in fs))
     return tuple(f.numerator * (den // f.denominator) for f in fs), den
 
@@ -74,21 +76,40 @@ def row_reduce(rows, ncols=None):
     columns, and the determinant of the leading ncols x ncols block when
     the input has ncols rows (0 if it is singular or not square).
 
-    The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968):
-    each row is cleared of its denominators once, and with p the new
-    pivot and ``prev`` the one before it (1 at the start) every other
-    row becomes (p row - f pivot_row) // prev, f its entry in the pivot
-    column.  The division is exact, every pivot row ends as ``prev``
-    times its reduced row, and ``prev`` ends as the determinant times
-    the product of the row denominators.
+    The elimination is fraction-free (``_eliminate``): each row is
+    cleared of its denominators once, and the reduced rows are the
+    integer rows left over the last pivot.
     """
+    a, scale = _cleared_rows(rows)
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots, sign, prev = _eliminate(a, ncols)
+    det = Fraction(sign * prev, scale) if len(pivots) == len(a) == ncols \
+        else Fraction(0)
+    return ([[Fraction(x, prev) for x in row] for row in a[:len(pivots)]],
+            pivots, det)
+
+
+def _cleared_rows(rows):
+    """(a, scale): each row cleared of its denominators, and the product
+    of those denominators."""
     a, scale = [], 1
     for row in rows:
         num, den = clear_denominators(row)
         a.append(num)
         scale *= den
-    if ncols is None:
-        ncols = len(a[0]) if a else 0
+    return a, scale
+
+
+def _eliminate(a, ncols):
+    """Gauss-Jordan on the integer rows a, in place, without fractions
+    (Bareiss, Math. Comp. 22, 1968); pivots as in row_reduce.  With p
+    the new pivot and ``prev`` the one before it (1 at the start) every
+    other row becomes (p row - f pivot_row) // prev, f its entry in the
+    pivot column.  The division is exact, and every pivot row ends as
+    ``prev`` times its reduced row.  Returns (pivots, sign, prev): when
+    every row has a pivot, sign * prev is the determinant of the leading
+    block."""
     pivots, sign, prev = [], 1, 1
     for col in range(ncols):
         lead = len(pivots)
@@ -109,10 +130,7 @@ def row_reduce(rows, ncols=None):
                     a[i] = [p * x // prev for x in row]
         prev = p
         pivots.append(col)
-    det = Fraction(sign * prev, scale) if len(pivots) == len(a) == ncols \
-        else Fraction(0)
-    return ([[Fraction(x, prev) for x in row] for row in a[:len(pivots)]],
-            pivots, det)
+    return pivots, sign, prev
 
 
 def _square_rows(m):
@@ -126,8 +144,12 @@ def _square_rows(m):
 
 
 def frac_det(m) -> Fraction:
-    """Exact determinant of a square rational matrix."""
-    return row_reduce(_square_rows(m))[2]
+    """Exact determinant of a square rational matrix: row_reduce's, from
+    the elimination alone, without its reduced rows."""
+    a, scale = _cleared_rows(_square_rows(m))
+    pivots, sign, prev = _eliminate(a, len(a))
+    return Fraction(sign * prev, scale) if len(pivots) == len(a) \
+        else Fraction(0)
 
 
 def frac_inv(m) -> np.ndarray:
@@ -167,11 +189,10 @@ def is_positive_definite(m) -> bool:
     a = as_frac_matrix(m)
     if not is_symmetric(a):
         return False
-    n = a.shape[0]
-    for k in range(1, n + 1):
-        if frac_det(a[:k, :k]) <= 0:
-            return False
-    return True
+    # clearing row i scales every minor through it by d_i > 0
+    rows = _cleared_rows(a.tolist())[0]
+    return all(frac_det([row[:k] for row in rows[:k]]) > 0
+               for k in range(1, len(rows) + 1))
 
 
 @dataclass(frozen=True)
@@ -467,17 +488,28 @@ def polarization_type(phi) -> PolarizationType:
 class LatticeCoordinates:
     """Coordinates for the lattice spanned by the columns of a square
     basis B (rows in ``basis``): B^-1 is computed once, as the integer
-    rows ``inv_rows`` over one positive ``den``.  Points are int or
+    rows ``inv_rows`` over the least positive ``den``.  Points are int or
     Fraction.  A singular B raises Degenerate, a non-square one
     ValueError."""
 
     def __init__(self, basis):
         rows = _square_rows(basis)
-        inv = frac_inv(rows)
+        r = len(rows)
+        # cleared, [B | 1] is [N | D] with N = D B integer and D diagonal;
+        # the elimination turns it into [prev 1 | prev N^-1 D], and
+        # N^-1 D = B^-1
+        aug = _cleared_rows(row + [int(i == j) for j in range(r)]
+                            for i, row in enumerate(rows))[0]
+        pivots, _, prev = _eliminate(aug, r)
+        if len(pivots) < r:
+            raise Degenerate("matrix is singular")
+        inv = [row[r:] for row in aug]
+        g = gcd(prev, *(x for row in inv for x in row))
+        if prev < 0:
+            g = -g
         self.basis = tuple(tuple(row) for row in rows)
-        self.den = lcm(*(x.denominator for x in inv.flat))
-        self.inv_rows = tuple(tuple(int(x * self.den) for x in row)
-                              for row in inv)
+        self.den = prev // g
+        self.inv_rows = tuple(tuple(x // g for x in row) for row in inv)
 
     clear_denominators = staticmethod(clear_denominators)
 

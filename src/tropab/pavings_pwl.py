@@ -18,7 +18,7 @@ affine_on_cell (hence bending parameters and affine regions).
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 from operator import add
 from typing import Dict
@@ -104,7 +104,7 @@ class PwAffineFunction:
         self._den = den = lcm(*(x.denominator for x in coeffs))
 
         def ints(row):
-            return tuple(int(x * den) for x in row)
+            return tuple(x.numerator * (den // x.denominator) for x in row)
         self._quasi_ints = tuple((tuple(ints(row) for row in b),
                                   ints(x / 2 for x in lin))
                                  for b, lin in zip(bils, self.quasi_linear))
@@ -297,40 +297,31 @@ def bending_parameters(f: PwAffineFunction):
     For a wall between sigma+ and sigma- (sides named so the primitive
     wall normal is positive on sigma+), the bending is the linear part
     of f|sigma+ - f|sigma- evaluated at an integral transversal omega
-    with <normal, omega> = 1.
+    with <normal, omega> = 1.  The pieces are read from f's integer
+    table, D times the affine ones, and each bending value is one
+    Fraction over D.
     """
     out = {}
-    for key, incidences in f.paving.walls().items():
-        (i, si), (j, sj) = incidences
+    for key, ((i, si), (j, sj)) in f.paving.walls().items():
         n = geom.normal_through(key)
         c = geom.dot(n, key[0])
-        aff_i = f.affine_on_cell(i, si)
-        aff_j = f.affine_on_cell(j, sj)
+        piece_i, piece_j = f._piece(i, si), f._piece(j, sj)
         # the two pieces must agree on the wall itself
         for v in key:
-            for p in range(f.payload_rank):
-                vi = geom.dot(aff_i[0][p], v) + aff_i[1][p]
-                vj = geom.dot(aff_j[0][p], v) + aff_j[1][p]
-                if vi != vj:
+            for (li, ci), (lj, cj) in zip(piece_i, piece_j):
+                if geom.dot(li, v) + ci != geom.dot(lj, v) + cj:
                     raise NonMatchingFaces(
                         "pieces disagree at wall vertex %r" % (v,))
-        bary = _barycenter_of(f.paving, i, si)
-        if geom.dot(n, bary) - c > 0:
-            plus, minus = aff_i, aff_j
-        else:
-            # n is negative on cell i's side, hence positive on cell j's
-            plus, minus = aff_j, aff_i
+        # n is positive on sigma+; cell i + si lies on the side of n
+        # where its vertex sum is, n . sum - c per vertex
+        vs = f.paving.cells[i].vertices
+        side = sum(geom.dot(n, v) - c for v in vs) + len(vs) * geom.dot(n, si)
+        plus, minus = (piece_i, piece_j) if side > 0 else (piece_j, piece_i)
         omega = geom.integer_transversal(n)
-        out[key] = tuple(geom.dot(tuple(a - b for a, b in
-                                        zip(plus[0][p], minus[0][p])), omega)
-                         for p in range(f.payload_rank))
+        out[key] = tuple(Fraction(geom.dot(lin_p, omega)
+                                  - geom.dot(lin_m, omega), f._den)
+                         for (lin_p, _), (lin_m, _) in zip(plus, minus))
     return out
-
-
-def _barycenter_of(paving, idx, shift):
-    vs = paving.cells[idx].vertices
-    return tuple(sum(Fraction(v[i]) for v in vs) / len(vs) + shift[i]
-                 for i in range(paving.rank))
 
 
 def is_p_convex(f: PwAffineFunction, p: ToricMonoid,
@@ -496,11 +487,33 @@ def sigma_section(q: QuadraticForm, period_basis,
     these arguments before.
     """
     pav = delaunay_subdivision(q, period_basis, window)
-    affines = [_affine_through(c.vertices,
-                               [q.value(v) / 2 for v in c.vertices])
-               for c in pav.cells]
+    m, scale = q.cleared()
+    affines = [_half_form_piece(m, scale, c.vertices) for c in pav.cells]
     zero = tuple(Fraction(0) for _ in range(q.rank))
     return PwAffineFunction(pav, affines, [q.matrix], [zero], payload_rank=1)
+
+
+def _half_form_piece(m, scale, vertices):
+    """(lin, const) of the affine function equal to Q / 2 at the vertices
+    of a Delaunay cell, Q = m / scale for the integer rows m.  The
+    vertices lie on one Q-ellipsoid, so the function is the one through
+    b_0 = vertices[0] and b_0 + d_k for the first r independent
+    differences d_k: with B the matrix of columns d_k,
+
+        lin = B^-T (m(d_k) + 2 d_k^T m b_0)_k / (2 scale)
+
+    one integer solve (B^-1 is the integer rows of LatticeCoordinates
+    over their den), and const = m(b_0) / (2 scale) - lin.b_0."""
+    r = len(m)
+    b0 = vertices[0]
+    diffs = [geom.vsub(v, b0) for v in vertices[1:]]
+    cols = next(s for s in combinations(diffs, r) if geom._det(s))
+    lat = LatticeCoordinates(list(zip(*cols)))
+    mb0 = [geom.dot(row, b0) for row in m]
+    rhs = [geom.bilinear(m, d, d) + 2 * geom.dot(d, mb0) for d in cols]
+    lin = tuple(Fraction(geom.dot(col, rhs), 2 * scale * lat.den)
+                for col in zip(*lat.inv_rows))
+    return lin, Fraction(geom.dot(mb0, b0), 2 * scale) - geom.dot(lin, b0)
 
 
 # ---------------------------------------------------------------------------

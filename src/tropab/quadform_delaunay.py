@@ -23,10 +23,10 @@ from typing import List, Tuple
 import numpy as np
 
 from . import _geometry as geom
-from .errors import (InvalidPaving, NotPositiveDefinite, TooLarge,
-                     WindowTooSmall)
+from .errors import (Degenerate, InvalidPaving, NotPositiveDefinite,
+                     TooLarge, WindowTooSmall)
 from .exact_linalg import (LatticeCoordinates, as_frac_matrix, as_int_matrix,
-                           clear_denominators, frac_det, hermite_normal_form,
+                           clear_denominators, hermite_normal_form,
                            independent_rows, is_positive_definite,
                            is_symmetric, row_reduce)
 
@@ -61,6 +61,13 @@ class QuadraticForm:
         v = [Fraction(t) for t in x]
         return geom.bilinear(self.matrix, v, v)
 
+    def cleared(self):
+        """(m, scale): the integer rows m of scale * M, for scale the least
+        common denominator of the entries of M."""
+        scale = lcm(*(x.denominator for x in self.matrix.flat))
+        return [[x.numerator * (scale // x.denominator) for x in row]
+                for row in self.matrix.tolist()], scale
+
     def is_positive_definite(self) -> bool:
         """Sylvester's criterion, run on the first call only."""
         if self._positive_definite is None:
@@ -76,6 +83,8 @@ class QuadraticForm:
 
 
 def _as_int_if_possible(x):
+    if type(x) is int:
+        return x
     f = Fraction(x)
     return int(f) if f.denominator == 1 else f
 
@@ -87,7 +96,7 @@ class LatticePolytope:
     vertices: Tuple[Tuple, ...]
 
     def __post_init__(self):
-        vs = tuple(sorted(tuple(_as_int_if_possible(x) for x in v)
+        vs = tuple(sorted(tuple(map(_as_int_if_possible, v))
                           for v in self.vertices))
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate vertices in cell %r" % (vs,))
@@ -115,14 +124,16 @@ class PeriodicPaving:
         self.period_basis = as_int_matrix(period_basis)
         if self.period_basis.shape != (self.rank, self.rank):
             raise InvalidPaving("period basis must be square of the rank")
-        if frac_det(self.period_basis) == 0:
-            raise InvalidPaving("period basis must be nondegenerate")
+        try:
+            self.lattice = LatticeCoordinates(self.period_basis)
+        except Degenerate:
+            raise InvalidPaving("period basis must be nondegenerate") \
+                from None
         self.window = int(window)
         self.cells: List[LatticePolytope] = sorted(
             (c if isinstance(c, LatticePolytope) else LatticePolytope(tuple(c))
              for c in cells),
             key=lambda c: c.vertices)
-        self.lattice = LatticeCoordinates(self.period_basis)
         self._facet_cache = {}
         self._wall_cache = None
         self._locator = None
@@ -321,7 +332,8 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
         raise TooLarge("Delaunay is computed for rank <= 3, not %d" % r,
                        field="q")
     pb = as_int_matrix(period_basis)
-    shift = tuple(Fraction(x) for x in (shift or (0,) * r))
+    # an integral shift stays int, so the cells stay on ints
+    shift = tuple(_as_int_if_possible(x) for x in (shift or (0,) * r))
     key = (tuple(map(tuple, pb.tolist())), window, shift)
     if key in q._pavings:
         return q._pavings[key]
@@ -331,25 +343,24 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
              for row in paving.lattice.basis]
     check_window_points(window, prod(2 * s + 1 for s in spans))
 
-    scale = lcm(*(x.denominator for x in q.matrix.flat))
-    m = [[int(x * scale) for x in row] for row in q.matrix]
-    cosets = coset_representatives(pb, "period_basis")
+    offsets = [geom.vadd(t, shift)
+               for t in coset_representatives(pb, "period_basis")]
     reps = {}
-    for cell in _delaunay_cells(m):
-        for t in cosets:
-            c = paving.canonical_cell(geom.vadd(geom.vadd(v, t), shift)
-                                      for v in cell)
+    for cell in _delaunay_cells(q.cleared()[0]):
+        for t in offsets:
+            c = paving.canonical_cell(geom.vadd(v, t) for v in cell)
             reps[c.vertices] = c
     need = max(_least_window(paving.lattice,
-                             [geom.vsub(v, shift) for v in c.vertices])
-               for c in reps.values())
+                             [geom.vsub(v, shift) for v in vs])
+               for vs in reps)
     if need > window:
         raise WindowTooSmall(
             "window %d holds no translate of some cell orbit; the least "
             "window that holds every orbit is %d" % (window, need),
             field="window")
-    q._pavings[key] = PeriodicPaving(r, pb, list(reps.values()), window)
-    return q._pavings[key]
+    paving.cells = [reps[vs] for vs in sorted(reps)]   # PeriodicPaving's order
+    q._pavings[key] = paving
+    return paving
 
 
 def _delaunay_cells(m):
@@ -486,8 +497,7 @@ def empty_sphere_check(cell, q: QuadraticForm, window: int) -> bool:
     center = _equidistant_center(verts, q)
     if center is None:
         return False
-    scale = lcm(*(x.denominator for x in q.matrix.flat))
-    m = [[int(x * scale) for x in row] for row in q.matrix]
+    m = q.cleared()[0]
     num, d = clear_denominators(center)
     z0 = [d * x - c for x, c in zip(verts[0], num)]
     return all(y in verts for y, _ in

@@ -71,6 +71,18 @@ def frac_det(m):
     return total
 
 
+def lattice_inverse_reference(basis):
+    """(inv_rows, den) of LatticeCoordinates by the Fraction route: the
+    inverse from frac_inv, den the least common denominator of its
+    entries and inv_rows the integer rows of den B^-1."""
+    from tropab.exact_linalg import frac_inv
+
+    inv = frac_inv([list(row) for row in basis])
+    den = math.lcm(*(Fraction(x).denominator for x in inv.flat))
+    return (tuple(tuple(int(x * den) for x in row) for row in inv.tolist()),
+            den)
+
+
 def frac_solve(a, b):
     """Solve a x = b exactly by Gaussian elimination; a square invertible."""
     n = len(a)
@@ -925,6 +937,41 @@ def shifted_affine_reference(f, idx, shift):
                          + sum(x * y for x, y in zip(f.quasi_linear[i], lam))
                          / 2)
     return tuple(new_lin), tuple(new_const)
+
+
+def bending_reference(f):
+    """bending_parameters of a PwAffineFunction f in Fraction arithmetic:
+    the pieces from affine_on_cell, the side of each wall from the
+    barycentre of cell i + s_i, and the bending as the difference of the
+    linear parts at an integral transversal of the primitive normal."""
+    from tropab import _geometry as geom
+    from tropab.errors import NonMatchingFaces
+
+    out = {}
+    for key, ((i, si), (j, sj)) in f.paving.walls().items():
+        n = geom.normal_through(key)
+        c = geom.dot(n, key[0])
+        aff_i = f.affine_on_cell(i, si)
+        aff_j = f.affine_on_cell(j, sj)
+        for v in key:
+            for p in range(f.payload_rank):
+                vi = geom.dot(aff_i[0][p], v) + aff_i[1][p]
+                vj = geom.dot(aff_j[0][p], v) + aff_j[1][p]
+                if vi != vj:
+                    raise NonMatchingFaces(
+                        "pieces disagree at wall vertex %r" % (v,))
+        vs = f.paving.cells[i].vertices
+        bary = tuple(sum(Fraction(v[k]) for v in vs) / len(vs) + si[k]
+                     for k in range(f.rank))
+        if geom.dot(n, bary) - c > 0:
+            plus, minus = aff_i, aff_j
+        else:
+            plus, minus = aff_j, aff_i
+        omega = geom.integer_transversal(n)
+        out[key] = tuple(geom.dot(tuple(a - b for a, b in
+                                        zip(plus[0][p], minus[0][p])), omega)
+                         for p in range(f.payload_rank))
+    return out
 
 
 def evaluate_reference(f, point):

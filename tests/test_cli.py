@@ -236,12 +236,17 @@ def test_fourier_and_fiber():
 ])
 def test_an_index_over_the_limit_is_refused(command, doc):
     """A lattice of index 10^12 has 10^12 cosets; the refusal comes
-    before any of them is listed."""
+    before any of them is listed, and names the field of the input that
+    holds the lattice basis."""
+    field = {"fourier": "phi_map", "fiber": "phi_image_basis",
+             "profile": "phi_map"}[command]
     if command == "fiber":
         doc = dict(doc, paving=run_json("delaunay", {"q": [[1]]}))
     code, out, _ = run(command, doc)
     assert code == 1
-    assert json.loads(out)["code"] == "TooLarge"
+    err = json.loads(out)
+    assert err["code"] == "TooLarge"
+    assert err["field"] == field and field in doc
 
 
 def test_face():

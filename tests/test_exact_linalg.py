@@ -13,13 +13,14 @@ from tropab.errors import (Degenerate, NotInGLXY, NotInjective, NotSkew,
 from tropab.exact_linalg import (LatticeCoordinates, PolarizationType,
                                  frac_det, frac_inv, glxy_act,
                                  hermite_normal_form, independent_rows,
-                                 lattice_membership, polarization_type,
-                                 rank, row_reduce, smith_normal_form,
-                                 standard_symplectic_form,
+                                 is_positive_definite, lattice_membership,
+                                 polarization_type, rank, row_reduce,
+                                 smith_normal_form, standard_symplectic_form,
                                  symplectic_normal_form)
 
 from oracles import frac_det as cofactor_det
 from oracles import (frac_solve, hermite_normal_form_reference, kernel,
+                     lattice_inverse_reference,
                      row_reduce_reference, smith_normal_form_reference,
                      snf_diag_via_minor_gcds,
                      symplectic_normal_form_reference)
@@ -286,6 +287,31 @@ def test_rank_kernel_and_independent_rows(m):
         assert (i in keep) == (rank(m[:i + 1]) > rank(m[:i]))
 
 
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices up to 4 x 4, shifted by c I for an
+    integer c in [0, 20] so that positive definite ones are common."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.lists(st.lists(small_frac, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    c = draw(st.integers(0, 20))
+    return [[m[min(i, j)][max(i, j)] + c * (i == j) for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_positive_definiteness_matches_cofactor_sylvester(m):
+    want = all(cofactor_det([row[:k] for row in m[:k]]) > 0
+               for k in range(1, len(m) + 1))
+    assert is_positive_definite(_obj(m)) == want
+
+
+def test_an_asymmetric_matrix_is_not_positive_definite():
+    assert is_positive_definite(_obj([[2, 1], [1, 2]]))
+    assert not is_positive_definite(_obj([[2, 1], [0, 2]]))
+
+
 # -- lattice coordinates ----------------------------------------------------
 
 @st.composite
@@ -315,6 +341,34 @@ def test_lattice_coordinates_match_solve_oracle(case):
                for c in frac_solve(basis, shift))
     rest = frac_solve(basis, [x - t for x, t in zip(point, shift)])
     assert all(0 <= c < 1 for c in rest)
+
+
+@st.composite
+def lattice_bases(draw):
+    """A nonsingular basis up to 4 x 4, of ints or of Fractions."""
+    n = draw(st.integers(1, 4))
+    entry = small_int if draw(st.booleans()) else small_frac
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n)
+                .filter(lambda m: cofactor_det(m) != 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_bases())
+def test_lattice_inverse_matches_the_fraction_route(basis):
+    """The integer rows of B^-1 over the least den, from the elimination
+    of the cleared basis, equal those of frac_inv: same ints, same den."""
+    lat = LatticeCoordinates(basis)
+    assert (lat.inv_rows, lat.den) == lattice_inverse_reference(basis)
+    assert all(type(x) is int for row in lat.inv_rows for x in row)
+    assert type(lat.den) is int and lat.den > 0
+
+
+def test_a_singular_lattice_basis_is_degenerate():
+    with pytest.raises(Degenerate, match="^matrix is singular$"):
+        LatticeCoordinates([[1, 2], [Fraction(1, 2), 1]])
+    with pytest.raises(ValueError):
+        LatticeCoordinates([[1, 2]])
 
 
 # -- equality with the Fraction / object-array references --------------------

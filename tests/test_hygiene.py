@@ -1,6 +1,8 @@
 """Source hygiene: every name a module of the package or of the tests
-imports is used in that module.  The package's ``__init__.py`` files
-import names only to re-export them and are not scanned."""
+imports is used in that module, and every private module-level function
+of the package is used somewhere in it.  The package's ``__init__.py``
+files import names only to re-export them and are not scanned for
+imports."""
 
 import ast
 from pathlib import Path
@@ -36,3 +38,52 @@ def test_no_module_imports_a_name_it_does_not_use():
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+def _names_read(node):
+    """Every name a syntax tree reads: Names, attributes and the names
+    an ``from ... import`` brings in."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def unreferenced_private_functions(sources):
+    """(path, name) of each module-level ``_name`` function of the given
+    sources (a dict of path -> text) that nothing outside its own
+    definition reads."""
+    defined, reads = [], []
+    for path, text in sources.items():
+        for node in ast.parse(text).body:
+            own = node.name if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined.append((path, own))
+            reads.append(((path, own), _names_read(node)))
+    return sorted(fn for fn in defined
+                  if not any(fn[1] in names for where, names in reads
+                             if where != fn))
+
+
+def test_the_scan_finds_an_orphaned_private_function():
+    sources = {"a.py": "def _kept():\n    pass\n\n"
+                       "def _orphan(n):\n    return n and _orphan(n - 1)\n\n"
+                       "def public():\n    return _kept()\n",
+               "b.py": "from a import _helper\n\n"
+                       "def _helper():\n    pass\n"}
+    # reading itself does not keep a function
+    assert unreferenced_private_functions(sources) == [("a.py", "_orphan")]
+    sources["b.py"] += "\nX = [a._orphan]\n"
+    assert unreferenced_private_functions(sources) == []
+
+
+def test_no_private_function_of_the_package_is_orphaned():
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert unreferenced_private_functions(sources) == []

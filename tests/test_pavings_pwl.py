@@ -25,8 +25,9 @@ from tropab.pavings_pwl import (PwAffineFunction, ToricMonoid,
 from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
                                       QuadraticForm, delaunay_subdivision)
 
-from oracles import (brute_force_legendre, cone_cy_reference,
-                     evaluate_reference, interp_half_square,
+from oracles import (bending_reference, brute_force_legendre,
+                     cone_cy_reference, evaluate_reference,
+                     interp_half_square,
                      second_difference_quadratic_1d, shifted_affine_reference)
 
 F = Fraction
@@ -501,6 +502,20 @@ def pw_functions(draw):
     return PwAffineFunction(pav, affs, bils, rows(k), payload_rank=k)
 
 
+@st.composite
+def continuous_functions(draw):
+    """c_i sigma in payload i, i < k, k = 0-2, for sigma the section of a
+    form of PAVED over its paving: continuous, so no wall raises."""
+    q, pb, window = PAVED[draw(st.integers(0, len(PAVED) - 1))]
+    s = sigma_section(QuadraticForm(_obj(q)), _obj(pb), window)
+    cs = [draw(_coefficients) for _ in range(draw(st.integers(0, 2)))]
+    affs = [([[c * x for x in lin[0]] for c in cs], [c * const[0] for c in cs])
+            for lin, const in s.cell_affines]
+    return PwAffineFunction(s.paving, affs,
+                            [c * s.quasi_bilinear[0] for c in cs],
+                            [[0] * s.rank for _ in cs], payload_rank=len(cs))
+
+
 def _points(r):
     """Points within +-60 with denominators up to 4."""
     coord = st.integers(1, 4).flatmap(
@@ -530,3 +545,48 @@ def test_integer_evaluation_matches_fraction_reference(data):
             want = d * want if f.payload_rank == 1 else \
                 tuple(d * v for v in want)
             assert _typed(phi.value(d, x)) == _typed(want)
+
+
+# -- bending on the integer table vs the Fraction reference -----------------
+
+def _bending_or_refusal(bend, f):
+    """The bending of f, typed, or the NonMatchingFaces it raises."""
+    try:
+        return {k: _typed(v) for k, v in bend(f).items()}
+    except NonMatchingFaces as err:
+        return "NonMatchingFaces", str(err)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(pw_functions(), continuous_functions()))
+def test_integer_bending_matches_fraction_reference(f):
+    """Random pieces mostly disagree on some wall; both routes must then
+    raise on the same wall vertex, and otherwise agree value and type."""
+    assert _bending_or_refusal(bending_parameters, f) == \
+        _bending_or_refusal(bending_reference, f)
+
+
+def _shear(qm, k, transpose):
+    """S^T Q S for the shear S = [[1, k], [0, 1]] or its transpose."""
+    s = [[1, 0], [k, 1]] if transpose else [[1, k], [0, 1]]
+    sq = [[sum(s[t][i] * qm[t][j] for t in range(2)) for j in range(2)]
+          for i in range(2)]
+    return [[sum(sq[i][t] * s[t][j] for t in range(2)) for j in range(2)]
+            for i in range(2)]
+
+
+@pytest.mark.parametrize("qm, window", [
+    (_shear(base, k, transpose), 16)
+    for base in ([[2, 1], [1, 2]], [[3, 1], [1, 5]], [[4, -1], [-1, 3]],
+                 [[7, 3], [3, 9]])
+    for k in (1, 2) for transpose in (False, True)] + [
+    (qm, 4) for qm in ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+                       [[3, 1, 1], [1, 4, 2], [1, 2, 5]],
+                       [[4, -1, 1], [-1, 5, 2], [1, 2, 6]],
+                       [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]])])
+def test_integer_bending_of_sigma_matches_fraction_reference(qm, window):
+    s = sigma_section(QuadraticForm(_obj(qm)), np.eye(len(qm), dtype=object),
+                      window)
+    assert _bending_or_refusal(bending_parameters, s) == \
+        _bending_or_refusal(bending_reference, s)
+    assert all(b[0] > 0 for b in bending_parameters(s).values())

@@ -189,6 +189,107 @@ def test_rational_form_paves_like_its_integer_multiple():
         delaunay_subdivision(A2, I2, 4)
 
 
+# -- coordinate types, shifted lattices and coarser period bases ------------
+
+@pytest.mark.parametrize("qm, pb, window", [
+    ([[1]], [[1]], 3),
+    ([[2, 1], [1, 2]], [[1, 0], [0, 1]], 4),
+    ([[2, 1], [1, 3]], [[2, 1], [0, 1]], 4),
+    ([[14, -25], [-25, 45]], [[1, 0], [0, 1]], 16),
+    ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+     [[2, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
+])
+def test_an_unshifted_paving_is_on_python_ints(qm, pb, window, monkeypatch):
+    """No shift, a zero one or an integral Fraction one: every coordinate
+    of every cell, wall and vertex orbit is an int, never a Fraction, and
+    so is every vertex the subdivision hands canonical_cell on the way
+    (LatticePolytope would turn an integral Fraction back into an int)."""
+    handed = set()
+    canonical_cell = PeriodicPaving.canonical_cell
+
+    def recording(self, vertices):
+        vertices = list(vertices)
+        handed.update(type(x) for v in vertices for x in v)
+        return canonical_cell(self, vertices)
+    monkeypatch.setattr(PeriodicPaving, "canonical_cell", recording)
+    r = len(qm)
+    for shift in (None, (0,) * r, (Fraction(1),) + (Fraction(0),) * (r - 1)):
+        pav = delaunay_subdivision(QuadraticForm(_obj(qm)), _obj(pb), window,
+                                   shift=shift)
+        points = [v for c in pav.cells for v in c.vertices]
+        points += [v for key in pav.walls() for v in key]
+        points += list(pav.vertex_orbits())
+        assert {type(x) for v in points for x in v} == {int}
+    assert handed == {int}
+
+
+F = Fraction
+HALF_THIRD = (F(1, 2), F(1, 3))
+
+
+def test_a_shifted_hexagonal_lattice_keeps_its_cells_and_walls():
+    pav = delaunay_subdivision(A2, I2, 4, shift=HALF_THIRD)
+    assert [c.vertices for c in pav.cells] == [
+        ((F(1, 2), F(1, 3)), (F(1, 2), F(4, 3)), (F(3, 2), F(1, 3))),
+        ((F(1, 2), F(1, 3)), (F(3, 2), F(-2, 3)), (F(3, 2), F(1, 3)))]
+    assert sorted(pav.walls().items()) == [
+        (((F(1, 2), F(1, 3)), (F(1, 2), F(4, 3))),
+         [(0, (0, 0)), (1, (-1, 1))]),
+        (((F(1, 2), F(1, 3)), (F(3, 2), F(-2, 3))),
+         [(0, (0, -1)), (1, (0, 0))]),
+        (((F(1, 2), F(1, 3)), (F(3, 2), F(1, 3))),
+         [(0, (0, 0)), (1, (0, 0))])]
+    coarse = delaunay_subdivision(A2, _obj([[2, 1], [0, 1]]), 4,
+                                  shift=HALF_THIRD)
+    assert [c.vertices for c in coarse.cells] == [
+        ((F(1, 2), F(1, 3)), (F(1, 2), F(4, 3)), (F(3, 2), F(1, 3))),
+        ((F(1, 2), F(1, 3)), (F(3, 2), F(-2, 3)), (F(3, 2), F(1, 3))),
+        ((F(3, 2), F(1, 3)), (F(3, 2), F(4, 3)), (F(5, 2), F(1, 3))),
+        ((F(3, 2), F(1, 3)), (F(5, 2), F(-2, 3)), (F(5, 2), F(1, 3)))]
+
+
+def test_a_coarser_period_basis_keeps_its_cells_sigma_and_fiber():
+    from tropab.degeneration_monoids import central_fiber_complex
+    from tropab.pavings_pwl import bending_parameters
+
+    pb = _obj([[2, 1], [0, 1]])
+    pav = delaunay_subdivision(A2, pb, 4)
+    assert [c.vertices for c in pav.cells] == [
+        ((0, 0), (0, 1), (1, 0)), ((0, 0), (1, -1), (1, 0)),
+        ((1, 0), (1, 1), (2, 0)), ((1, 0), (2, -1), (2, 0))]
+    s = sigma_section(A2, pb, 4)
+    assert s.paving is pav
+    assert s.cell_affines == (
+        (((F(1), F(1)),), (F(0),)), (((F(1), F(0)),), (F(0),)),
+        (((F(3), F(2)),), (F(-2),)), (((F(3), F(1)),), (F(-2),)))
+    assert {type(x) for lin, const in s.cell_affines
+            for x in lin[0] + const} == {Fraction}
+    assert sorted(bending_parameters(s).items()) == [
+        (((0, 0), (0, 1)), (F(1),)), (((0, 0), (1, -1)), (F(1),)),
+        (((0, 0), (1, 0)), (F(1),)), (((1, 0), (1, 1)), (F(1),)),
+        (((1, 0), (2, -1)), (F(1),)), (((1, 0), (2, 0)), (F(1),))]
+    fib = central_fiber_complex(pav, 2 * I2)
+    assert [c.vertices for c in fib.components] == [
+        ((0, 0), (0, 1), (1, 0)), ((1, 1), (1, 2), (2, 1)),
+        ((0, 0), (1, -1), (1, 0)), ((1, 1), (2, 0), (2, 1)),
+        ((1, 0), (1, 1), (2, 0)), ((0, 1), (0, 2), (1, 1)),
+        ((1, 0), (2, -1), (2, 0)), ((0, 1), (1, 0), (1, 1))]
+    assert fib.incidences == (
+        (0, 2, ((0, 0), (1, 0))), (0, 3, ((0, 0), (0, 1))),
+        (0, 7, ((0, 1), (1, 0))), (1, 2, ((1, 1), (1, 2))),
+        (1, 3, ((1, 1), (2, 1))), (1, 6, ((1, 0), (2, -1))),
+        (2, 5, ((0, 0), (1, -1))), (3, 4, ((1, 1), (2, 0))),
+        (4, 6, ((1, 0), (2, 0))), (4, 7, ((1, 0), (1, 1))),
+        (5, 6, ((0, 1), (0, 2))), (5, 7, ((0, 1), (1, 1))))
+    same = central_fiber_complex(pav, pb)
+    assert [c.vertices for c in same.components] == \
+        [c.vertices for c in pav.cells]
+    assert same.incidences == (
+        (0, 1, ((0, 0), (0, 1))), (0, 1, ((0, 0), (1, 0))),
+        (0, 3, ((1, 0), (2, -1))), (1, 2, ((0, 0), (1, -1))),
+        (2, 3, ((1, 0), (1, 1))), (2, 3, ((1, 0), (2, 0))))
+
+
 # -- the closed form vs the windowed lower-hull reference --------------------
 
 def _hull_matches_reference(qm, pb, window, shift=None, limit=None):
