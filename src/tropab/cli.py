@@ -69,6 +69,9 @@ def _complex_matrix(m):
         raise MalformedInput("expected a complex matrix")
     out = []
     for row in m:
+        if any(isinstance(e, list) and len(e) != 2 for e in row):
+            raise MalformedInput("a complex entry is a number or an "
+                                 "[re, im] pair")
         out.append([complex(e[0], e[1]) if isinstance(e, list)
                     else complex(e) for e in row])
     return np.array(out, dtype=complex)
@@ -104,7 +107,7 @@ def ser(x):
 def ser_paving(p):
     return {"kind": "paving", "rank": p.rank,
             "period_basis": ser(p.period_basis), "window": p.window,
-            "cells": [[list(v) for v in c.vertices] for c in p.cells]}
+            "cells": [ser(c.vertices) for c in p.cells]}
 
 
 def de_paving(obj):

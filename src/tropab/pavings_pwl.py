@@ -295,11 +295,11 @@ def bending_parameters(f: PwAffineFunction):
     """Payload vector across each wall orbit of f's paving.
 
     For a wall between sigma+ and sigma- (sides named so the primitive
-    wall normal is positive on sigma+), the bending is the linear part
-    of f|sigma+ - f|sigma- evaluated at an integral transversal omega
-    with <normal, omega> = 1.  The pieces are read from f's integer
-    table, D times the affine ones, and each bending value is one
-    Fraction over D.
+    wall normal n is positive on sigma+), the pieces agree on the wall,
+    so the linear part of f|sigma+ - f|sigma- is t n, and the bending is
+    t.  The pieces are read from f's integer table, D times the affine
+    ones; there t is an integer because n is primitive, and each bending
+    value is one Fraction t / D.
     """
     out = {}
     for key, ((i, si), (j, sj)) in f.paving.walls().items():
@@ -317,9 +317,8 @@ def bending_parameters(f: PwAffineFunction):
         vs = f.paving.cells[i].vertices
         side = sum(geom.dot(n, v) - c for v in vs) + len(vs) * geom.dot(n, si)
         plus, minus = (piece_i, piece_j) if side > 0 else (piece_j, piece_i)
-        omega = geom.integer_transversal(n)
-        out[key] = tuple(Fraction(geom.dot(lin_p, omega)
-                                  - geom.dot(lin_m, omega), f._den)
+        k = next(k for k, x in enumerate(n) if x)
+        out[key] = tuple(Fraction((lin_p[k] - lin_m[k]) // n[k], f._den)
                          for (lin_p, _), (lin_m, _) in zip(plus, minus))
     return out
 
@@ -613,18 +612,19 @@ def affine_region_paving(f: PwAffineFunction) -> PeriodicPaving:
         root, off = find(i)
         groups.setdefault(root, []).append((i, off))
 
+    # a region's vertices are its points on r or more of its facets
+    # (exact for r <= 3: any other boundary point is on at most r - 1)
     merged = []
     for members in groups.values():
         if len(members) == 1:
-            # a lone cell's vertices are its points on r or more facets
             i = members[0][0]
+            pts = f.paving.cells[i].vertices
             facets = f.paving.cell_facets(i)
-            pts = [v for v in f.paving.cells[i].vertices
-                   if sum(v in fv for fv, _, _ in facets) >= r]
         else:
-            pts = geom.extreme_points(
-                geom.vadd(v, off) for i, off in members
-                for v in f.paving.cells[i].vertices)
-        merged.append(f.paving.canonical_cell(pts))
+            pts = {geom.vadd(v, off) for i, off in members
+                   for v in f.paving.cells[i].vertices}
+            facets = geom.polytope_facets(pts)
+        merged.append(f.paving.canonical_cell(
+            [v for v in pts if sum(v in fv for fv, _, _ in facets) >= r]))
     return PeriodicPaving(f.rank, f.paving.period_basis, merged,
                           f.paving.window)

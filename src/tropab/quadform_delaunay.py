@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _geometry as geom
 from .errors import (Degenerate, InvalidPaving, NotPositiveDefinite,
-                     TooLarge, WindowTooSmall)
+                     RankMismatch, TooLarge, WindowTooSmall)
 from .exact_linalg import (LatticeCoordinates, as_frac_matrix, as_int_matrix,
                            clear_denominators, hermite_normal_form,
                            independent_rows, is_positive_definite,
@@ -333,7 +333,11 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
                        field="q")
     pb = as_int_matrix(period_basis)
     # an integral shift stays int, so the cells stay on ints
-    shift = tuple(_as_int_if_possible(x) for x in (shift or (0,) * r))
+    shift = tuple(_as_int_if_possible(x)
+                  for x in ((0,) * r if shift is None else shift))
+    if len(shift) != r:
+        raise RankMismatch("shift of length %d for a form of rank %d"
+                           % (len(shift), r), field="shift")
     key = (tuple(map(tuple, pb.tolist())), window, shift)
     if key in q._pavings:
         return q._pavings[key]

@@ -448,7 +448,7 @@ def lower_hull_reference(sites, heights, r):
     polytope_facets_reference, the initial tilt directions from the
     kernel above), so the two yield the same facet sequence.
     """
-    from tropab._geometry import affine_dim, dot, vsub
+    from tropab._geometry import dot, vsub
 
     site_list = list(sites)
 
@@ -477,7 +477,8 @@ def lower_hull_reference(sites, heights, r):
     m = min(heights.values())
     ell = ((Fraction(0),) * r, m)
     tight = [x for x in site_list if slack(ell, x) == 0]
-    while affine_dim(tight) < r:
+    while len(row_reduce_reference([vsub(x, tight[0]) for x in tight[1:]],
+                                   r)[1]) < r:
         u = kernel([vsub(x, tight[0]) for x in tight[1:]], r)[0]
         c = dot(u, tight[0])
         ell2, tight2 = tilt(ell, u, c)
@@ -967,11 +968,46 @@ def bending_reference(f):
             plus, minus = aff_i, aff_j
         else:
             plus, minus = aff_j, aff_i
-        omega = geom.integer_transversal(n)
+        omega = _integer_transversal(n)
         out[key] = tuple(geom.dot(tuple(a - b for a, b in
                                         zip(plus[0][p], minus[0][p])), omega)
                          for p in range(f.payload_rank))
     return out
+
+
+def _integer_transversal(normal):
+    """An integer vector w with <normal, w> = 1, for a primitive normal,
+    by the extended gcd across its coordinates."""
+    n = [int(x) for x in normal]
+    g, coeffs = 0, [0] * len(n)
+    for i, x in enumerate(n):
+        if x == 0:
+            continue
+        if g == 0:
+            g = abs(x)
+            coeffs[i] = 1 if x > 0 else -1
+            continue
+        g, u, v = _exgcd(g, x)
+        coeffs = [u * c for c in coeffs]
+        coeffs[i] += v
+    if g != 1:
+        raise ValueError("normal %r is not primitive" % (normal,))
+    return tuple(coeffs)
+
+
+def _exgcd(a, b):
+    """(g, s, t) with s a + t b = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
 def evaluate_reference(f, point):

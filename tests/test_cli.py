@@ -143,6 +143,22 @@ def test_delaunay_sheared_form_at_window_5():
     assert got["window"] == 5
 
 
+def test_delaunay_with_a_fractional_shift_prints_rationals():
+    got = run_json("delaunay", {**HEX_Q, "shift": ["1/2", "1/3"]})
+    assert got["cells"] == [
+        [["1/2", "1/3"], ["1/2", "4/3"], ["3/2", "1/3"]],
+        [["1/2", "1/3"], ["3/2", "-2/3"], ["3/2", "1/3"]]]
+
+
+@pytest.mark.parametrize("shift", [[1, 2, 3], [1], []],
+                         ids=["long", "short", "empty"])
+def test_delaunay_refuses_a_shift_of_the_wrong_length(shift):
+    code, out, _ = run("delaunay", {**HEX_Q, "shift": shift})
+    assert code == 1
+    got = json.loads(out)
+    assert (got["code"], got["field"]) == ("RankMismatch", "shift")
+
+
 def test_delaunay_roundtrips_into_voronoi_cone():
     pav = run_json("delaunay", HEX_Q)
     got = run_json("voronoi-cone", {"paving": pav, "q": HEX_Q["q"]})
@@ -314,6 +330,15 @@ def test_gamma_rejects_non_symplectic():
 def test_cayley_center():
     got = run_json("cayley", {"tau": [[[0, 1]]]})
     assert got["value"] == [[[0.0, 0.0]]]
+
+
+@pytest.mark.parametrize("tau", [[[[1]]], [[[0, 1, 5]]]],
+                         ids=["short", "long"])
+def test_cayley_rejects_a_complex_entry_that_is_not_a_pair(tau):
+    code, out, err = run("cayley", {"tau": tau})
+    assert code == 2
+    assert out == ""
+    assert "malformed" in err
 
 
 # -- Heisenberg commands ----------------------------------------------------

@@ -1,15 +1,19 @@
 """Facet normals and hulls in cleared integers against the Fraction
-reference."""
+reference, and volumes by facet pyramids against their symmetries."""
 
 from fractions import Fraction
 
+from itertools import product
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropab._geometry import normal_through, polytope_facets
+from tropab._geometry import normal_through, polytope_facets, polytope_volume
 from tropab.exact_linalg import rank
 
-from oracles import normal_through_reference, polytope_facets_reference
+from oracles import (frac_det, normal_through_reference,
+                     polytope_facets_reference)
 
 
 def points(r):
@@ -83,3 +87,43 @@ def test_normal_through_frozen_cases():
     assert normal_through([(half, half)]) is None
     assert normal_through([(0, 0, 0), (1, 1, 1), (2, 2, 2)]) is None
     assert normal_through([(0, 0), (1, 0), (0, 1)]) is None
+
+
+@st.composite
+def volume_cases(draw):
+    """A full-dimensional point set of rank 1 to 3, a translation and a
+    nonsingular integer matrix."""
+    r = draw(st.sampled_from((1, 2, 3)))
+    pts = draw(st.lists(points(r), min_size=r + 1, max_size=r + 4))
+    assume(rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]])
+           == r)
+    shift = draw(points(r))
+    a = draw(st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+                      min_size=r, max_size=r))
+    assume(frac_det(a) != 0)
+    return pts, shift, a
+
+
+@settings(max_examples=60, deadline=None)
+@given(volume_cases())
+def test_polytope_volume_is_translation_invariant_and_scales_by_det(case):
+    pts, shift, a = case
+    vol = polytope_volume(pts)
+    assert type(vol) is Fraction and vol > 0
+    assert polytope_volume([tuple(x + t for x, t in zip(p, shift))
+                            for p in pts]) == vol
+    mapped = [tuple(sum(m * x for m, x in zip(row, p)) for row in a)
+              for p in pts]
+    assert polytope_volume(mapped) == abs(frac_det(a)) * vol
+
+
+@pytest.mark.parametrize("pts, want", [
+    ([(0,), (1,)], 1),
+    ([(0, 0), (1, 0), (0, 1)], Fraction(1, 2)),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], Fraction(1, 6)),
+    (list(product((0, 1), repeat=2)), 1),
+    (list(product((0, 1), repeat=3)), 1),
+    ([(0, 0), (1, 0), (2, 1), (1, 2), (0, 1)], Fraction(5, 2)),
+], ids=["segment", "triangle", "tetrahedron", "square", "cube", "pentagon"])
+def test_polytope_volume_frozen_cases(pts, want):
+    assert polytope_volume(pts) == want

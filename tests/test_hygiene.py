@@ -1,11 +1,12 @@
 """Source hygiene: every name a module of the package or of the tests
 imports is used in that module, and every private module-level function
-of the package is used somewhere in it.  The package's ``__init__.py``
-files import names only to re-export them and are not scanned for
-imports."""
+of the package is used somewhere in it.  A function is private when its
+name or its module's file name starts with an underscore.  The package's
+``__init__.py`` files import names only to re-export them and are not
+scanned for imports."""
 
 import ast
-from pathlib import Path
+from pathlib import Path, PurePath
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,16 +55,22 @@ def _names_read(node):
     return out
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unreferenced_private_functions(sources):
-    """(path, name) of each module-level ``_name`` function of the given
-    sources (a dict of path -> text) that nothing outside its own
-    definition reads."""
+    """(path, name) of each module-level function of the given sources
+    (a dict of path -> text) that is private, a ``_name`` or any function
+    of a ``_module.py``, and that nothing outside its own definition
+    reads."""
     defined, reads = [], []
     for path, text in sources.items():
+        private_module = _is_private(PurePath(path).name)
         for node in ast.parse(text).body:
             own = node.name if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-            if own and own.startswith("_") and not own.startswith("__"):
+            if own and (private_module or _is_private(own)):
                 defined.append((path, own))
             reads.append(((path, own), _names_read(node)))
     return sorted(fn for fn in defined
@@ -80,6 +87,12 @@ def test_the_scan_finds_an_orphaned_private_function():
     # reading itself does not keep a function
     assert unreferenced_private_functions(sources) == [("a.py", "_orphan")]
     sources["b.py"] += "\nX = [a._orphan]\n"
+    assert unreferenced_private_functions(sources) == []
+    # every function of a private module is private
+    sources["pkg/_util.py"] = "def helper():\n    pass\n"
+    assert unreferenced_private_functions(sources) == [
+        ("pkg/_util.py", "helper")]
+    sources["b.py"] += "\nY = _util.helper\n"
     assert unreferenced_private_functions(sources) == []
 
 

@@ -4,7 +4,8 @@ section sigma, Legendre duality, and affine-region coarsening."""
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
 import numpy as np
 import pytest
@@ -402,6 +403,31 @@ def test_affine_regions_drop_a_listed_point_that_is_not_a_vertex():
     assert all(b != (0,) for b in bending_parameters(f).values())
     assert [c.vertices for c in affine_region_paving(f).cells] == \
         [((0, 0), (0, 1), (2, 0), (2, 1))]
+
+
+def _kuhn_cube(r):
+    """The r! simplices 0, e_s0, e_s0 + e_s1, ..., one per order s of the
+    axes, that triangulate the unit r-cube."""
+    cells = []
+    for order in permutations(range(r)):
+        v, verts = [0] * r, [(0,) * r]
+        for k in order:
+            v[k] = 1
+            verts.append(tuple(v))
+        cells.append(LatticePolytope(tuple(verts)))
+    return PeriodicPaving(r, np.eye(r, dtype=object), cells, 3)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_affine_regions_merge_the_kuhn_cube(r):
+    # Q / 2 for Q the identity is affine on the unit cube, so the walls
+    # between the r! simplices carry no bending and the cube is one region
+    vals = {x: F(sum(c * c for c in x), 2)
+            for x in product(range(-2, 3), repeat=r)}
+    g = interpolate_on_triangulation(vals, _kuhn_cube(r))
+    assert len(g.paving.cells) == factorial(r)
+    assert [c.vertices for c in affine_region_paving(g).cells] == \
+        [tuple(product((0, 1), repeat=r))]
 
 
 def test_affine_regions_of_affine_function_are_unbounded():

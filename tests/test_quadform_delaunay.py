@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from tropab import quadform_delaunay
 from tropab.errors import (DomainError, InvalidPaving, NotPositiveDefinite,
-                           TooLarge, WindowTooSmall)
+                           RankMismatch, TooLarge, WindowTooSmall)
 from tropab.exact_linalg import frac_det, glxy_act, rank
 from tropab.pavings_pwl import sigma_section
 from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
@@ -246,6 +246,15 @@ def test_a_shifted_hexagonal_lattice_keeps_its_cells_and_walls():
         ((F(1, 2), F(1, 3)), (F(3, 2), F(-2, 3)), (F(3, 2), F(1, 3))),
         ((F(3, 2), F(1, 3)), (F(3, 2), F(4, 3)), (F(5, 2), F(1, 3))),
         ((F(3, 2), F(1, 3)), (F(5, 2), F(-2, 3)), (F(5, 2), F(1, 3)))]
+
+
+@pytest.mark.parametrize("shift", [(1, 2, 3), (1,), ()],
+                         ids=["long", "short", "empty"])
+def test_a_shift_of_the_wrong_length_is_refused(shift):
+    with pytest.raises(RankMismatch) as err:
+        delaunay_subdivision(A2, I2, 4, shift=shift)
+    assert err.value.field == "shift"
+    assert "length %d" % len(shift) in str(err.value)
 
 
 def test_a_coarser_period_basis_keeps_its_cells_sigma_and_fiber():
