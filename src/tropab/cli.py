@@ -113,7 +113,7 @@ def ser_paving(p):
 def de_paving(obj):
     try:
         cells = [quadform_delaunay.LatticePolytope(
-            tuple(tuple(_int(x) for x in v) for v in c))
+            tuple(tuple(_frac(x) for x in v) for v in c))
             for c in obj["cells"]]
         return quadform_delaunay.PeriodicPaving(
             _int(obj["rank"]), _int_matrix(obj["period_basis"]), cells,
@@ -284,10 +284,8 @@ def _h_fiber(doc, opts):
     cfc = degeneration_monoids.central_fiber_complex(
         pav, _int_matrix(doc["phi_image_basis"]))
     return {"kind": "fiber-complex",
-            "components": [[list(v) for v in c.vertices]
-                           for c in cfc.components],
-            "incidences": [[i, j, [list(v) for v in w]]
-                           for i, j, w in cfc.incidences]}
+            "components": [ser(c.vertices) for c in cfc.components],
+            "incidences": [[i, j, ser(w)] for i, j, w in cfc.incidences]}
 
 
 def _h_face(doc, opts):

@@ -3,8 +3,8 @@
 Bending parameters across walls, convexity against a toric monoid of
 payloads, the quadratic + periodic splitting of quasiperiodic
 functions, interpolation over periodic triangulations, the linear
-section Q -> interpolation of 1/2 Q, and the discrete Legendre
-transform.  Everything is exact rational arithmetic.
+section Q -> interpolation of 1/2 Q, exact lattice minima and the
+discrete Legendre transform.  Everything is exact rational arithmetic.
 
 A PwAffineFunction is evaluated in cleared-denominator integers: one
 integer table per function holds its coefficients over a common
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import lcm
-from operator import add
+from operator import add, itemgetter
 from typing import Dict
 
 import numpy as np
@@ -28,10 +28,11 @@ import numpy as np
 from . import _geometry as geom
 from .errors import (Degenerate, InvalidPaving, MissingVertexValue,
                      NonMatchingFaces, NotConvex, NotQuasiperiodic,
-                     NotSimplicial, RankMismatch, Unbounded, WindowTooSmall)
+                     NotSimplicial, RankMismatch, Unbounded)
 from .exact_linalg import (LatticeCoordinates, as_frac_matrix, as_int_matrix,
-                           is_positive_definite, rank, row_reduce)
+                           clear_denominators, rank, row_reduce)
 from .quadform_delaunay import (PeriodicPaving, QuadraticForm,
+                                _ellipsoid_points, _obtuse_superbase,
                                 check_window_points, coset_representatives,
                                 delaunay_subdivision)
 
@@ -516,53 +517,65 @@ def _half_form_piece(m, scale, vertices):
 
 
 # ---------------------------------------------------------------------------
-# discrete Legendre transform
+# exact lattice minima and the discrete Legendre transform
 # ---------------------------------------------------------------------------
+
+def lattice_minimum(f: PwAffineFunction, periods):
+    """minimum(x, mu) = min over integer k of g(x + P k), g = f + <mu, .>,
+    for the integer columns ``periods`` of P, periods of f.  D (g(x + P k)
+    - g(x)) is 1/2 k^T G k + b.k, G = P^T (D B) P and b = P^T (D B x +
+    D L / 2 + D mu) on f's integer table.  G is reduced once by an
+    obtuse superbase (rank <= 3); each call rounds the real minimiser
+    -G^-1 b (Cramer's rule) and takes the point nearest to it of the
+    ellipsoid through the rounding.  RankMismatch unless f is scalar,
+    Unbounded unless G is positive definite."""
+    if f.payload_rank != 1:
+        raise RankMismatch("a lattice minimum needs scalar payload")
+    (db, half_l), = f._quasi_ints
+    cols = as_int_matrix(periods).T.tolist()
+    r = len(cols)
+    gram = [[geom.bilinear(db, a, b) for b in cols] for a in cols]
+    if any(geom._det([row[:i] for row in gram[:i]]) <= 0
+           for i in range(1, r + 1)):
+        raise Unbounded("quadratic part not positive definite on periods")
+    if r <= 3:      # a larger rank is enumerated unreduced, still exactly
+        cols = [[geom.dot(u, row) for row in zip(*cols)]
+                for u in _obtuse_superbase(gram)[:r]]
+        gram = [[geom.bilinear(db, a, b) for b in cols] for a in cols]
+    det = geom._det(gram)
+
+    def minimum(x, mu):
+        num, den = clear_denominators(x)
+        grad = [geom.dot(row, num) + den * (h + f._den * m)
+                for row, h, m in zip(db, half_l, mu)]
+        b = [-geom.dot(col, grad) for col in cols]
+        centre = [geom._det([row[:i] + [t] + row[i + 1:]
+                             for row, t in zip(gram, b)]) for i in range(r)]
+        d = det * den
+        z = [d * ((2 * c + d) // (2 * d)) - c for c in centre]
+        k, _ = min(_ellipsoid_points(gram, centre, d, geom.bilinear(
+            gram, z, z)), key=itemgetter(1))
+        y = geom.vadd(x, (geom.dot(k, row) for row in zip(*cols)))
+        return f.evaluate(y) + geom.dot(mu, y)
+    return minimum
+
 
 def legendre_transform(f: PwAffineFunction, window: int):
     """phi-check(mu) = -min over paving vertices y of (f(y) + <y, mu>),
     on dual lattice points with coordinates in [-window, window].
 
-    The minimizing vertex must be strictly inside the vertex window
-    searched, otherwise the truncation is not certified.  That vertex
-    window is 2 window + 2; a box of more than MAX_WINDOW_POINTS lattice
-    points there is refused (TooLarge) before anything is enumerated.
-    """
+    Each minimum is exact, one lattice_minimum per vertex orbit.  The
+    window sizes only the dual box, refused (TooLarge) before anything
+    is computed if it holds more than MAX_WINDOW_POINTS points."""
     if f.payload_rank != 1:
         raise RankMismatch("Legendre transform needs scalar payload")
-    vwindow = 2 * window + 2   # search strictly beyond the dual box
-    check_window_points(window, (2 * vwindow + 1) ** f.rank)
-    bends = bending_parameters(f)
-    if any(b[0] < 0 for b in bends.values()):
+    check_window_points(window, (2 * window + 1) ** f.rank)
+    if any(b[0] < 0 for b in bending_parameters(f).values()):
         raise NotConvex("negative bending parameter")
-    if not is_positive_definite(f.quasi_bilinear[0]):
-        raise Unbounded("associated quadratic form is not positive definite")
-
-    r = f.rank
+    minimum = lattice_minimum(f, f.paving.period_basis)
     orbits = f.paving.vertex_orbits()
-    verts = []
-    for k in product(range(-vwindow, vwindow + 1), repeat=r):
-        shift = f.paving.lattice.vector(k)
-        interior = all(abs(c) < vwindow for c in k)
-        for v in orbits:
-            verts.append((geom.vadd(v, shift), interior))
-    fvals = {y: f.evaluate(y) for y, _ in verts}
-
-    out = {}
-    for mu in product(range(-window, window + 1), repeat=r):
-        best, best_interior = None, False
-        for y, interior in verts:
-            val = fvals[y] + geom.dot(y, mu)
-            if best is None or val < best:
-                best, best_interior = val, interior
-            elif val == best and interior:
-                best_interior = True
-        if not best_interior:
-            raise WindowTooSmall(
-                "minimum for mu=%r attained only at the window boundary"
-                % (mu,))
-        out[mu] = -best
-    return out
+    return {mu: -min(minimum(v, mu) for v in orbits)
+            for mu in product(range(-window, window + 1), repeat=f.rank)}
 
 
 # ---------------------------------------------------------------------------

@@ -266,11 +266,11 @@ class PeriodicPaving:
 # Delaunay in closed form from an obtuse superbase
 # ---------------------------------------------------------------------------
 
-# The most lattice points a box of work may hold: the bounding box of a
-# Delaunay window, the vertex window of legendre_transform, and the cosets
-# a lattice basis spans (coset_representatives: pavings over a coarser
-# period lattice, fourier_indices, cone_cy_membership).  Rank 2 at window
-# 16 spans 1089 points and rank 3 at window 8 spans 4913.
+# The most lattice points a box of work may hold: a Delaunay window's
+# bounding box, the dual box of legendre_transform, and the cosets of a
+# lattice (coset_representatives: coarser period lattices, Fourier
+# indices, cy-cone and valuation-profile cosets).  Rank 2 at window 16
+# spans 1089 points and rank 3 at window 8 spans 4913.
 MAX_WINDOW_POINTS = 100_000
 
 

@@ -1,5 +1,5 @@
 """Finite Heisenberg groups, the Schroedinger representation over exact
-cyclotomic integers, balanced theta sections and their valuation
+cyclotomic integers, balanced theta sections and their exact valuation
 profiles, and the degeneration/twist exponent data.
 
 The exponents are integer sums over plain tuples with one Fraction at
@@ -18,8 +18,8 @@ from .errors import (BadLift, BadModulus, BadTwistPair, EmptyComponent,
                      InconsistentData, TooLarge)
 from .exact_linalg import PolarizationType, as_int_matrix
 from .degeneration_monoids import fourier_indices
-from .pavings_pwl import PwAffineFunction
-from .quadform_delaunay import QuadraticForm
+from .pavings_pwl import PwAffineFunction, lattice_minimum
+from .quadform_delaunay import QuadraticForm, coset_representatives
 
 
 # ---------------------------------------------------------------------------
@@ -497,23 +497,26 @@ def section_valuation_profile(section: SchrodingerVector,
                               phi: PwAffineFunction, phi_map,
                               window: int):
     """Leading q-exponent of each Fourier class of the Y-symmetrized
-    section: min over window periods of phi at the class
-    representatives."""
+    section: the min of phi over rep + phi_map Z^r, one lattice_minimum
+    per coset rep + phi_map c + n phi_map Z^r, c in {0 .. n-1}^r, as
+    n Z^r are periods of phi for n = phi.paving.lattice.den.  Unbounded
+    unless phi grows; over MAX_WINDOW_POINTS cosets, TooLarge on the
+    field ``period_basis``.  The window is unused."""
     pm = as_int_matrix(phi_map)
     pm_rows = pm.tolist()
     r = phi.rank
     reps, _ = fourier_indices(r, pm)
+    n = phi.paving.lattice.den
+    minimum = lattice_minimum(phi, n * pm)
+    offsets = [tuple(geom.dot(row, c) for row in pm_rows) for c in
+               coset_representatives(n * np.eye(r, dtype=object),
+                                     "period_basis")]
     out = {}
     for rep in reps:
         idx = _reduce_tuple(rep, section.delta)
         if idx not in section.coeffs:
             raise EmptyComponent("class %r has no section component"
                                  % (rep,))
-        best = None
-        for k in product(range(-window, window + 1), repeat=r):
-            shift = tuple(geom.dot(row, k) for row in pm_rows)
-            val = phi.evaluate(geom.vadd(rep, shift))
-            if best is None or val < best:
-                best = val
-        out[rep] = best
+        out[rep] = min(minimum(geom.vadd(rep, t), (0,) * r)
+                       for t in offsets)
     return out

@@ -438,6 +438,25 @@ def polytope_facets_reference(points):
     return [(f, n, c) for (n, c), f in sorted(seen.items())]
 
 
+def polytope_volume_reference(points):
+    """Volume of the hull of a full-dimensional point set in Q^r, as a
+    sum of pyramids with apex points[0] over polytope_facets_reference:
+    a facet <n, x> = c at height (c - <n, p0>) / |n| has area |n| / |n_k|
+    times the volume of its projection along the first k with n_k != 0;
+    in rank 1 the volume is max - min."""
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    r = len(pts[0])
+    if r == 1:
+        return max(pts)[0] - min(pts)[0]
+    total = Fraction(0)
+    for facet, n, c in polytope_facets_reference(pts):
+        k = next(k for k, x in enumerate(n) if x)
+        total += (c - sum(a * b for a, b in zip(n, pts[0]))) * \
+            polytope_volume_reference([p[:k] + p[k + 1:] for p in facet]) \
+            / abs(n[k])
+    return total / r
+
+
 def lower_hull_reference(sites, heights, r):
     """Lower-hull facets of the lifted sites (x, heights[x]) by
     gift-wrapping over Fraction, as (equality set, (a, b)) with
@@ -563,10 +582,9 @@ def empty_sphere_delaunay_cells(qmat):
     finds every such v.  Each independent r-set of relevant vectors spans
     a simplex with vertex 0; when no lattice point lies strictly inside
     its circumellipsoid (an exact box scan), the lattice points on it are
-    a cell.  The volumes of the cells must sum to 1, or AssertionError.
+    a cell.  The volumes of the cells (polytope_volume_reference) must
+    sum to 1, or AssertionError.
     """
-    from tropab._geometry import polytope_volume
-
     r = len(qmat)
     scale = math.lcm(*(Fraction(x).denominator for row in qmat for x in row))
     q = [[int(Fraction(x) * scale) for x in row] for row in qmat]
@@ -621,7 +639,7 @@ def empty_sphere_delaunay_cells(qmat):
             low = min(on)
             cells.add(tuple(sorted(tuple(a - b for a, b in zip(x, low))
                                    for x in on)))
-    assert sum(polytope_volume(c) for c in cells) == 1, cells
+    assert sum(polytope_volume_reference(c) for c in cells) == 1, cells
     return cells
 
 
@@ -1079,8 +1097,94 @@ def brute_force_balanced_patterns_rank1(delta, M):
 # discrete Legendre transform, brute force
 # ---------------------------------------------------------------------------
 
-def brute_force_legendre(f, mu, window):
-    """-min over integer y in [-window, window] of f(y) + y*mu (rank 1)."""
-    best = min(f(Fraction(y)) + Fraction(y) * mu
-               for y in range(-window, window + 1))
-    return -best
+def ellipsoid_lattice_points(b, centre, radius):
+    """A finite list holding every integer m with (m - centre)^T b
+    (m - centre) <= radius, for a positive definite rational b.
+
+    One coordinate is fixed at a time, the one with the least bound
+    |m_i - centre_i| <= sqrt(radius (b^-1)_ii) first.  Fixing m_i =
+    centre_i + t leaves, in the other coordinates, the ellipsoid of the
+    Schur complement, centred at t (b^-1)_(rest, i) / (b^-1)_ii from
+    the old centre, with radius - t^2 / (b^-1)_ii left over.  The
+    bounds round outwards, so a point slightly outside may be listed."""
+    r = len(b)
+    if r == 0:
+        return [()]
+    inv = [frac_solve(b, [int(i == j) for j in range(r)]) for i in range(r)]
+    i = min(range(r), key=lambda k: inv[k][k])
+    rest = [k for k in range(r) if k != i]
+    half = math.isqrt(math.floor(radius * inv[i][i])) + 1
+    out = []
+    for mi in range(math.floor(centre[i] - half),
+                    math.ceil(centre[i] + half) + 1):
+        t = mi - centre[i]
+        left = radius - t * t / inv[i][i]
+        if left < 0:
+            continue
+        sub = ellipsoid_lattice_points(
+            [[b[x][y] for y in rest] for x in rest],
+            [centre[k] + t * inv[k][i] / inv[i][i] for k in rest], left)
+        out += [m[:i] + (mi,) + m[i:] for m in sub]
+    return out
+
+
+def brute_force_minimum(f, x, cols, mu):
+    """min over integer k of g(x + M k), g = f + <mu, .>, for a scalar
+    PwAffineFunction f, an integer point x, the integer columns ``cols``
+    of M and an integer vector mu; every value is an evaluate_reference.
+
+    With B, L the quadratic data of f and A(y) = 1/2 y^T B y + 1/2 L.y,
+    p = f - A is periodic, so on Z^r it lies in [p_lo, p_hi], its least
+    and greatest values over the lattice points of the half-open period
+    parallelepiped.  So g(x + M k) - g(x) + p(x) - p_lo lies between
+    P(k) and P(k) + p_hi - p_lo, for P(k) = 1/2 k^T G k + h.k with
+    G = M^T B M and h = M^T (B x + L / 2 + mu).  A minimiser k has
+    g(x + M k) <= g(x), hence P(k) <= e = p(x) - p_lo, that is
+    (k - z)^T G (k - z) <= z^T G z + 2 e for z = -G^-1 h; of the points
+    of that ellipsoid, only those with P(k) <= min P + p_hi - p_lo can
+    be minimisers, and each of them is evaluated."""
+    r = f.rank
+    bm = [[Fraction(v) for v in row] for row in f.quasi_bilinear[0].tolist()]
+    lin = f.quasi_linear[0]
+    pb = f.paving.period_basis.tolist()
+
+    def quad(y):
+        return (_qval(bm, y) + sum(a * b for a, b in zip(lin, y))) / 2
+
+    ranges = [range(sum(min(v, 0) for v in row), sum(max(v, 0) for v in row)
+                    + 1) for row in pb]
+    periodic = [evaluate_reference(f, y) - quad(y) for y in product(*ranges)
+                if all(0 <= c < 1 for c in frac_solve(pb, y))]
+    p_lo, p_hi = min(periodic), max(periodic)
+    g = [[sum(a[i] * bm[i][j] * b[j] for i in range(r) for j in range(r))
+          for b in cols] for a in cols]
+    grad = [sum(bm[i][j] * x[j] for j in range(r)) + lin[i] / 2 + mu[i]
+            for i in range(r)]
+    h = [sum(a * b for a, b in zip(col, grad)) for col in cols]
+    z = [-v for v in frac_solve(g, h)]
+    e = evaluate_reference(f, x) - quad(x) - p_lo
+    points = {k: _qval(g, k) / 2 + sum(a * b for a, b in zip(h, k))
+              for k in ellipsoid_lattice_points(g, z, _qval(g, z) + 2 * e)}
+    least = min(points.values())
+    return min(evaluate_reference(f, y) + sum(a * b for a, b in zip(mu, y))
+               for y in (tuple(xi + sum(c[i] * ki for c, ki in zip(cols, k))
+                               for i, xi in enumerate(x))
+                         for k, v in points.items()
+                         if v <= least + p_hi - p_lo))
+
+
+def brute_force_legendre(f, mu):
+    """-min over the paving vertices y of f(y) + <mu, y>, for a scalar
+    PwAffineFunction f on a paving with integer vertices and a positive
+    definite quadratic part: brute_force_minimum over the period lattice
+    from one vertex of each orbit, v - P floor(P^-1 v) for the vertices
+    v of the representative cells and P the period basis."""
+    pb = f.paving.period_basis.tolist()
+    cols = [list(c) for c in zip(*pb)]
+    orbits = set()
+    for c in f.paving.cells:
+        for v in c.vertices:
+            k = [math.floor(t) for t in frac_solve(pb, v)]
+            orbits.add(tuple(a - sum(p * b for p, b in zip(row, k))
+                             for a, row in zip(v, pb)))
+    return -min(brute_force_minimum(f, v, cols, mu) for v in orbits)

@@ -150,6 +150,18 @@ def test_delaunay_with_a_fractional_shift_prints_rationals():
         [["1/2", "1/3"], ["3/2", "-2/3"], ["3/2", "1/3"]]]
 
 
+def test_a_fractional_paving_pipes_into_voronoi_cone_and_fiber():
+    pav = run_json("delaunay", {**HEX_Q, "shift": ["1/2", "1/3"]})
+    got = run_json("voronoi-cone", {"paving": pav, "q": HEX_Q["q"]})
+    assert got["contains"] is True
+    code, out, err = run("fiber", {"paving": pav,
+                                   "phi_image_basis": [[1, 0], [0, 1]]})
+    assert code == 0, err
+    fib = json.loads(out)
+    assert fib["components"] == pav["cells"]
+    assert len(fib["incidences"]) == 3
+
+
 @pytest.mark.parametrize("shift", [[1, 2, 3], [1], []],
                          ids=["long", "short", "empty"])
 def test_delaunay_refuses_a_shift_of_the_wrong_length(shift):

@@ -13,7 +13,7 @@ from tropab._geometry import normal_through, polytope_facets, polytope_volume
 from tropab.exact_linalg import rank
 
 from oracles import (frac_det, normal_through_reference,
-                     polytope_facets_reference)
+                     polytope_facets_reference, polytope_volume_reference)
 
 
 def points(r):
@@ -126,4 +126,4 @@ def test_polytope_volume_is_translation_invariant_and_scales_by_det(case):
     ([(0, 0), (1, 0), (2, 1), (1, 2), (0, 1)], Fraction(5, 2)),
 ], ids=["segment", "triangle", "tetrahedron", "square", "cube", "pentagon"])
 def test_polytope_volume_frozen_cases(pts, want):
-    assert polytope_volume(pts) == want
+    assert polytope_volume(pts) == polytope_volume_reference(pts) == want

@@ -9,7 +9,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tropab.degeneration_monoids import HomogenizedFunction
@@ -347,8 +347,7 @@ def test_legendre_of_half_square():
     assert lt == {(-2,): F(2), (-1,): F(1, 2), (0,): F(0),
                   (1,): F(1, 2), (2,): F(2)}
     for mu in range(-2, 3):
-        assert lt[(mu,)] == brute_force_legendre(
-            lambda y: interp_half_square(y), F(mu), 12)
+        assert lt[(mu,)] == brute_force_legendre(s, (mu,))
 
 
 def test_legendre_needs_growth():
@@ -371,6 +370,67 @@ def test_legendre_rank2():
     assert lt[(0, 0)] == F(0)
     assert lt[(1, 0)] == lt[(0, -1)] == F(1, 2)
     assert lt[(1, 1)] == F(1)
+
+
+def _sheared(qm, k):
+    """u^T q u for the shear u = [[1, k], [0, 1]]."""
+    u = _obj([[1, k], [0, 1]])
+    return (u.T @ _obj(qm) @ u).tolist()
+
+
+def test_legendre_is_exact_on_skewed_forms():
+    """Minima far from the dual box: at (-2, -2) the minimising vertex
+    of the first form is (27, 15), and the shears put theirs ever
+    further out."""
+    s = sigma_section(QuadraticForm(_obj([[14, -25], [-25, 45]])), I2, 5)
+    lt = legendre_transform(s, 2)
+    assert (lt[(-2, -2)], lt[(-1, -1)]) == (F(87, 2), F(21, 2))
+    for k, want in ((3, 6), (8, 46), (20, 305), (40, 1249)):
+        s = sigma_section(QuadraticForm(_obj(_sheared([[2, 1], [1, 3]], k))),
+                          I2, k + 3)
+        assert legendre_transform(s, 2)[(2, 2)] == want
+
+
+@st.composite
+def legendre_cases(draw):
+    """(form, sigma window, mu): a reduced binary form sheared by
+    k <= 40, or a reduced ternary form, with mu in [-2, 2]^r."""
+    if draw(st.booleans()):
+        a = draw(st.integers(1, 5))
+        b = a + draw(st.integers(0, 4))
+        c = draw(st.integers(-(a // 2), a // 2))
+        k = draw(st.integers(0, 40))
+        qm = _sheared([[a, c], [c, b]], k)
+        if draw(st.booleans()):
+            qm = [[qm[1][1], qm[0][1]], [qm[0][1], qm[0][0]]]
+        window = k + 3
+    else:
+        d = draw(st.lists(st.integers(2, 6), min_size=3, max_size=3))
+        qm = [[d[i] if i == j else 0 for j in range(3)] for i in range(3)]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            lim = min(d[i], d[j]) // 2
+            qm[i][j] = qm[j][i] = draw(st.integers(-lim, lim))
+        window = 3
+    assume(QuadraticForm(_obj(qm)).is_positive_definite())
+    mu = tuple(draw(st.lists(st.integers(-2, 2), min_size=len(qm),
+                             max_size=len(qm))))
+    return qm, window, mu
+
+
+@settings(max_examples=20, deadline=None)
+@given(legendre_cases())
+@example(([[14, -25], [-25, 45]], 5, (-2, -2)))
+@example(([[2, 41], [41, 843]], 23, (2, 2)))
+@example(([[4, -2], [-2, 5]], 3, (0, -2)))
+@example(([[2, -1, -1], [-1, 3, -1], [-1, -1, 4]], 3, (-2, -1, -1)))
+def test_legendre_matches_brute_force(case):
+    """The last two examples are minima that rounding the real minimiser
+    in the superbase basis misses."""
+    qm, window, mu = case
+    s = sigma_section(QuadraticForm(_obj(qm)),
+                      np.eye(len(qm), dtype=object), window)
+    lt = legendre_transform(s, max(map(abs, mu)))
+    assert lt[mu] == brute_force_legendre(s, mu)
 
 
 # -- affine-region coarsening -----------------------------------------------

@@ -4,15 +4,18 @@ exponents of degenerating families."""
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
 
 from tropab.errors import (BadLift, BadModulus, BadTwistPair,
-                           EmptyComponent, InconsistentData, TooLarge)
+                           EmptyComponent, InconsistentData, TooLarge,
+                           Unbounded)
 from tropab.exact_linalg import PolarizationType
-from tropab.pavings_pwl import sigma_section
-from tropab.quadform_delaunay import QuadraticForm
+from tropab.pavings_pwl import interpolate_on_triangulation, sigma_section
+from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
+                                      QuadraticForm)
 from tropab.theta_heisenberg import (CyclotomicInteger, DegenerationData,
                                      HeisenbergElement, SchrodingerVector,
                                      balanced_sections,
@@ -28,7 +31,8 @@ from tropab.theta_heisenberg import (CyclotomicInteger, DegenerationData,
                                      section_valuation_profile, twist_data,
                                      twist_bilinear_form)
 
-from oracles import brute_force_balanced_patterns_rank1, period_exponents
+from oracles import (brute_force_balanced_patterns_rank1,
+                     brute_force_minimum, period_exponents)
 
 F = Fraction
 
@@ -302,6 +306,79 @@ def test_valuation_profile_requires_full_support():
     phi = sigma_section(QuadraticForm(_obj([[1]])), _obj([[1]]), 4)
     with pytest.raises(EmptyComponent):
         section_valuation_profile(sec, phi, _obj([[3]]), 3)
+
+
+def _full_support(delta):
+    m = 2 * delta[-1]
+    return SchrodingerVector(
+        PolarizationType(delta), m,
+        {idx: CyclotomicInteger.one(m)
+         for idx in product(*[range(d) for d in delta])})
+
+
+@pytest.mark.parametrize("qm, basis, window, phi_map, delta", [
+    ([[2, 1], [1, 3]], [[2, 1], [0, 1]], 4, [[2, 0], [0, 2]], (2, 2)),
+    ([[2, 1], [1, 3]], [[2, 1], [0, 1]], 4, [[3, 1], [0, 2]], (1, 6)),
+    ([[14, -25], [-25, 45]], [[1, 0], [0, 1]], 5, [[2, 0], [0, 2]], (2, 2)),
+    ([[2, 17], [17, 147]], [[1, 0], [0, 1]], 11, [[1, 0], [0, 3]], (1, 3)),
+    ([[4, -1, -2], [-1, 5, -1], [-2, -1, 6]],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3,
+     [[1, 0, 0], [0, 1, 0], [0, 0, 3]], (1, 1, 3)),
+], ids=["coarse-basis", "coarse-basis-skew-map", "skewed", "shear-8",
+        "rank-3"])
+def test_valuation_profile_matches_brute_force(qm, basis, window, phi_map,
+                                               delta):
+    """The coarse basis has n = 2, so each class splits into 4 cosets of
+    periods; on the skewed forms the minima lie far from the class
+    representatives, and in rank 3 rounding the real minimiser misses
+    two of them.  The profile's window changes nothing."""
+    phi = sigma_section(QuadraticForm(_obj(qm)), _obj(basis), window)
+    sec = _full_support(delta)
+    prof = section_valuation_profile(sec, phi, _obj(phi_map), 1)
+    cols = [list(c) for c in zip(*phi_map)]
+    assert prof == {rep: brute_force_minimum(phi, rep, cols, (0,) * len(qm))
+                    for rep in prof}
+    assert len(prof) == prod(phi_map[i][i] for i in range(len(qm)))
+    for w in (0, 3, 9):
+        assert section_valuation_profile(sec, phi, _obj(phi_map), w) == prof
+
+
+def test_valuation_profile_of_a_phi_with_a_periodic_part():
+    """phi = x^2 / 2 + 3 (x mod 2) has periods 2Z only, so 3, the step of
+    the classes, is no period: each class splits into the cosets of
+    6Z."""
+    line = PeriodicPaving(1, _obj([[2]]), [LatticePolytope(((0,), (1,))),
+                                           LatticePolytope(((1,), (2,)))], 3)
+    phi = interpolate_on_triangulation(
+        {(x,): F(x * x, 2) + 3 * (x % 2) for x in range(-6, 7)}, line)
+    sec = balanced_sections(D3, M6, (0,), _standard_lifts(D3, M6))
+    prof = section_valuation_profile(sec, phi, _obj([[3]]), 3)
+    assert prof == {(rep,): brute_force_minimum(phi, (rep,), [[3]], (0,))
+                    for rep in range(3)}
+    assert prof == {(0,): 0, (1,): 2, (2,): 2}
+
+
+@pytest.mark.parametrize("values", [
+    {(x,): -F(x * x, 2) for x in range(-4, 5)},
+    {(x,): F(x) for x in range(-4, 5)},
+], ids=["concave", "affine"])
+def test_valuation_profile_refuses_a_phi_without_growth(values):
+    line = PeriodicPaving(1, _obj([[1]]), [LatticePolytope(((0,), (1,)))], 3)
+    phi = interpolate_on_triangulation(values, line)
+    sec = balanced_sections(D3, M6, (0,), _standard_lifts(D3, M6))
+    with pytest.raises(Unbounded):
+        section_valuation_profile(sec, phi, _obj([[3]]), 3)
+
+
+def test_valuation_profile_refuses_too_many_cosets():
+    """A period lattice of exponent n = 400 splits each class into
+    400^2 cosets, more than MAX_WINDOW_POINTS."""
+    phi = sigma_section(QuadraticForm(_obj([[1, 0], [0, 1]])),
+                        _obj([[1, 0], [0, 400]]), 2)
+    with pytest.raises(TooLarge) as err:
+        section_valuation_profile(_full_support((1, 1)), phi,
+                                  _obj([[1, 0], [0, 1]]), 1)
+    assert err.value.field == "period_basis"
 
 
 # -- exponents at generic alpha ---------------------------------------------
