@@ -9,6 +9,7 @@ pass in, and those PwAffineFunction holds)."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import _geometry as geom
@@ -22,6 +23,16 @@ from .quadform_delaunay import (PeriodicPaving, QuadraticForm,
                                coset_representatives)
 
 
+def _integer(x, what):
+    """x as an int; ValueError unless it is an integer."""
+    if type(x) is not int:
+        v = Fraction(x)
+        if v.denominator != 1:
+            raise ValueError("%s %r is not an integer" % (what, x))
+        x = int(v)
+    return x
+
+
 class HomogenizedFunction:
     """The degree-1-homogeneous extension of a piecewise affine function
     to the cone over its domain: (d, x) -> d * f(x / d), with the apex
@@ -32,71 +43,90 @@ class HomogenizedFunction:
         self.rank = base.rank
         self.payload_rank = base.payload_rank
 
-    def _zero(self):
-        z = tuple(Fraction(0) for _ in range(self.payload_rank))
-        return z[0] if self.payload_rank == 1 else z
-
     def value(self, degree: int, point):
-        """d f(x / d) at degree d and point x; the point's denominators
-        are cleared once and f is evaluated at num / (den d)."""
-        d = int(degree)
+        """d f(x / d) at degree d and point x, a Fraction for k = 1 and
+        a k-tuple otherwise (value_numerators over their scale)."""
+        nums, scale = self.value_numerators(degree, point)
+        vals = tuple(Fraction(n, scale) for n in nums)
+        return vals[0] if self.payload_rank == 1 else vals
+
+    def value_numerators(self, degree: int, point):
+        """(N, D den) with d f(x / d) = N_i / (D den) per payload, D the
+        denominator of f's integer table and den that of the point: x is
+        cleared once to num / den, and f's numerators at num / (den d)
+        are over D den d, so d cancels.  At an integer point the scale
+        is D.  A negative degree is refused on the field ``degree``, and
+        a point of the wrong length, or other than the origin at degree
+        0, on the field ``point``; a degree that is not an integer raises
+        ValueError."""
+        d = _integer(degree, "degree")
         if d < 0:
-            raise OutsideSupport("negative degree %d" % d)
+            raise OutsideSupport("negative degree %d" % d, field="degree")
         num, den = LatticeCoordinates.clear_denominators(point)
+        if len(num) != self.rank:
+            raise RankMismatch("point of length %d for a function of rank %d"
+                               % (len(num), self.rank), field="point")
         if d == 0:
-            if len(num) != self.rank:
-                raise RankMismatch("point of length %d for a function of "
-                                   "rank %d" % (len(num), self.rank))
             if any(num):
-                raise OutsideSupport("degree 0 admits only the origin")
-            return self._zero()
-        v = self.base.evaluate_cleared(num, den * d)
-        if self.payload_rank == 1:
-            return d * v
-        return tuple(d * x for x in v)
+                raise OutsideSupport("degree 0 admits only the origin",
+                                     field="point")
+            return (0,) * self.payload_rank, 1
+        nums, scale = self.base.evaluate_numerators(num, den * d)
+        return nums, scale // d
 
 
 @dataclass(frozen=True)
 class TwistedMonoidElement:
+    """(degree, point, payload): an integer degree >= 0, an integer point
+    (the origin at degree 0) and a rational payload.  A degree or point
+    entry that is not an integer raises ValueError."""
+
     degree: int
     point: tuple
     payload: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "point", tuple(int(x) for x in self.point))
+        object.__setattr__(self, "degree", _integer(self.degree, "degree"))
+        object.__setattr__(self, "point", tuple(_integer(x, "point entry")
+                                                for x in self.point))
         object.__setattr__(self, "payload",
                            tuple(Fraction(x) for x in self.payload))
         if self.degree < 0:
-            raise OutsideSupport("negative degree")
+            raise OutsideSupport("negative degree", field="degree")
         if self.degree == 0 and any(self.point):
-            raise OutsideSupport("degree 0 admits only the origin")
-
-
-def _payload_tuple(val, k):
-    return (val,) if k == 1 else tuple(val)
+            raise OutsideSupport("degree 0 admits only the origin",
+                                 field="point")
 
 
 def star_cocycle(a, b, phi: HomogenizedFunction):
     """phi~(a) + phi~(b) - phi~(a+b) for a, b = (degree, point); this is
-    the curvature 2-cocycle of phi, valued in the payload space."""
-    da, xa = int(a[0]), tuple(a[1])
-    db, xb = int(b[0]), tuple(b[1])
-    va = phi.value(da, xa)
-    vb = phi.value(db, xb)
-    vs = phi.value(da + db, geom.vadd(xa, xb))
-    if phi.payload_rank == 1:
-        return va + vb - vs
-    return tuple(p + q - s for p, q, s in zip(va, vb, vs))
+    the curvature 2-cocycle of phi, valued in the payload space: a
+    Fraction for k = 1 and a k-tuple otherwise."""
+    vals = _cocycle(a, b, phi)
+    return vals[0] if phi.payload_rank == 1 else vals
+
+
+def _cocycle(a, b, phi):
+    """star_cocycle as a k-tuple.  The three values are integer
+    numerators (value_numerators) brought over one scale, so each payload
+    is one Fraction: (N_a + N_b - N_s) / D at integer points."""
+    da, xa = a[0], tuple(a[1])
+    db, xb = b[0], tuple(b[1])
+    (na, sa), (nb, sb), (ns, ss) = (
+        phi.value_numerators(da, xa), phi.value_numerators(db, xb),
+        phi.value_numerators(da + db, geom.vadd(xa, xb)))
+    scale = lcm(sa, sb, ss)
+    return tuple(Fraction(p * (scale // sa) + q * (scale // sb)
+                          - s * (scale // ss), scale)
+                 for p, q, s in zip(na, nb, ns))
 
 
 def twisted_add(x: TwistedMonoidElement, y: TwistedMonoidElement,
                 phi: HomogenizedFunction) -> TwistedMonoidElement:
     """(d1, p1, a) + (d2, p2, b) = (d1+d2, p1+p2, a + b + p1*p2)."""
     if len(x.point) != phi.rank or len(y.point) != phi.rank:
-        raise OutsideSupport("rank mismatch")
-    coc = _payload_tuple(star_cocycle((x.degree, x.point),
-                                      (y.degree, y.point), phi),
-                         phi.payload_rank)
+        raise OutsideSupport("rank mismatch", field="point")
+    coc = _cocycle((x.degree, x.point), (y.degree, y.point), phi)
     return TwistedMonoidElement(
         x.degree + y.degree, geom.vadd(x.point, y.point),
         tuple(p + q + c for p, q, c in zip(x.payload, y.payload, coc)))
@@ -105,7 +135,7 @@ def twisted_add(x: TwistedMonoidElement, y: TwistedMonoidElement,
 def minimal_lift(q, phi: HomogenizedFunction) -> TwistedMonoidElement:
     """The basis element over (degree, point): payload 0, sitting at
     height phi~(q) in the height presentation."""
-    d, pt = int(q[0]), tuple(q[1])
+    d, pt = q[0], tuple(q[1])
     phi.value(d, pt)   # validates membership in the support cone
     return TwistedMonoidElement(d, pt,
                                 (0,) * phi.payload_rank)

@@ -10,9 +10,10 @@ A PwAffineFunction is evaluated in cleared-denominator integers: one
 integer table per function holds its coefficients over a common
 denominator D, a point is cleared once to integer numerators over one
 denominator and located on them, and each value is a single Fraction
-built from integer sums.  The shifted affine piece on a translated cell
-has one definition, on that table, shared by evaluation and by
-affine_on_cell (hence bending parameters and affine regions).
+built from integer sums (evaluate_numerators gives the integers, so a
+sum of values can build one Fraction).  The shifted affine piece on a
+translated cell has one definition, on that table, shared by evaluation
+and by affine_on_cell (hence bending parameters and affine regions).
 """
 
 from dataclasses import dataclass
@@ -157,11 +158,19 @@ class PwAffineFunction:
     __call__ = evaluate
 
     def evaluate_cleared(self, num, den):
-        """f(num / den) for integer numerators num and an integer den > 0.
+        """f(num / den) for integer numerators num and an integer den > 0;
+        each payload value is one Fraction over D den."""
+        nums, scale = self.evaluate_numerators(num, den)
+        vals = tuple(Fraction(n, scale) for n in nums)
+        return vals[0] if self.payload_rank == 1 else vals
+
+    def evaluate_numerators(self, num, den):
+        """(N, D den): the integers N_i = D den f_i(num / den), one per
+        payload, for integer numerators num and an integer den > 0.
 
         A point whose length is not the rank raises RankMismatch.  The
         point is located on its numerators (PeriodicPaving.locate_cleared)
-        and each payload value is one Fraction over D den."""
+        and N_i is read off the integer table of its piece."""
         if len(num) != self.rank:
             raise RankMismatch("point of length %d for a function of rank %d"
                                % (len(num), self.rank))
@@ -169,10 +178,8 @@ class PwAffineFunction:
         if loc is None:
             raise InvalidPaving("point %r not covered by the paving"
                                 % (tuple(Fraction(x, den) for x in num),))
-        scale = self._den * den
-        vals = tuple(Fraction(geom.dot(lin, num) + den * const, scale)
-                     for lin, const in self._piece(*loc))
-        return vals[0] if self.payload_rank == 1 else vals
+        return (tuple(geom.dot(lin, num) + den * const
+                      for lin, const in self._piece(*loc)), self._den * den)
 
     # -- algebra --------------------------------------------------------
 

@@ -12,12 +12,27 @@ does not enter the computation; it bounds the answer.
 
 A QuadraticForm keeps its pavings, one per (period basis, window, shift),
 and a paving its facets, walls, point locator and second-Voronoi cone.
+
+Point location on a Delaunay paving is a table lookup by face type.  In
+the coordinates y = S^-1 (x - s) of the superbase basis S (s the shift)
+the permutation simplices and their integer translates are the Kuhn
+(Freudenthal) triangulation of R^r, and every cell is a union of its
+closed simplices.  Which simplices contain y is fixed by its face type:
+which fractional parts g_i of y are 0 and the sign of each g_i - g_j,
+i < j.  With f = floor(y) taken modulo M = S^-1 B (B the period basis),
+that fixes the cell translates containing the point up to a period.
+The scan's answer is the least (cell, period coordinates) among those
+translates, and a period shift preserves that order, so one scan per
+class answers every point of it: the table has at most
+2^r 3^(r(r-1)/2) |det B| keys, a bound of the paving, not of the
+points asked.  Hand-built pavings have no superbase and keep the scan.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import ceil, floor, isqrt, lcm, prod
+from operator import mul
 from typing import List, Tuple
 
 import numpy as np
@@ -138,6 +153,10 @@ class PeriodicPaving:
         self._wall_cache = None
         self._locator = None
         self._cone = None
+        # (superbase basis, shift) of a Delaunay paving, and the face-type
+        # locator built from it on the first locate_cleared
+        self._superbase = None
+        self._faces = None
 
     # -- canonical translates -------------------------------------------
 
@@ -202,19 +221,81 @@ class PeriodicPaving:
         """(cell_index, shift) for the point num / den (integer
         numerators over den > 0), or None if no cell contains it.
 
-        The point is reduced by a lattice vector t0 into the half-open
-        fundamental parallelepiped P of the period basis B, then tested
-        against the closed translates cells[idx] + B k, cell-major and
-        then in lexicographic order of k; the first one containing it
-        wins (shift = B k + t0), which fixes the tie-break for points on
-        walls and vertices.  The translates come from a locator built
-        lazily once per paving: it keeps, in that order, exactly those
-        whose period-coordinate bounding box meets the closed P, each
-        with its facet inequalities as integer rows.  Every translate
-        containing a point of P is kept, however long the cell, so the
-        first match is the one a scan over all k finds.  The rows are
-        tested in integers on the reduced numerators.
+        The answer is defined by a scan.  The point is reduced by a
+        lattice vector t0 into the half-open fundamental parallelepiped P
+        of the period basis B, then tested against the closed translates
+        cells[idx] + B k, cell-major and then in lexicographic order of
+        k; the first one containing it wins (shift = B k + t0), which
+        fixes the tie-break for points on walls and vertices.  The
+        translates come from a locator built lazily once per paving: it
+        keeps, in that order, exactly those whose period-coordinate
+        bounding box meets the closed P, each with its facet
+        inequalities as integer rows.  Every translate containing a
+        point of P is kept, however long the cell, so the first match is
+        the one a scan over all k finds.  The rows are tested in
+        integers on the reduced numerators.
+
+        A Delaunay paving answers from a table instead.  The point's
+        superbase coordinates y = S^-1 (x - s), cleared to integer
+        numerators over one denominator, give f = floor(y) and the
+        fractional numerators g.  The key is the face type (which g_i
+        are 0 and the sign of each g_i - g_j, i < j: the rank of each
+        g_i among 0 and the g's) and the coset of f modulo M = S^-1 B,
+        read as the residues of n B^-1 S f modulo n (n B^-1 the
+        lattice's integer rows); the quotients c give the period B c of
+        f.  The first point of a class is scanned and its
+        answer is kept less B c; any later point of the class gets that
+        answer plus its own B c.  The face type and f fix the closed
+        Kuhn simplices containing y, hence the cell translates
+        containing the point, and f + M c moves them all by B c; the
+        scan takes the least (idx, k) among them, and lexicographic
+        order is translation-invariant, so the answer is the scan's on
+        every point, walls and vertices included.  The table holds at
+        most 2^r 3^(r(r-1)/2) |det B| keys.
         """
+        if self._superbase is None:
+            return self._scan_cleared(num, den)
+        if self._faces is None:
+            self._faces = self._face_locator()
+        inv, s_inv, s_den, coset_rows, table = self._faces
+        d, pden = den * s_den, self.lattice.den
+        # the read path's hottest loop: geom.dot is written out inline
+        f, g = [], []
+        for row, s in zip(inv, s_inv):
+            q, m = divmod(s_den * sum(map(mul, row, num)) - den * s, d)
+            f.append(q)
+            g.append(m)
+        c, res = [], []
+        for row in coset_rows:
+            q, m = divmod(sum(map(mul, row, f)), pden)
+            c.append(q)
+            res.append(m)
+        levels = sorted({0, *g})    # the face type, as ranks among 0 and g
+        key = (tuple([levels.index(x) for x in g]), tuple(res))
+        t = [sum(map(mul, row, c)) for row in self.lattice.basis]   # B c
+        hit = table.get(key)
+        if hit is None:
+            hit = self._scan_cleared(num, den)
+            if hit is None:
+                return None
+            hit = table[key] = (hit[0], geom.vsub(hit[1], t))
+        return hit[0], geom.vadd(hit[1], t)
+
+    def _face_locator(self):
+        """(S^-1 rows, S^-1 s numerators, their denominator, the rows
+        of n B^-1 S, the table) for the face-type lookup of
+        locate_cleared, from the superbase basis S and the shift s.  S
+        is unimodular, so its inverse rows are integers over 1."""
+        basis, shift = self._superbase
+        inv = LatticeCoordinates(list(zip(*basis))).inv_rows
+        s_num, s_den = clear_denominators(shift)
+        s_inv = tuple(geom.dot(row, s_num) for row in inv)
+        coset_rows = tuple(tuple(geom.dot(row, v) for v in basis)
+                           for row in self.lattice.inv_rows)
+        return inv, s_inv, s_den, coset_rows, {}
+
+    def _scan_cleared(self, num, den):
+        """locate_cleared by the scan over the locator's translates."""
         t0 = self.lattice.shift_cleared(num, den)
         local = tuple(x - den * t for x, t in zip(num, t0))
         for idx, bk, rows in self._point_locator():
@@ -350,7 +431,8 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
     offsets = [geom.vadd(t, shift)
                for t in coset_representatives(pb, "period_basis")]
     reps = {}
-    for cell in _delaunay_cells(q.cleared()[0]):
+    basis, cells = _delaunay_cells(q.cleared()[0])
+    for cell in cells:
         for t in offsets:
             c = paving.canonical_cell(geom.vadd(v, t) for v in cell)
             reps[c.vertices] = c
@@ -363,13 +445,15 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
             "window that holds every orbit is %d" % (window, need),
             field="window")
     paving.cells = [reps[vs] for vs in sorted(reps)]   # PeriodicPaving's order
+    paving._superbase = (basis, shift)
     q._pavings[key] = paving
     return paving
 
 
 def _delaunay_cells(m):
-    """One vertex list per Z^r-orbit of Delaunay cells of the integer
-    form m, r <= 3, some orbits listed more than once.
+    """(basis, cells): v_0 ... v_{r-1} of an obtuse superbase of the
+    integer form m, r <= 3, and one vertex list per Z^r-orbit of its
+    Delaunay cells, some orbits listed more than once.
 
     In the basis v_0 ... v_{r-1} of an obtuse superbase the permutation
     simplices are 0, e_s0, e_s0 + e_s1, ..., one per order s of 0 ... r-1
@@ -402,7 +486,7 @@ def _delaunay_cells(m):
                     "the simplex %r" % (y, simplex))
             cell.append(tuple(geom.dot(y, col) for col in zip(*basis)))
         cells.append(cell)
-    return cells
+    return basis, cells
 
 
 def _ellipsoid_points(gram, centre, d, radius):

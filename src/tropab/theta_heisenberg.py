@@ -16,7 +16,8 @@ import numpy as np
 from . import _geometry as geom
 from .errors import (BadLift, BadModulus, BadTwistPair, EmptyComponent,
                      InconsistentData, TooLarge)
-from .exact_linalg import PolarizationType, as_int_matrix
+from .exact_linalg import (PolarizationType, as_int_matrix,
+                           hermite_normal_form)
 from .degeneration_monoids import fourier_indices
 from .pavings_pwl import PwAffineFunction, lattice_minimum
 from .quadform_delaunay import QuadraticForm, coset_representatives
@@ -498,19 +499,20 @@ def section_valuation_profile(section: SchrodingerVector,
                               window: int):
     """Leading q-exponent of each Fourier class of the Y-symmetrized
     section: the min of phi over rep + phi_map Z^r, one lattice_minimum
-    per coset rep + phi_map c + n phi_map Z^r, c in {0 .. n-1}^r, as
-    n Z^r are periods of phi for n = phi.paving.lattice.den.  Unbounded
-    unless phi grows; over MAX_WINDOW_POINTS cosets, TooLarge on the
-    field ``period_basis``.  The window is unused."""
+    per coset rep + phi_map c + phi_map K, for K = {k : phi_map k in Y}
+    (Y the period lattice of phi, so phi_map K are periods of phi) and c
+    over the cosets of Z^r / K.  Unbounded unless phi grows; over
+    MAX_WINDOW_POINTS cosets, TooLarge on the field ``period_basis``.
+    The window is unused."""
     pm = as_int_matrix(phi_map)
     pm_rows = pm.tolist()
     r = phi.rank
     reps, _ = fourier_indices(r, pm)
-    n = phi.paving.lattice.den
-    minimum = lattice_minimum(phi, n * pm)
+    ks = _preimage_basis(pm_rows, phi.paving.lattice)
+    minimum = lattice_minimum(
+        phi, [[geom.dot(row, k) for k in ks] for row in pm_rows])
     offsets = [tuple(geom.dot(row, c) for row in pm_rows) for c in
-               coset_representatives(n * np.eye(r, dtype=object),
-                                     "period_basis")]
+               coset_representatives(list(zip(*ks)), "period_basis")]
     out = {}
     for rep in reps:
         idx = _reduce_tuple(rep, section.delta)
@@ -520,3 +522,21 @@ def section_valuation_profile(section: SchrodingerVector,
         out[rep] = min(minimum(geom.vadd(rep, t), (0,) * r)
                        for t in offsets)
     return out
+
+
+def _preimage_basis(pm_rows, lattice):
+    """A basis k_1 ... k_r of K = {k in Z^r : pm k in the lattice}.  With
+    C = den B^-1 pm on the lattice's integer rows, K is the projection to
+    k of the integer kernel of [C | den I], which the projection maps
+    one to one; the kernel is spanned by the last r rows of the
+    unimodular u of the Hermite normal form of [C | den I]^T.  A
+    lattice with den = 1 is Z^r, and so is K."""
+    r = len(pm_rows)
+    if lattice.den == 1:
+        return [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    c_rows = [[geom.dot(row, col) for col in zip(*pm_rows)]
+              for row in lattice.inv_rows]
+    stacked = [list(col) for col in zip(*c_rows)] + \
+        [[lattice.den * (i == j) for j in range(r)] for i in range(r)]
+    _, u = hermite_normal_form(stacked)
+    return [tuple(row[:r]) for row in u.tolist()[r:]]

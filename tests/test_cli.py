@@ -244,6 +244,17 @@ def test_monoid_add():
                    "payload": ["2"]}
 
 
+def test_monoid_add_names_the_point_of_a_rank_mismatch():
+    sig = run_json("sigma", {"q": [[1]]})
+    code, out, _ = run("monoid-add", {
+        "function": sig,
+        "x": {"degree": 1, "point": [0, 1], "payload": ["0"]},
+        "y": {"degree": 1, "point": [0, 1], "payload": ["0"]}})
+    assert code == 1
+    assert json.loads(out) == {"kind": "error", "code": "OutsideSupport",
+                               "message": "rank mismatch", "field": "point"}
+
+
 def test_fourier_and_fiber():
     got = run_json("fourier", {"rank": 1, "phi_map": [[3]]})
     assert got["reps"] == [[0], [1], [2]]

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tropab.degeneration_monoids import (HomogenizedFunction,
                                          TwistedMonoidElement,
@@ -15,7 +17,7 @@ from tropab.degeneration_monoids import (HomogenizedFunction,
                                          minimal_lift, star_cocycle,
                                          twisted_add, y_action_on_monomial)
 from tropab.errors import (InconsistentData, NotAFace, NotInjective,
-                           NotInvariant, OutsideSupport)
+                           NotInvariant, OutsideSupport, RankMismatch)
 from tropab.exact_linalg import lattice_membership
 from tropab.pavings_pwl import (PwAffineFunction, ToricMonoid,
                                 sigma_section)
@@ -103,6 +105,81 @@ def test_free_module_decomposition(phi1):
         base = minimal_lift((el.degree, el.point), phi1)
         unit = TwistedMonoidElement(0, (0,), el.payload)
         assert twisted_add(base, unit, phi1) == el
+
+
+@pytest.mark.parametrize("degree, point", [
+    (1, (F(1, 2),)), (1, (1.7,)), (1.5, (0,))],
+    ids=["half", "float", "degree"])
+def test_a_non_integral_element_is_refused(degree, point):
+    with pytest.raises(ValueError):
+        TwistedMonoidElement(degree, point, (0,))
+
+
+def test_a_non_integral_degree_is_refused_by_phi(phi1):
+    for read in (lambda: phi1.value(F(3, 2), (3,)),
+                 lambda: star_cocycle((1.5, (0,)), (1, (3,)), phi1),
+                 lambda: minimal_lift((F(1, 2), (0,)), phi1)):
+        with pytest.raises(ValueError):
+            read()
+    assert phi1.value(F(2), (3,)) == phi1.value(2, (3,)) == F(5, 2)
+
+
+def test_integral_entries_of_other_types_become_ints():
+    el = TwistedMonoidElement(F(2), (F(-3), np.int64(4)), (1,))
+    assert (el.degree, el.point) == (2, (-3, 4))
+    assert all(type(x) is int for x in (el.degree, *el.point))
+
+
+@pytest.mark.parametrize("degree, point, field", [
+    (-1, (0,), "degree"), (0, (1,), "point"), (2, (1, 2), "point"),
+    (0, (0, 0), "point")])
+def test_homogenized_refusals_name_their_field(phi1, degree, point, field):
+    with pytest.raises((OutsideSupport, RankMismatch)) as err:
+        phi1.value(degree, point)
+    assert err.value.field == field
+
+
+def test_a_rank_mismatch_in_twisted_add_names_the_point(phi1):
+    x = TwistedMonoidElement(1, (0, 0), (0,))
+    with pytest.raises(OutsideSupport) as err:
+        twisted_add(x, x, phi1)
+    assert (str(err.value), err.value.field) == ("rank mismatch", "point")
+
+
+def _hexagonal_payloads(k):
+    """c sigma in payload i, c = 1, -2/3, for sigma of the hexagonal form."""
+    s = sigma_section(QuadraticForm(_obj([[2, 1], [1, 2]])), I2, 4)
+    cs = [F(1), F(-2, 3)][:k]
+    affs = [([[c * x for x in lin[0]] for c in cs], [c * const[0] for c in cs])
+            for lin, const in s.cell_affines]
+    return HomogenizedFunction(PwAffineFunction(
+        s.paving, affs, [c * s.quasi_bilinear[0] for c in cs],
+        [[0, 0] for _ in cs], payload_rank=k))
+
+
+_elements = st.integers(0, 3).flatmap(lambda d: st.tuples(
+    st.just(d), st.just((0, 0)) if d == 0 else
+    st.tuples(*[st.builds(F, st.integers(-12, 12), st.integers(1, 3))] * 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]), _elements, _elements)
+@example(2, (0, (0, 0)), (1, (3, -1)))
+@example(1, (2, (1, F(1, 3))), (0, (0, 0)))
+def test_integer_cocycle_matches_three_values(k, a, b):
+    """star_cocycle on integer numerators equals phi~(a) + phi~(b) -
+    phi~(a + b) summed from phi.value, at degree 0, at integer and
+    rational points, for payload rank 1 and 2."""
+    phi = _hexagonal_payloads(k)
+    s = (a[0] + b[0], tuple(x + y for x, y in zip(a[1], b[1])))
+    va, vb, vs = (phi.value(*e) for e in (a, b, s))
+    want = va + vb - vs if k == 1 else \
+        tuple(p + q - t for p, q, t in zip(va, vb, vs))
+    got = star_cocycle(a, b, phi)
+    assert got == want
+    assert type(got) is type(want)
+    if k == 2:
+        assert all(type(x) is F for x in got)
 
 
 # -- Fourier indices --------------------------------------------------------

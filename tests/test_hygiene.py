@@ -1,12 +1,15 @@
 """Source hygiene: every name a module of the package or of the tests
-imports is used in that module, and every private module-level function
-of the package is used somewhere in it.  A function is private when its
+imports is used in that module, every private module-level function of
+the package is used somewhere in it, and no module of the package but
+siegel_trop and cli uses a float.  A function is private when its
 name or its module's file name starts with an underscore.  The package's
 ``__init__.py`` files import names only to re-export them and are not
 scanned for imports."""
 
 import ast
 from pathlib import Path, PurePath
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -100,3 +103,78 @@ def test_no_private_function_of_the_package_is_orphaned():
     sources = {str(path.relative_to(ROOT)): path.read_text()
                for path in sorted((ROOT / "src").rglob("*.py"))}
     assert unreferenced_private_functions(sources) == []
+
+
+# binary64 stays in siegel_trop (and the CLI's --tol option); every other
+# module of the package is exact
+FLOAT_MODULES = {"siegel_trop.py", "cli.py"}
+MATH_FLOAT_FUNCTIONS = {"sqrt", "log", "log2", "log10", "log1p", "exp",
+                        "expm1", "pow"}
+NUMPY_FLOAT_TYPES = {"float16", "float32", "float64", "float128", "half",
+                     "single", "double", "longdouble", "floating"}
+
+
+def float_uses(source):
+    """(line, what) for each float literal, each use of the name
+    ``float``, each math function that returns a float (math.sqrt, log,
+    exp, ...) and each numpy float dtype in a module."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and \
+                isinstance(node.value, (float, complex)):
+            out.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            out.append((node.lineno, "float"))
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and (
+                    node.value.id == "math"
+                    and node.attr in MATH_FLOAT_FUNCTIONS
+                    or node.value.id in ("np", "numpy")
+                    and node.attr in NUMPY_FLOAT_TYPES):
+            out.append((node.lineno, "%s.%s" % (node.value.id, node.attr)))
+        elif isinstance(node, ast.ImportFrom) and node.module in (
+                "math", "numpy"):
+            banned = MATH_FLOAT_FUNCTIONS if node.module == "math" \
+                else NUMPY_FLOAT_TYPES
+            out += [(node.lineno, "%s.%s" % (node.module, alias.name))
+                    for alias in node.names if alias.name in banned]
+        elif isinstance(node, ast.keyword) and node.arg == "dtype" and \
+                isinstance(node.value, ast.Constant) and \
+                _is_float_dtype(node.value.value):
+            out.append((node.lineno, "dtype=%r" % node.value.value))
+    return sorted(out)
+
+
+def _is_float_dtype(name):
+    try:
+        return np.dtype(name).kind in "fc"
+    except TypeError:
+        return False
+
+
+def test_the_scan_finds_every_kind_of_float():
+    source = ("import math\nimport numpy as np\n"
+              "from math import isqrt, sqrt\n"
+              "x = 0.5 + 1e-9\n"
+              "y = float(3)\n"
+              "z = math.log(2) + math.exp(1) + math.gcd(4, 6)\n"
+              "a = np.zeros(2, dtype=np.float64)\n"
+              "b = np.ones(2, dtype='float32') + np.ones(2, dtype='d')\n"
+              "c = np.array([1], dtype=object)\n"
+              "d = isqrt(10)  # a float would be wrong here\n"
+              "e = 'float'\n")
+    assert float_uses(source) == [
+        (3, "math.sqrt"), (4, "0.5"), (4, "1e-09"), (5, "float"),
+        (6, "math.exp"), (6, "math.log"), (7, "np.float64"),
+        (8, "dtype='d'"), (8, "dtype='float32'")]
+
+
+def test_the_exact_modules_use_no_floats():
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name in FLOAT_MODULES:
+            continue
+        uses = float_uses(path.read_text())
+        if uses:
+            found[str(path.relative_to(ROOT))] = uses
+    assert found == {}

@@ -807,6 +807,81 @@ def test_find_containing_cell_matches_reference_scan(q, pb, window):
             locate_by_scan(cells, pb, pt), pt
 
 
+@st.composite
+def location_cases(draw):
+    """(form, period basis, shift) of a Delaunay paving: rank 1; a rank-2
+    form or SHEARED, sheared by [[1, k], [0, 1]] or its transpose,
+    |k| <= 8; a reduced rank-3 form.  The period basis is Z^r or a
+    coarser one, and in rank 2 the lattice may be shifted by (1/2, 1/3)."""
+    r = draw(st.integers(1, 3))
+    shift = None
+    if r == 1:
+        qm = [[draw(st.integers(1, 6))]]
+        pb = [[draw(st.integers(1, 3))]]
+    elif r == 2:
+        qm = draw(st.one_of(st.just(SHEARED), pd2_forms().map(
+            lambda q: q.matrix.tolist())))
+        k = draw(st.integers(-8, 8))
+        u = [[1, k], [0, 1]] if draw(st.booleans()) else [[1, 0], [k, 1]]
+        qm = [[sum(u[a][i] * qm[a][b] * u[b][j]
+                   for a in range(2) for b in range(2))
+               for j in range(2)] for i in range(2)]
+        pb = draw(st.sampled_from([[[1, 0], [0, 1]], [[2, 1], [0, 1]]]))
+        shift = draw(st.sampled_from([None, HALF_THIRD]))
+    else:
+        qm = draw(reduced_pd3_forms())
+        pb = draw(st.sampled_from([I3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]]]))
+    return qm, pb, shift
+
+
+@settings(max_examples=15, deadline=None)
+@given(location_cases(), st.integers(0, 2 ** 16))
+@example(([[1]], [[2]], None), 0)
+@example(([[2, 1], [1, 2]], [[1, 0], [0, 1]], HALF_THIRD), 1)
+@example((SHEARED, [[2, 1], [0, 1]], HALF_THIRD), 2)
+@example((A3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]], None), 3)
+def test_face_type_location_matches_the_scan(case, seed):
+    """find_containing_cell answers from the face-type table on a
+    Delaunay paving; on every probe (lattice points, vertices, edge
+    midpoints and random rationals) it gives the scan's cell and shift."""
+    qm, pb, shift = case
+    q = QuadraticForm(_obj(qm))
+    for window in (3, 8, 24) if len(qm) < 3 else (3, 8):
+        try:
+            pav = delaunay_subdivision(q, _obj(pb), window, shift)
+            break
+        except WindowTooSmall:
+            continue
+    else:
+        reject()
+    cells = [c.vertices for c in pav.cells]
+    for pt in _location_probes(pav, random.Random(seed)):
+        assert pav.find_containing_cell(pt) == \
+            locate_by_scan(cells, pb, pt), pt
+
+
+@pytest.mark.parametrize("q, pb, window", [
+    ([[1]], [[1]], 4),
+    ([[2, 1], [1, 2]], [[1, 0], [0, 1]], 4),
+    ([[3, 1], [1, 5]], [[1, 0], [0, 1]], 4),
+    ([[2, 1], [1, 3]], [[2, 1], [0, 1]], 4),
+    (A3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
+    (I3, [[1, 0, 0], [0, 1, 0], [0, 0, 2]], 3),
+])
+def test_the_face_type_table_stays_within_its_bound(q, pb, window):
+    """At most 2^r 3^(r(r-1)/2) |det B| keys, however many points."""
+    pav = delaunay_subdivision(QuadraticForm(_obj(q)), _obj(pb), window)
+    rng = random.Random(5)
+    r = len(q)
+    for _ in range(2000):
+        pav.find_containing_cell(tuple(
+            Fraction(rng.randint(-120, 120), rng.randint(1, 4))
+            for _ in range(r)))
+    table = pav._faces[-1]
+    assert 0 < len(table) <= \
+        2 ** r * 3 ** (r * (r - 1) // 2) * abs(frac_det(_obj(pb)))
+
+
 def test_find_containing_cell_reaches_long_cells():
     """The parallelogram of SHEARED needs translates far outside
     [-2, 2]^2 to cover the unit square."""

@@ -13,9 +13,10 @@ from tropab.errors import (BadLift, BadModulus, BadTwistPair,
                            EmptyComponent, InconsistentData, TooLarge,
                            Unbounded)
 from tropab.exact_linalg import PolarizationType
-from tropab.pavings_pwl import interpolate_on_triangulation, sigma_section
-from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
-                                      QuadraticForm)
+from tropab.pavings_pwl import (PwAffineFunction,
+                                interpolate_on_triangulation, sigma_section)
+from tropab.quadform_delaunay import (MAX_WINDOW_POINTS, LatticePolytope,
+                                      PeriodicPaving, QuadraticForm)
 from tropab.theta_heisenberg import (CyclotomicInteger, DegenerationData,
                                      HeisenbergElement, SchrodingerVector,
                                      balanced_sections,
@@ -32,7 +33,7 @@ from tropab.theta_heisenberg import (CyclotomicInteger, DegenerationData,
                                      twist_bilinear_form)
 
 from oracles import (brute_force_balanced_patterns_rank1,
-                     brute_force_minimum, period_exponents)
+                     brute_force_minimum, frac_solve, period_exponents)
 
 F = Fraction
 
@@ -370,14 +371,41 @@ def test_valuation_profile_refuses_a_phi_without_growth(values):
         section_valuation_profile(sec, phi, _obj([[3]]), 3)
 
 
+@pytest.mark.parametrize("phi_map, delta", [
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (1, 1, 1)),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 2]], (1, 1, 2)),
+], ids=["identity", "diag-2"])
+def test_valuation_profile_takes_cosets_of_the_preimage_lattice(phi_map,
+                                                                delta):
+    """With period basis diag(1, 1, 100) the period lattice has exponent
+    n = 100, but K = {k : phi_map k in it} has index at most 100, so a
+    class splits into at most 100 cosets, not n^3 = 10^6 (which is over
+    MAX_WINDOW_POINTS).  Every lattice point is a vertex of the cubes of
+    I3, so sigma = |x|^2 / 2 there.  phi_map Z^3 contains 2 Z^3, so a
+    minimiser of |x|^2 over a class has entries in [-1, 1] (else a step
+    of 2 shortens it): scanning [-3, 3]^3 is a brute force."""
+    phi = sigma_section(QuadraticForm(_obj(np.eye(3, dtype=int))),
+                        _obj([[1, 0, 0], [0, 1, 0], [0, 0, 100]]), 2)
+    prof = section_valuation_profile(_full_support(delta), phi,
+                                     _obj(phi_map), 1)
+    assert len(prof) == prod(delta)
+    for rep, got in prof.items():
+        assert got == min(
+            F(sum(v * v for v in x), 2)
+            for x in product(range(-3, 4), repeat=3)
+            if all(c.denominator == 1 for c in
+                   frac_solve(phi_map, [a - b for a, b in zip(x, rep)])))
+
+
 def test_valuation_profile_refuses_too_many_cosets():
-    """A period lattice of exponent n = 400 splits each class into
-    400^2 cosets, more than MAX_WINDOW_POINTS."""
-    phi = sigma_section(QuadraticForm(_obj([[1, 0], [0, 1]])),
-                        _obj([[1, 0], [0, 400]]), 2)
+    """The segment [0, N] with period N = MAX_WINDOW_POINTS + 1 and
+    phi = x^2 / 2 at its vertices: K = N Z has more than
+    MAX_WINDOW_POINTS cosets."""
+    n = MAX_WINDOW_POINTS + 1
+    line = PeriodicPaving(1, _obj([[n]]), [LatticePolytope(((0,), (n,)))], 2)
+    phi = PwAffineFunction(line, [((F(n, 2),), 0)], [_obj([[1]])], [[0]])
     with pytest.raises(TooLarge) as err:
-        section_valuation_profile(_full_support((1, 1)), phi,
-                                  _obj([[1, 0], [0, 1]]), 1)
+        section_valuation_profile(_full_support((1,)), phi, _obj([[1]]), 1)
     assert err.value.field == "period_basis"
 
 
