@@ -15,22 +15,12 @@ from typing import Optional
 from . import _geometry as geom
 from .errors import (InconsistentData, NotAFace, NotInjective, NotInvariant,
                      OutsideSupport, RankMismatch, Unbounded)
-from .exact_linalg import (LatticeCoordinates, as_int_matrix, frac_det,
-                           hermite_normal_form, polarization_type,
+from .exact_linalg import (LatticeCoordinates, as_int, as_int_matrix,
+                           frac_det, hermite_normal_form, polarization_type,
                            saturated_quotient)
 from .pavings_pwl import PwAffineFunction, ToricMonoid, affine_region_paving
 from .quadform_delaunay import (PeriodicPaving, QuadraticForm,
                                coset_representatives)
-
-
-def _integer(x, what):
-    """x as an int; ValueError unless it is an integer."""
-    if type(x) is not int:
-        v = Fraction(x)
-        if v.denominator != 1:
-            raise ValueError("%s %r is not an integer" % (what, x))
-        x = int(v)
-    return x
 
 
 class HomogenizedFunction:
@@ -59,7 +49,7 @@ class HomogenizedFunction:
         a point of the wrong length, or other than the origin at degree
         0, on the field ``point``; a degree that is not an integer raises
         ValueError."""
-        d = _integer(degree, "degree")
+        d = as_int(degree, "degree")
         if d < 0:
             raise OutsideSupport("negative degree %d" % d, field="degree")
         num, den = LatticeCoordinates.clear_denominators(point)
@@ -86,8 +76,8 @@ class TwistedMonoidElement:
     payload: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "degree", _integer(self.degree, "degree"))
-        object.__setattr__(self, "point", tuple(_integer(x, "point entry")
+        object.__setattr__(self, "degree", as_int(self.degree, "degree"))
+        object.__setattr__(self, "point", tuple(as_int(x, "point entry")
                                                 for x in self.point))
         object.__setattr__(self, "payload",
                            tuple(Fraction(x) for x in self.payload))

@@ -30,16 +30,20 @@ def as_int_matrix(m) -> np.ndarray:
     a = np.array(m, dtype=object)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    return _object_matrix([[_as_int(x) for x in row] for row in a.tolist()],
+    return _object_matrix([[as_int(x) for x in row] for row in a.tolist()],
                           a.shape[1])
 
 
-def _as_int(x):
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            raise ValueError("non-integer entry %r" % (x,))
-        return x.numerator
-    return int(x)
+def as_int(x, what="entry"):
+    """x as an int; ValueError, naming x as ``what``, unless x is an
+    integer (a Fraction or float with a fractional part is refused, not
+    truncated)."""
+    if type(x) is int:
+        return x
+    v = Fraction(x)
+    if v.denominator != 1:
+        raise ValueError("non-integer %s %r" % (what, x))
+    return int(v)
 
 
 def as_frac_matrix(m) -> np.ndarray:

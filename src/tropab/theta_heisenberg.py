@@ -529,11 +529,8 @@ def _preimage_basis(pm_rows, lattice):
     C = den B^-1 pm on the lattice's integer rows, K is the projection to
     k of the integer kernel of [C | den I], which the projection maps
     one to one; the kernel is spanned by the last r rows of the
-    unimodular u of the Hermite normal form of [C | den I]^T.  A
-    lattice with den = 1 is Z^r, and so is K."""
+    unimodular u of the Hermite normal form of [C | den I]^T."""
     r = len(pm_rows)
-    if lattice.den == 1:
-        return [tuple(int(i == j) for j in range(r)) for i in range(r)]
     c_rows = [[geom.dot(row, col) for col in zip(*pm_rows)]
               for row in lattice.inv_rows]
     stacked = [list(col) for col in zip(*c_rows)] + \

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tropab.errors import (Degenerate, NotInGLXY, NotInjective, NotSkew,
                            NotUnimodular)
 from tropab.exact_linalg import (LatticeCoordinates, PolarizationType,
-                                 frac_det, frac_inv, glxy_act,
+                                 as_int_matrix, frac_det, frac_inv, glxy_act,
                                  hermite_normal_form, independent_rows,
                                  is_positive_definite, lattice_membership,
                                  polarization_type, rank, row_reduce,
@@ -362,6 +362,18 @@ def test_lattice_inverse_matches_the_fraction_route(basis):
     assert (lat.inv_rows, lat.den) == lattice_inverse_reference(basis)
     assert all(type(x) is int for row in lat.inv_rows for x in row)
     assert type(lat.den) is int and lat.den > 0
+
+
+@pytest.mark.parametrize("m", [[[1.7, 0], [0, 2.5]], [[Fraction(1, 2)]]])
+def test_a_non_integral_entry_is_refused_not_truncated(m):
+    with pytest.raises(ValueError, match="^non-integer entry "):
+        as_int_matrix(m)
+
+
+def test_integral_entries_of_any_type_become_ints():
+    m = as_int_matrix([[2.0, Fraction(4, 2)], [np.int64(3), -1]])
+    assert m.tolist() == [[2, 2], [3, -1]]
+    assert all(type(x) is int for row in m.tolist() for x in row)
 
 
 def test_a_singular_lattice_basis_is_degenerate():

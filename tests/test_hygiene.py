@@ -115,16 +115,18 @@ NUMPY_FLOAT_TYPES = {"float16", "float32", "float64", "float128", "half",
 
 
 def float_uses(source):
-    """(line, what) for each float literal, each use of the name
-    ``float``, each math function that returns a float (math.sqrt, log,
-    exp, ...) and each numpy float dtype in a module."""
+    """(line, what) for each float literal, each call of ``float``,
+    each math function that returns a float (math.sqrt, log, exp, ...)
+    and each numpy float dtype in a module.  The name ``float`` alone,
+    as in ``isinstance(x, float)``, which refuses floats, is allowed."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Constant) and \
                 isinstance(node.value, (float, complex)):
             out.append((node.lineno, repr(node.value)))
-        elif isinstance(node, ast.Name) and node.id == "float":
-            out.append((node.lineno, "float"))
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Name) and node.func.id == "float":
+            out.append((node.lineno, "float("))
         elif isinstance(node, ast.Attribute) and \
                 isinstance(node.value, ast.Name) and (
                     node.value.id == "math"
@@ -142,6 +144,9 @@ def float_uses(source):
                 isinstance(node.value, ast.Constant) and \
                 _is_float_dtype(node.value.value):
             out.append((node.lineno, "dtype=%r" % node.value.value))
+        elif isinstance(node, ast.keyword) and node.arg == "dtype" and \
+                isinstance(node.value, ast.Name) and node.value.id == "float":
+            out.append((node.lineno, "dtype=float"))
     return sorted(out)
 
 
@@ -162,11 +167,13 @@ def test_the_scan_finds_every_kind_of_float():
               "b = np.ones(2, dtype='float32') + np.ones(2, dtype='d')\n"
               "c = np.array([1], dtype=object)\n"
               "d = isqrt(10)  # a float would be wrong here\n"
-              "e = 'float'\n")
+              "e = 'float'\n"
+              "if isinstance(e, float):\n    raise ValueError(e)\n"
+              "f = np.zeros(2, dtype=float)\n")
     assert float_uses(source) == [
-        (3, "math.sqrt"), (4, "0.5"), (4, "1e-09"), (5, "float"),
+        (3, "math.sqrt"), (4, "0.5"), (4, "1e-09"), (5, "float("),
         (6, "math.exp"), (6, "math.log"), (7, "np.float64"),
-        (8, "dtype='d'"), (8, "dtype='float32'")]
+        (8, "dtype='d'"), (8, "dtype='float32'"), (14, "dtype=float")]
 
 
 def test_the_exact_modules_use_no_floats():

@@ -257,6 +257,11 @@ def test_a_shift_of_the_wrong_length_is_refused(shift):
     assert "length %d" % len(shift) in str(err.value)
 
 
+def test_a_fractional_period_basis_is_refused_not_truncated():
+    with pytest.raises(ValueError, match="^non-integer entry 2.9$"):
+        delaunay_subdivision(QuadraticForm([[2]]), [[2.9]], 4)
+
+
 def test_a_coarser_period_basis_keeps_its_cells_sigma_and_fiber():
     from tropab.degeneration_monoids import central_fiber_complex
     from tropab.pavings_pwl import bending_parameters
