@@ -46,14 +46,18 @@ def as_int(x, what="entry"):
     return int(v)
 
 
+def as_frac(x) -> Fraction:
+    """x as a Fraction; one already is returned as it is, not rebuilt."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def as_frac_matrix(m) -> np.ndarray:
+    """Copy input into an object-dtype matrix of Fractions (as_frac)."""
     a = np.array(m, dtype=object)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     out = np.empty(a.shape, dtype=object)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            out[i, j] = Fraction(a[i, j])
+    out.flat = [as_frac(x) for x in a.flat]
     return out
 
 

@@ -30,8 +30,9 @@ from . import _geometry as geom
 from .errors import (Degenerate, InvalidPaving, MissingVertexValue,
                      NonMatchingFaces, NotConvex, NotQuasiperiodic,
                      NotSimplicial, RankMismatch, Unbounded)
-from .exact_linalg import (LatticeCoordinates, as_frac_matrix, as_int_matrix,
-                           clear_denominators, rank, row_reduce)
+from .exact_linalg import (LatticeCoordinates, as_frac, as_frac_matrix,
+                           as_int_matrix, clear_denominators, rank,
+                           row_reduce)
 from .quadform_delaunay import (PeriodicPaving, QuadraticForm,
                                 _ellipsoid_points, _obtuse_superbase,
                                 check_window_points, coset_representatives,
@@ -43,7 +44,7 @@ def _as_rows(lin, k, r):
     lin = list(lin)
     if lin and not isinstance(lin[0], (list, tuple, np.ndarray)):
         lin = [lin]
-    out = tuple(tuple(Fraction(x) for x in row) for row in lin)
+    out = tuple(tuple(map(as_frac, row)) for row in lin)
     if len(out) != k or any(len(row) != r for row in out):
         raise ValueError("linear part must be %d row(s) of length %d"
                          % (k, r))
@@ -53,7 +54,7 @@ def _as_rows(lin, k, r):
 def _as_vec(const, k):
     if not isinstance(const, (list, tuple, np.ndarray)):
         const = [const]
-    out = tuple(Fraction(x) for x in const)
+    out = tuple(map(as_frac, const))
     if len(out) != k:
         raise ValueError("constant must have length %d" % k)
     return out
@@ -99,17 +100,20 @@ class PwAffineFunction:
         self.quasi_linear = _as_rows(quasi_linear, k, r)
 
         bils = [b.tolist() for b in self.quasi_bilinear]
-        coeffs = [x for lin, const in self.cell_affines
-                  for row in lin + (const,) for x in row]
-        coeffs += [x / 2 for b in bils for row in b for x in row]
-        coeffs += [x / 2 for row in self.quasi_linear for x in row]
-        self._den = den = lcm(*(x.denominator for x in coeffs))
+        dens = [x.denominator for lin, const in self.cell_affines
+                for row in lin + (const,) for x in row]
+        # x / 2 has the denominator of x, doubled if its numerator is odd
+        dens += [x.denominator << (x.numerator & 1)
+                 for rows in bils + [self.quasi_linear]
+                 for row in rows for x in row]
+        self._den = den = lcm(*dens)
 
         def ints(row):
             return tuple(x.numerator * (den // x.denominator) for x in row)
-        self._quasi_ints = tuple((tuple(ints(row) for row in b),
-                                  ints(x / 2 for x in lin))
-                                 for b, lin in zip(bils, self.quasi_linear))
+        self._quasi_ints = tuple(
+            (tuple(ints(row) for row in b),
+             tuple(x.numerator * den // (2 * x.denominator) for x in lin))
+            for b, lin in zip(bils, self.quasi_linear))
         self._cell_ints = tuple(tuple(zip((ints(row) for row in lin),
                                           ints(const)))
                                 for lin, const in self.cell_affines)

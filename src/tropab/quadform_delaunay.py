@@ -13,6 +13,13 @@ does not enter the computation; it bounds the answer.
 A QuadraticForm keeps its pavings, one per (period basis, window, shift),
 and a paving its facets, walls, point locator and second-Voronoi cone.
 
+The second-Voronoi cone of a Delaunay paving is read off the same
+superbase: for r <= 3 it is the face of the principal cone {p_ij >= 0}
+that has Q in its relative interior (Voronoi 1908; Conway and Sloane
+1992), one integer row per Selling parameter, so it is simplicial.  A
+hand-built paving has no superbase; its rows come from its cells and
+walls (Alexeev 2002) and may repeat a facet.  See secondary_cone.
+
 Point location on a Delaunay paving is a table lookup by face type.  In
 the coordinates y = S^-1 (x - s) of the superbase basis S (s the shift)
 the permutation simplices and their integer translates are the Kuhn
@@ -153,8 +160,9 @@ class PeriodicPaving:
         self._wall_cache = None
         self._locator = None
         self._cone = None
-        # (superbase basis, shift) of a Delaunay paving, and the face-type
-        # locator built from it on the first locate_cleared
+        # (superbase basis, shift, Selling parameters) of a Delaunay
+        # paving, and the face-type locator built from it on the first
+        # locate_cleared
         self._superbase = None
         self._faces = None
 
@@ -286,7 +294,7 @@ class PeriodicPaving:
         of n B^-1 S, the table) for the face-type lookup of
         locate_cleared, from the superbase basis S and the shift s.  S
         is unimodular, so its inverse rows are integers over 1."""
-        basis, shift = self._superbase
+        basis, shift, _ = self._superbase
         inv = LatticeCoordinates(list(zip(*basis))).inv_rows
         s_num, s_den = clear_denominators(shift)
         s_inv = tuple(geom.dot(row, s_num) for row in inv)
@@ -431,7 +439,7 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
     offsets = [geom.vadd(t, shift)
                for t in coset_representatives(pb, "period_basis")]
     reps = {}
-    basis, cells = _delaunay_cells(q.cleared()[0])
+    basis, selling, cells = _delaunay_cells(q.cleared()[0])
     for cell in cells:
         for t in offsets:
             c = paving.canonical_cell(geom.vadd(v, t) for v in cell)
@@ -445,15 +453,18 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
             "window that holds every orbit is %d" % (window, need),
             field="window")
     paving.cells = [reps[vs] for vs in sorted(reps)]   # PeriodicPaving's order
-    paving._superbase = (basis, shift)
+    paving._superbase = (basis, shift, selling)
     q._pavings[key] = paving
     return paving
 
 
 def _delaunay_cells(m):
-    """(basis, cells): v_0 ... v_{r-1} of an obtuse superbase of the
-    integer form m, r <= 3, and one vertex list per Z^r-orbit of its
-    Delaunay cells, some orbits listed more than once.
+    """(basis, selling, cells): v_0 ... v_{r-1} of an obtuse superbase of
+    the integer form m, r <= 3, its Selling parameters p_ij = -v_i^T m v_j
+    over the edges i < j of K_{r+1} in the order of combinations (with
+    v_r = -sum v_i, so p_ir is the i-th row sum of the Gram matrix), and
+    one vertex list per Z^r-orbit of its Delaunay cells, some orbits
+    listed more than once.
 
     In the basis v_0 ... v_{r-1} of an obtuse superbase the permutation
     simplices are 0, e_s0, e_s0 + e_s1, ..., one per order s of 0 ... r-1
@@ -466,6 +477,8 @@ def _delaunay_cells(m):
     r = len(m)
     basis = _obtuse_superbase(m)[:r]
     gram = [[geom.bilinear(m, a, b) for b in basis] for a in basis]
+    selling = tuple(-gram[i][j] if j < r else sum(gram[i])
+                    for i, j in combinations(range(r + 1), 2))
     cells = []
     for order in permutations(range(r)):
         simplex = [tuple(int(i in order[:k]) for i in range(r))
@@ -486,7 +499,7 @@ def _delaunay_cells(m):
                     "the simplex %r" % (y, simplex))
             cell.append(tuple(geom.dot(y, col) for col in zip(*basis)))
         cells.append(cell)
-    return basis, cells
+    return basis, selling, cells
 
 
 def _ellipsoid_points(gram, centre, d, radius):
@@ -625,13 +638,31 @@ def _equidistant_center(verts, q):
 def secondary_cone(paving: PeriodicPaving):
     """The closed cone C(paving) as (equalities, inequalities), sorted
     primitive integer rows e with <e, q> = 0 or >= 0 on the entries
-    q_ij, i <= j, of Q(x) = sum q_ii x_i^2 + 2 sum_{i<j} q_ij x_i x_j:
-    the interpolation of Q is affine on each cell (an equality per vertex
-    off its affine base), bends non-negatively across each wall orbit
-    (an inequality at a far vertex of one cell) and is <= Q at each point
-    of b_0 + Z^r in a cell that is not a vertex, b_0 its first vertex
-    (Alexeev, Annals 155, 2002).  The rows are kept on the paving."""
+    q_ij, i <= j, of Q(x) = sum q_ii x_i^2 + 2 sum_{i<j} q_ij x_i x_j.
+    The rows are kept on the paving.
+
+    A Delaunay paving reads them off its obtuse superbase v_0 ... v_r
+    (_selling_cone).  For r <= 3, C(Del(Q)) is the face of the principal
+    cone {p_ij >= 0} of Q's superbase that has Q in its relative
+    interior (Voronoi, J. reine angew. Math. 134, 1908; Conway and
+    Sloane, Proc. R. Soc. A 436, 1992): one row p_ij(q) = -v_i^T q v_j
+    per edge of K_{r+1}, an equality where Q's Selling parameter is zero
+    and an inequality where it is positive.  Q(sum y_i v_i) =
+    sum p_ij (y_i - y_j)^2, so the rows are a basis of the forms: one
+    inequality per facet, and the cone is simplicial.
+
+    A hand-built paving has no superbase and gets the rows of its cells
+    (_excess_row): the interpolation of Q is affine on each cell (an
+    equality per vertex off its affine base), bends non-negatively
+    across each wall orbit (an inequality at a far vertex of one cell)
+    and is <= Q at each point of b_0 + Z^r in a cell that is not a
+    vertex, b_0 its first vertex (Alexeev, Annals 155, 2002).  These
+    rows cut out the same cone, but an inequality may be redundant."""
     if paving._cone is not None:
+        return paving._cone
+    if paving._superbase is not None:
+        basis, _, selling = paving._superbase
+        paving._cone = _selling_cone(basis, selling)
         return paving._cone
     excess = [_excess_row(c.vertices, paving.rank) for c in paving.cells]
     equalities, inequalities = set(), set()
@@ -650,6 +681,27 @@ def secondary_cone(paving: PeriodicPaving):
         inequalities.add(excess[ia](geom.vsub(far, sa)))
     paving._cone = (tuple(sorted(equalities)), tuple(sorted(inequalities)))
     return paving._cone
+
+
+def _selling_cone(basis, selling):
+    """secondary_cone's rows from the superbase basis v_0 ... v_{r-1}
+    (v_r = -sum v_i) and the Selling parameters over the edges of
+    K_{r+1}, in the order of combinations: the row of p_ij(q) =
+    -v_i^T q v_j over the q_ab, a <= b, is -v_ia v_ja on the diagonal and
+    -(v_ia v_jb + v_ib v_ja) off it."""
+    r = len(basis)
+    vs = list(basis) + [tuple(-sum(col) for col in zip(*basis))]
+    equalities, inequalities = [], []
+    for (i, j), p in zip(combinations(range(r + 1), 2), selling):
+        u, v = vs[i], vs[j]
+        row = geom.gcd_reduced(
+            [-u[a] * v[a] if a == b else -(u[a] * v[b] + u[b] * v[a])
+             for a in range(r) for b in range(a, r)])
+        if p:
+            inequalities.append(row)
+        else:
+            equalities.append(geom.primitive(row))
+    return tuple(sorted(equalities)), tuple(sorted(inequalities))
 
 
 def _excess_row(vertices, r):
@@ -685,6 +737,7 @@ def voronoi_cone_contains(paving: PeriodicPaving, q: QuadraticForm) -> bool:
     if q.rank != paving.rank:
         raise InvalidPaving("rank mismatch between form and paving", field="q")
     equalities, inequalities = secondary_cone(paving)
-    x = clear_denominators(q.matrix[np.triu_indices(q.rank)])[0]
+    x = clear_denominators([t for i, row in enumerate(q.matrix.tolist())
+                            for t in row[i:]])[0]     # the q_ij, i <= j
     return (all(geom.dot(e, x) == 0 for e in equalities)
             and all(geom.dot(e, x) >= 0 for e in inequalities))

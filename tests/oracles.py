@@ -7,6 +7,7 @@ these run on tiny inputs.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 import math
 
@@ -715,19 +716,31 @@ def locate_by_scan(cells, period_basis, point):
     floors = [c.numerator // c.denominator for c in coords]
     t0 = [sum(period_basis[i][j] * floors[j] for j in range(r))
           for i in range(r)]
-    hulls = [_halfspaces(verts) for verts in cells]
-    for idx, halfspaces in enumerate(hulls):
-        big = max(abs(c) for v in cells[idx]
-                  for c in frac_solve(period_basis, v))
-        span = math.ceil(big) + 1
+    for idx, (halfspaces, box, span) in enumerate(_scan_data(
+            tuple(tuple(map(tuple, c)) for c in cells),
+            tuple(map(tuple, period_basis)))):
         for k in product(range(-span, span + 1), repeat=r):
             shift = tuple(t0[i] + sum(period_basis[i][j] * k[j]
                                       for j in range(r)) for i in range(r))
             local = [p - s for p, s in zip(pt, shift)]
-            if all(sum(n * c for n, c in zip(normal, local)) <= level
-                   for normal, level in halfspaces):
+            if all(lo <= x <= hi for x, (lo, hi) in zip(local, box)) and \
+                    all(sum(n * c for n, c in zip(normal, local)) <= level
+                        for normal, level in halfspaces):
                 return idx, shift
     return None
+
+
+@lru_cache(maxsize=64)
+def _scan_data(cells, period_basis):
+    """Per cell, for locate_by_scan: its halfspaces, its coordinate
+    bounding box (a quick rejection that changes no answer) and the
+    span K of its scan; kept for the cell lists scanned most recently."""
+    data = []
+    for verts in cells:
+        big = max(abs(c) for v in verts for c in frac_solve(period_basis, v))
+        box = tuple((min(xs), max(xs)) for xs in zip(*verts))
+        data.append((tuple(_halfspaces(verts)), box, math.ceil(big) + 1))
+    return tuple(data)
 
 
 def _halfspaces(verts):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tropab import quadform_delaunay
 from tropab.errors import (DomainError, InvalidPaving, NotPositiveDefinite,
                            RankMismatch, TooLarge, WindowTooSmall)
-from tropab.exact_linalg import frac_det, glxy_act, rank
+from tropab.exact_linalg import frac_det, glxy_act, rank, row_reduce
 from tropab.pavings_pwl import sigma_section
 from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
                                       QuadraticForm, delaunay_subdivision,
@@ -668,7 +668,7 @@ def test_secondary_cone_bounds_a_cell_with_an_inner_lattice_point():
 I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
-@pytest.mark.parametrize("qm, dim", [
+PINNED_CONES = pytest.mark.parametrize("qm, dim", [
     ([[2, 1], [1, 2]], 3),
     ([[1, 0], [0, 1]], 2),
     ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 4),
@@ -676,6 +676,9 @@ I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     ([[3, -1, -1], [-1, 3, -1], [-1, -1, 3]], 6),
     (I3, 3),
 ], ids=["hexagonal", "square", "A3", "hexagonal+1", "bcc", "cube"])
+
+
+@PINNED_CONES
 def test_secondary_cone_dimension(qm, dim):
     """r(r+1)/2 less the rank of the equalities (Voronoi's 2 types in
     rank 2; 4 of Fedorov's 5 in rank 3)."""
@@ -684,6 +687,21 @@ def test_secondary_cone_dimension(qm, dim):
                                np.eye(r, dtype=object), 3)
     equalities, _ = secondary_cone(pav)
     assert r * (r + 1) // 2 - rank(equalities) == dim
+
+
+@PINNED_CONES
+def test_the_selling_cone_has_one_row_per_facet(qm, dim):
+    """A Delaunay paving's cone is simplicial: dim inequalities,
+    independent modulo the equalities (so each is nonzero and no two
+    differ by an equality), and equalities of rank r(r+1)/2 - dim."""
+    r = len(qm)
+    pav = delaunay_subdivision(QuadraticForm(_obj(qm)),
+                               np.eye(r, dtype=object), 3)
+    equalities, inequalities = secondary_cone(pav)
+    n = r * (r + 1) // 2
+    assert len(inequalities) == dim
+    assert rank(equalities) == n - dim
+    assert rank(equalities + inequalities) == n
 
 
 CONE_PAVING_FORMS = [
@@ -738,6 +756,49 @@ def test_voronoi_cone_matches_the_delaunay_reference(case):
     except DomainError:
         reject()
     assert voronoi_cone_contains(pav, q) == want
+
+
+def _coordinates(basis, rows):
+    """The coordinates of each row in the rows ``basis`` of Q^n."""
+    n = len(basis)
+    system = [[b[i] for b in basis] + [row[i] for row in rows]
+              for i in range(n)]
+    reduced, pivots, _ = row_reduce(system, n)
+    assert pivots == list(range(n))
+    return [[reduced[k][n + j] for k in range(n)] for j in range(len(rows))]
+
+
+SHIFTS = {1: (Fraction(1, 2),), 2: (Fraction(1, 2), Fraction(1, 3)),
+          3: (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.sampled_from(CONE_PAVING_FORMS),
+                 pd2_forms().map(lambda q: q.matrix.tolist())),
+       st.booleans(), st.booleans())
+def test_the_selling_cone_is_the_cone_of_the_cells(qm, coarser, shifted):
+    """The rows read off the superbase and the rows built from the cells
+    of the same paving (carried without its superbase) cut out one cone:
+    the same equality span, and every cell row is, modulo it, a
+    non-negative combination of the Selling inequalities, each of which
+    is itself a cell row; so the cell rows' facets are the Selling
+    rows."""
+    r = len(qm)
+    pb = COARSER_BASES[r] if coarser else np.eye(r, dtype=int).tolist()
+    pav = delaunay_subdivision(QuadraticForm(_obj(qm)), _obj(pb),
+                               CONE_WINDOWS[r],
+                               SHIFTS[r] if shifted else None)
+    equalities, inequalities = secondary_cone(pav)
+    cell_eqs, cell_ineqs = secondary_cone(
+        PeriodicPaving(r, pav.period_basis, pav.cells, pav.window))
+    assert rank(cell_eqs) == rank(equalities)
+    e = len(equalities)
+    basis = equalities + inequalities
+    assert all(not any(c[e:]) for c in _coordinates(basis, cell_eqs))
+    coords = [c[e:] for c in _coordinates(basis, cell_ineqs)]
+    assert all(x >= 0 for c in coords for x in c)
+    for k in range(len(inequalities)):
+        assert any(c[k] > 0 and not any(c[:k] + c[k + 1:]) for c in coords)
 
 
 # -- equivariance -----------------------------------------------------------
