@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Every domain error carries a stable ``code`` string so the CLI can emit
-structured error objects without string-matching messages.
+Every domain error carries a stable ``code`` string, its class name, so
+the CLI can emit structured error objects without string-matching
+messages.
 """
 
 
@@ -9,6 +10,10 @@ class DomainError(Exception):
     """Base class for all domain-level failures (CLI exit code 1)."""
 
     code = "DomainError"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
 
     def __init__(self, message="", field=None):
         super().__init__(message or self.code)
@@ -18,118 +23,118 @@ class DomainError(Exception):
 # --- exact_linalg ---------------------------------------------------------
 
 class NotSkew(DomainError):
-    code = "NotSkew"
+    pass
 
 
 class Degenerate(DomainError):
-    code = "Degenerate"
+    pass
 
 
 class NotInjective(DomainError):
-    code = "NotInjective"
+    pass
 
 
 class NotInGLXY(DomainError):
-    code = "NotInGLXY"
+    pass
 
 
 class NotUnimodular(DomainError):
-    code = "NotUnimodular"
+    pass
 
 
 # --- quadform_delaunay ----------------------------------------------------
 
 class NotPositiveDefinite(DomainError):
-    code = "NotPositiveDefinite"
+    pass
 
 
 class WindowTooSmall(DomainError):
-    code = "WindowTooSmall"
+    pass
 
 
 class InvalidPaving(DomainError):
-    code = "InvalidPaving"
+    pass
 
 
 # --- pavings_pwl ----------------------------------------------------------
 
 class NonMatchingFaces(DomainError):
-    code = "NonMatchingFaces"
+    pass
 
 
 class RankMismatch(DomainError):
-    code = "RankMismatch"
+    pass
 
 
 class NotQuasiperiodic(DomainError):
-    code = "NotQuasiperiodic"
+    pass
 
 
 class NotSimplicial(DomainError):
-    code = "NotSimplicial"
+    pass
 
 
 class MissingVertexValue(DomainError):
-    code = "MissingVertexValue"
+    pass
 
 
 class NotConvex(DomainError):
-    code = "NotConvex"
+    pass
 
 
 class Unbounded(DomainError):
-    code = "Unbounded"
+    pass
 
 
 # --- degeneration_monoids -------------------------------------------------
 
 class OutsideSupport(DomainError):
-    code = "OutsideSupport"
+    pass
 
 
 class NotInvariant(DomainError):
-    code = "NotInvariant"
+    pass
 
 
 class NotAFace(DomainError):
-    code = "NotAFace"
+    pass
 
 
 class InconsistentData(DomainError):
-    code = "InconsistentData"
+    pass
 
 
 # --- siegel_trop ----------------------------------------------------------
 
 class NotSymplectic(DomainError):
-    code = "NotSymplectic"
+    pass
 
 
 class NearSingularDenominator(DomainError):
-    code = "NearSingularDenominator"
+    pass
 
 
 class IllConditionedBlock(DomainError):
-    code = "IllConditionedBlock"
+    pass
 
 
 # --- theta_heisenberg -----------------------------------------------------
 
 class BadModulus(DomainError):
-    code = "BadModulus"
+    pass
 
 
 class BadLift(DomainError):
-    code = "BadLift"
+    pass
 
 
 class TooLarge(DomainError):
-    code = "TooLarge"
+    pass
 
 
 class BadTwistPair(DomainError):
-    code = "BadTwistPair"
+    pass
 
 
 class EmptyComponent(DomainError):
-    code = "EmptyComponent"
+    pass

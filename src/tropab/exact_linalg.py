@@ -193,14 +193,21 @@ def is_symmetric(m) -> bool:
 
 
 def is_positive_definite(m) -> bool:
-    """Sylvester criterion: all leading principal minors positive (exact)."""
-    a = as_frac_matrix(m)
-    if not is_symmetric(a):
+    """Sylvester criterion, exact: m is symmetric and every leading
+    principal minor is positive.  The rows are cleared once (clearing
+    row i scales every minor through it by d_i > 0), and each minor is
+    one elimination of a leading block."""
+    rows = [[as_frac(x) for x in row] for row in m]
+    n = len(rows)
+    if any(len(row) != n for row in rows) or any(
+            rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
         return False
-    # clearing row i scales every minor through it by d_i > 0
-    rows = _cleared_rows(a.tolist())[0]
-    return all(frac_det([row[:k] for row in rows[:k]]) > 0
-               for k in range(1, len(rows) + 1))
+    a = _cleared_rows(rows)[0]
+    for k in range(1, n + 1):
+        pivots, sign, prev = _eliminate([row[:k] for row in a[:k]], k)
+        if len(pivots) < k or sign * prev <= 0:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

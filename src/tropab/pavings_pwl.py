@@ -19,7 +19,7 @@ and by affine_on_cell (hence bending parameters and affine regions).
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from math import lcm
 from operator import add, itemgetter
 from typing import Dict
@@ -31,8 +31,8 @@ from .errors import (Degenerate, InvalidPaving, MissingVertexValue,
                      NonMatchingFaces, NotConvex, NotQuasiperiodic,
                      NotSimplicial, RankMismatch, Unbounded)
 from .exact_linalg import (LatticeCoordinates, as_frac, as_frac_matrix,
-                           as_int_matrix, clear_denominators, rank,
-                           row_reduce)
+                           as_int_matrix, clear_denominators,
+                           is_positive_definite, rank, row_reduce)
 from .quadform_delaunay import (PeriodicPaving, QuadraticForm,
                                 _ellipsoid_points, _obtuse_superbase,
                                 check_window_points, coset_representatives,
@@ -492,39 +492,21 @@ def sigma_section(q: QuadraticForm, period_basis,
     """Interpolation of x -> 1/2 Q(x) over the Delaunay paving of Q.
 
     The result is quasiperiodic with quadratic matrix Q and no linear
-    part; each Delaunay cell is cospherical, so the interpolation is a
-    single affine piece per cell even on non-simplices.  Its paving is
-    the one delaunay_subdivision keeps on q, if q has been paved with
-    these arguments before.
+    part.  Each Delaunay cell is cospherical, so Q / 2 is affine on its
+    vertices even on non-simplices: each piece is _affine_through the
+    vertices and the values m(v) / (2 scale), Q = m / scale for the
+    integer rows m, and every vertex is checked to lie on it.  Its
+    paving is the one delaunay_subdivision keeps on q, if q has been
+    paved with these arguments before.
     """
     pav = delaunay_subdivision(q, period_basis, window)
     m, scale = q.cleared()
-    affines = [_half_form_piece(m, scale, c.vertices) for c in pav.cells]
+    affines = [_affine_through(c.vertices,
+                               [Fraction(geom.bilinear(m, v, v), 2 * scale)
+                                for v in c.vertices])
+               for c in pav.cells]
     zero = tuple(Fraction(0) for _ in range(q.rank))
     return PwAffineFunction(pav, affines, [q.matrix], [zero], payload_rank=1)
-
-
-def _half_form_piece(m, scale, vertices):
-    """(lin, const) of the affine function equal to Q / 2 at the vertices
-    of a Delaunay cell, Q = m / scale for the integer rows m.  The
-    vertices lie on one Q-ellipsoid, so the function is the one through
-    b_0 = vertices[0] and b_0 + d_k for the first r independent
-    differences d_k: with B the matrix of columns d_k,
-
-        lin = B^-T (m(d_k) + 2 d_k^T m b_0)_k / (2 scale)
-
-    one integer solve (B^-1 is the integer rows of LatticeCoordinates
-    over their den), and const = m(b_0) / (2 scale) - lin.b_0."""
-    r = len(m)
-    b0 = vertices[0]
-    diffs = [geom.vsub(v, b0) for v in vertices[1:]]
-    cols = next(s for s in combinations(diffs, r) if geom._det(s))
-    lat = LatticeCoordinates(list(zip(*cols)))
-    mb0 = [geom.dot(row, b0) for row in m]
-    rhs = [geom.bilinear(m, d, d) + 2 * geom.dot(d, mb0) for d in cols]
-    lin = tuple(Fraction(geom.dot(col, rhs), 2 * scale * lat.den)
-                for col in zip(*lat.inv_rows))
-    return lin, Fraction(geom.dot(mb0, b0), 2 * scale) - geom.dot(lin, b0)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +518,9 @@ def lattice_minimum(f: PwAffineFunction, periods):
     for the integer columns ``periods`` of P, periods of f.  D (g(x + P k)
     - g(x)) is 1/2 k^T G k + b.k, G = P^T (D B) P and b = P^T (D B x +
     D L / 2 + D mu) on f's integer table.  G is reduced once by an
-    obtuse superbase (rank <= 3); each call rounds the real minimiser
-    -G^-1 b (Cramer's rule) and takes the point nearest to it of the
+    obtuse superbase (rank <= 3) and inverted once, G^-1 = N / den from
+    LatticeCoordinates; each call rounds the real minimiser
+    -G^-1 b = -N b / den and takes the point nearest to it of the
     ellipsoid through the rounding.  RankMismatch unless f is scalar,
     Unbounded unless G is positive definite."""
     if f.payload_rank != 1:
@@ -546,25 +529,23 @@ def lattice_minimum(f: PwAffineFunction, periods):
     cols = as_int_matrix(periods).T.tolist()
     r = len(cols)
     gram = [[geom.bilinear(db, a, b) for b in cols] for a in cols]
-    if any(geom._det([row[:i] for row in gram[:i]]) <= 0
-           for i in range(1, r + 1)):
+    if not is_positive_definite(gram):
         raise Unbounded("quadratic part not positive definite on periods")
     if r <= 3:      # a larger rank is enumerated unreduced, still exactly
         cols = [[geom.dot(u, row) for row in zip(*cols)]
                 for u in _obtuse_superbase(gram)[:r]]
         gram = [[geom.bilinear(db, a, b) for b in cols] for a in cols]
-    det = geom._det(gram)
+    lat = LatticeCoordinates(gram)
 
     def minimum(x, mu):
         num, den = clear_denominators(x)
         grad = [geom.dot(row, num) + den * (h + f._den * m)
                 for row, h, m in zip(db, half_l, mu)]
-        b = [-geom.dot(col, grad) for col in cols]
-        centre = [geom._det([row[:i] + [t] + row[i + 1:]
-                             for row, t in zip(gram, b)]) for i in range(r)]
-        d = det * den
+        b = [geom.dot(col, grad) for col in cols]
+        centre = [-geom.dot(row, b) for row in lat.inv_rows]
+        d = lat.den * den
         z = [d * ((2 * c + d) // (2 * d)) - c for c in centre]
-        k, _ = min(_ellipsoid_points(gram, centre, d, geom.bilinear(
+        k, _ = min(_ellipsoid_points(lat, centre, d, geom.bilinear(
             gram, z, z)), key=itemgetter(1))
         y = geom.vadd(x, (geom.dot(k, row) for row in zip(*cols)))
         return f.evaluate(y) + geom.dot(mu, y)

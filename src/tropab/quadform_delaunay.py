@@ -469,30 +469,34 @@ def _delaunay_cells(m):
     In the basis v_0 ... v_{r-1} of an obtuse superbase the permutation
     simplices are 0, e_s0, e_s0 + e_s1, ..., one per order s of 0 ... r-1
     (orders that end in v_r give translates of these).  With G the Gram
-    matrix of that basis, a simplex's circumcentre is C / d by Cramer's
-    rule, its squared radius is R = G(C), and its cell is every y in the
-    box around C / d with G(d y - C) = R.  A point with G(d y - C) < R
-    would contradict Voronoi's theorem; it raises InvalidPaving.
+    matrix of that basis, the circumcentre c of the path p_0 = 0,
+    p_{k+1} = p_k + e_{s_k} solves 2 p_k^T G c = G(p_k), so w = 2 G c has
+    w_{s_k} = G(p_{k+1}) - G(p_k).  With G^-1 = N / den, the integer rows
+    of LatticeCoordinates(G) computed once per form, c = C / d for
+    C = N w and d = 2 den.  The squared radius is R = G(d p_0 - C) = G(C),
+    and the cell is every y in the box around C / d with G(d y - C) = R.
+    A point with G(d y - C) < R would contradict Voronoi's theorem; it
+    raises InvalidPaving.
     """
     r = len(m)
     basis = _obtuse_superbase(m)[:r]
     gram = [[geom.bilinear(m, a, b) for b in basis] for a in basis]
     selling = tuple(-gram[i][j] if j < r else sum(gram[i])
                     for i, j in combinations(range(r + 1), 2))
+    lat = LatticeCoordinates(gram)
+    d = 2 * lat.den
     cells = []
     for order in permutations(range(r)):
         simplex = [tuple(int(i in order[:k]) for i in range(r))
                    for k in range(r + 1)]
-        a = [[2 * geom.dot(p, col) for col in gram] for p in simplex[1:]]
-        b = [geom.bilinear(gram, p, p) for p in simplex[1:]]
-        d = geom._det(a)
-        centre = [geom._det([row[:i] + [x] + row[i + 1:]
-                             for row, x in zip(a, b)]) for i in range(r)]
-        if d < 0:
-            d, centre = -d, [-x for x in centre]
+        vals = [geom.bilinear(gram, p, p) for p in simplex]
+        w = [0] * r
+        for k, s in enumerate(order):
+            w[s] = vals[k + 1] - vals[k]
+        centre = [geom.dot(row, w) for row in lat.inv_rows]
         radius = geom.bilinear(gram, centre, centre)
         cell = []
-        for y, dist in _ellipsoid_points(gram, centre, d, radius):
+        for y, dist in _ellipsoid_points(lat, centre, d, radius):
             if dist < radius:
                 raise InvalidPaving(
                     "lattice point %r lies inside the circumellipsoid of "
@@ -502,18 +506,17 @@ def _delaunay_cells(m):
     return basis, selling, cells
 
 
-def _ellipsoid_points(gram, centre, d, radius):
+def _ellipsoid_points(lat, centre, d, radius):
     """Yield (y, G(d y - C)) for each integer vector y in the ellipsoid
-    G(d y - C) <= R, for a positive definite integer Gram matrix G, an
-    integer vector C and integers d > 0, R.  The y are those of a box:
-    with adj(G)_ii the diagonal cofactors, G(z) <= R has
-    |z_i| <= sqrt(R adj(G)_ii / det G)."""
-    det = geom._det(gram)
+    G(d y - C) <= R, for the LatticeCoordinates ``lat`` of a positive
+    definite integer Gram matrix G (its basis), an integer vector C and
+    integers d > 0, R.  The y are those of a box, lexicographically:
+    G(z) <= R has |z_i| <= sqrt(R (G^-1)_ii), and (G^-1)_ii is
+    lat.inv_rows[i][i] / lat.den."""
+    gram = lat.basis
     box = []
     for i, c in enumerate(centre):
-        w = geom._det([row[:i] + row[i + 1:]
-                       for k, row in enumerate(gram) if k != i])
-        half = isqrt(radius * w // det) + 1
+        half = isqrt(radius * lat.inv_rows[i][i] // lat.den) + 1
         box.append(range(-((half - c) // d), (c + half) // d + 1))
     for y in product(*box):
         z = [d * x - c for x, c in zip(y, centre)]
@@ -601,8 +604,8 @@ def empty_sphere_check(cell, q: QuadraticForm, window: int) -> bool:
     m = q.cleared()[0]
     num, d = clear_denominators(center)
     z0 = [d * x - c for x, c in zip(verts[0], num)]
-    return all(y in verts for y, _ in
-               _ellipsoid_points(m, num, d, geom.bilinear(m, z0, z0)))
+    return all(y in verts for y, _ in _ellipsoid_points(
+        LatticeCoordinates(m), num, d, geom.bilinear(m, z0, z0)))
 
 
 def _equidistant_center(verts, q):
@@ -706,12 +709,13 @@ def _selling_cone(basis, selling):
 
 def _excess_row(vertices, r):
     """p -> the primitive row of d (Q(p) - l(p)), l affine and equal to Q
-    at b_0 = vertices[0] and the first r independent v - b_0 (the columns
-    of B, d B^-1 integral); translation-invariant.  Flat cells refused."""
+    at b_0 = vertices[0] and at b_0 + the greedy basis of the v - b_0
+    (independent_rows: the columns of B, d B^-1 integral);
+    translation-invariant.  Flat cells refused."""
     b0 = vertices[0]
     diffs = [geom.vsub(v, b0) for v in vertices[1:]]
-    cols = next((s for s in combinations(diffs, r) if geom._det(s)), None)
-    if cols is None:
+    cols = [diffs[i] for i in independent_rows(diffs)]
+    if len(cols) < r:
         raise InvalidPaving("cell %r is not full-dimensional" % (vertices,))
     lat = LatticeCoordinates(list(zip(*cols)))
     # Q(x) is the sum of w x_i x_j q_ij over these (i, j, w)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from tropab import quadform_delaunay
+from tropab import errors, quadform_delaunay
 from tropab.cli import main
 
 
@@ -44,6 +44,25 @@ def test_domain_error_is_structured_exit_1():
     assert got["kind"] == "error"
     assert got["code"] == "NotSkew"
     assert "alternating" in got["message"]
+
+
+def _domain_errors(cls=errors.DomainError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _domain_errors(sub)
+
+
+def test_every_error_code_is_its_class_name():
+    """The CLI prints ``code``: for each DomainError, the package's and a
+    new one alike, it is the class name."""
+    package = [c for c in _domain_errors() if c.__module__ == errors.__name__]
+    assert len(package) == 27
+    assert errors.DomainError.code == "DomainError"
+
+    class NewError(errors.DomainError):
+        pass
+    for cls in package + [NewError]:
+        assert cls.code == cls("message").code == cls.__name__
 
 
 def test_malformed_input_exit_2():

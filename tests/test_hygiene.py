@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package or of the tests
 imports is used in that module, every private module-level function of
-the package is used somewhere in it, and no module of the package but
-siegel_trop and cli uses a float.  A function is private when its
+the package is used somewhere in it, no module of the package but
+siegel_trop and cli uses a float, and none but _geometry calls the
+cofactor determinant _det.  A function is private when its
 name or its module's file name starts with an underscore.  The package's
 ``__init__.py`` files import names only to re-export them and are not
 scanned for imports."""
@@ -184,4 +185,41 @@ def test_the_exact_modules_use_no_floats():
         uses = float_uses(path.read_text())
         if uses:
             found[str(path.relative_to(ROOT))] = uses
+    assert found == {}
+
+
+# the cofactor determinant _geometry._det computes the normals of
+# _geometry and nothing else: every other solve, determinant and inverse
+# goes through exact_linalg's elimination
+DET_MODULES = {"_geometry.py"}
+
+
+def det_calls(source):
+    """The line of each call of ``_det``, by name or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and (
+                      isinstance(node.func, ast.Name)
+                      and node.func.id == "_det"
+                      or isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "_det"))
+
+
+def test_the_scan_finds_every_call_of_det():
+    source = ("from . import _geometry as geom\n"
+              "from ._geometry import _det\n"
+              "a = geom._det([[1]])\n"
+              "b = _det([[2]]) + geom.det([[3]]) + frac_det([[4]])\n"
+              "c = [geom._det, _det]\n"
+              "d = max(x for x in [_det([[5]])])\n")
+    assert det_calls(source) == [3, 4, 6]
+
+
+def test_only_the_geometry_module_calls_det():
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name in DET_MODULES:
+            continue
+        lines = det_calls(path.read_text())
+        if lines:
+            found[str(path.relative_to(ROOT))] = lines
     assert found == {}

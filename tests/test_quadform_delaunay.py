@@ -4,6 +4,7 @@ empty-sphere certificate, and second-Voronoi cone membership."""
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import ceil, floor, isqrt
+from operator import mul
 import random
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from tropab import quadform_delaunay
 from tropab.errors import (DomainError, InvalidPaving, NotPositiveDefinite,
                            RankMismatch, TooLarge, WindowTooSmall)
-from tropab.exact_linalg import frac_det, glxy_act, rank, row_reduce
+from tropab.exact_linalg import (LatticeCoordinates, frac_det, glxy_act,
+                                 rank, row_reduce)
 from tropab.pavings_pwl import sigma_section
 from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
                                       QuadraticForm, delaunay_subdivision,
@@ -799,6 +801,70 @@ def test_the_selling_cone_is_the_cone_of_the_cells(qm, coarser, shifted):
     assert all(x >= 0 for c in coords for x in c)
     for k in range(len(inequalities)):
         assert any(c[k] > 0 and not any(c[:k] + c[k + 1:]) for c in coords)
+
+
+# -- the solves of the paving through the one inverse ------------------------
+
+@st.composite
+def ellipsoids(draw):
+    """(G, C, d, R): G = A^T A + I of rank r = 1 ... 3 for an integer A
+    of at most three rows, an integer centre C and a d > 0 that share a
+    factor of 1 ... 3, and R at least G(d y_0 - C) for an integer y_0,
+    so the ellipsoid is not empty."""
+    r = draw(st.integers(1, 3))
+    vectors = st.lists(st.integers(-2, 2), min_size=r, max_size=r)
+    a = _gram(draw(st.lists(vectors, max_size=3)), r)
+    g = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    common = draw(st.integers(1, 3))
+    d = common * draw(st.integers(1, 4))
+    centre = [common * x for x in draw(
+        st.lists(st.integers(-4, 4), min_size=r, max_size=r))]
+    z = [d * y - c for y, c in zip(draw(vectors), centre)]
+    return g, centre, d, oracles._qval(g, z) + draw(st.integers(0, 2 * d * d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ellipsoids())
+@example(([[1]], [0], 1, 0))
+@example(([[2, 1], [1, 2]], [2, 2], 4, 3))
+def test_the_ellipsoid_box_lists_exactly_the_ellipsoid(case):
+    """_ellipsoid_points, boxed by G^-1 from LatticeCoordinates, lists
+    each y with G(d y - C) <= R once, in lexicographic order, with that
+    value; the reference is the coordinate-by-coordinate enumeration,
+    filtered exactly."""
+    g, centre, d, radius = case
+
+    def dist(y):
+        return oracles._qval(g, [d * a - c for a, c in zip(y, centre)])
+    want = sorted(y for y in oracles.ellipsoid_lattice_points(
+        g, [Fraction(c, d) for c in centre], Fraction(radius, d * d))
+        if dist(y) <= radius)
+    got = list(quadform_delaunay._ellipsoid_points(
+        LatticeCoordinates(g), centre, d, radius))
+    assert got == [(y, dist(y)) for y in want]
+
+
+def sheared_pd2_forms():
+    """Reduced binary forms sheared by [[1, k], [0, 1]], |k| <= 4."""
+    def shear(q, k):
+        (a, c), (_, b) = q.matrix.tolist()
+        return [[a, c + k * a], [c + k * a, b + 2 * k * c + k * k * a]]
+    return st.builds(shear, reduced_pd2_forms(), st.integers(-4, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(sheared_pd2_forms(), reduced_pd3_forms()), st.booleans())
+@example(SHEARED, True)
+def test_sigma_is_half_the_form_at_every_vertex(qm, coarser):
+    """Each piece of sigma, one _affine_through per Delaunay cell, takes
+    the value Q(v) / 2 at every vertex v of its cell."""
+    r = len(qm)
+    pb = COARSER_BASES[r] if coarser else np.eye(r, dtype=int).tolist()
+    q = QuadraticForm(_obj(qm))
+    s = sigma_section(q, _obj(pb), 16 if r == 2 else 3)
+    for cell, (lin, const) in zip(s.paving.cells, s.cell_affines):
+        assert all(sum(map(mul, lin[0], v)) + const[0] == q.value(v) / 2
+                   for v in cell.vertices)
 
 
 # -- equivariance -----------------------------------------------------------

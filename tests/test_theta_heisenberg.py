@@ -2,6 +2,7 @@
 representation, balanced theta sections, and the valuation/twist
 exponents of degenerating families."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -9,6 +10,7 @@ from math import prod
 import numpy as np
 import pytest
 
+from tropab import theta_heisenberg
 from tropab.errors import (BadLift, BadModulus, BadTwistPair,
                            EmptyComponent, InconsistentData, TooLarge,
                            Unbounded)
@@ -108,6 +110,21 @@ def test_modulus_constraint():
 def test_power_map_kernel():
     assert power_map_kernel_check(D3, M6)
     assert power_map_kernel_check(PolarizationType((2,)), 4)
+
+
+def test_power_map_kernel_check_powers_every_element_once(monkeypatch):
+    """delta = (6, 6), M = 12: all 12 * 6^4 = 15552 elements, none
+    sampled away and none powered twice."""
+    delta, m = PolarizationType((6, 6)), 12
+    seen = Counter()
+
+    def spy(g, n, *args):
+        seen[g] += 1
+        return heis_pow(g, n, *args)
+    monkeypatch.setattr(theta_heisenberg, "heis_pow", spy)
+    assert power_map_kernel_check(delta, m)
+    assert len(seen) == 15552 and set(seen.values()) == {1}
+    assert set(seen) == set(heis_elements(delta, m))
 
 
 # -- Schroedinger representation --------------------------------------------
