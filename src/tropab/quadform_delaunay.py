@@ -8,7 +8,7 @@ the permutation simplices 0, v_s0, v_s0 + v_s1, ..., merged where a
 Selling parameter -v_i^T Q v_j is zero.  Each cell is certified by its
 circumellipsoid, enumerated exactly in integers: the cell is every
 lattice point on it, and no lattice point may lie inside.  The window
-does not enter the computation; it bounds the answer.
+does not enter the computation; the paving keeps it as a label.
 
 A QuadraticForm keeps its pavings, one per (period basis, window, shift),
 and a paving its facets, walls, point locator and second-Voronoi cone.
@@ -355,11 +355,11 @@ class PeriodicPaving:
 # Delaunay in closed form from an obtuse superbase
 # ---------------------------------------------------------------------------
 
-# The most lattice points a box of work may hold: a Delaunay window's
-# bounding box, the dual box of legendre_transform, and the cosets of a
-# lattice (coset_representatives: coarser period lattices, Fourier
-# indices, cy-cone and valuation-profile cosets).  Rank 2 at window 16
-# spans 1089 points and rank 3 at window 8 spans 4913.
+# The most lattice points a box of work may hold: the dual box of
+# legendre_transform, the cosets of a lattice (coset_representatives:
+# coarser period lattices, Fourier indices, cy-cone and valuation-profile
+# cosets) and the elements of a finite Heisenberg group.  Rank 2 at
+# window 16 spans 1089 points and rank 3 at window 8 spans 4913.
 MAX_WINDOW_POINTS = 100_000
 
 
@@ -398,14 +398,10 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
     moves the lattice (used for cusp models on shifted lattices); a
     period lattice coarser than Z^r splits each orbit into its cosets.
 
-    The window does not change the answer; it is a bound the answer is
-    certified to respect: every cell orbit has a translate whose
-    vertices, less the shift, have period coordinates strictly inside
-    (-window, window).  Otherwise WindowTooSmall on the field ``window``
-    names the least window that holds every orbit.  A window whose
-    bounding box holds more than MAX_WINDOW_POINTS lattice points is
-    refused with TooLarge before anything is computed, and rank 4 or
-    more with TooLarge on the field ``q``.
+    The window does not change the answer: every window >= 2 gives the
+    same cells, and the paving keeps the window as its label.  A window
+    below 2 raises WindowTooSmall on the field ``window``, and rank 4 or
+    more TooLarge on the field ``q``.
 
     The paving is kept on q, keyed by (period basis, window, shift), and
     a later call with the same key returns that same object.  Refusals
@@ -431,11 +427,6 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
     if key in q._pavings:
         return q._pavings[key]
     paving = PeriodicPaving(r, pb, [], window)
-    # bounding box of the parallelepiped pb * [-w, w]^r, in std coords
-    spans = [window * sum(abs(x) for x in row)
-             for row in paving.lattice.basis]
-    check_window_points(window, prod(2 * s + 1 for s in spans))
-
     offsets = [geom.vadd(t, shift)
                for t in coset_representatives(pb, "period_basis")]
     reps = {}
@@ -444,14 +435,6 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
         for t in offsets:
             c = paving.canonical_cell(geom.vadd(v, t) for v in cell)
             reps[c.vertices] = c
-    need = max(_least_window(paving.lattice,
-                             [geom.vsub(v, shift) for v in vs])
-               for vs in reps)
-    if need > window:
-        raise WindowTooSmall(
-            "window %d holds no translate of some cell orbit; the least "
-            "window that holds every orbit is %d" % (window, need),
-            field="window")
     paving.cells = [reps[vs] for vs in sorted(reps)]   # PeriodicPaving's order
     paving._superbase = (basis, shift, selling)
     q._pavings[key] = paving
@@ -562,20 +545,6 @@ def _obtuse_superbase(m):
             for k in others:
                 vs[k] = geom.vadd(vs[k], vs[i])
         vs[i] = tuple(-x for x in vs[i])
-
-
-def _least_window(lattice, points):
-    """The least window w such that some lattice translate of the integer
-    points has every period coordinate strictly inside (-w, w)."""
-    den = lattice.den
-    need = 0
-    for row in lattice.inv_rows:
-        coords = [geom.dot(row, p) for p in points]
-        lo, hi = min(coords), max(coords)
-        k = -(lo + hi) // (2 * den)     # the best translate is k or k + 1
-        need = max(need, min(max(-lo - j * den, hi + j * den) // den + 1
-                             for j in (k, k + 1)))
-    return need
 
 
 # ---------------------------------------------------------------------------

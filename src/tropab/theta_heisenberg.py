@@ -17,10 +17,11 @@ from . import _geometry as geom
 from .errors import (BadLift, BadModulus, BadTwistPair, EmptyComponent,
                      InconsistentData, TooLarge)
 from .exact_linalg import (PolarizationType, as_int_matrix,
-                           hermite_normal_form)
+                           hermite_normal_form, smith_normal_form)
 from .degeneration_monoids import fourier_indices
 from .pavings_pwl import PwAffineFunction, lattice_minimum
-from .quadform_delaunay import QuadraticForm, coset_representatives
+from .quadform_delaunay import (MAX_WINDOW_POINTS, QuadraticForm,
+                                coset_representatives)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,8 @@ def heis_mul(x: HeisenbergElement, y: HeisenbergElement,
     (S_(t,a,b) f)(x) = zeta^t zeta^(<b,x>) f(x+a) is a homomorphism.
     """
     _check_modulus(delta, m)
-    if {(x.delta, x.modulus), (y.delta, y.modulus)} != {(delta, m)}:
+    if (x.delta, x.modulus) != (delta, m) or \
+            (y.delta, y.modulus) != (delta, m):
         raise ValueError("factors must lie in H(%r) mod %d"
                          % (delta.diag, m))
     t = x.scalar_exp + y.scalar_exp + _pairing_exp(y.b, x.a, delta, m)
@@ -230,8 +232,16 @@ def heis_pow(g: HeisenbergElement, n: int, delta: PolarizationType,
 
 def power_map_kernel_check(delta: PolarizationType, m: int) -> bool:
     """g^M = 1 for every element g of H(delta) mod M, checked on each
-    element once, however large the group.  Products need no pass of
-    their own: every product gh is an element, so (gh)^M = 1 too."""
+    element once.  Products need no pass of their own: every product gh
+    is an element, so (gh)^M = 1 too.  A group of more than
+    MAX_WINDOW_POINTS elements (M |delta|^2 of them) is refused, with
+    TooLarge on the field ``delta``, before any element is built."""
+    _check_modulus(delta, m)
+    order = m * delta.degree ** 2
+    if order > MAX_WINDOW_POINTS:
+        raise TooLarge("H(%r) mod %d has %d elements, more than %d"
+                       % (delta.diag, m, order, MAX_WINDOW_POINTS),
+                       field="delta")
     ident = HeisenbergElement.identity(delta, m)
     return all(heis_pow(g, m, delta, m) == ident
                for g in heis_elements(delta, m))
@@ -498,11 +508,22 @@ def section_valuation_profile(section: SchrodingerVector,
     (Y the period lattice of phi, so phi_map K are periods of phi) and c
     over the cosets of Z^r / K.  Unbounded unless phi grows; over
     MAX_WINDOW_POINTS cosets, TooLarge on the field ``period_basis``.
-    The window is unused."""
+    The window is unused.
+
+    The class of rep is the H(delta) index (u rep) mod delta, for the
+    Smith form u phi_map v = diag(delta): u maps phi_map Z^r onto
+    diag(delta) Z^r, so classes and indices correspond one to one.  A
+    section whose delta is not the Smith type of phi_map raises
+    InconsistentData on the field ``delta``."""
     pm = as_int_matrix(phi_map)
     pm_rows = pm.tolist()
     r = phi.rank
-    reps, _ = fourier_indices(r, pm)
+    reps, ptype = fourier_indices(r, pm)
+    if ptype != section.delta:
+        raise InconsistentData(
+            "a section of H(%r) for phi_map of Smith type %r"
+            % (section.delta.diag, ptype.diag), field="delta")
+    u_rows = smith_normal_form(pm)[1].tolist()
     ks = _preimage_basis(pm_rows, phi.paving.lattice)
     minimum = lattice_minimum(
         phi, [[geom.dot(row, k) for k in ks] for row in pm_rows])
@@ -510,7 +531,8 @@ def section_valuation_profile(section: SchrodingerVector,
                coset_representatives(list(zip(*ks)), "period_basis")]
     out = {}
     for rep in reps:
-        idx = _reduce_tuple(rep, section.delta)
+        idx = tuple(geom.dot(row, rep) % d
+                    for row, d in zip(u_rows, ptype.diag))
         if idx not in section.coeffs:
             raise EmptyComponent("class %r has no section component"
                                  % (rep,))

@@ -775,7 +775,7 @@ def voronoi_cone_reference(paving, q):
     and window, and the cell's vertices must lie in the cell found.
     Semidefinite forms pass to the quotient by the exact kernel lattice;
     a form that is not semidefinite is outside.  Raises what
-    delaunay_subdivision raises (WindowTooSmall on a small window)."""
+    delaunay_subdivision raises."""
     from tropab import _geometry as geom
     from tropab.quadform_delaunay import QuadraticForm, delaunay_subdivision
 

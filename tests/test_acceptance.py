@@ -18,7 +18,7 @@ from tropab.degeneration_monoids import (HomogenizedFunction,
                                          fourier_indices, lift_height,
                                          minimal_lift, star_cocycle,
                                          twisted_add)
-from tropab.errors import NotQuasiperiodic, WindowTooSmall
+from tropab.errors import NotQuasiperiodic
 from tropab.exact_linalg import PolarizationType
 from tropab.pavings_pwl import (ToricMonoid, affine_region_paving,
                                 is_p_convex, quasiperiodic_decompose,
@@ -71,16 +71,6 @@ def random_pd2(lo=1, hi=10):
             return QuadraticForm(_obj([[a, c], [c, b]]))
 
 
-def delaunay_auto(q, pb, window=6):
-    while True:
-        try:
-            return delaunay_subdivision(q, pb, window)
-        except WindowTooSmall:
-            window *= 2
-            if window > 64:
-                raise
-
-
 # -- 1: the I3 family -------------------------------------------------------
 
 @criterion(1, "three-torsion family is always I3")
@@ -116,7 +106,7 @@ def test_acceptance_2():
     start = time.monotonic()
     for _ in range(50):
         q = random_pd2()
-        pav = delaunay_auto(q, I2)
+        pav = delaunay_subdivision(q, I2, 6)
         s = sigma_section(q, I2, pav.window)
         assert affine_region_paving(s) == pav
         assert voronoi_cone_contains(pav, q)
@@ -137,17 +127,14 @@ def test_acceptance_3():
                            F(1, 100) * np.vectorize(F)(pert))
         if not q2.is_positive_definite():
             continue
-        try:
-            d1 = delaunay_auto(q1, I2)
-            d2 = delaunay_auto(q2, I2, d1.window)
-            ds = delaunay_auto(q1 + q2, I2, d1.window)
-        except WindowTooSmall:
-            continue
+        d1 = delaunay_subdivision(q1, I2, 6)
+        d2 = delaunay_subdivision(q2, I2, 6)
+        ds = delaunay_subdivision(q1 + q2, I2, 6)
         if d1 == d2 == ds:
-            pairs.append((q1, q2, d1.window))
-    for q1, q2, w in pairs:
-        assert sigma_section(q1 + q2, I2, w) == \
-            sigma_section(q1, I2, w) + sigma_section(q2, I2, w)
+            pairs.append((q1, q2))
+    for q1, q2 in pairs:
+        assert sigma_section(q1 + q2, I2, 6) == \
+            sigma_section(q1, I2, 6) + sigma_section(q2, I2, 6)
 
 
 # -- 4: tropicalization -----------------------------------------------------

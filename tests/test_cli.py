@@ -120,6 +120,7 @@ def test_glxy():
 # -- pavings and piecewise-affine pipelines ---------------------------------
 
 HEX_Q = {"q": [[2, 1], [1, 2]]}
+SHEARED_Q = {"q": [[14, -25], [-25, 45]]}
 
 
 def test_delaunay_hexagonal():
@@ -129,22 +130,31 @@ def test_delaunay_hexagonal():
                             [[0, 0], [1, -1], [1, 0]]]
 
 
-def test_delaunay_refuses_a_huge_window_before_enumerating(monkeypatch):
-    def superbase(*args):
-        raise AssertionError("the closed form started")
+def test_delaunay_answers_a_huge_window_at_once(monkeypatch):
+    """The window is a label: window 10^9 tests as many lattice points as
+    the default window, and prints the same cells."""
+    tested = []
 
-    monkeypatch.setattr(quadform_delaunay, "_obtuse_superbase", superbase)
-    code, out, _ = run("delaunay", HEX_Q, args=("--window", "1000000000"))
-    assert code == 1
-    got = json.loads(out)
-    assert (got["code"], got["field"]) == ("TooLarge", "window")
-    assert "4000000004000000001 lattice points" in got["message"]
+    def points(*args):
+        for found in ellipsoid_points(*args):
+            tested.append(found)
+            yield found
+
+    ellipsoid_points = quadform_delaunay._ellipsoid_points
+    monkeypatch.setattr(quadform_delaunay, "_ellipsoid_points", points)
+    default = run_json("delaunay", SHEARED_Q)
+    per_call = len(tested)
+    huge = run_json("delaunay", SHEARED_Q, args=("--window", "1000000000"))
+    assert len(tested) == 2 * per_call
+    assert (huge["window"], default["window"]) == (10 ** 9, 4)
+    assert {**huge, "window": 4} == default
 
 
 @pytest.mark.parametrize("doc, args, want", [
     ({"q": [[1, 2], [2, 1]]}, (), ("NotPositiveDefinite", "q")),
-    ({"q": [[1, 3], [3, 10]]}, ("--window", "2"), ("WindowTooSmall", "window")),
-    ({"q": [[14, -25], [-25, 45]]}, (), ("WindowTooSmall", "window")),
+    ({"q": [[1, 3], [3, 10]]}, ("--window", "1"), ("WindowTooSmall", "window")),
+    ({"q": [[14, -25], [-25, 45]]}, ("--window", "0"),
+     ("WindowTooSmall", "window")),
     ({"q": [[int(i == j) for j in range(4)] for i in range(4)]}, (),
      ("TooLarge", "q")),
 ], ids=["indefinite", "window", "sheared", "rank4"])
@@ -156,10 +166,19 @@ def test_delaunay_refusals_name_their_field(doc, args, want):
 
 
 def test_delaunay_sheared_form_at_window_5():
-    got = run_json("delaunay", {"q": [[14, -25], [-25, 45]]},
-                   args=("--window", "5"))
+    got = run_json("delaunay", SHEARED_Q, args=("--window", "5"))
     assert got["cells"] == [[[0, 0], [2, 1], [5, 3], [7, 4]]]
     assert got["window"] == 5
+
+
+def test_delaunay_sheared_form_at_the_default_window():
+    """No translate of the parallelogram fits in the default window 4;
+    the window is a label, and the answer is that of window 5."""
+    got = run_json("delaunay", SHEARED_Q)
+    assert got["cells"] == [[[0, 0], [2, 1], [5, 3], [7, 4]]]
+    assert got["window"] == 4
+    cone = run_json("voronoi-cone", {"paving": got, "q": SHEARED_Q["q"]})
+    assert cone["contains"] is True
 
 
 def test_delaunay_with_a_fractional_shift_prints_rationals():

@@ -111,12 +111,12 @@ def test_a_refusal_is_not_kept():
     skew = QuadraticForm(_obj([[1, 3], [3, 10]]))
     for _ in range(2):
         with pytest.raises(WindowTooSmall) as err:
-            delaunay_subdivision(skew, I2, 2)
+            delaunay_subdivision(skew, I2, 1)
         assert err.value.field == "window"
     pav = delaunay_subdivision(skew, I2, 8)
     assert sum(c.volume() for c in pav.cells) == 1
     with pytest.raises(WindowTooSmall):
-        delaunay_subdivision(skew, I2, 2)
+        delaunay_subdivision(skew, I2, 1)
 
 
 # -- Delaunay, frozen examples ----------------------------------------------
@@ -164,10 +164,14 @@ def test_delaunay_rejects_indefinite_form():
 
 def test_delaunay_window_too_small():
     skew = QuadraticForm(_obj([[1, 3], [3, 10]]))
-    with pytest.raises(WindowTooSmall):
-        delaunay_subdivision(skew, I2, 2)
-    # a bigger window resolves it, and the paving tiles the torus
-    pav = delaunay_subdivision(skew, I2, 8)
+    with pytest.raises(WindowTooSmall) as err:
+        delaunay_subdivision(skew, I2, 1)
+    assert err.value.field == "window"
+    # window 2, the least accepted, gives the cells of every larger one
+    pav = delaunay_subdivision(skew, I2, 2)
+    assert pav.window == 2
+    assert [c.vertices for c in pav.cells] == \
+        [c.vertices for c in delaunay_subdivision(skew, I2, 8).cells]
     assert sum(c.volume() for c in pav.cells) == 1
 
 
@@ -321,7 +325,7 @@ def _hull_matches_reference(qm, pb, window, shift=None, limit=None):
     q = QuadraticForm(_obj(qm))
     r = q.rank
     shift = tuple(Fraction(x) for x in (shift or (0,) * r))
-    pav = delaunay_subdivision(q, _obj(pb), 16 if r < 3 else 8, shift)
+    pav = delaunay_subdivision(q, _obj(pb), window, shift)
     lat = pav.lattice
     inv_diag = [frac_solve(qm, [int(i == j) for j in range(r)])[i]
                 for i in range(r)]
@@ -406,16 +410,18 @@ def test_sheared_form_gives_the_parallelogram():
     assert [c.vertices for c in pav.cells] == [PARALLELOGRAM]
 
 
-@pytest.mark.parametrize("qm, least", [(SHEARED, 5), ([[1, 3], [3, 10]], 3)],
+@pytest.mark.parametrize("qm, wide", [(SHEARED, 5), ([[1, 3], [3, 10]], 3)],
                          ids=["sheared", "skew"])
-def test_window_too_small_names_the_least_window(qm, least):
-    q = QuadraticForm(_obj(qm))
-    with pytest.raises(WindowTooSmall) as err:
-        delaunay_subdivision(q, I2, least - 1)
-    assert err.value.field == "window"
-    assert str(err.value).endswith(
-        "the least window that holds every orbit is %d" % least)
-    assert delaunay_subdivision(q, I2, least).window == least
+def test_every_window_gives_the_same_cells(qm, wide):
+    """Below ``wide`` the window holds no translate of some cell orbit;
+    it is a label all the same, and every window gives the cells of
+    ``wide``."""
+    cells = [c.vertices for c in
+             delaunay_subdivision(QuadraticForm(_obj(qm)), I2, wide).cells]
+    for window in (2, wide - 1, 10 ** 9):
+        pav = delaunay_subdivision(QuadraticForm(_obj(qm)), I2, window)
+        assert pav.window == window
+        assert [c.vertices for c in pav.cells] == cells
 
 
 def test_rank_four_is_refused():
@@ -977,15 +983,7 @@ def test_face_type_location_matches_the_scan(case, seed):
     Delaunay paving; on every probe (lattice points, vertices, edge
     midpoints and random rationals) it gives the scan's cell and shift."""
     qm, pb, shift = case
-    q = QuadraticForm(_obj(qm))
-    for window in (3, 8, 24) if len(qm) < 3 else (3, 8):
-        try:
-            pav = delaunay_subdivision(q, _obj(pb), window, shift)
-            break
-        except WindowTooSmall:
-            continue
-    else:
-        reject()
+    pav = delaunay_subdivision(QuadraticForm(_obj(qm)), _obj(pb), 3, shift)
     cells = [c.vertices for c in pav.cells]
     for pt in _location_probes(pav, random.Random(seed)):
         assert pav.find_containing_cell(pt) == \

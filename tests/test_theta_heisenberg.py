@@ -127,6 +127,17 @@ def test_power_map_kernel_check_powers_every_element_once(monkeypatch):
     assert set(seen) == set(heis_elements(delta, m))
 
 
+def test_power_map_kernel_check_refuses_a_group_over_the_limit(monkeypatch):
+    """delta = (10, 10), M = 20: 20 * 10^4 = 200 000 elements, more than
+    MAX_WINDOW_POINTS, refused before any element is powered."""
+    def spy(*args):
+        raise AssertionError("an element was powered")
+    monkeypatch.setattr(theta_heisenberg, "heis_pow", spy)
+    with pytest.raises(TooLarge) as err:
+        power_map_kernel_check(PolarizationType((10, 10)), 20)
+    assert err.value.field == "delta"
+
+
 # -- Schroedinger representation --------------------------------------------
 
 @pytest.mark.parametrize("diag,m", [((2,), 4), ((1, 3), 6), ((2, 2), 4)])
@@ -412,6 +423,43 @@ def test_valuation_profile_takes_cosets_of_the_preimage_lattice(phi_map,
             for x in product(range(-3, 4), repeat=3)
             if all(c.denominator == 1 for c in
                    frac_solve(phi_map, [a - b for a, b in zip(x, rep)])))
+
+
+HEX_SIGMA = sigma_section(QuadraticForm(_obj([[2, 1], [1, 2]])),
+                          _obj([[1, 0], [0, 1]]), 4)
+
+
+@pytest.mark.parametrize("phi_map, delta", [
+    ([[2, 0], [0, 3]], (1, 6)),
+    ([[3, 0], [0, 1]], (1, 3)),
+], ids=["diag-2-3", "diag-3-1"])
+def test_valuation_profile_maps_classes_to_indices_one_to_one(phi_map,
+                                                               delta):
+    """A section without one H(delta) index is refused on one class,
+    and on a different class for each index left out: every class has
+    an index of its own, though phi_map is not diag(delta)."""
+    full = _full_support(delta)
+    classes = section_valuation_profile(full, HEX_SIGMA, _obj(phi_map), 1)
+    assert len(classes) == len(full.coeffs)
+    named = set()
+    for idx in full.coeffs:
+        holed = SchrodingerVector(full.delta, full.modulus,
+                                  {k: c for k, c in full.coeffs.items()
+                                   if k != idx})
+        with pytest.raises(EmptyComponent) as err:
+            section_valuation_profile(holed, HEX_SIGMA, _obj(phi_map), 1)
+        named.add(str(err.value))
+    assert named == {"class %r has no section component" % (rep,)
+                     for rep in classes}
+
+
+def test_valuation_profile_refuses_a_delta_other_than_the_smith_type():
+    """diag(2, 3) has Smith type (1, 6), so a section of H((1, 3)) has
+    too few indices for its six classes."""
+    with pytest.raises(InconsistentData) as err:
+        section_valuation_profile(_full_support((1, 3)), HEX_SIGMA,
+                                  _obj([[2, 0], [0, 3]]), 1)
+    assert err.value.field == "delta"
 
 
 def test_valuation_profile_refuses_too_many_cosets():
