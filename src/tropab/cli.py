@@ -112,11 +112,16 @@ def ser_paving(p):
 
 def de_paving(obj):
     try:
+        rank = _int(obj["rank"])
         cells = [quadform_delaunay.LatticePolytope(
             tuple(tuple(_frac(x) for x in v) for v in c))
             for c in obj["cells"]]
+        if any(not c.vertices or any(len(v) != rank for v in c.vertices)
+               for c in cells):
+            raise MalformedInput("bad paving: cells must be nonempty lists "
+                                 "of points of length %d" % rank)
         return quadform_delaunay.PeriodicPaving(
-            _int(obj["rank"]), _int_matrix(obj["period_basis"]), cells,
+            rank, _int_matrix(obj["period_basis"]), cells,
             _int(obj.get("window", 4)))
     except (KeyError, TypeError, ValueError) as e:
         raise MalformedInput("bad paving: %s" % e)
@@ -148,7 +153,17 @@ def de_pwa(obj):
 
 
 def _delta(obj):
+    if not isinstance(obj, list) or not obj:
+        raise MalformedInput("delta must be a nonempty list of integers")
     return exact_linalg.PolarizationType(tuple(_int(x) for x in obj))
+
+
+def _modulus(doc, delta):
+    """The modulus M of a Heisenberg input, 2 d_g by default, checked
+    before any cyclotomic integer mod M is built."""
+    m = _int(doc.get("modulus", 2 * delta.diag[-1]))
+    theta_heisenberg._check_modulus(delta, m)
+    return m
 
 
 def _heis_el(obj, delta, m):
@@ -326,7 +341,7 @@ def _h_trop(doc, opts):
 
 def _h_heis(doc, opts):
     delta = _delta(doc["delta"])
-    m = _int(doc.get("modulus", 2 * delta.diag[-1]))
+    m = _modulus(doc, delta)
     z = theta_heisenberg.heis_mul(_heis_el(doc["x"], delta, m),
                                   _heis_el(doc["y"], delta, m), delta, m)
     return {"kind": "heisenberg-element", "t": z.scalar_exp,
@@ -335,7 +350,7 @@ def _h_heis(doc, opts):
 
 def _h_kw(doc, opts):
     delta = _delta(doc["delta"])
-    m = _int(doc.get("modulus", 2 * delta.diag[-1]))
+    m = _modulus(doc, delta)
     spaces = theta_heisenberg.kw_decompose(delta, m)
     return {"kind": "kw",
             "spaces": [{"index": list(idx), "dimension": len(basis)}
@@ -344,7 +359,7 @@ def _h_kw(doc, opts):
 
 def _h_balanced(doc, opts):
     delta = _delta(doc["delta"])
-    m = _int(doc.get("modulus", 2 * delta.diag[-1]))
+    m = _modulus(doc, delta)
     secs = theta_heisenberg.enumerate_balanced_set(delta, m)
     pats = sorted(
         tuple(sorted((k, e) for k, e in
@@ -379,7 +394,7 @@ def _h_twist(doc, opts):
 
 def _h_profile(doc, opts):
     delta = _delta(doc["delta"])
-    m = _int(doc.get("modulus", 2 * delta.diag[-1]))
+    m = _modulus(doc, delta)
     coeffs = {tuple(_int(x) for x in k):
               theta_heisenberg.CyclotomicInteger.zeta_power(m, _int(e))
               for k, e in doc["section"]}

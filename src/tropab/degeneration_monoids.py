@@ -15,9 +15,9 @@ from typing import Optional
 from . import _geometry as geom
 from .errors import (InconsistentData, NotAFace, NotInjective, NotInvariant,
                      OutsideSupport, RankMismatch, Unbounded)
-from .exact_linalg import (LatticeCoordinates, as_int, as_int_matrix,
-                           frac_det, hermite_normal_form, polarization_type,
-                           saturated_quotient)
+from .exact_linalg import (LatticeCoordinates, PolarizationType, as_int,
+                           as_int_matrix, frac_det, hermite_normal_form,
+                           saturated_quotient, smith_normal_form)
 from .pavings_pwl import PwAffineFunction, ToricMonoid, affine_region_paving
 from .quadform_delaunay import (PeriodicPaving, QuadraticForm,
                                coset_representatives)
@@ -113,9 +113,14 @@ def _cocycle(a, b, phi):
 
 def twisted_add(x: TwistedMonoidElement, y: TwistedMonoidElement,
                 phi: HomogenizedFunction) -> TwistedMonoidElement:
-    """(d1, p1, a) + (d2, p2, b) = (d1+d2, p1+p2, a + b + p1*p2)."""
+    """(d1, p1, a) + (d2, p2, b) = (d1+d2, p1+p2, a + b + p1*p2).  A
+    point of the wrong length is refused with OutsideSupport, and a
+    payload of the wrong length with RankMismatch (field ``payload``)."""
     if len(x.point) != phi.rank or len(y.point) != phi.rank:
         raise OutsideSupport("rank mismatch", field="point")
+    if (len(x.payload), len(y.payload)) != (phi.payload_rank,) * 2:
+        raise RankMismatch("payload rank is not %d" % phi.payload_rank,
+                           field="payload")
     coc = _cocycle((x.degree, x.point), (y.degree, y.point), phi)
     return TwistedMonoidElement(
         x.degree + y.degree, geom.vadd(x.point, y.point),
@@ -150,12 +155,20 @@ def fourier_indices(x_rank: int, phi_map):
     An index over MAX_WINDOW_POINTS is refused (TooLarge on the field
     ``phi_map``) before any representative is listed.
     """
+    return _fourier_indices(x_rank, phi_map)[:2]
+
+
+def _fourier_indices(x_rank: int, phi_map):
+    """fourier_indices and the u of the one Smith form u phi_map v =
+    diag(type) that the type is read from."""
     m = as_int_matrix(phi_map)
     r = int(x_rank)
-    if m.shape != (r, r) or frac_det(m) == 0:
-        raise NotInjective("phi must be an injective map of rank %d" % r)
-    ptype = polarization_type(m)
-    return coset_representatives(m, "phi_map"), ptype
+    if m.shape == (r, r):
+        diag, u, _ = smith_normal_form(m)
+        if 0 not in diag:
+            return (coset_representatives(m, "phi_map"),
+                    PolarizationType(tuple(diag)), u)
+    raise NotInjective("phi must be an injective map of rank %d" % r)
 
 
 def fourier_reduce(vec, phi_map):
@@ -283,13 +296,13 @@ class FaceQuotientData:
 
 
 def face_quotient(p: ToricMonoid, face_functionals,
-                  phi: PwAffineFunction, gen_bound: int = 6):
+                  phi: PwAffineFunction):
     """Data attached to the face F = {x in P : u(x) = 0 for the given
     functionals}: the quotient monoid P/F, the composed function, its
     affine-region paving, and the boundedness (admissibility) flag."""
     if phi.payload_rank != p.rank:
         raise NotAFace("payload rank does not match the monoid")
-    gens = p.hilbert_basis(gen_bound)
+    gens = p.hilbert_basis()
     funcs = [tuple(int(x) for x in u) for u in face_functionals]
     if any(len(u) != p.rank for u in funcs):
         raise ValueError("face functionals must have length %d" % p.rank)

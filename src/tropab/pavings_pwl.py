@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from operator import add, itemgetter
 from typing import Dict
 
@@ -29,14 +29,14 @@ import numpy as np
 from . import _geometry as geom
 from .errors import (Degenerate, InvalidPaving, MissingVertexValue,
                      NonMatchingFaces, NotConvex, NotQuasiperiodic,
-                     NotSimplicial, RankMismatch, Unbounded)
+                     NotSimplicial, RankMismatch, TooLarge, Unbounded)
 from .exact_linalg import (LatticeCoordinates, as_frac, as_frac_matrix,
                            as_int_matrix, clear_denominators,
                            is_positive_definite, rank, row_reduce)
-from .quadform_delaunay import (PeriodicPaving, QuadraticForm,
-                                _ellipsoid_points, _obtuse_superbase,
-                                check_window_points, coset_representatives,
-                                delaunay_subdivision)
+from .quadform_delaunay import (MAX_WINDOW_POINTS, PeriodicPaving,
+                                QuadraticForm, _ellipsoid_points,
+                                _obtuse_superbase, check_window_points,
+                                coset_representatives, delaunay_subdivision)
 
 
 def _as_rows(lin, k, r):
@@ -281,22 +281,42 @@ class ToricMonoid:
         """No nonzero invertibles: the functionals span full rank."""
         return rank(self.functionals) == self.rank
 
-    def hilbert_basis(self, bound: int = 6):
-        """Irreducible monoid elements within a coordinate box; naive
-        pairwise-subtraction sieve, desk scale only."""
-        pts = [p for p in product(range(-bound, bound + 1),
-                                  repeat=self.rank)
-               if any(p) and self.contains(p)]
-        pts.sort(key=lambda p: (sum(abs(x) for x in p), p))
+    def hilbert_basis(self):
+        """The irreducible elements of a sharp monoid, sorted by (L1
+        norm, point); [] for a monoid of rank 0 or that is not sharp.
+
+        The extremal rays of the cone are the inner normals of the
+        facets of conv({0} u functionals) through 0.  An irreducible
+        element is a ray or lies in the half-open parallelepiped of
+        independent rays (Caratheodory), so |x_c| <= sum over the rays
+        of |r_c| bounds the whole basis.  A box of more than
+        MAX_WINDOW_POINTS points is refused, with TooLarge on the field
+        ``monoid``, before any point is listed.  The sieve runs in the
+        order of the grading g = sum of the functionals, positive off 0
+        on a sharp monoid: p is reducible iff p - h is in the monoid for
+        an irreducible h found before it."""
+        if not self.rank or not self.is_sharp():
+            return []
+        funcs = self.functionals
+
+        def inside(p):
+            return all(geom.dot(u, p) >= 0 for u in funcs)
+        rays = [tuple(-x for x in n) for _, n, c in geom.polytope_facets(
+            ((0,) * self.rank,) + funcs) if c == 0]
+        box = [sum(abs(r[c]) for r in rays) for c in range(self.rank)]
+        points = prod(2 * b + 1 for b in box)
+        if points > MAX_WINDOW_POINTS:
+            raise TooLarge("the Hilbert basis box %r holds %d points, more "
+                           "than %d" % (box, points, MAX_WINDOW_POINTS),
+                           field="monoid")
+        grading = tuple(map(sum, zip(*funcs)))
         basis = []
-        for p in pts:
-            # reducible iff p = a + d with both summands nonzero in the
-            # monoid (a summand can be longer than p, so test them all)
-            if any(any(d) and self.contains(d)
-                   for d in (geom.vsub(p, a) for a in pts)):
-                continue
-            basis.append(p)
-        return basis
+        for p in sorted((p for p in product(*(range(-b, b + 1) for b in box))
+                         if any(p) and inside(p)),
+                        key=lambda p: geom.dot(grading, p)):
+            if not any(inside(geom.vsub(p, h)) for h in basis):
+                basis.append(p)
+        return sorted(basis, key=lambda p: (sum(map(abs, p)), p))
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +380,16 @@ def quasiperiodic_decompose(samples: Dict[tuple, Fraction],
 
     Second differences along every pair of period generators must be
     constant in the base point; any violation, or failure of the
-    reconstruction, raises NotQuasiperiodic.
+    reconstruction, raises NotQuasiperiodic.  A period basis that is
+    not square, or a sample point of another length, raises ValueError.
     """
     pb = as_int_matrix(period_basis)
     r = pb.shape[0]
     samples = {tuple(int(x) for x in k): Fraction(v)
                for k, v in samples.items()}
+    if pb.shape != (r, r) or any(len(k) != r for k in samples):
+        raise ValueError("samples must be points of length %d and the "
+                         "period basis square of that size" % r)
     gens = [tuple(int(pb[i, j]) for i in range(r)) for j in range(r)]
 
     gram = [[None] * r for _ in range(r)]

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import _geometry as geom
 from .errors import (BadLift, BadModulus, BadTwistPair, EmptyComponent,
-                     InconsistentData, TooLarge)
+                     InconsistentData, RankMismatch, TooLarge)
 from .exact_linalg import (PolarizationType, as_int_matrix,
-                           hermite_normal_form, smith_normal_form)
-from .degeneration_monoids import fourier_indices
+                           hermite_normal_form)
+from .degeneration_monoids import _fourier_indices
 from .pavings_pwl import PwAffineFunction, lattice_minimum
 from .quadform_delaunay import (MAX_WINDOW_POINTS, QuadraticForm,
                                 coset_representatives)
@@ -139,9 +139,14 @@ class CyclotomicInteger:
 # ---------------------------------------------------------------------------
 
 def _check_modulus(delta: PolarizationType, m: int):
-    if m % (2 * delta.diag[-1]) != 0:
-        raise BadModulus("modulus %d is not a multiple of 2*%d"
-                         % (m, delta.diag[-1]))
+    """Refuse, with BadModulus, an empty delta (field ``delta``) and a
+    modulus that is not a positive multiple of 2 d_g (field
+    ``modulus``)."""
+    if not delta.diag:
+        raise BadModulus("delta is empty", field="delta")
+    if m <= 0 or m % (2 * delta.diag[-1]) != 0:
+        raise BadModulus("modulus %d is not a positive multiple of 2*%d"
+                         % (m, delta.diag[-1]), field="modulus")
 
 
 def _reduce_tuple(vals, delta):
@@ -161,6 +166,11 @@ class HeisenbergElement:
 
     def __post_init__(self):
         _check_modulus(self.delta, self.modulus)
+        g = len(self.delta.diag)
+        if (len(self.a), len(self.b)) != (g, g):
+            field = "a" if len(self.a) != g else "b"
+            raise RankMismatch("%s must have length %d" % (field, g),
+                               field=field)
         object.__setattr__(self, "scalar_exp",
                            int(self.scalar_exp) % self.modulus)
         object.__setattr__(self, "a", _reduce_tuple(self.a, self.delta))
@@ -327,14 +337,17 @@ def character_value_exp(alpha, bprime, delta, m):
     return _pairing_exp(bprime, alpha, delta, m)
 
 
-def kw_decompose(delta: PolarizationType, m: int,
-                 k2_spec: str = "multiplicative"):
-    """Joint eigenspaces of the multiplication operators: one line per
-    H(delta) index (the maximal-degeneration K2 has d characters, each
-    eigenspace spanned by a delta function)."""
-    if k2_spec != "multiplicative":
-        raise ValueError("only the multiplicative K2 model is supported")
+def kw_decompose(delta: PolarizationType, m: int):
+    """Joint eigenspaces of the multiplication operators of the
+    multiplicative K2 model: one line per H(delta) index (the
+    maximal-degeneration K2 has d characters, each eigenspace spanned by
+    a delta function).  More than MAX_WINDOW_POINTS lines are refused,
+    with TooLarge on the field ``delta``, before any is built."""
     _check_modulus(delta, m)
+    if delta.degree > MAX_WINDOW_POINTS:
+        raise TooLarge("H(%r) has %d indices, more than %d"
+                       % (delta.diag, delta.degree, MAX_WINDOW_POINTS),
+                       field="delta")
     out = []
     for idx in sorted(product(*[range(d) for d in delta.diag])):
         out.append((idx, [SchrodingerVector.delta_function(delta, m, idx)]))
@@ -362,21 +375,26 @@ def balanced_sections(delta: PolarizationType, m: int, theta0_index,
     return total
 
 
-def enumerate_balanced_set(delta: PolarizationType, m: int,
-                           bound: int = 8):
+def enumerate_balanced_set(delta: PolarizationType, m: int):
     """All balanced sections up to a global mu_M scalar.
 
     Each balanced section has exactly one zeta-power coefficient per
     H(delta) index, and every exponent pattern arises from some choice
     of theta_0 and lifts; so the set is the M^(d-1) normalized exponent
     patterns.  (The scalar exponents of the lifts are free, which makes
-    each component's phase independently adjustable.)
+    each component's phase independently adjustable.)  More than
+    MAX_WINDOW_POINTS sections are refused, with TooLarge on the field
+    ``delta``, before any is built.
     """
     _check_modulus(delta, m)
     d = delta.degree
-    if d > bound:
-        raise TooLarge("degree %d exceeds the enumeration bound %d"
-                       % (d, bound))
+    # M >= 2, so M^(d-1) is over the limit once d - 1 reaches its bit
+    # length; testing that first spares a huge d the power
+    if (d - 1 >= MAX_WINDOW_POINTS.bit_length()
+            or m ** (d - 1) > MAX_WINDOW_POINTS):
+        raise TooLarge("H(%r) mod %d has %d^%d balanced sections, more "
+                       "than %d" % (delta.diag, m, m, d - 1,
+                                    MAX_WINDOW_POINTS), field="delta")
     classes = sorted(product(*[range(x) for x in delta.diag]))
     out = []
     for rest in product(range(m), repeat=d - 1):
@@ -518,12 +536,12 @@ def section_valuation_profile(section: SchrodingerVector,
     pm = as_int_matrix(phi_map)
     pm_rows = pm.tolist()
     r = phi.rank
-    reps, ptype = fourier_indices(r, pm)
+    reps, ptype, u = _fourier_indices(r, pm)
     if ptype != section.delta:
         raise InconsistentData(
             "a section of H(%r) for phi_map of Smith type %r"
             % (section.delta.diag, ptype.diag), field="delta")
-    u_rows = smith_normal_form(pm)[1].tolist()
+    u_rows = u.tolist()
     ks = _preimage_basis(pm_rows, phi.paving.lattice)
     minimum = lattice_minimum(
         phi, [[geom.dot(row, k) for k in ks] for row in pm_rows])

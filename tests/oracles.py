@@ -928,6 +928,82 @@ def trop_full_inverse(tau, gprime):
 
 
 # ---------------------------------------------------------------------------
+# Hilbert bases of toric monoids
+# ---------------------------------------------------------------------------
+
+def _in_cone(functionals, p):
+    return all(sum(a * b for a, b in zip(u, p)) >= 0 for u in functionals)
+
+
+def cone_rays_reference(functionals, r):
+    """Extremal rays, primitive, of the sharp cone {x : u . x >= 0} in
+    rank r <= 3: a ray is cut out by r - 1 of the functionals, so each
+    is +-1 (rank 1), +- the perpendicular of one functional (rank 2) or
+    +- the cross product of two (rank 3) that lies in the cone."""
+    if r == 1:
+        cands = [(1,)]
+    elif r == 2:
+        cands = [(-u[1], u[0]) for u in functionals]
+    else:
+        cands = [(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                  a[0] * b[1] - a[1] * b[0])
+                 for a, b in combinations(functionals, 2)]
+    rays = set()
+    for c in cands:
+        g = math.gcd(*c)
+        if g:
+            for d in (tuple(x // g for x in c), tuple(-x // g for x in c)):
+                if _in_cone(functionals, d):
+                    rays.add(d)
+    return sorted(rays)
+
+
+def hilbert_basis_sieve(functionals, r):
+    """The all-pairs sieve, irreducible iff no p - a is a nonzero monoid
+    element, over the box |x_c| <= sum of |v_c| over the rays v of
+    cone_rays_reference, which holds every irreducible element.  Sorted
+    by (L1 norm, point)."""
+    rays = cone_rays_reference(functionals, r)
+    box = [sum(abs(v[c]) for v in rays) for c in range(r)]
+    pts = [p for p in product(*(range(-b, b + 1) for b in box))
+           if any(p) and _in_cone(functionals, p)]
+    out = [p for p in pts
+           if not any(any(d) and _in_cone(functionals, d)
+                      for d in (tuple(x - y for x, y in zip(p, a))
+                                for a in pts))]
+    return sorted(out, key=lambda p: (sum(map(abs, p)), p))
+
+
+def hilbert_basis_rank2_reference(functionals):
+    """The Hilbert basis of a sharp cone in rank 2 by the Hirzebruch-Jung
+    continued fraction (Oda, Convex Bodies and Algebraic Geometry, 1988,
+    section 1.6): with rays v, w and det(v, w) = n > 0, u_0 = v and
+    u_{i+1} is the lattice point x of cone(u_i, w) with det(u_i, x) = 1
+    nearest the ray of u_i, x = x_0 + t u_i for the least t with
+    det(x, w) >= 0; then u_{i-1} + u_{i+1} = b_i u_i with n / q =
+    [b_1, ..., b_s] and the u_i end at w.  Sorted by (L1 norm, point)."""
+    rays = cone_rays_reference(functionals, 2)
+    if len(rays) < 2:
+        return rays
+
+    def det(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+    v, w = rays
+    if det(v, w) < 0:
+        v, w = w, v
+    basis = [v]
+    u = v
+    while u != w:
+        # det(u, x0) = u_0 x0_1 - u_1 x0_0 = 1
+        _, s, t = _exgcd(u[0], u[1])
+        x0 = (-t, s)
+        step = -(det(x0, w) // det(u, w))
+        u = (x0[0] + step * u[0], x0[1] + step * u[1])
+        basis.append(u)
+    return sorted(basis, key=lambda p: (sum(map(abs, p)), p))
+
+
+# ---------------------------------------------------------------------------
 # interpolation of x^2/2 on the integers (the recurring g=1 function)
 # ---------------------------------------------------------------------------
 

@@ -3,11 +3,13 @@ and piping one command's output into the next."""
 
 import io
 import json
+from functools import cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tropab import errors, quadform_delaunay
-from tropab.cli import main
+from tropab.cli import HANDLERS, main
 
 
 def run(command, doc=None, args=(), text=None):
@@ -335,6 +337,25 @@ def test_face():
     assert got["quotient"]["rank"] == 1
 
 
+def test_face_refuses_a_monoid_whose_basis_box_is_too_large():
+    """A payload of rank 2 over the monoid {x >= 0, 10^6 y >= x}: its ray
+    (10^6, 1) spans a box of more than 10^5 points, refused on the field
+    ``monoid`` before the box is listed."""
+    sig = run_json("sigma", {"q": [[1]]})
+    sig["payload_rank"] = 2
+    for piece in sig["cell_affines"]:
+        piece["linear"] *= 2
+        piece["constant"] *= 2
+    sig["quasi_bilinear"] *= 2
+    sig["quasi_linear"] *= 2
+    code, out, _ = run("face", {
+        "monoid": {"rank": 2, "functionals": [[1, 0], [-1, 10 ** 6]]},
+        "face_functionals": [[1, 0]], "function": sig})
+    assert code == 1
+    got = json.loads(out)
+    assert (got["code"], got["field"]) == ("TooLarge", "monoid")
+
+
 @pytest.mark.parametrize("edit", [
     lambda f: f["cell_affines"][0].update(linear=[["1/2", "1"]]),
     lambda f: f["cell_affines"][0].update(constant=["0", "1"]),
@@ -453,3 +474,196 @@ def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"], stdin=io.StringIO("{}"),
              stdout=io.StringIO(), stderr=io.StringIO())
+
+
+# -- the exit-code contract over any JSON document --------------------------
+
+@cache
+def _seed_documents():
+    """One valid document per subcommand, the start of each fuzzed one."""
+    sig = run_json("sigma", {"q": [[1]]})
+    pav1 = run_json("delaunay", {"q": [[1]]})
+    pav2 = run_json("delaunay", {"q": [[2, 1], [1, 2]]})
+    squares = [[[x], str(x * x)] for x in range(-3, 4)]
+    degen = {"q": [[1]], "phi_check": [[2]], "d_type": [1], "s_xi": [[0]],
+             "lambda": [2], "alpha": [3]}
+    return {
+        "hnf": {"matrix": [[2, 4], [6, 8]]},
+        "snf": {"matrix": [[2, 4], [6, 8]]},
+        "symplectic": {"matrix": [[0, 2], [-2, 0]]},
+        "poltype": {"matrix": [[1, 0], [0, 2]]},
+        "glxy": {"u": [[1, 1], [0, 1]], "q": [[2, 1], [1, 2]],
+                 "y_basis": [[1, 0], [0, 1]]},
+        "delaunay": {"q": [[2, 1], [1, 2]], "period_basis": [[1, 0], [0, 1]],
+                     "shift": ["1/2", 0]},
+        "voronoi-cone": {"paving": pav2, "q": [[2, 1], [1, 2]]},
+        "bend": {"function": sig},
+        "qp-decompose": {"samples": squares, "period_basis": [[1]]},
+        "cy-cone": {"samples": squares, "paving": pav1,
+                    "period_basis": [[1]]},
+        "sigma": {"q": [[2, 1], [1, 2]]},
+        "legendre": {"function": sig, "window": 2},
+        "monoid-add": {"function": sig,
+                       "x": {"degree": 1, "point": [1], "payload": ["0"]},
+                       "y": {"degree": 1, "point": [2], "payload": ["1/2"]}},
+        "fourier": {"rank": 2, "phi_map": [[2, 1], [0, 3]]},
+        "fiber": {"paving": pav2, "phi_image_basis": [[2, 0], [0, 1]]},
+        "face": {"monoid": {"rank": 1, "functionals": [[1]]},
+                 "face_functionals": [[1]], "function": sig},
+        "gamma": {"tau": [[[0, 1]]], "r": [[1, 0], [0, 1]], "delta": [1]},
+        "cayley": {"tau": [[[0, 1]]]},
+        "trop": {"tau": [[[0, 2], [0, 1]], [[0, 1], [0, 2]]], "gprime": 1},
+        "heis": {"delta": [3], "modulus": 6, "x": [0, [1], [0]],
+                 "y": [0, [0], [1]]},
+        "kw": {"delta": [3]},
+        "balanced": {"delta": [2], "modulus": 4},
+        "degen": degen,
+        "twist": degen,
+        "profile": {"delta": [3], "modulus": 6,
+                    "section": [[[0], 0], [[1], 0], [[2], 0]],
+                    "q": [[1]], "phi_map": [[3]]},
+    }
+
+
+_SMALL = st.integers(-4, 12)
+_JUNK = st.one_of(
+    st.none(), st.booleans(), _SMALL,
+    st.sampled_from(["1/2", "-3", "x", "1/0", "", 0.5, float("nan")]),
+    st.lists(_SMALL, max_size=3),
+    st.lists(st.lists(_SMALL, max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["rank", "cells", "degree"]), _SMALL,
+                    max_size=2))
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+@st.composite
+def _documents(draw):
+    """A subcommand and its seed document with up to three edits: a
+    value replaced by junk, a key or list entry deleted, or a list entry
+    repeated."""
+    command = draw(st.sampled_from(sorted(HANDLERS)))
+    doc = json.loads(json.dumps(_seed_documents()[command]))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(_JUNK)
+            continue
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        edit = draw(st.sampled_from(["replace", "delete", "repeat"]))
+        if edit == "replace":
+            parent[path[-1]] = draw(_JUNK)
+        elif edit == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, list):
+            parent.append(parent[path[-1]])
+    return command, doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_documents())
+@example(("heis", {"delta": [], "x": [0, [], []], "y": [0, [], []]}))
+@example(("kw", {"delta": []}))
+@example(("balanced", {"delta": []}))
+@example(("profile", {"delta": [], "section": [], "q": [[1]],
+                      "phi_map": [[1]]}))
+@example(("heis", {"delta": [2], "modulus": 0, "x": [0, [1], [0]],
+                   "y": [0, [0], [1]]}))
+@example(("heis", {"delta": [2], "modulus": -4, "x": [0, [1], [0]],
+                   "y": [0, [0], [1]]}))
+@example(("heis", {"delta": [2], "modulus": 4, "x": [1, [1, 1], [1, 5]],
+                   "y": [0, [0], [1]]}))
+@example(("profile", {"delta": [3], "modulus": False,
+                      "section": [[[0], 0], [[1], 0], [[2], 0]],
+                      "q": [[1]], "phi_map": [[3]]}))
+@example(("fiber", {"paving": {"rank": 2, "period_basis": [[1, 0], [0, 1]],
+                               "cells": [[[0, 0], [0, 1], [1, 0]],
+                                         [[0, 0, 0], [1, -1], [1, 0]]]},
+                    "phi_image_basis": [[2, 0], [0, 1]]}))
+@example(("bend", {"function": {
+    "paving": {"rank": 1, "period_basis": [[1]], "cells": [[]]},
+    "cell_affines": [{"linear": [["1/2"]], "constant": ["0"]}],
+    "quasi_bilinear": [[["1"]]], "quasi_linear": [["0"]]}}))
+@example(("qp-decompose", {"samples": [[[0, 0], "0"], [[1], "1"]],
+                           "period_basis": [[1]]}))
+@example(("qp-decompose", {"samples": [[[0], "0"]], "period_basis": [[]]}))
+@example(("monoid-add", {"function": {
+    "paving": {"rank": 1, "period_basis": [[1]], "cells": [[[0], [1]]]},
+    "cell_affines": [{"linear": [["1/2"]], "constant": ["0"]}],
+    "quasi_bilinear": [[["1"]]], "quasi_linear": [["0"]]},
+    "x": {"degree": 1, "point": [1], "payload": ["0", "1"]},
+    "y": {"degree": 1, "point": [2], "payload": ["0", "1"]}}))
+def test_every_document_keeps_the_exit_code_contract(case):
+    """Any JSON document exits 0, 1 or 2: 0 and 1 print one JSON object
+    on stdout (an error object for 1), and 2 prints nothing there."""
+    command, doc = case
+    code, out, err = run(command, doc)
+    assert code in (0, 1, 2), (code, err)
+    if code == 2:
+        assert out == "" and err.startswith("malformed input")
+    else:
+        got = json.loads(out)
+        assert (got["kind"] == "error") == (code == 1)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"delta": [2], "modulus": 0}, "modulus"),
+    ({"delta": [2], "modulus": -4}, "modulus"),
+    ({"delta": [2], "modulus": 6}, "modulus"),
+])
+def test_heis_refuses_a_bad_modulus_naming_its_field(doc, field):
+    code, out, _ = run("heis", dict(doc, x=[0, [1], [0]], y=[0, [0], [1]]))
+    assert code == 1
+    got = json.loads(out)
+    assert (got["code"], got["field"]) == ("BadModulus", field)
+
+
+@pytest.mark.parametrize("command", ["heis", "kw", "balanced", "profile"])
+def test_an_empty_delta_is_malformed(command):
+    doc = dict(_seed_documents()[command], delta=[])
+    code, out, err = run(command, doc)
+    assert (code, out) == (2, "")
+    assert "delta" in err
+
+
+@pytest.mark.parametrize("x, y, field", [
+    ([0, [1, 1], [0]], [0, [0], [1]], "a"),
+    ([0, [1], [1, 5]], [0, [0], [1]], "b"),
+])
+def test_heis_refuses_a_vector_of_the_wrong_length(x, y, field):
+    code, out, _ = run("heis", {"delta": [2], "modulus": 4, "x": x, "y": y})
+    assert code == 1
+    got = json.loads(out)
+    assert (got["code"], got["field"]) == ("RankMismatch", field)
+
+
+def test_monoid_add_refuses_a_payload_of_the_wrong_length():
+    doc = dict(_seed_documents()["monoid-add"])
+    doc["x"] = dict(doc["x"], payload=["0", "1"])
+    code, out, _ = run("monoid-add", doc)
+    assert code == 1
+    got = json.loads(out)
+    assert (got["code"], got["field"]) == ("RankMismatch", "payload")
+
+
+def test_kw_refuses_too_many_lines_before_building_them():
+    code, out, _ = run("kw", {"delta": [10 ** 12]})
+    assert code == 1
+    got = json.loads(out)
+    assert (got["code"], got["field"]) == ("TooLarge", "delta")
+
+
+def test_balanced_refuses_too_many_sections_before_building_them():
+    code, out, _ = run("balanced", {"delta": [2, 4]})
+    assert code == 1
+    got = json.loads(out)
+    assert (got["code"], got["field"]) == ("TooLarge", "delta")
+    assert "8^7" in got["message"]

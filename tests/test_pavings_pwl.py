@@ -5,7 +5,7 @@ section sigma, Legendre duality, and affine-region coarsening."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -27,7 +27,8 @@ from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
                                       QuadraticForm, delaunay_subdivision)
 
 from oracles import (bending_reference, brute_force_legendre,
-                     cone_cy_reference, evaluate_reference,
+                     cone_cy_reference, cone_rays_reference,
+                     evaluate_reference, hilbert_basis_rank2_reference, hilbert_basis_sieve,
                      interp_half_square,
                      second_difference_quadratic_1d, shifted_affine_reference)
 
@@ -135,6 +136,64 @@ def test_hilbert_basis_sheared_cone():
     assert m.hilbert_basis() == [(1, 0), (-1, 1)]
     assert m.is_sharp()
     assert not ToricMonoid(1, [(0,)]).is_sharp()
+
+
+def test_hilbert_basis_reaches_past_any_fixed_box():
+    """{x >= 0, 7y >= x} has the ray (7, 1): a box of side 6 missed it."""
+    got = ToricMonoid(2, [(1, 0), (-1, 7)]).hilbert_basis()
+    assert got == [(0, 1)] + [(x, 1) for x in range(1, 8)]
+    assert got == hilbert_basis_rank2_reference([(1, 0), (-1, 7)])
+
+
+def test_hilbert_basis_of_degenerate_and_rank_3_cones():
+    assert ToricMonoid.nonnegative_orthant(3).hilbert_basis() == [
+        (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert ToricMonoid(0, []).hilbert_basis() == []
+    assert ToricMonoid(2, [(1, 0)]).hilbert_basis() == []
+    assert ToricMonoid(1, [(1,), (-1,)]).hilbert_basis() == []
+    assert ToricMonoid(2, [(1, 0), (-1, 0), (0, 1)]).hilbert_basis() == [
+        (0, 1)]
+    funcs = [(1, 0, 0), (0, 1, 0), (-1, -1, 5)]
+    got = ToricMonoid(3, funcs).hilbert_basis()
+    assert len(got) == 21
+    assert got == hilbert_basis_sieve(funcs, 3)
+
+
+def test_hilbert_basis_refuses_a_huge_box_before_listing_it():
+    """The rays (1000, 0, 1) and (0, 1000, 1) span a box of 2001^2 * 7
+    points; the refusal comes first and names the monoid."""
+    m = ToricMonoid(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 1000)])
+    with pytest.raises(TooLarge) as err:
+        m.hilbert_basis()
+    assert err.value.field == "monoid"
+
+
+_FUNCTIONALS = {2: st.lists(st.tuples(*[st.integers(-8, 8)] * 2),
+                            min_size=2, max_size=4),
+                3: st.lists(st.tuples(*[st.integers(-2, 2)] * 3),
+                            min_size=3, max_size=4)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda r: st.tuples(st.just(r), _FUNCTIONALS[r])))
+@example((2, [(1, 0), (-1, 7)]))
+@example((2, [(7, -2), (-3, 1)]))
+@example((3, [(1, 0, 0), (0, 1, 0), (-1, -1, 5)]))
+def test_hilbert_basis_matches_the_oracles(case):
+    """Rank 2 against the Hirzebruch-Jung continued fraction, rank 3
+    against the all-pairs sieve over the box of the oracle's own rays."""
+    r, funcs = case
+    m = ToricMonoid(r, funcs)
+    assume(m.is_sharp())
+    if r == 2:
+        assert m.hilbert_basis() == hilbert_basis_rank2_reference(funcs)
+    else:
+        # the sieve is quadratic in the points of its box
+        box = [sum(abs(v[c]) for v in cone_rays_reference(funcs, 3))
+               for c in range(3)]
+        assume(prod(2 * b + 1 for b in box) <= 3000)
+        assert m.hilbert_basis() == hilbert_basis_sieve(funcs, 3)
 
 
 def test_monoid_membership_and_units():

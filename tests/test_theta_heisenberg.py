@@ -196,8 +196,6 @@ def test_kw_decomposition_lines():
             e = character_value_exp(idx, bp, D3, M6)
             assert mult_operator(bp, vecs[0]) == vecs[0].scaled(
                 CyclotomicInteger.zeta_power(M6, e))
-    with pytest.raises(ValueError):
-        kw_decompose(D3, M6, k2_spec="exotic")
 
 
 # -- balanced sections ------------------------------------------------------
@@ -237,8 +235,9 @@ def test_enumeration_matches_brute_force():
 
 
 def test_enumeration_bound():
-    with pytest.raises(TooLarge):
-        enumerate_balanced_set(PolarizationType((3, 3)), 6, bound=8)
+    with pytest.raises(TooLarge) as err:
+        enumerate_balanced_set(PolarizationType((3, 3)), 6)
+    assert err.value.field == "delta"
 
 
 # -- degeneration exponents -------------------------------------------------
