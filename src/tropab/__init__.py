@@ -2,7 +2,12 @@
 polarized abelian varieties: integer/rational linear algebra, Delaunay
 decompositions and second-Voronoi cones, periodic piecewise-affine
 functions, twisted degeneration monoids, Siegel-space tropicalization,
-and finite Heisenberg/theta combinatorics."""
+and finite Heisenberg/theta combinatorics.
+
+Only the binary64 Siegel module imports numpy at import time; its five
+names are re-exported on first use (PEP 562), so ``import tropab``
+loads no numpy.  The exact modules import it only to build the arrays
+their public functions and attributes return."""
 
 from .errors import DomainError
 from .exact_linalg import (PolarizationType, SymplecticDecomposition,
@@ -24,8 +29,6 @@ from .degeneration_monoids import (CentralFiberComplex, FaceQuotientData,
                                    fourier_indices, fourier_reduce,
                                    lift_height, minimal_lift, star_cocycle,
                                    twisted_add, y_action_on_monomial)
-from .siegel_trop import (CuspSpec, SiegelPoint, cayley_transform,
-                          gamma_action, tropicalize)
 from .theta_heisenberg import (CyclotomicInteger, DegenerationData,
                                HeisenbergElement, SchrodingerVector,
                                balanced_sections, degen_exponents,
@@ -35,3 +38,19 @@ from .theta_heisenberg import (CyclotomicInteger, DegenerationData,
                                section_valuation_profile, twist_data)
 
 __version__ = "0.1.0"
+
+_SIEGEL_NAMES = ("CuspSpec", "SiegelPoint", "cayley_transform",
+                 "gamma_action", "tropicalize")
+
+
+def __getattr__(name):
+    """The names of siegel_trop, imported with it (and numpy) on first
+    use."""
+    if name in _SIEGEL_NAMES:
+        from . import siegel_trop
+        return getattr(siegel_trop, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(list(globals()) + list(_SIEGEL_NAMES))

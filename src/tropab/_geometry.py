@@ -1,7 +1,8 @@
 """Exact polyhedral helpers shared by the Delaunay and paving machinery.
 
-Everything works over the rationals on plain tuples of Fraction/int;
-numpy object arrays are only the public boundary of the package.  Facet
+Everything works over the rationals on plain tuples of Fraction/int,
+and nothing here imports numpy: in the package only siegel_trop and the
+public functions and attributes that return arrays do.  Facet
 normals are integer cofactors of points whose denominators are cleared
 once, and polytope_facets is the one hull routine: volumes are pyramids
 over its facets and vertices are points on at least r of them.

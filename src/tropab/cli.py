@@ -4,6 +4,11 @@ Input is a JSON document (``--input FILE`` or stdin); output is a
 self-describing JSON document on stdout.  Exit codes: 0 success, 1
 domain error (structured error object), 2 malformed input.  Rationals
 travel as strings "p/q"; complex numbers as [re, im] pairs.
+
+Input matrices are read into lists of int or Fraction rows.  The
+binary64 Siegel module, and with it numpy, is imported only by the
+gamma, cayley and trop handlers; the exact subcommands load numpy only
+where the library function they call returns an array.
 """
 
 import argparse
@@ -11,10 +16,8 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import (degeneration_monoids, exact_linalg, pavings_pwl,
-               quadform_delaunay, siegel_trop, theta_heisenberg)
+               quadform_delaunay, theta_heisenberg)
 from .errors import DomainError
 
 
@@ -41,14 +44,14 @@ def _frac_matrix(m):
     if not isinstance(m, list) or not m or not all(
             isinstance(r, list) and len(r) == len(m[0]) for r in m):
         raise MalformedInput("expected a rectangular matrix")
-    return np.array([[_frac(x) for x in row] for row in m], dtype=object)
+    return [[_frac(x) for x in row] for row in m]
 
 
 def _int_matrix(m):
     f = _frac_matrix(m)
-    if any(x.denominator != 1 for x in f.flat):
+    if any(x.denominator != 1 for row in f for x in row):
         raise MalformedInput("expected an integer matrix")
-    return np.array([[int(x) for x in row] for row in f], dtype=object)
+    return [[int(x) for x in row] for row in f]
 
 
 def _int(x):
@@ -74,11 +77,12 @@ def _complex_matrix(m):
                                  "[re, im] pair")
         out.append([complex(e[0], e[1]) if isinstance(e, list)
                     else complex(e) for e in row])
-    return np.array(out, dtype=complex)
+    return out
 
 
 def ser(x):
-    """Recursive canonical serialization of library values."""
+    """Recursive canonical serialization of library values; a value with
+    ``.tolist()`` (a numpy array or scalar) is serialized through it."""
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, (bool, int, str)) or x is None:
@@ -87,16 +91,8 @@ def ser(x):
         return x
     if isinstance(x, complex):
         return [x.real, x.imag]
-    if isinstance(x, np.ndarray):
-        if x.dtype == complex:
-            return [[[v.real, v.imag] for v in row] for row in x]
-        if x.dtype == float:
-            return [[float(v) for v in row] for row in x]
-        return [[ser(v) for v in row] for row in x]
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
+    if hasattr(x, "tolist"):
+        return ser(x.tolist())
     if isinstance(x, (list, tuple)):
         return [ser(v) for v in x]
     if isinstance(x, dict):
@@ -106,7 +102,7 @@ def ser(x):
 
 def ser_paving(p):
     return {"kind": "paving", "rank": p.rank,
-            "period_basis": ser(p.period_basis), "window": p.window,
+            "period_basis": ser(p.lattice.basis), "window": p.window,
             "cells": [ser(c.vertices) for c in p.cells]}
 
 
@@ -134,7 +130,7 @@ def ser_pwa(f):
             "cell_affines": [{"linear": ser(list(map(list, lin))),
                               "constant": ser(list(const))}
                              for lin, const in f.cell_affines],
-            "quasi_bilinear": [ser(b) for b in f.quasi_bilinear],
+            "quasi_bilinear": [ser(b) for b in f._quasi_bilinear_rows],
             "quasi_linear": ser(list(map(list, f.quasi_linear)))}
 
 
@@ -320,6 +316,7 @@ def _h_face(doc, opts):
 
 
 def _h_gamma(doc, opts):
+    from . import siegel_trop
     tau = siegel_trop.SiegelPoint(_complex_matrix(doc["tau"]), tol=opts.tol)
     out = siegel_trop.gamma_action(_int_matrix(doc["r"]), tau,
                                    _delta(doc["delta"]))
@@ -327,11 +324,13 @@ def _h_gamma(doc, opts):
 
 
 def _h_cayley(doc, opts):
+    from . import siegel_trop
     tau = siegel_trop.SiegelPoint(_complex_matrix(doc["tau"]), tol=opts.tol)
     return {"kind": "matrix", "value": ser(siegel_trop.cayley_transform(tau))}
 
 
 def _h_trop(doc, opts):
+    from . import siegel_trop
     tau = siegel_trop.SiegelPoint(_complex_matrix(doc["tau"]), tol=opts.tol)
     delta = _delta(doc.get("delta", [1] * tau.g))
     cusp = siegel_trop.CuspSpec(_int(doc.get("gprime", 0)), delta)

@@ -3,9 +3,9 @@ affine function, Fourier-index combinatorics of X/phi(Y), lattice-torus
 actions on monomials, central-fiber dual complexes, and face-quotient
 data.
 
-Lattice vectors and matrices are plain int/Fraction tuples inside;
-numpy object arrays are only the public boundary (the matrices callers
-pass in, and those PwAffineFunction holds)."""
+Lattice vectors and matrices are plain int/Fraction rows inside, each
+matrix argument read once by exact_linalg.read_matrix; this module
+never imports numpy, and builds no array."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,9 +15,9 @@ from typing import Optional
 from . import _geometry as geom
 from .errors import (InconsistentData, NotAFace, NotInjective, NotInvariant,
                      OutsideSupport, RankMismatch, Unbounded)
-from .exact_linalg import (LatticeCoordinates, PolarizationType, as_int,
-                           as_int_matrix, frac_det, hermite_normal_form,
-                           saturated_quotient, smith_normal_form)
+from .exact_linalg import (LatticeCoordinates, PolarizationType,
+                           _hnf_rows, _saturated_quotient_rows, _snf_rows,
+                           as_int, frac_det, read_matrix, transpose)
 from .pavings_pwl import PwAffineFunction, ToricMonoid, affine_region_paving
 from .quadform_delaunay import (PeriodicPaving, QuadraticForm,
                                coset_representatives)
@@ -159,12 +159,12 @@ def fourier_indices(x_rank: int, phi_map):
 
 
 def _fourier_indices(x_rank: int, phi_map):
-    """fourier_indices and the u of the one Smith form u phi_map v =
-    diag(type) that the type is read from."""
-    m = as_int_matrix(phi_map)
+    """fourier_indices and the rows of the u of the one Smith form
+    u phi_map v = diag(type) that the type is read from."""
+    m = read_matrix(phi_map)
     r = int(x_rank)
-    if m.shape == (r, r):
-        diag, u, _ = smith_normal_form(m)
+    if len(m) == r and all(len(row) == r for row in m):
+        diag, u, _ = _snf_rows(m)
         if 0 not in diag:
             return (coset_representatives(m, "phi_map"),
                     PolarizationType(tuple(diag)), u)
@@ -173,14 +173,14 @@ def _fourier_indices(x_rank: int, phi_map):
 
 def fourier_reduce(vec, phi_map):
     """Canonical coset representative of vec modulo the column lattice."""
-    m = as_int_matrix(phi_map)
-    h, _ = hermite_normal_form(m.T)
-    r = m.shape[0]
+    m = read_matrix(phi_map)
+    h, _ = _hnf_rows(transpose(m))
+    r = len(m)
     v = [int(x) for x in vec]
     for i in range(r):
-        q = v[i] // int(h[i, i])
+        q = v[i] // h[i][i]
         for j in range(r):
-            v[j] -= q * int(h[i, j])
+            v[j] -= q * h[i][j]
     return tuple(v)
 
 
@@ -199,17 +199,14 @@ def y_action_on_monomial(lam, mu, data):
     """
     a_form, phi_check = data
     if not isinstance(a_form, QuadraticForm):
-        a_form = QuadraticForm(as_int_matrix(a_form))
-    pc = as_int_matrix(phi_check)
-    g = a_form.matrix
-    r = g.shape[0]
-    if pc.shape != (r, r) or any(g[i, j] != pc[i, j]
-                                 for i in range(r) for j in range(r)):
+        a_form = QuadraticForm(read_matrix(a_form))
+    pc = read_matrix(phi_check)
+    if list(map(list, a_form._matrix_rows)) != pc:
         raise InconsistentData(
             "pairing matrix must equal the polarization of A")
     lam = tuple(int(x) for x in lam)
     mu = tuple(int(x) for x in mu)
-    new_mu = geom.vadd(mu, tuple(geom.dot(row, lam) for row in pc.tolist()))
+    new_mu = geom.vadd(mu, tuple(geom.dot(row, lam) for row in pc))
     q_exponent = a_form.value(lam) / 2
     return new_mu, q_exponent, mu
 
@@ -236,10 +233,10 @@ def central_fiber_complex(paving: PeriodicPaving,
     paving's rank, or singular, raises NotInjective; one of index over
     MAX_WINDOW_POINTS in the paving's period lattice is refused (TooLarge
     on the field ``phi_image_basis``) before any coset is listed."""
-    phib = as_int_matrix(phi_image_basis)
+    phib = read_matrix(phi_image_basis)
     r = paving.rank
     lat = paving.lattice
-    gens = [tuple(col) for col in phib.T.tolist()]
+    gens = [tuple(col) for col in zip(*phib)]
     for col in gens:
         if not lat.contains(col):
             raise NotInvariant(
@@ -247,8 +244,8 @@ def central_fiber_complex(paving: PeriodicPaving,
 
     # cosets of phi(Y) inside the paving period lattice, in the period
     # coordinates of the phi-image generators
-    m = as_int_matrix(list(zip(*map(lat.coordinates, gens))))
-    if m.shape != (r, r) or frac_det(m) == 0:
+    m = read_matrix(list(zip(*map(lat.coordinates, gens))))
+    if len(m) != r or len(m[0]) != r or frac_det(m) == 0:
         raise NotInjective("phi must be an injective map of rank %d" % r)
     cosets = [lat.vector(k)
               for k in coset_representatives(m, "phi_image_basis")]
@@ -320,8 +317,7 @@ def face_quotient(p: ToricMonoid, face_functionals,
         quotient = ToricMonoid(k, p.functionals)
     else:
         # the face generators are the columns spanning F
-        pi, sec, face_basis = saturated_quotient(list(zip(*face_gens)))
-        pi = pi.tolist()
+        pi, sec, face_basis = _saturated_quotient_rows(transpose(face_gens))
         quotient = ToricMonoid(
             len(pi), _project_inequalities(p.functionals, sec, face_basis))
 
@@ -332,7 +328,9 @@ def face_quotient(p: ToricMonoid, face_functionals,
 
     affs = [(push(lin), tuple(geom.dot(row, const) for row in pi))
             for lin, const in phi.cell_affines]
-    bil = [sum(c * b for c, b in zip(row, phi.quasi_bilinear)) for row in pi]
+    bils, r = phi._quasi_bilinear_rows, phi.rank
+    bil = [[[sum(c * b[i][j] for c, b in zip(row, bils)) for j in range(r)]
+            for i in range(r)] for row in pi]
     pushed = PwAffineFunction(phi.paving, affs, bil, push(phi.quasi_linear),
                               payload_rank=len(pi))
     if not pi:
@@ -349,7 +347,7 @@ def _project_inequalities(functionals, sec, face_basis):
     """Fourier-Motzkin image of {u_i >= 0} under quotient by the span of
     face_basis columns: substitute x = sec y + face_basis z, then
     eliminate the z variables."""
-    sec_cols, face_cols = sec.T.tolist(), face_basis.T.tolist()
+    sec_cols, face_cols = transpose(sec), transpose(face_basis)
     rows = [([geom.dot(u, c) for c in sec_cols],
              [geom.dot(u, c) for c in face_cols]) for u in functionals]
     for zi in range(len(face_cols)):

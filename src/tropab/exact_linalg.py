@@ -6,32 +6,49 @@ denominators once) from which the determinant, inverse, rank and greedy
 independent subsets are derived; normal forms (Hermite, Smith),
 saturated quotients, symplectic reduction of integral alternating
 forms, polarization types, and the GL(X,Y)-action on quadratic forms.
-The normal forms work on lists of int rows.  ``LatticeCoordinates`` is
-the one reduction of points modulo a lattice.
-All arithmetic is exact.  Numpy arrays with dtype=object holding python
-ints or Fractions are only the public boundary: the integer normal forms
-take and return them, and ``frac_inv`` returns one.
+``LatticeCoordinates`` is the one reduction of points modulo a lattice.
+
+All arithmetic is exact, on lists of int or Fraction rows.
+``read_matrix`` is the one reader of a matrix argument: nested
+sequences, or anything with ``.tolist()`` (a numpy array), read through
+that method.  The normal forms have row cores (``_hnf_rows``,
+``_snf_rows``, ``_symplectic_rows``) that the package calls.  Numpy
+object arrays of python ints or Fractions are only the public boundary:
+``_object_matrix`` builds them, for the public functions that return an
+array and for the array attributes of the package's classes
+(``ObjectMatrix``), and it holds the one numpy import of the exact
+modules.  So numpy is imported only by siegel_trop and by the public
+functions and attributes that return arrays.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import List, Tuple
-
-import numpy as np
+from typing import Tuple
 
 from .errors import (Degenerate, NotInGLXY, NotInjective, NotSkew,
                      NotUnimodular)
 
 
-def as_int_matrix(m) -> np.ndarray:
-    """Copy input into an object-dtype integer matrix, validating entries."""
-    a = np.array(m, dtype=object)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    return _object_matrix([[as_int(x) for x in row] for row in a.tolist()],
-                          a.shape[1])
+def _object_matrix(rows, ncols=None, writeable=True):
+    """The object array of the int or Fraction rows, ncols wide (the
+    length of the first row by default; a matrix without rows needs
+    it): the public boundary, and the one numpy import of the exact
+    modules."""
+    import numpy as np
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    out = np.array(rows, dtype=object).reshape(len(rows), ncols)
+    if not writeable:
+        out.flags.writeable = False
+    return out
+
+
+def _is_vector(x):
+    """Does numpy read x as a sequence: a list, tuple or range, or an
+    array of dimension at least 1?  Strings and scalars are entries."""
+    return isinstance(x, (list, tuple, range)) or getattr(x, "ndim", 0) > 0
 
 
 def as_int(x, what="entry"):
@@ -51,14 +68,78 @@ def as_frac(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-def as_frac_matrix(m) -> np.ndarray:
-    """Copy input into an object-dtype matrix of Fractions (as_frac)."""
-    a = np.array(m, dtype=object)
-    if a.ndim != 2:
+def read_matrix(m, entry=as_int):
+    """The rows of the 2-d matrix m, as lists of entry(x) (as_int by
+    default).  m is a sequence of equally long sequences of entries, or
+    has ``.tolist()`` (a numpy array) and is read through it, as is each
+    row that has one.  Anything else, a ragged or deeper nesting
+    included, raises ValueError("expected a 2-d matrix"): the inputs
+    that np.array(m, dtype=object) would not make two-dimensional.
+    entry raises on an entry it refuses."""
+    if hasattr(m, "tolist"):
+        if getattr(m, "ndim", None) == 2 and not len(m):
+            return []
+        m = m.tolist()
+    rows = [r.tolist() if hasattr(r, "tolist") else r for r in m] \
+        if _is_vector(m) else ()
+    if not rows or any(not _is_vector(r) or len(r) != len(rows[0])
+                       for r in rows):
         raise ValueError("expected a 2-d matrix")
-    out = np.empty(a.shape, dtype=object)
-    out.flat = [as_frac(x) for x in a.flat]
-    return out
+    try:
+        return [[entry(x) for x in r] for r in rows]
+    except TypeError:
+        # entries that are sequences nest deeper than two
+        if any(_is_vector(x) for r in rows for x in r):
+            raise ValueError("expected a 2-d matrix") from None
+        raise
+
+
+def as_int_matrix(m):
+    """Copy input into an object-dtype integer matrix, validating entries
+    (read_matrix with as_int)."""
+    return _object_matrix(read_matrix(m))
+
+
+def transpose(rows):
+    """The columns of a list of rows, as lists."""
+    return [list(col) for col in zip(*rows)]
+
+
+class ObjectMatrix:
+    """A public matrix attribute: whatever is assigned to it is read once
+    by read_matrix into rows of ``entry`` (as_int or as_frac), kept on
+    the instance as ``_<name>_rows``, for the package to compute with,
+    and the attribute is the object array of those rows, built on first
+    access and then kept, so it is one object per instance.  None is
+    kept as it is.  ``writeable`` is the array's flag.
+
+    The attribute can be a field of a frozen dataclass (whose __init__
+    assigns through it): without a ``default`` the field has none."""
+
+    _none = object()
+
+    def __init__(self, entry=as_int, writeable=True, default=_none):
+        self.entry, self.writeable, self.default = entry, writeable, default
+
+    def __set_name__(self, owner, name):
+        self.name, self.rows = name, "_%s_rows" % name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            if self.default is self._none:
+                raise AttributeError(self.name)
+            return self.default
+        cache = obj.__dict__
+        if self.name not in cache:
+            rows = cache[self.rows]
+            cache[self.name] = None if rows is None else _object_matrix(
+                rows, writeable=self.writeable)
+        return cache[self.name]
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.rows] = None if value is None else tuple(
+            map(tuple, read_matrix(value, self.entry)))
+        obj.__dict__.pop(self.name, None)
 
 
 def clear_denominators(point):
@@ -160,18 +241,20 @@ def frac_det(m) -> Fraction:
         else Fraction(0)
 
 
-def frac_inv(m) -> np.ndarray:
+def frac_inv(m):
     """Exact inverse as an object array; raises Degenerate if singular."""
+    return _object_matrix(_inverse_rows(m))
+
+
+def _inverse_rows(m):
+    """frac_inv as rows of Fraction."""
     rows = _square_rows(m)
     n = len(rows)
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     reduced, _, det = row_reduce(aug, n)
     if det == 0:
         raise Degenerate("matrix is singular")
-    out = np.empty((n, n), dtype=object)
-    for i, row in enumerate(reduced):
-        out[i, :] = row[n:]
-    return out
+    return [row[n:] for row in reduced]
 
 
 def rank(rows) -> int:
@@ -188,8 +271,10 @@ def independent_rows(rows):
 
 
 def is_symmetric(m) -> bool:
-    a = np.array(m, dtype=object)
-    return a.shape[0] == a.shape[1] and (a == a.T).all()
+    rows = read_matrix(m, as_frac)
+    return all(len(row) == len(rows) for row in rows) and \
+        all(rows[i][j] == rows[j][i] for i in range(len(rows))
+            for j in range(i))
 
 
 def is_positive_definite(m) -> bool:
@@ -232,18 +317,16 @@ class PolarizationType:
             out *= x
         return out
 
-    def matrix(self) -> np.ndarray:
-        n = len(self.diag)
-        m = np.zeros((n, n), dtype=object)
-        for i, x in enumerate(self.diag):
-            m[i, i] = x
-        return m
+    def matrix(self):
+        """diag(d_1, ..., d_r), an object array."""
+        return _object_matrix([[x if i == j else 0 for j in range(
+            len(self.diag))] for i, x in enumerate(self.diag)])
 
 
 @dataclass(frozen=True)
 class SymplecticDecomposition:
     type: PolarizationType
-    basis_change: np.ndarray  # unimodular B with B e B^T in standard form
+    basis_change: object  # unimodular B with B e B^T in standard form
 
 
 def _eye_rows(n):
@@ -260,20 +343,22 @@ def _matmul(x, y):
     return [[_dot(row, col) for col in cols] for row in x]
 
 
-def _object_matrix(rows, ncols) -> np.ndarray:
-    return np.array(rows, dtype=object).reshape(len(rows), ncols)
-
-
-def hermite_normal_form(m) -> Tuple[np.ndarray, np.ndarray]:
+def hermite_normal_form(m):
     """Row-style Hermite normal form.
 
     Returns (h, u) with h = u @ m, u unimodular, h in upper echelon form
     with positive pivots and the entries above each pivot reduced into
     [0, pivot).
     """
-    a = as_int_matrix(m)
-    rows, cols = a.shape
-    h, u = a.tolist(), _eye_rows(rows)
+    a = read_matrix(m)
+    h, u = _hnf_rows(a)
+    return _object_matrix(h), _object_matrix(u)
+
+
+def _hnf_rows(a):
+    """hermite_normal_form of the int rows a, as rows (h, u)."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    h, u = [list(row) for row in a], _eye_rows(rows)
     r = 0
     for c in range(cols):
         if r >= rows:
@@ -305,18 +390,31 @@ def hermite_normal_form(m) -> Tuple[np.ndarray, np.ndarray]:
                 h[i] = _axpy(h[i], -q, h[r])
                 u[i] = _axpy(u[i], -q, u[r])
         r += 1
-    assert _matmul(u, a.tolist()) == h
-    return _object_matrix(h, cols), _object_matrix(u, rows)
+    _check(_matmul(u, a) == h, "u m == h")
+    return h, u
 
 
-def smith_normal_form(m) -> Tuple[List[int], np.ndarray, np.ndarray]:
+def _check(holds, identity):
+    """The self-check of a normal form: ArithmeticError unless the
+    identity it names holds."""
+    if not holds:
+        raise ArithmeticError("normal form self-check failed: " + identity)
+
+
+def smith_normal_form(m):
     """Smith normal form: u @ m @ v = diag(d) with d_i | d_{i+1}, d_i >= 0.
 
     Zero diagonal entries are sorted last.  u, v are unimodular.
     """
-    a = as_int_matrix(m)
-    rows, cols = a.shape
-    d, u, v = a.tolist(), _eye_rows(rows), _eye_rows(cols)
+    a = read_matrix(m)
+    d, u, v = _snf_rows(a)
+    return d, _object_matrix(u), _object_matrix(v)
+
+
+def _snf_rows(a):
+    """smith_normal_form of the int rows a, with u and v as rows."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    d, u, v = [list(row) for row in a], _eye_rows(rows), _eye_rows(cols)
     n = min(rows, cols)
 
     def min_entry(s):
@@ -374,9 +472,8 @@ def smith_normal_form(m) -> Tuple[List[int], np.ndarray, np.ndarray]:
         if d[s][s] < 0:
             for row in d + v:
                 row[s] = -row[s]
-    assert _matmul(_matmul(u, a.tolist()), v) == d
-    return ([d[k][k] for k in range(n)], _object_matrix(u, rows),
-            _object_matrix(v, cols))
+    _check(_matmul(_matmul(u, a), v) == d, "u m v == diag(d)")
+    return [d[k][k] for k in range(n)], u, v
 
 
 def saturated_quotient(span):
@@ -389,10 +486,17 @@ def saturated_quotient(span):
     u @ span @ v: pi is the last n-k rows of u, and sec and sat are the
     last n-k and first k columns of u^-1.
     """
-    diag, u, _ = smith_normal_form(span)
+    a = read_matrix(span)
+    pi, sec, sat = _saturated_quotient_rows(a)
+    return _object_matrix(pi, len(a)), _object_matrix(sec), _object_matrix(sat)
+
+
+def _saturated_quotient_rows(a):
+    """saturated_quotient of the int rows a, as rows (pi, sec, sat)."""
+    diag, u, _ = _snf_rows(a)
     k = sum(1 for x in diag if x != 0)
-    uinv = as_int_matrix(frac_inv(u))
-    return u[k:, :], uinv[:, k:], uinv[:, :k]
+    uinv = [[as_int(x) for x in row] for row in _inverse_rows(u)]
+    return u[k:], [row[k:] for row in uinv], [row[:k] for row in uinv]
 
 
 def symplectic_normal_form(e) -> SymplecticDecomposition:
@@ -402,11 +506,17 @@ def symplectic_normal_form(e) -> SymplecticDecomposition:
     B @ e @ B.T == [[0, diag(delta)], [-diag(delta), 0]].  A degenerate
     form raises Degenerate when the reduction meets an all-zero block.
     """
-    a = as_int_matrix(e)
-    n = a.shape[0]
-    if a.shape[1] != n or n % 2 != 0:
+    rows = read_matrix(e)
+    typ, b = _symplectic_rows(rows)
+    return SymplecticDecomposition(type=typ, basis_change=_object_matrix(b))
+
+
+def _symplectic_rows(rows):
+    """symplectic_normal_form of the int rows of e, as (type, rows of
+    B)."""
+    n = len(rows)
+    if any(len(row) != n for row in rows) or n % 2 != 0:
         raise NotSkew("form must be square of even size")
-    rows = a.tolist()
     if any(rows[i][j] != -rows[j][i] for i in range(n) for j in range(i, n)):
         raise NotSkew("form is not alternating")
     g = n // 2
@@ -477,25 +587,30 @@ def symplectic_normal_form(e) -> SymplecticDecomposition:
     # permute basis (x1, y1, x2, y2, ...) -> (x1..xg, y1..yg)
     typ = PolarizationType(tuple(m[2 * k][2 * k + 1] for k in range(g)))
     b = [b[2 * k] for k in range(g)] + [b[2 * k + 1] for k in range(g)]
-    assert _matmul(_matmul(b, rows), list(zip(*b))) == \
-        standard_symplectic_form(typ).tolist()
-    assert abs(frac_det(b)) == 1
-    return SymplecticDecomposition(type=typ, basis_change=_object_matrix(b, n))
+    _check(_matmul(_matmul(b, rows), transpose(b))
+           == _standard_form_rows(typ), "B e B^T == standard form")
+    _check(abs(frac_det(b)) == 1, "|det B| == 1")
+    return typ, b
 
 
-def standard_symplectic_form(delta: PolarizationType) -> np.ndarray:
+def standard_symplectic_form(delta: PolarizationType):
+    """[[0, diag(delta)], [-diag(delta), 0]], an object array."""
+    return _object_matrix(_standard_form_rows(delta))
+
+
+def _standard_form_rows(delta):
     g = len(delta.diag)
-    e = np.zeros((2 * g, 2 * g), dtype=object)
+    e = [[0] * (2 * g) for _ in range(2 * g)]
     for k, d in enumerate(delta.diag):
-        e[k, g + k] = d
-        e[g + k, k] = -d
+        e[k][g + k] = d
+        e[g + k][k] = -d
     return e
 
 
 def polarization_type(phi) -> PolarizationType:
     """Type of an injective lattice map: the SNF diagonal of its matrix."""
-    diag, u, v = smith_normal_form(phi)
-    if u.shape != v.shape or 0 in diag:
+    diag, u, v = _snf_rows(read_matrix(phi))
+    if len(u) != len(v) or 0 in diag:
         raise NotInjective("polarization matrix must be square and injective")
     return PolarizationType(tuple(diag))
 
@@ -561,25 +676,39 @@ def _dot(a, b):
 
 
 def lattice_membership(basis, vec) -> bool:
-    """Is vec in the lattice generated by the columns of basis?"""
-    return LatticeCoordinates(basis).contains(
-        np.array(vec, dtype=object).ravel())
+    """Is vec in the lattice generated by the columns of basis?  vec is
+    read flat, entries in row-major order, so a column matrix is one
+    too."""
+    return LatticeCoordinates(basis).contains(_flat(vec))
 
 
-def glxy_act(u, q, y_basis) -> np.ndarray:
-    """Action Q -> (u^T)^{-1} Q u^{-1} of the stabilizer GL(X, Y).
+def _flat(x):
+    """The entries of a nested sequence or array, in row-major order."""
+    if hasattr(x, "tolist"):
+        x = x.tolist()
+    return [y for e in x for y in _flat(e)] if _is_vector(x) else [x]
+
+
+def glxy_act(u, q, y_basis):
+    """Action Q -> (u^T)^{-1} Q u^{-1} of the stabilizer GL(X, Y), as an
+    object array.
 
     u must be unimodular and must map the sublattice spanned by the
     columns of y_basis into itself; otherwise NotInGLXY.
     """
-    u = as_int_matrix(u)
-    if u.shape[0] != u.shape[1]:
+    u = read_matrix(u)
+    n = len(u)
+    if any(len(row) != n for row in u):
         raise NotUnimodular("u must be square")
     if abs(frac_det(u)) != 1:
         raise NotUnimodular("u must have determinant +-1")
-    yb = as_int_matrix(y_basis)
-    for j in range(yb.shape[1]):
-        if not lattice_membership(yb, u @ yb[:, j]):
-            raise NotInGLXY("u does not preserve the sublattice Y")
-    ui = frac_inv(u)
-    return ui.T @ as_frac_matrix(q) @ ui
+    yb = read_matrix(y_basis)
+    cols = transpose(yb)
+    lat = LatticeCoordinates(yb) if cols else None
+    if any(not lat.contains([_dot(row, col) for row in u]) for col in cols):
+        raise NotInGLXY("u does not preserve the sublattice Y")
+    q = read_matrix(q, as_frac)
+    if len(q) != n or any(len(row) != n for row in q):
+        raise ValueError("q must be %d x %d, as u is" % (n, n))
+    ui = _inverse_rows(u)
+    return _object_matrix(_matmul(_matmul(transpose(ui), q), ui))

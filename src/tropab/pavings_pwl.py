@@ -14,6 +14,10 @@ built from integer sums (evaluate_numerators gives the integers, so a
 sum of values can build one Fraction).  The shifted affine piece on a
 translated cell has one definition, on that table, shared by evaluation
 and by affine_on_cell (hence bending parameters and affine regions).
+
+Matrices are read once into Fraction or int rows; numpy is imported
+only to build the public arrays (quasi_bilinear, and the bilinear form
+and period basis of a QuasiperiodicDecomposition) on first access.
 """
 
 from dataclasses import dataclass
@@ -24,15 +28,14 @@ from math import lcm, prod
 from operator import add, itemgetter
 from typing import Dict
 
-import numpy as np
-
 from . import _geometry as geom
 from .errors import (Degenerate, InvalidPaving, MissingVertexValue,
                      NonMatchingFaces, NotConvex, NotQuasiperiodic,
                      NotSimplicial, RankMismatch, TooLarge, Unbounded)
-from .exact_linalg import (LatticeCoordinates, as_frac, as_frac_matrix,
-                           as_int_matrix, clear_denominators,
-                           is_positive_definite, rank, row_reduce)
+from .exact_linalg import (LatticeCoordinates, ObjectMatrix, _is_vector,
+                           _object_matrix, as_frac, clear_denominators,
+                           is_positive_definite, rank, read_matrix,
+                           row_reduce, transpose)
 from .quadform_delaunay import (MAX_WINDOW_POINTS, PeriodicPaving,
                                 QuadraticForm, _ellipsoid_points,
                                 _obtuse_superbase, check_window_points,
@@ -42,7 +45,7 @@ from .quadform_delaunay import (MAX_WINDOW_POINTS, PeriodicPaving,
 def _as_rows(lin, k, r):
     """Normalize a linear part to a k-tuple of length-r rows."""
     lin = list(lin)
-    if lin and not isinstance(lin[0], (list, tuple, np.ndarray)):
+    if lin and not _is_vector(lin[0]):
         lin = [lin]
     out = tuple(tuple(map(as_frac, row)) for row in lin)
     if len(out) != k or any(len(row) != r for row in out):
@@ -52,7 +55,7 @@ def _as_rows(lin, k, r):
 
 
 def _as_vec(const, k):
-    if not isinstance(const, (list, tuple, np.ndarray)):
+    if not _is_vector(const):
         const = [const]
     out = tuple(map(as_frac, const))
     if len(out) != k:
@@ -72,8 +75,10 @@ class PwAffineFunction:
     with B_i the symmetric quadratic matrices and L_i the linear rows.
 
     The data is immutable: ``cell_affines`` and ``quasi_linear`` are
-    tuples and ``quasi_bilinear`` a tuple of read-only copies of the
-    matrices given.  Evaluation runs on one integer table built from it:
+    tuples and ``quasi_bilinear`` a tuple of read-only object arrays of
+    the matrices given, built on first access from their Fraction rows
+    (``_quasi_bilinear_rows``), on which the function computes.
+    Evaluation runs on one integer table built from it:
     D, the least common denominator of every coefficient and of every
     entry of B_i / 2 and L_i / 2; per payload i the integer rows of
     D B_i and D L_i / 2; per cell the integers D lin and D const.  A
@@ -90,21 +95,21 @@ class PwAffineFunction:
             raise ValueError("one affine piece per representative cell")
         self.cell_affines = tuple((_as_rows(lin, k, r), _as_vec(const, k))
                                   for lin, const in cell_affines)
-        self.quasi_bilinear = tuple(as_frac_matrix(b) for b in quasi_bilinear)
-        if len(self.quasi_bilinear) != k or any(
-                b.shape != (r, r) for b in self.quasi_bilinear):
+        bils = tuple(tuple(map(tuple, read_matrix(b, as_frac)))
+                     for b in quasi_bilinear)
+        if len(bils) != k or any(len(b) != r or any(len(row) != r
+                                                    for row in b)
+                                 for b in bils):
             raise ValueError("quasi_bilinear must be %d matrices of size %d"
                              % (k, r))
-        for b in self.quasi_bilinear:
-            b.flags.writeable = False
+        self._quasi_bilinear_rows = bils
         self.quasi_linear = _as_rows(quasi_linear, k, r)
 
-        bils = [b.tolist() for b in self.quasi_bilinear]
         dens = [x.denominator for lin, const in self.cell_affines
                 for row in lin + (const,) for x in row]
         # x / 2 has the denominator of x, doubled if its numerator is odd
         dens += [x.denominator << (x.numerator & 1)
-                 for rows in bils + [self.quasi_linear]
+                 for rows in bils + (self.quasi_linear,)
                  for row in rows for x in row]
         self._den = den = lcm(*dens)
 
@@ -117,6 +122,12 @@ class PwAffineFunction:
         self._cell_ints = tuple(tuple(zip((ints(row) for row in lin),
                                           ints(const)))
                                 for lin, const in self.cell_affines)
+
+    @cached_property
+    def quasi_bilinear(self):
+        """The B_i as read-only object arrays, built on first access."""
+        return tuple(_object_matrix(b, writeable=False)
+                     for b in self._quasi_bilinear_rows)
 
     # -- evaluation -----------------------------------------------------
 
@@ -193,8 +204,7 @@ class PwAffineFunction:
         return (self.paving == other.paving
                 and self.payload_rank == other.payload_rank
                 and self.cell_affines == other.cell_affines
-                and all((a == b).all() for a, b in
-                        zip(self.quasi_bilinear, other.quasi_bilinear))
+                and self._quasi_bilinear_rows == other._quasi_bilinear_rows
                 and self.quasi_linear == other.quasi_linear)
 
     def __add__(self, other):
@@ -206,8 +216,8 @@ class PwAffineFunction:
                  tuple(a + b for a, b in zip(c1, c2)))
                 for (l1, c1), (l2, c2) in
                 zip(self.cell_affines, other.cell_affines)]
-        bil = [a + b for a, b in
-               zip(self.quasi_bilinear, other.quasi_bilinear)]
+        bil = [[list(map(add, ra, rb)) for ra, rb in zip(a, b)] for a, b in
+               zip(self._quasi_bilinear_rows, other._quasi_bilinear_rows)]
         lin = tuple(tuple(a + b for a, b in zip(r1, r2))
                     for r1, r2 in zip(self.quasi_linear, other.quasi_linear))
         return PwAffineFunction(self.paving, affs, bil, lin,
@@ -218,7 +228,8 @@ class PwAffineFunction:
         affs = [(tuple(tuple(c * x for x in row) for row in lin),
                  tuple(c * x for x in const))
                 for lin, const in self.cell_affines]
-        bil = [c * b for b in self.quasi_bilinear]
+        bil = [[[c * x for x in row] for row in b]
+               for b in self._quasi_bilinear_rows]
         lin = tuple(tuple(c * x for x in row) for row in self.quasi_linear)
         return PwAffineFunction(self.paving, affs, bil, lin,
                                 self.payload_rank)
@@ -226,21 +237,24 @@ class PwAffineFunction:
 
 @dataclass(frozen=True)
 class QuasiperiodicDecomposition:
-    """psi = A + periodic with A(x) = 1/2 x^T B x + 1/2 L x."""
+    """psi = A + periodic with A(x) = 1/2 x^T B x + 1/2 L x.
 
-    bilinear: np.ndarray          # symmetric rational matrix B
+    B and the period basis are kept as Fraction and int rows; their
+    object arrays are built on first access."""
+
+    bilinear: object = ObjectMatrix(as_frac)    # symmetric rational B
     quadratic_linear: tuple       # rational row L
     periodic: dict                # residue point -> value
-    period_basis: np.ndarray
+    period_basis: object = ObjectMatrix()
 
     @cached_property
     def lattice(self) -> LatticeCoordinates:
         """Coordinates for the period lattice, built on first use."""
-        return LatticeCoordinates(self.period_basis)
+        return LatticeCoordinates(self._period_basis_rows)
 
     def quadratic_part(self, x):
         v = tuple(Fraction(t) for t in x)
-        return (Fraction(geom.bilinear(self.bilinear, v, v)) / 2
+        return (Fraction(geom.bilinear(self._bilinear_rows, v, v)) / 2
                 + geom.dot(self.quadratic_linear, v) / 2)
 
     def reconstruct(self, x):
@@ -383,14 +397,14 @@ def quasiperiodic_decompose(samples: Dict[tuple, Fraction],
     reconstruction, raises NotQuasiperiodic.  A period basis that is
     not square, or a sample point of another length, raises ValueError.
     """
-    pb = as_int_matrix(period_basis)
-    r = pb.shape[0]
+    pb = read_matrix(period_basis)
+    r = len(pb)
     samples = {tuple(int(x) for x in k): Fraction(v)
                for k, v in samples.items()}
-    if pb.shape != (r, r) or any(len(k) != r for k in samples):
+    if any(len(row) != r for row in pb) or any(len(k) != r for k in samples):
         raise ValueError("samples must be points of length %d and the "
                          "period basis square of that size" % r)
-    gens = [tuple(int(pb[i, j]) for i in range(r)) for j in range(r)]
+    gens = [tuple(col) for col in zip(*pb)]
 
     gram = [[None] * r for _ in range(r)]
     for i in range(r):
@@ -431,8 +445,7 @@ def quasiperiodic_decompose(samples: Dict[tuple, Fraction],
 
     lrow = tuple(Fraction(geom.dot(lvals, c), lat.den) for c in cols)
 
-    dec = QuasiperiodicDecomposition(np.array(bil, dtype=object), lrow, {},
-                                     pb)
+    dec = QuasiperiodicDecomposition(bil, lrow, {}, pb)
     for x, v in samples.items():
         res = tuple(Fraction(a) - t for a, t in zip(x, lat.shift(x)))
         p = v - dec.quadratic_part(x)
@@ -468,12 +481,12 @@ def interpolate_on_triangulation(values: Dict[tuple, Fraction],
     for c in t.cells:
         if len(c.vertices) != r + 1:
             raise NotSimplicial("cell %r is not a simplex" % (c.vertices,))
-    dec = quasiperiodic_decompose(values, t.period_basis)
+    dec = quasiperiodic_decompose(values, t.lattice.basis)
 
     affines = [_affine_through(c.vertices,
                                [dec.reconstruct(v) for v in c.vertices])
                for c in t.cells]
-    return PwAffineFunction(t, affines, [dec.bilinear],
+    return PwAffineFunction(t, affines, [dec._bilinear_rows],
                             [dec.quadratic_linear], payload_rank=1)
 
 
@@ -491,13 +504,13 @@ def cone_cy_membership(psi: Dict[tuple, Fraction], t: PeriodicPaving,
     ``paving``), and a coset psi does not sample raises
     MissingVertexValue on the field ``samples``.  The paving's window is
     unused; the answer is the same at every window."""
-    pb = as_int_matrix(period_basis)
+    pb = read_matrix(period_basis)
     lattice = LatticeCoordinates(pb)
-    if not all(lattice.contains(col) for col in zip(*t.period_basis)):
+    if not all(lattice.contains(col) for col in zip(*t.lattice.basis)):
         raise InvalidPaving("period_basis does not generate a lattice "
                             "containing the paving's period lattice",
                             field="period_basis")
-    cosets = coset_representatives(t.period_basis, "paving")
+    cosets = coset_representatives(t.lattice.basis, "paving")
     dec = quasiperiodic_decompose(psi, pb)
     g = interpolate_on_triangulation(psi, t)
     if any(b[0] < 0 for b in bending_parameters(g).values()):
@@ -530,7 +543,8 @@ def sigma_section(q: QuadraticForm, period_basis,
                                 for v in c.vertices])
                for c in pav.cells]
     zero = tuple(Fraction(0) for _ in range(q.rank))
-    return PwAffineFunction(pav, affines, [q.matrix], [zero], payload_rank=1)
+    return PwAffineFunction(pav, affines, [q._matrix_rows], [zero],
+                            payload_rank=1)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +564,7 @@ def lattice_minimum(f: PwAffineFunction, periods):
     if f.payload_rank != 1:
         raise RankMismatch("a lattice minimum needs scalar payload")
     (db, half_l), = f._quasi_ints
-    cols = as_int_matrix(periods).T.tolist()
+    cols = transpose(read_matrix(periods))
     r = len(cols)
     gram = [[geom.bilinear(db, a, b) for b in cols] for a in cols]
     if not is_positive_definite(gram):
@@ -588,7 +602,7 @@ def legendre_transform(f: PwAffineFunction, window: int):
     check_window_points(window, (2 * window + 1) ** f.rank)
     if any(b[0] < 0 for b in bending_parameters(f).values()):
         raise NotConvex("negative bending parameter")
-    minimum = lattice_minimum(f, f.paving.period_basis)
+    minimum = lattice_minimum(f, f.paving.lattice.basis)
     orbits = f.paving.vertex_orbits()
     return {mu: -min(minimum(v, mu) for v in orbits)
             for mu in product(range(-window, window + 1), repeat=f.rank)}
@@ -655,5 +669,5 @@ def affine_region_paving(f: PwAffineFunction) -> PeriodicPaving:
             facets = geom.polytope_facets(pts)
         merged.append(f.paving.canonical_cell(
             [v for v in pts if sum(v in fv for fv, _, _ in facets) >= r]))
-    return PeriodicPaving(f.rank, f.paving.period_basis, merged,
+    return PeriodicPaving(f.rank, f.paving.lattice.basis, merged,
                           f.paving.window)

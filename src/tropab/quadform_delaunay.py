@@ -12,6 +12,8 @@ does not enter the computation; the paving keeps it as a label.
 
 A QuadraticForm keeps its pavings, one per (period basis, window, shift),
 and a paving its facets, walls, point locator and second-Voronoi cone.
+Both compute on int or Fraction rows; numpy is imported only to build
+their public arrays, ``matrix`` and ``period_basis``, on first access.
 
 The second-Voronoi cone of a Delaunay paving is read off the same
 superbase: for r <= 3 it is the face of the principal cone {p_ij >= 0}
@@ -39,69 +41,70 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import ceil, floor, isqrt, lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import List, Tuple
-
-import numpy as np
 
 from . import _geometry as geom
 from .errors import (Degenerate, InvalidPaving, NotPositiveDefinite,
                      RankMismatch, TooLarge, WindowTooSmall)
-from .exact_linalg import (LatticeCoordinates, as_frac_matrix, as_int_matrix,
-                           clear_denominators, hermite_normal_form,
-                           independent_rows, is_positive_definite,
-                           is_symmetric, row_reduce)
+from .exact_linalg import (LatticeCoordinates, ObjectMatrix, _hnf_rows,
+                           as_frac, clear_denominators, independent_rows,
+                           is_positive_definite, is_symmetric, read_matrix,
+                           row_reduce, transpose)
 
 
 @dataclass(frozen=True)
 class QuadraticForm:
     """A symmetric rational matrix; Q(x) = x^T M x.
 
-    The matrix is a read-only copy of the one given (assigning into it
-    raises ValueError); ``+`` and ``scaled`` build new forms.  The form
-    keeps, in private attributes freed with it, whether it is positive
-    definite, once asked, and every Delaunay paving
-    delaunay_subdivision has computed from it.
+    The form computes on the Fraction rows of the matrix given, read
+    once (``_matrix_rows``).  ``matrix`` is a read-only object array of
+    them (assigning into it raises ValueError), built on first access.
+    ``+`` and ``scaled`` build new forms.  The form keeps, in private
+    attributes freed with it, whether it is positive definite, once
+    asked, and every Delaunay paving delaunay_subdivision has computed
+    from it.
     """
 
-    matrix: np.ndarray
+    matrix: object = ObjectMatrix(as_frac, writeable=False)
 
     def __post_init__(self):
-        m = as_frac_matrix(self.matrix)
-        if not is_symmetric(m):
+        if not is_symmetric(self._matrix_rows):
             raise ValueError("quadratic form matrix must be symmetric")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_pavings", {})
         object.__setattr__(self, "_positive_definite", None)
 
     @property
     def rank(self) -> int:
-        return self.matrix.shape[0]
+        return len(self._matrix_rows)
 
     def value(self, x) -> Fraction:
         v = [Fraction(t) for t in x]
-        return geom.bilinear(self.matrix, v, v)
+        return geom.bilinear(self._matrix_rows, v, v)
 
     def cleared(self):
         """(m, scale): the integer rows m of scale * M, for scale the least
         common denominator of the entries of M."""
-        scale = lcm(*(x.denominator for x in self.matrix.flat))
+        rows = self._matrix_rows
+        scale = lcm(*(x.denominator for row in rows for x in row))
         return [[x.numerator * (scale // x.denominator) for x in row]
-                for row in self.matrix.tolist()], scale
+                for row in rows], scale
 
     def is_positive_definite(self) -> bool:
         """Sylvester's criterion, run on the first call only."""
         if self._positive_definite is None:
             object.__setattr__(self, "_positive_definite",
-                               is_positive_definite(self.matrix))
+                               is_positive_definite(self._matrix_rows))
         return self._positive_definite
 
     def __add__(self, other):
-        return QuadraticForm(self.matrix + other.matrix)
+        return QuadraticForm([list(map(add, a, b)) for a, b in zip(
+            self._matrix_rows, other._matrix_rows, strict=True)])
 
     def scaled(self, c) -> "QuadraticForm":
-        return QuadraticForm(Fraction(c) * self.matrix)
+        c = Fraction(c)
+        return QuadraticForm([[c * x for x in row]
+                              for row in self._matrix_rows])
 
 
 def _as_int_if_possible(x):
@@ -138,16 +141,23 @@ class PeriodicPaving:
     """A periodic polytopal subdivision, stored by cell-orbit reps.
 
     period_basis columns generate the translation lattice; ``cells``
-    holds one canonical representative per orbit of maximal cells.
+    holds one canonical representative per orbit of maximal cells.  The
+    paving computes on the int rows of the basis given, read once
+    (``lattice.basis``); ``period_basis`` is an object array of them,
+    built on first access.
     """
+
+    period_basis = ObjectMatrix()
 
     def __init__(self, rank, period_basis, cells, window):
         self.rank = int(rank)
-        self.period_basis = as_int_matrix(period_basis)
-        if self.period_basis.shape != (self.rank, self.rank):
+        self.period_basis = period_basis
+        rows = self._period_basis_rows
+        if len(rows) != self.rank or any(len(row) != self.rank
+                                         for row in rows):
             raise InvalidPaving("period basis must be square of the rank")
         try:
-            self.lattice = LatticeCoordinates(self.period_basis)
+            self.lattice = LatticeCoordinates(rows)
         except Degenerate:
             raise InvalidPaving("period basis must be nondegenerate") \
                 from None
@@ -342,7 +352,7 @@ class PeriodicPaving:
         if not isinstance(other, PeriodicPaving):
             return NotImplemented
         return (self.rank == other.rank
-                and (self.period_basis == other.period_basis).all()
+                and self.lattice.basis == other.lattice.basis
                 and [c.vertices for c in self.cells]
                 == [c.vertices for c in other.cells])
 
@@ -379,8 +389,8 @@ def coset_representatives(basis, field):
     through the pivots leaves one vector of each coset in the box).  An
     index over MAX_WINDOW_POINTS is refused, with TooLarge on ``field``,
     before any vector is listed."""
-    h, _ = hermite_normal_form(as_int_matrix(basis).T)
-    pivots = [int(h[i, i]) for i in range(len(h))]
+    h, _ = _hnf_rows(transpose(read_matrix(basis)))
+    pivots = [h[i][i] for i in range(len(h))]
     if prod(pivots) > MAX_WINDOW_POINTS:
         raise TooLarge("a lattice of index %d has more than %d cosets"
                        % (prod(pivots), MAX_WINDOW_POINTS), field=field)
@@ -416,14 +426,14 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
     if r > 3:
         raise TooLarge("Delaunay is computed for rank <= 3, not %d" % r,
                        field="q")
-    pb = as_int_matrix(period_basis)
+    pb = read_matrix(period_basis)
     # an integral shift stays int, so the cells stay on ints
     shift = tuple(_as_int_if_possible(x)
                   for x in ((0,) * r if shift is None else shift))
     if len(shift) != r:
         raise RankMismatch("shift of length %d for a form of rank %d"
                            % (len(shift), r), field="shift")
-    key = (tuple(map(tuple, pb.tolist())), window, shift)
+    key = (tuple(map(tuple, pb)), window, shift)
     if key in q._pavings:
         return q._pavings[key]
     paving = PeriodicPaving(r, pb, [], window)
@@ -588,7 +598,7 @@ def _equidistant_center(verts, q):
     if d == 0:
         return tuple(Fraction(x) for x in v0)
     # center c = v0 + sum t_k basis_k ; equations Q(v - c) = Q(v0 - c)
-    system = [[2 * geom.bilinear(q.matrix, dv, bk) for bk in basis]
+    system = [[2 * geom.bilinear(q._matrix_rows, dv, bk) for bk in basis]
               + [q.value(dv)] for dv in diffs]
     # the (possibly overdetermined) system needs a unique solution: a
     # pivot in every t column and none in the right-hand side
@@ -710,7 +720,7 @@ def voronoi_cone_contains(paving: PeriodicPaving, q: QuadraticForm) -> bool:
     if q.rank != paving.rank:
         raise InvalidPaving("rank mismatch between form and paving", field="q")
     equalities, inequalities = secondary_cone(paving)
-    x = clear_denominators([t for i, row in enumerate(q.matrix.tolist())
+    x = clear_denominators([t for i, row in enumerate(q._matrix_rows)
                             for t in row[i:]])[0]     # the q_ij, i <= j
     return (all(geom.dot(e, x) == 0 for e in equalities)
             and all(geom.dot(e, x) >= 0 for e in inequalities))

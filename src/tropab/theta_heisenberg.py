@@ -3,21 +3,19 @@ cyclotomic integers, balanced theta sections and their exact valuation
 profiles, and the degeneration/twist exponent data.
 
 The exponents are integer sums over plain tuples with one Fraction at
-the end; numpy object arrays are only the public boundary (the matrices
-DegenerationData holds)."""
+the end.  Matrices are read once into int rows; numpy is imported only
+to build the public arrays of a DegenerationData on first access."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-import numpy as np
-
 from . import _geometry as geom
 from .errors import (BadLift, BadModulus, BadTwistPair, EmptyComponent,
                      InconsistentData, RankMismatch, TooLarge)
-from .exact_linalg import (PolarizationType, as_int_matrix,
-                           hermite_normal_form)
+from .exact_linalg import (ObjectMatrix, PolarizationType, _hnf_rows,
+                           read_matrix)
 from .degeneration_monoids import _fourier_indices
 from .pavings_pwl import PwAffineFunction, lattice_minimum
 from .quadform_delaunay import (MAX_WINDOW_POINTS, QuadraticForm,
@@ -31,7 +29,15 @@ from .quadform_delaunay import (MAX_WINDOW_POINTS, QuadraticForm,
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int):
     """Coefficients (ascending) of the m-th cyclotomic polynomial,
-    computed by dividing x^m - 1 by the proper-divisor factors."""
+    computed by dividing x^m - 1 by the proper-divisor factors.  Its
+    degree is phi(m); over MAX_WINDOW_POINTS it is refused, with
+    TooLarge on the field ``modulus``, before anything is divided."""
+    # phi(m) >= sqrt(m / 2) for every m, so beyond 2 MAX_WINDOW_POINTS^2
+    # the degree is over the limit without factoring m
+    if m > 2 * MAX_WINDOW_POINTS ** 2 or _totient(m) > MAX_WINDOW_POINTS:
+        raise TooLarge("the cyclotomic polynomial of order %d has degree "
+                       "phi(%d) > %d" % (m, m, MAX_WINDOW_POINTS),
+                       field="modulus")
     num = [0] * m + [1]
     num[0] = -1
     for d in range(1, m):
@@ -40,17 +46,31 @@ def cyclotomic_polynomial(m: int):
     return tuple(num)
 
 
+def _totient(m):
+    """Euler's phi(m), by trial division."""
+    out, n, p = m, m, 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out - out // n if n > 1 else out
+
+
 def _poly_div_exact(num, den):
     num = list(num)
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
         c = num[i + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1] != 0:
+            raise ArithmeticError("%r does not divide %r" % (den, num))
         q = c // den[-1]
         out[i] = q
         for j, dj in enumerate(den):
             num[i + j] -= q * dj
-    assert all(x == 0 for x in num)
+    if any(num):
+        raise ArithmeticError("the division leaves a remainder %r" % (num,))
     return out
 
 
@@ -441,43 +461,53 @@ def section_exponent_pattern(v: SchrodingerVector):
 
 @dataclass(frozen=True)
 class DegenerationData:
+    """The matrices are read once into int rows (``_phi_check_rows``,
+    ``_s_xi_rows``, ``_s_prime_rows``); phi_check, s_xi and s_prime are
+    object arrays of them, built on first access.  S' defaults to the
+    symmetric mod-2 lift of S_xi with zero diagonal."""
+
     q_form: QuadraticForm
-    phi_check: np.ndarray
+    phi_check: object = ObjectMatrix()
     d_type: PolarizationType
-    s_xi: np.ndarray
-    s_prime: np.ndarray = None
+    s_xi: object = ObjectMatrix()
+    s_prime: object = ObjectMatrix(default=None)
 
     def __post_init__(self):
-        pc = as_int_matrix(self.phi_check)
-        object.__setattr__(self, "phi_check", pc)
+        pc = self._phi_check_rows
         g = self.q_form.rank
         d = self.d_type.diag
         if len(d) != g:
             raise ValueError("d_type must have %d entries" % g)
-        q = self.q_form.matrix
+        q = self.q_form._matrix_rows
         # phi_check == 2 Q d^-1, compared column by column as pc d == 2 Q
-        if pc.shape != (g, g) or any(
-                pc[i, j] * d[j] != 2 * q[i, j]
+        if not _is_square(pc, g) or any(
+                pc[i][j] * d[j] != 2 * q[i][j]
                 for i in range(g) for j in range(g)):
             raise InconsistentData(
                 "phi_check must equal 2 Q d^{-1} and be integral")
-        sx = as_int_matrix(self.s_xi)
-        if (sx.T != -sx).any():
+        sx = self._s_xi_rows
+        if not _is_square(sx, g):
+            raise ValueError("S_xi must be %d x %d" % (g, g))
+        if any(sx[j][i] != -sx[i][j] for i in range(g) for j in range(g)):
             raise BadTwistPair("S_xi must be skew-symmetric")
-        object.__setattr__(self, "s_xi", sx)
-        if self.s_prime is None:
-            # the symmetric mod-2 lift of S_xi with zero diagonal
-            sp = np.array([[int(sx[min(i, j), max(i, j)]) % 2 if i != j
-                            else 0 for j in range(g)] for i in range(g)],
-                          dtype=object)
-        else:
-            sp = as_int_matrix(self.s_prime)
-            if (sp.T != sp).any():
-                raise BadTwistPair("S' must be symmetric")
-            if any((int(sp[i, j]) - int(sx[i, j])) % 2 != 0
-                   for i in range(g) for j in range(g)):
-                raise BadTwistPair("S' must be congruent to S_xi mod 2")
-        object.__setattr__(self, "s_prime", sp)
+        sp = self._s_prime_rows
+        if sp is None:
+            object.__setattr__(self, "s_prime", [
+                [sx[min(i, j)][max(i, j)] % 2 if i != j else 0
+                 for j in range(g)] for i in range(g)])
+            return
+        if not _is_square(sp, g):
+            raise ValueError("S' must be %d x %d" % (g, g))
+        if any(sp[j][i] != sp[i][j] for i in range(g) for j in range(g)):
+            raise BadTwistPair("S' must be symmetric")
+        if any((sp[i][j] - sx[i][j]) % 2 != 0
+               for i in range(g) for j in range(g)):
+            raise BadTwistPair("S' must be congruent to S_xi mod 2")
+
+
+def _is_square(rows, g):
+    """Are the rows those of a g x g matrix?"""
+    return len(rows) == g and all(len(row) == g for row in rows)
 
 
 def degen_exponents(data: DegenerationData, lam, alpha):
@@ -486,7 +516,7 @@ def degen_exponents(data: DegenerationData, lam, alpha):
     taken as 1/2 lambda^T phi_check d lambda, an integer over 2.  A
     vector of the wrong length raises ValueError."""
     lam, alpha = tuple(map(int, lam)), tuple(map(int, alpha))
-    pc = data.phi_check.tolist()
+    pc = data._phi_check_rows
     d_lam = tuple(x * d for x, d in zip(lam, data.d_type.diag, strict=True))
     return (Fraction(geom.bilinear(pc, lam, d_lam), 2),
             Fraction(geom.bilinear(pc, lam, alpha)))
@@ -501,8 +531,8 @@ def twist_data(data: DegenerationData, lam, alpha):
     dg = data.d_type.diag[-1]
     scaled = tuple(x * (dg // d)
                    for x, d in zip(alpha, data.d_type.diag, strict=True))
-    a = -geom.bilinear(data.s_prime.tolist(), lam, lam)
-    b = -geom.bilinear(data.s_xi.tolist(), lam, scaled)
+    a = -geom.bilinear(data._s_prime_rows, lam, lam)
+    b = -geom.bilinear(data._s_xi_rows, lam, scaled)
     return Fraction(a % 4, 2), Fraction(b % (2 * dg), dg)
 
 
@@ -510,7 +540,7 @@ def twist_bilinear_form(data: DegenerationData, lam, mu):
     """chi's associated bilinear form: a'(l+m) - a'(l) - a'(m) mod 2,
     which must match -lambda^T S' mu."""
     lam, mu = tuple(map(int, lam)), tuple(map(int, mu))
-    return Fraction(-geom.bilinear(data.s_prime.tolist(), lam, mu) % 2)
+    return Fraction(-geom.bilinear(data._s_prime_rows, lam, mu) % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -533,15 +563,13 @@ def section_valuation_profile(section: SchrodingerVector,
     diag(delta) Z^r, so classes and indices correspond one to one.  A
     section whose delta is not the Smith type of phi_map raises
     InconsistentData on the field ``delta``."""
-    pm = as_int_matrix(phi_map)
-    pm_rows = pm.tolist()
+    pm_rows = read_matrix(phi_map)
     r = phi.rank
-    reps, ptype, u = _fourier_indices(r, pm)
+    reps, ptype, u_rows = _fourier_indices(r, pm_rows)
     if ptype != section.delta:
         raise InconsistentData(
             "a section of H(%r) for phi_map of Smith type %r"
             % (section.delta.diag, ptype.diag), field="delta")
-    u_rows = u.tolist()
     ks = _preimage_basis(pm_rows, phi.paving.lattice)
     minimum = lattice_minimum(
         phi, [[geom.dot(row, k) for k in ks] for row in pm_rows])
@@ -570,5 +598,5 @@ def _preimage_basis(pm_rows, lattice):
               for row in lattice.inv_rows]
     stacked = [list(col) for col in zip(*c_rows)] + \
         [[lattice.den * (i == j) for j in range(r)] for i in range(r)]
-    _, u = hermite_normal_form(stacked)
-    return [tuple(row[:r]) for row in u.tolist()[r:]]
+    _, u = _hnf_rows(stacked)
+    return [tuple(row[:r]) for row in u[r:]]

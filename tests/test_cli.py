@@ -3,13 +3,20 @@ and piping one command's output into the next."""
 
 import io
 import json
+import os
+import subprocess
+import sys
+import threading
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tropab import errors, quadform_delaunay
 from tropab.cli import HANDLERS, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(command, doc=None, args=(), text=None):
@@ -462,6 +469,18 @@ def test_degen_and_twist():
     assert got["a_exp"] == "0" and got["b_exp"] == "0"
 
 
+@pytest.mark.parametrize("key", ["s_xi", "s_prime"])
+def test_degen_refuses_a_twist_matrix_of_the_wrong_size(key):
+    """A 1 x 1 S_xi or S' for a rank-2 form is malformed input (exit 2),
+    not an IndexError."""
+    doc = {"q": [[1, 0], [0, 1]], "phi_check": [[2, 0], [0, 2]],
+           "d_type": [1, 1], "s_xi": [[0, 0], [0, 0]], "lambda": [1, 1],
+           "alpha": [0, 0], key: [[0]]}
+    code, out, err = run("degen", doc)
+    assert (code, out) == (2, "")
+    assert "must be 2 x 2" in err
+
+
 def test_profile():
     got = run_json("profile", {
         "delta": [3], "modulus": 6,
@@ -667,3 +686,100 @@ def test_balanced_refuses_too_many_sections_before_building_them():
     got = json.loads(out)
     assert (got["code"], got["field"]) == ("TooLarge", "delta")
     assert "8^7" in got["message"]
+
+
+def test_balanced_refuses_a_modulus_whose_cyclotomic_degree_is_too_large():
+    """phi(2 * 10^6) = 800000 is over the limit: refused within 1 s,
+    before the cyclotomic polynomial is built, which would not end in
+    minutes.  The call runs in a thread, so a regression fails here
+    instead of hanging."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(run(
+        "balanced", {"delta": [1], "modulus": 2_000_000})), daemon=True)
+    worker.start()
+    worker.join(timeout=1)
+    assert not worker.is_alive(), "balanced still runs after 1 s"
+    code, out, _ = result[0]
+    assert code == 1
+    got = json.loads(out)
+    assert (got["code"], got["field"]) == ("TooLarge", "modulus")
+
+
+@pytest.mark.parametrize("command", ["kw", "profile"])
+def test_theta_commands_refuse_a_huge_modulus_naming_it(command):
+    doc = dict(_seed_documents()[command], modulus=6 * 10 ** 30)
+    code, out, _ = run(command, doc)
+    assert code == 1
+    got = json.loads(out)
+    assert (got["code"], got["field"]) == ("TooLarge", "modulus")
+
+
+def test_heis_needs_no_cyclotomic_polynomial_and_answers_any_modulus():
+    got = run_json("heis", {"delta": [3], "modulus": 6 * 10 ** 30,
+                            "x": [0, [1], [0]], "y": [0, [0], [1]]})
+    assert got == {"kind": "heisenberg-element", "t": 2 * 10 ** 30,
+                   "a": [1], "b": [1]}
+
+
+# -- the Siegel commands print what they printed with numpy arrays ----------
+
+@pytest.mark.parametrize("command, doc, want", [
+    ("gamma", {"tau": [[[0.5, 2], [0.25, 0.5]], [[0.25, 0.5], [0, 1.5]]],
+               "r": [[1, 0, 1, 1], [0, 1, 1, -2], [0, 0, 1, 0],
+                     [0, 0, 0, 1]], "delta": [1, 1]},
+     '{"kind":"siegel-point","tau":[[[1.5,2.0],[1.25,0.5]],'
+     '[[1.25,0.5],[-2.0,1.5]]]}\n'),
+    ("cayley", {"tau": [[[0, 3], [0, 0]], [[0, 0], [0, 3]]]},
+     '{"kind":"matrix","value":[[[0.5,0.0],[0.0,0.0]],'
+     '[[0.0,0.0],[0.5,0.0]]]}\n'),
+    ("trop", {"tau": [[[0, 2], [0, 1], [0.5, 0]], [[0, 1], [0, 2], [0, 1]],
+                      [[0.5, 0], [0, 1], [1, 4]]], "gprime": 1},
+     '{"kind":"matrix","value":[[1.5,1.0],[1.0,4.0]]}\n'),
+], ids=["gamma", "cayley", "trop"])
+def test_siegel_output_is_byte_stable(command, doc, want):
+    """Complex and float arrays are serialized through .tolist(); the
+    bytes are those the numpy branches of ser printed."""
+    code, out, err = run(command, doc)
+    assert (code, out, err) == (0, want, "")
+
+
+# -- start-up without numpy -------------------------------------------------
+
+NUMPY_FREE = ["delaunay", "voronoi-cone", "fiber", "cy-cone", "sigma",
+              "bend", "legendre", "monoid-add", "face", "fourier", "poltype",
+              "heis", "kw", "balanced", "profile", "degen", "twist"]
+
+_NUMPY_PROBE = """
+import io, json, sys
+steps = []
+def step(label, code=None):
+    steps.append([label, code, "numpy" in sys.modules])
+import tropab
+step("import tropab")
+from tropab.cli import main
+step("import tropab.cli")
+for command, text in json.loads(sys.stdin.read()):
+    out, err = io.StringIO(), io.StringIO()
+    step(command, main([command], stdin=io.StringIO(text), stdout=out,
+                       stderr=err))
+step("tropab.SiegelPoint", tropab.SiegelPoint.__name__)
+print(json.dumps(steps))
+"""
+
+
+def test_the_exact_subcommands_run_without_importing_numpy():
+    """In a fresh interpreter, import tropab, import the CLI, and run
+    each exact subcommand and one malformed input: none loads numpy.
+    The Siegel names still resolve, and bring numpy in."""
+    calls = [(c, json.dumps(_seed_documents()[c])) for c in NUMPY_FREE]
+    calls.append(("snf", "this is not json"))
+    p = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE], input=json.dumps(calls),
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert p.returncode == 0, p.stderr
+    steps = json.loads(p.stdout)
+    first = next((label for label, _, loaded in steps[:-1] if loaded), None)
+    assert first is None, "%s loaded numpy" % first
+    assert [code for _, code, _ in steps[2:-1]] == [0] * len(NUMPY_FREE) + [2]
+    assert steps[-1] == ["tropab.SiegelPoint", "SiegelPoint", True]

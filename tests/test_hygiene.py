@@ -1,8 +1,9 @@
 """Source hygiene: every name a module of the package or of the tests
 imports is used in that module, every private module-level function of
 the package is used somewhere in it, no module of the package but
-siegel_trop and cli uses a float, and none but _geometry calls the
-cofactor determinant _det.  A function is private when its
+siegel_trop and cli uses a float, none but _geometry calls the
+cofactor determinant _det, and none but siegel_trop imports numpy
+when it is imported.  A function is private when its
 name or its module's file name starts with an underscore.  The package's
 ``__init__.py`` files import names only to re-export them and are not
 scanned for imports."""
@@ -220,6 +221,56 @@ def test_only_the_geometry_module_calls_det():
         if path.name in DET_MODULES:
             continue
         lines = det_calls(path.read_text())
+        if lines:
+            found[str(path.relative_to(ROOT))] = lines
+    assert found == {}
+
+
+# numpy is imported at import time by siegel_trop alone; the exact
+# modules import it inside the function that builds their public arrays
+NUMPY_MODULES = {"siegel_trop.py"}
+
+
+def import_time_numpy_imports(source):
+    """The line of each import of numpy or a numpy submodule that runs
+    when the module is imported: any outside a function body."""
+    out = []
+    todo = list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            todo.extend(ast.iter_child_nodes(node))
+            continue
+        if any(n == "numpy" or n.startswith("numpy.") for n in names):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_the_scan_finds_every_import_time_numpy_import():
+    source = ("import numpy as np\n"
+              "from numpy.linalg import inv\n"
+              "import numbers, numpy\n"
+              "def build():\n    import numpy as np\n    return np\n"
+              "class A:\n    import numpy\n"
+              "    def f(self):\n        from numpy import array\n"
+              "try:\n    import numpy\nexcept ImportError:\n    pass\n"
+              "import numpyish\n")
+    assert import_time_numpy_imports(source) == [1, 2, 3, 8, 12]
+
+
+def test_only_the_siegel_module_imports_numpy_at_import_time():
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name in NUMPY_MODULES:
+            continue
+        lines = import_time_numpy_imports(path.read_text())
         if lines:
             found[str(path.relative_to(ROOT))] = lines
     assert found == {}

@@ -5,7 +5,7 @@ exponents of degenerating families."""
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -54,6 +54,33 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_exact_division_refuses_a_remainder():
+    """Not an assert, which -O strips: a pair that does not divide raises
+    ArithmeticError whichever coefficient shows it."""
+    with pytest.raises(ArithmeticError):
+        theta_heisenberg._poly_div_exact([1, 0, 1], [1, 1])   # x^2 + 1
+    with pytest.raises(ArithmeticError):
+        theta_heisenberg._poly_div_exact([1, 1], [1, 2])      # lead 1 / 2
+    assert theta_heisenberg._poly_div_exact([-1, 0, 1], [1, 1]) == [-1, 1]
+
+
+def test_the_cyclotomic_degree_is_euler_phi():
+    for m in range(1, 301):
+        phi = sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+        assert theta_heisenberg._totient(m) == phi
+        if m <= 60:
+            assert len(cyclotomic_polynomial(m)) - 1 == phi
+
+
+@pytest.mark.parametrize("m", [100_003, 10 ** 40])
+def test_a_cyclotomic_polynomial_of_too_high_degree_is_refused(m):
+    """The prime 100003 has phi = 100002, just over the limit; beyond
+    2 * 10^10 phi(m) >= sqrt(m / 2) exceeds it and m is not factored."""
+    with pytest.raises(TooLarge) as e:
+        CyclotomicInteger.one(m)
+    assert e.value.field == "modulus"
 
 
 def test_zeta_relations():
