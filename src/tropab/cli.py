@@ -31,9 +31,7 @@ class MalformedInput(Exception):
 
 def _frac(x):
     try:
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, (int, float)):
+        if isinstance(x, (str, int, float)):
             return Fraction(x)
     except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise MalformedInput("bad rational %r: %s" % (x, e))
@@ -85,9 +83,7 @@ def ser(x):
     ``.tolist()`` (a numpy array or scalar) is serialized through it."""
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, (bool, int, str)) or x is None:
-        return x
-    if isinstance(x, float):
+    if isinstance(x, (bool, int, float, str)) or x is None:
         return x
     if isinstance(x, complex):
         return [x.real, x.imag]
@@ -359,13 +355,9 @@ def _h_kw(doc, opts):
 def _h_balanced(doc, opts):
     delta = _delta(doc["delta"])
     m = _modulus(doc, delta)
-    secs = theta_heisenberg.enumerate_balanced_set(delta, m)
-    pats = sorted(
-        tuple(sorted((k, e) for k, e in
-                     theta_heisenberg.section_exponent_pattern(v).items()))
-        for v in secs)
-    return {"kind": "balanced-set", "count": len(secs),
-            "sections": [[[list(k), e] for k, e in p] for p in pats]}
+    pats = [[[list(k), e] for k, e in p]
+            for p in theta_heisenberg._balanced_patterns(delta, m)]
+    return {"kind": "balanced-set", "count": len(pats), "sections": pats}
 
 
 def _de_degen(doc):

@@ -21,7 +21,7 @@ modules.  So numpy is imported only by siegel_trop and by the public
 functions and attributes that return arrays.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -140,6 +140,25 @@ class ObjectMatrix:
         obj.__dict__[self.rows] = None if value is None else tuple(
             map(tuple, read_matrix(value, self.entry)))
         obj.__dict__.pop(self.name, None)
+
+
+class ComparedByRows:
+    """Equality and hash of a frozen dataclass declared with eq=False:
+    its field values, an ObjectMatrix field's as rows, a dict's as items.
+    (The generated ones compare object arrays, whose == is elementwise.)"""
+
+    def _key(self):
+        own = vars(self)
+        values = (own.get("_%s_rows" % f.name, own.get(f.name))
+                  for f in fields(self))
+        return tuple(frozenset(v.items()) if isinstance(v, dict) else v
+                     for v in values)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def clear_denominators(point):
@@ -323,10 +342,10 @@ class PolarizationType:
             len(self.diag))] for i, x in enumerate(self.diag)])
 
 
-@dataclass(frozen=True)
-class SymplecticDecomposition:
+@dataclass(frozen=True, eq=False)
+class SymplecticDecomposition(ComparedByRows):
     type: PolarizationType
-    basis_change: object  # unimodular B with B e B^T in standard form
+    basis_change: object = ObjectMatrix()   # B e B^T in standard form
 
 
 def _eye_rows(n):
@@ -508,7 +527,7 @@ def symplectic_normal_form(e) -> SymplecticDecomposition:
     """
     rows = read_matrix(e)
     typ, b = _symplectic_rows(rows)
-    return SymplecticDecomposition(type=typ, basis_change=_object_matrix(b))
+    return SymplecticDecomposition(type=typ, basis_change=b)
 
 
 def _symplectic_rows(rows):

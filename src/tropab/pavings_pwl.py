@@ -32,10 +32,10 @@ from . import _geometry as geom
 from .errors import (Degenerate, InvalidPaving, MissingVertexValue,
                      NonMatchingFaces, NotConvex, NotQuasiperiodic,
                      NotSimplicial, RankMismatch, TooLarge, Unbounded)
-from .exact_linalg import (LatticeCoordinates, ObjectMatrix, _is_vector,
-                           _object_matrix, as_frac, clear_denominators,
-                           is_positive_definite, rank, read_matrix,
-                           row_reduce, transpose)
+from .exact_linalg import (ComparedByRows, LatticeCoordinates, ObjectMatrix,
+                           _is_vector, _object_matrix, as_frac,
+                           clear_denominators, is_positive_definite, rank,
+                           read_matrix, row_reduce, transpose)
 from .quadform_delaunay import (MAX_WINDOW_POINTS, PeriodicPaving,
                                 QuadraticForm, _ellipsoid_points,
                                 _obtuse_superbase, check_window_points,
@@ -235,8 +235,8 @@ class PwAffineFunction:
                                 self.payload_rank)
 
 
-@dataclass(frozen=True)
-class QuasiperiodicDecomposition:
+@dataclass(frozen=True, eq=False)
+class QuasiperiodicDecomposition(ComparedByRows):
     """psi = A + periodic with A(x) = 1/2 x^T B x + 1/2 L x.
 
     B and the period basis are kept as Fraction and int rows; their

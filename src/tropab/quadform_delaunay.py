@@ -47,14 +47,14 @@ from typing import List, Tuple
 from . import _geometry as geom
 from .errors import (Degenerate, InvalidPaving, NotPositiveDefinite,
                      RankMismatch, TooLarge, WindowTooSmall)
-from .exact_linalg import (LatticeCoordinates, ObjectMatrix, _hnf_rows,
-                           as_frac, clear_denominators, independent_rows,
-                           is_positive_definite, is_symmetric, read_matrix,
-                           row_reduce, transpose)
+from .exact_linalg import (ComparedByRows, LatticeCoordinates, ObjectMatrix,
+                           _hnf_rows, as_frac, clear_denominators,
+                           independent_rows, is_positive_definite,
+                           is_symmetric, read_matrix, row_reduce, transpose)
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+@dataclass(frozen=True, eq=False)
+class QuadraticForm(ComparedByRows):
     """A symmetric rational matrix; Q(x) = x^T M x.
 
     The form computes on the Fraction rows of the matrix given, read

@@ -91,7 +91,9 @@ def cayley_transform(tau: SiegelPoint) -> np.ndarray:
         raise NearSingularDenominator("tau + iI is near singular")
     z = (tau.tau - 1j * eye) @ np.linalg.inv(denom)
     z = (z + z.T) / 2
-    assert _min_cholesky_pivot((eye - z @ np.conj(z)).real) > 0
+    if _min_cholesky_pivot((eye - z @ np.conj(z)).real) <= 0:
+        raise IllConditionedBlock("I - Z conj(Z) is not positive definite "
+                                  "in binary64", field="tau")
     return z
 
 

@@ -2,20 +2,21 @@
 cyclotomic integers, balanced theta sections and their exact valuation
 profiles, and the degeneration/twist exponent data.
 
-The exponents are integer sums over plain tuples with one Fraction at
-the end.  Matrices are read once into int rows; numpy is imported only
-to build the public arrays of a DegenerationData on first access."""
+Phi_M is built from the radical of M, the balanced set is listed by
+exponent pattern, and exponents are integer sums over plain tuples.
+Matrices are read once into int rows, arrays built on first access."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from itertools import product
+from math import prod
 
 from . import _geometry as geom
 from .errors import (BadLift, BadModulus, BadTwistPair, EmptyComponent,
                      InconsistentData, RankMismatch, TooLarge)
-from .exact_linalg import (ObjectMatrix, PolarizationType, _hnf_rows,
-                           read_matrix)
+from .exact_linalg import (ComparedByRows, ObjectMatrix, PolarizationType,
+                           _hnf_rows, read_matrix)
 from .degeneration_monoids import _fourier_indices
 from .pavings_pwl import PwAffineFunction, lattice_minimum
 from .quadform_delaunay import (MAX_WINDOW_POINTS, QuadraticForm,
@@ -28,50 +29,46 @@ from .quadform_delaunay import (MAX_WINDOW_POINTS, QuadraticForm,
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int):
-    """Coefficients (ascending) of the m-th cyclotomic polynomial,
-    computed by dividing x^m - 1 by the proper-divisor factors.  Its
-    degree is phi(m); over MAX_WINDOW_POINTS it is refused, with
-    TooLarge on the field ``modulus``, before anything is divided."""
-    # phi(m) >= sqrt(m / 2) for every m, so beyond 2 MAX_WINDOW_POINTS^2
-    # the degree is over the limit without factoring m
-    if m > 2 * MAX_WINDOW_POINTS ** 2 or _totient(m) > MAX_WINDOW_POINTS:
+    """Coefficients (ascending) of Phi_m(x) = Phi_n(x^(m/n)), n = rad(m).
+    For n > 1, Phi_n is the product of the (1 - x^d)^mu(n/d), d | n, as a
+    power series cut at degree phi(n) (the signs of (x^d - 1)^mu(n/d)
+    agree, as the mu(n/d) sum to 0)."""
+    primes, degree = _cyclotomic_degree(m)
+    if m == 1:
+        return (-1, 1)
+    step = m // prod(primes)
+    series = [1] + [0] * (degree // step)
+    divisors = [(m // step, 1)]          # (d, mu(n / d))
+    for p in primes:
+        divisors += [(d // p, -mu) for d, mu in divisors]
+    for d, mu in divisors:               # times 1 - x^d, or over it
+        for i in (range(len(series) - 1, d - 1, -1) if mu > 0
+                  else range(d, len(series))):
+            series[i] -= mu * series[i - d]
+    out = [0] * (degree + 1)
+    out[::step] = series
+    return tuple(out)
+
+
+def _cyclotomic_degree(m):
+    """(the primes dividing m, phi(m)).  A phi(m) over MAX_WINDOW_POINTS
+    is refused, with TooLarge on the field ``modulus``.  Trial division
+    stops past MAX_WINDOW_POINTS + 1: a rest whose primes are all larger
+    has phi over the limit, and is refused as if it were one prime."""
+    primes, rest, p = [], m, 2
+    while p * p <= rest and p <= MAX_WINDOW_POINTS + 1:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    primes += [rest] if rest > 1 else []
+    degree = m // prod(primes) * prod(p - 1 for p in primes)
+    if degree > MAX_WINDOW_POINTS:
         raise TooLarge("the cyclotomic polynomial of order %d has degree "
                        "phi(%d) > %d" % (m, m, MAX_WINDOW_POINTS),
                        field="modulus")
-    num = [0] * m + [1]
-    num[0] = -1
-    for d in range(1, m):
-        if m % d == 0:
-            num = _poly_div_exact(num, list(cyclotomic_polynomial(d)))
-    return tuple(num)
-
-
-def _totient(m):
-    """Euler's phi(m), by trial division."""
-    out, n, p = m, m, 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    return out - out // n if n > 1 else out
-
-
-def _poly_div_exact(num, den):
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("%r does not divide %r" % (den, num))
-        q = c // den[-1]
-        out[i] = q
-        for j, dj in enumerate(den):
-            num[i + j] -= q * dj
-    if any(num):
-        raise ArithmeticError("the division leaves a remainder %r" % (num,))
-    return out
+    return primes, degree
 
 
 class CyclotomicInteger:
@@ -90,12 +87,7 @@ class CyclotomicInteger:
             if c:
                 for j in range(len(phi)):
                     cs[i - deg + j] -= c * phi[j]
-        cs = cs[:deg] + [0] * max(0, deg - len(cs))
-        self.coeffs = tuple(cs[:deg])
-
-    @staticmethod
-    def zero(m):
-        return CyclotomicInteger(m, [])
+        self.coeffs = tuple(cs[:deg]) + (0,) * (deg - len(cs))
 
     @staticmethod
     def one(m):
@@ -121,9 +113,7 @@ class CyclotomicInteger:
                                  [x + y for x, y in zip(a, b)])
 
     def __sub__(self, other):
-        self._check_ring(other)
-        return CyclotomicInteger(self.m, [x - y for x, y in
-                                          zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __neg__(self):
         return CyclotomicInteger(self.m, [-x for x in self.coeffs])
@@ -239,11 +229,9 @@ def heis_mul(x: HeisenbergElement, y: HeisenbergElement,
 
 def heis_elements(delta: PolarizationType, m: int):
     _check_modulus(delta, m)
-    ds = delta.diag
-    for t in range(m):
-        for a in product(*[range(d) for d in ds]):
-            for b in product(*[range(d) for d in ds]):
-                yield HeisenbergElement(t, a, b, delta, m)
+    idx = list(product(*[range(d) for d in delta.diag]))
+    for t, a, b in product(range(m), idx, idx):
+        yield HeisenbergElement(t, a, b, delta, m)
 
 
 def heis_pow(g: HeisenbergElement, n: int, delta: PolarizationType,
@@ -301,13 +289,9 @@ class SchrodingerVector:
         return SchrodingerVector(delta, m, {tuple(index): 1})
 
     def __add__(self, other):
-        out = dict(self.coeffs)
+        out = dict(self.coeffs)      # the constructor drops zero sums
         for k, v in other.coeffs.items():
-            s = out.get(k, CyclotomicInteger.zero(self.modulus)) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            out[k] = out[k] + v if k in out else v
         return SchrodingerVector(self.delta, self.modulus, out)
 
     def scaled(self, c: CyclotomicInteger):
@@ -368,10 +352,8 @@ def kw_decompose(delta: PolarizationType, m: int):
         raise TooLarge("H(%r) has %d indices, more than %d"
                        % (delta.diag, delta.degree, MAX_WINDOW_POINTS),
                        field="delta")
-    out = []
-    for idx in sorted(product(*[range(d) for d in delta.diag])):
-        out.append((idx, [SchrodingerVector.delta_function(delta, m, idx)]))
-    return out
+    return [(idx, [SchrodingerVector.delta_function(delta, m, idx)])
+            for idx in product(*[range(d) for d in delta.diag])]
 
 
 # ---------------------------------------------------------------------------
@@ -383,29 +365,36 @@ def balanced_sections(delta: PolarizationType, m: int, theta0_index,
     """sum over alpha of S_{lifts[alpha]} applied to the delta function
     at theta0_index; lifts[alpha] must translate by alpha."""
     theta0 = _reduce_tuple(theta0_index, delta)
-    classes = sorted(product(*[range(d) for d in delta.diag]))
     total = SchrodingerVector(delta, m, {})
-    for alpha in classes:
+    for alpha in product(*[range(d) for d in delta.diag]):
         g = lifts[alpha]
         if g.w_image() != alpha:
             raise BadLift("lift for class %r has w-image %r"
-                          % (alpha, g.w_image()))
+                          % (alpha, g.w_image()), field="lifts")
         total = total + schrodinger_action(
             g, SchrodingerVector.delta_function(delta, m, theta0))
     return total
 
 
 def enumerate_balanced_set(delta: PolarizationType, m: int):
-    """All balanced sections up to a global mu_M scalar.
+    """All balanced sections up to a global mu_M scalar, in pattern order.
 
     Each balanced section has exactly one zeta-power coefficient per
     H(delta) index, and every exponent pattern arises from some choice
     of theta_0 and lifts; so the set is the M^(d-1) normalized exponent
     patterns.  (The scalar exponents of the lifts are free, which makes
-    each component's phase independently adjustable.)  More than
-    MAX_WINDOW_POINTS sections are refused, with TooLarge on the field
-    ``delta``, before any is built.
+    each component's phase independently adjustable.)
     """
+    zeta = cache(partial(CyclotomicInteger.zeta_power, m))
+    return [SchrodingerVector(delta, m, {k: zeta(e) for k, e in pattern})
+            for pattern in _balanced_patterns(delta, m)]
+
+
+def _balanced_patterns(delta: PolarizationType, m: int):
+    """The normalized exponent patterns, ascending: (H(delta) index,
+    exponent) pairs by index, the first exponent 0.  Refused before the
+    first: a bad modulus (BadModulus), over MAX_WINDOW_POINTS sections
+    (TooLarge on ``delta``) and a phi(M) over it (on ``modulus``)."""
     _check_modulus(delta, m)
     d = delta.degree
     # M >= 2, so M^(d-1) is over the limit once d - 1 reaches its bit
@@ -415,15 +404,10 @@ def enumerate_balanced_set(delta: PolarizationType, m: int):
         raise TooLarge("H(%r) mod %d has %d^%d balanced sections, more "
                        "than %d" % (delta.diag, m, m, d - 1,
                                     MAX_WINDOW_POINTS), field="delta")
+    _cyclotomic_degree(m)
     classes = sorted(product(*[range(x) for x in delta.diag]))
-    out = []
     for rest in product(range(m), repeat=d - 1):
-        exps = (0,) + rest
-        out.append(SchrodingerVector(
-            delta, m,
-            {idx: CyclotomicInteger.zeta_power(m, e)
-             for idx, e in zip(classes, exps)}))
-    return out
+        yield tuple(zip(classes, (0,) + rest))
 
 
 def normalize_global_scalar(v: SchrodingerVector) -> SchrodingerVector:
@@ -459,8 +443,8 @@ def section_exponent_pattern(v: SchrodingerVector):
 # degeneration and twist exponents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DegenerationData:
+@dataclass(frozen=True, eq=False)
+class DegenerationData(ComparedByRows):
     """The matrices are read once into int rows (``_phi_check_rows``,
     ``_s_xi_rows``, ``_s_prime_rows``); phi_check, s_xi and s_prime are
     object arrays of them, built on first access.  S' defaults to the
@@ -484,12 +468,13 @@ class DegenerationData:
                 pc[i][j] * d[j] != 2 * q[i][j]
                 for i in range(g) for j in range(g)):
             raise InconsistentData(
-                "phi_check must equal 2 Q d^{-1} and be integral")
+                "phi_check must equal 2 Q d^{-1} and be integral",
+                field="phi_check")
         sx = self._s_xi_rows
         if not _is_square(sx, g):
             raise ValueError("S_xi must be %d x %d" % (g, g))
         if any(sx[j][i] != -sx[i][j] for i in range(g) for j in range(g)):
-            raise BadTwistPair("S_xi must be skew-symmetric")
+            raise BadTwistPair("S_xi must be skew-symmetric", field="s_xi")
         sp = self._s_prime_rows
         if sp is None:
             object.__setattr__(self, "s_prime", [
@@ -499,10 +484,11 @@ class DegenerationData:
         if not _is_square(sp, g):
             raise ValueError("S' must be %d x %d" % (g, g))
         if any(sp[j][i] != sp[i][j] for i in range(g) for j in range(g)):
-            raise BadTwistPair("S' must be symmetric")
+            raise BadTwistPair("S' must be symmetric", field="s_prime")
         if any((sp[i][j] - sx[i][j]) % 2 != 0
                for i in range(g) for j in range(g)):
-            raise BadTwistPair("S' must be congruent to S_xi mod 2")
+            raise BadTwistPair("S' must be congruent to S_xi mod 2",
+                               field="s_prime")
 
 
 def _is_square(rows, g):
@@ -581,7 +567,7 @@ def section_valuation_profile(section: SchrodingerVector,
                     for row, d in zip(u_rows, ptype.diag))
         if idx not in section.coeffs:
             raise EmptyComponent("class %r has no section component"
-                                 % (rep,))
+                                 % (rep,), field="section")
         out[rep] = min(minimum(geom.vadd(rep, t), (0,) * r)
                        for t in offsets)
     return out

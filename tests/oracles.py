@@ -1151,6 +1151,40 @@ def period_exponents(q, d, s_xi, s_prime, lam, alpha, mu):
 
 
 # ---------------------------------------------------------------------------
+# cyclotomic polynomials by recursive division
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial_by_division(m):
+    """Coefficients (ascending) of Phi_m: x^m - 1 divided by Phi_d for
+    every proper divisor d of m."""
+    num = [0] * m + [1]
+    num[0] = -1
+    for d in range(1, m):
+        if m % d == 0:
+            num = poly_div_exact(num, cyclotomic_polynomial_by_division(d))
+    return tuple(num)
+
+
+def poly_div_exact(num, den):
+    """The quotient of two integer polynomials (ascending coefficients);
+    ArithmeticError unless den divides num over Z."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        c = num[i + len(den) - 1]
+        if c % den[-1] != 0:
+            raise ArithmeticError("%r does not divide %r" % (den, num))
+        q = c // den[-1]
+        out[i] = q
+        for j, dj in enumerate(den):
+            num[i + j] -= q * dj
+    if any(num):
+        raise ArithmeticError("the division leaves a remainder %r" % (num,))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # balanced sections, brute force over all lifts
 # ---------------------------------------------------------------------------
 

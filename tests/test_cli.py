@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from functools import cache
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -430,6 +431,18 @@ def test_cayley_rejects_a_complex_entry_that_is_not_a_pair(tau):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize("tau", [[[[1e8, 1e-8]]], [[[1e9, 1e-9]]]],
+                         ids=["1e8", "1e9"])
+def test_cayley_refuses_a_point_too_close_to_the_boundary(tau):
+    """I - Z conj(Z) is not positive definite in binary64: a structured
+    error on the field tau, not an AssertionError that -O would skip."""
+    code, out, err = run("cayley", {"tau": tau})
+    assert (code, err) == (1, "")
+    got = json.loads(out)
+    assert (got["kind"], got["code"], got["field"]) == (
+        "error", "IllConditionedBlock", "tau")
+
+
 # -- Heisenberg commands ----------------------------------------------------
 
 def test_heis_mul():
@@ -591,6 +604,7 @@ def _documents(draw):
 @given(_documents())
 @example(("heis", {"delta": [], "x": [0, [], []], "y": [0, [], []]}))
 @example(("kw", {"delta": []}))
+@example(("cayley", {"tau": [[[1e8, 1e-8]]]}))
 @example(("balanced", {"delta": []}))
 @example(("profile", {"delta": [], "section": [], "q": [[1]],
                       "phi_map": [[1]]}))
@@ -703,6 +717,55 @@ def test_balanced_refuses_a_modulus_whose_cyclotomic_degree_is_too_large():
     assert code == 1
     got = json.loads(out)
     assert (got["code"], got["field"]) == ("TooLarge", "modulus")
+
+
+def test_balanced_answers_a_modulus_of_large_cyclotomic_degree():
+    """phi(510510) = 92160 is within the limit: the one section of
+    delta = (1) is printed without building Phi_M or reading an exponent
+    back.  The call runs in a thread, so a regression fails here instead
+    of hanging."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(run(
+        "balanced", {"delta": [1], "modulus": 510510})), daemon=True)
+    worker.start()
+    worker.join(timeout=3)
+    assert not worker.is_alive(), "balanced still runs after 3 s"
+    code, out, _ = result[0]
+    assert code == 0
+    assert json.loads(out) == {"kind": "balanced-set", "count": 1,
+                               "sections": [[[[0], 0]]]}
+
+
+def test_balanced_prints_every_pattern_in_product_order():
+    """delta = (2, 2, 2), M = 4: 4^7 patterns, the first exponent 0 and
+    the other seven in itertools.product order over the sorted indices."""
+    got = run_json("balanced", {"delta": [2, 2, 2], "modulus": 4})
+    indices = [list(k) for k in product(range(2), repeat=3)]
+    want = [[[k, e] for k, e in zip(indices, (0,) + rest)]
+            for rest in product(range(4), repeat=7)]
+    assert got == {"kind": "balanced-set", "count": 16_384,
+                   "sections": want}
+
+
+_DEGEN2 = {"q": [[1, 0], [0, 1]], "phi_check": [[2, 0], [0, 2]],
+           "d_type": [1, 1], "s_xi": [[0, 1], [-1, 0]],
+           "s_prime": [[0, 1], [1, 0]], "lambda": [1, 1], "alpha": [0, 0]}
+
+
+@pytest.mark.parametrize("command, edit, code, field", [
+    ("degen", {"s_xi": [[1, 1], [-1, 0]]}, "BadTwistPair", "s_xi"),
+    ("twist", {"s_prime": [[0, 1], [3, 0]]}, "BadTwistPair", "s_prime"),
+    ("degen", {"s_prime": [[0, 2], [2, 0]]}, "BadTwistPair", "s_prime"),
+    ("twist", {"phi_check": [[2, 0], [0, 3]]}, "InconsistentData",
+     "phi_check"),
+    ("profile", {"section": [[[0], 0], [[2], 0]]}, "EmptyComponent",
+     "section"),
+], ids=["skew", "symmetric", "congruent", "phi-check", "empty-component"])
+def test_theta_refusals_name_their_field(command, edit, code, field):
+    seed = _DEGEN2 if command != "profile" else _seed_documents()[command]
+    out = run(command, dict(seed, **edit))[1]
+    got = json.loads(out)
+    assert (got["kind"], got["code"], got["field"]) == ("error", code, field)
 
 
 @pytest.mark.parametrize("command", ["kw", "profile"])

@@ -17,6 +17,9 @@ from tropab.exact_linalg import (LatticeCoordinates, PolarizationType,
                                  polarization_type, rank, row_reduce,
                                  smith_normal_form, standard_symplectic_form,
                                  symplectic_normal_form)
+from tropab.pavings_pwl import quasiperiodic_decompose
+from tropab.quadform_delaunay import QuadraticForm
+from tropab.theta_heisenberg import DegenerationData
 
 from oracles import frac_det as cofactor_det
 from oracles import (frac_solve, hermite_normal_form_reference, kernel,
@@ -157,6 +160,36 @@ def test_symplectic_random_4x4(entries):
     snf = smith_normal_form(e)[0]
     assert snf == [dec.type.diag[0], dec.type.diag[0],
                    dec.type.diag[1], dec.type.diag[1]]
+
+
+def _decomposition(scale):
+    samples = {(x, y): scale * (x * x + x * y + y * y)
+               for x in range(-2, 3) for y in range(-2, 3)}
+    return quasiperiodic_decompose(samples, [[1, 0], [0, 1]])
+
+
+def _degeneration(s_xi):
+    return DegenerationData(QuadraticForm([[2, 1], [1, 2]]),
+                            [[4, 2], [2, 4]], PolarizationType((1, 1)), s_xi)
+
+
+@pytest.mark.parametrize("make, args, other", [
+    (QuadraticForm, [[2, 1], [1, 2]], [[2, 0], [0, 2]]),
+    (_degeneration, [[0, 0], [0, 0]], [[0, 1], [-1, 0]]),
+    (_decomposition, 1, 2),
+    (symplectic_normal_form, [[0, 0, 1, 0], [0, 0, 0, 2], [-1, 0, 0, 0],
+                              [0, -2, 0, 0]],
+     [[0, 0, 1, 0], [0, 0, 0, 3], [-1, 0, 0, 0], [0, -3, 0, 0]]),
+], ids=["QuadraticForm", "DegenerationData", "QuasiperiodicDecomposition",
+        "SymplecticDecomposition"])
+def test_rank_2_values_compare_and_hash_on_their_rows(make, args, other):
+    """Two builds of one value are equal and hash alike, whether or not
+    their public arrays were built; a different value is unequal."""
+    a, b = make(args), make(args)
+    for name in ("matrix", "phi_check", "bilinear", "basis_change"):
+        getattr(a, name, None)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != make(other) and a != "a value of another type"
 
 
 # -- polarization types -----------------------------------------------------

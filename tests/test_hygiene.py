@@ -2,8 +2,9 @@
 imports is used in that module, every private module-level function of
 the package is used somewhere in it, no module of the package but
 siegel_trop and cli uses a float, none but _geometry calls the
-cofactor determinant _det, and none but siegel_trop imports numpy
-when it is imported.  A function is private when its
+cofactor determinant _det, none but siegel_trop imports numpy
+when it is imported, and none holds an assert statement, which
+``python -O`` strips.  A function is private when its
 name or its module's file name starts with an underscore.  The package's
 ``__init__.py`` files import names only to re-export them and are not
 scanned for imports."""
@@ -271,6 +272,31 @@ def test_only_the_siegel_module_imports_numpy_at_import_time():
         if path.name in NUMPY_MODULES:
             continue
         lines = import_time_numpy_imports(path.read_text())
+        if lines:
+            found[str(path.relative_to(ROOT))] = lines
+    assert found == {}
+
+
+def assert_statements(source):
+    """The line of each assert statement in a module."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_the_scan_finds_every_assert_statement():
+    source = ("assert x\n"
+              "def f(y):\n    assert y > 0, 'positive'\n    return y\n"
+              "class A:\n    def g(self):\n"
+              "        if self:\n            assert False\n"
+              "checked = 'assert z'\n"
+              "raise AssertionError('not a statement')\n")
+    assert assert_statements(source) == [1, 3, 8]
+
+
+def test_the_package_holds_no_assert_statement():
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        lines = assert_statements(path.read_text())
         if lines:
             found[str(path.relative_to(ROOT))] = lines
     assert found == {}

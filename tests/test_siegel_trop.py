@@ -5,7 +5,7 @@ imaginary part)."""
 import numpy as np
 import pytest
 
-from tropab.errors import NotSymplectic
+from tropab.errors import IllConditionedBlock, NotSymplectic
 from tropab.exact_linalg import PolarizationType, standard_symplectic_form
 from tropab.siegel_trop import (CuspSpec, SiegelPoint, cayley_transform,
                                 gamma_action, tropicalize)
@@ -100,6 +100,14 @@ def test_cayley_lands_in_the_bounded_domain():
         assert np.allclose(z, z.T)
         w = np.eye(g) - z @ np.conj(z)
         assert np.min(np.linalg.eigvalsh((w + w.T.conj()) / 2).real) > 0
+
+
+@pytest.mark.parametrize("tau", [1e8 + 1e-8j, 1e9 + 1e-9j])
+def test_cayley_refuses_a_point_too_close_to_the_boundary(tau):
+    """In binary64 I - Z conj(Z) is not positive definite there."""
+    with pytest.raises(IllConditionedBlock) as err:
+        cayley_transform(SiegelPoint([[tau]]))
+    assert err.value.field == "tau"
 
 
 # -- tropicalization --------------------------------------------------------

@@ -35,7 +35,8 @@ from tropab.theta_heisenberg import (CyclotomicInteger, DegenerationData,
                                      twist_bilinear_form)
 
 from oracles import (brute_force_balanced_patterns_rank1,
-                     brute_force_minimum, frac_solve, period_exponents)
+                     brute_force_minimum, cyclotomic_polynomial_by_division,
+                     frac_solve, period_exponents, poly_div_exact)
 
 F = Fraction
 
@@ -57,27 +58,32 @@ def test_cyclotomic_polynomials():
 
 
 def test_exact_division_refuses_a_remainder():
-    """Not an assert, which -O strips: a pair that does not divide raises
-    ArithmeticError whichever coefficient shows it."""
+    """The oracle's division raises ArithmeticError, not an assert which
+    -O strips, whichever coefficient shows that a pair does not divide."""
     with pytest.raises(ArithmeticError):
-        theta_heisenberg._poly_div_exact([1, 0, 1], [1, 1])   # x^2 + 1
+        poly_div_exact([1, 0, 1], [1, 1])   # x^2 + 1
     with pytest.raises(ArithmeticError):
-        theta_heisenberg._poly_div_exact([1, 1], [1, 2])      # lead 1 / 2
-    assert theta_heisenberg._poly_div_exact([-1, 0, 1], [1, 1]) == [-1, 1]
+        poly_div_exact([1, 1], [1, 2])      # lead 1 / 2
+    assert poly_div_exact([-1, 0, 1], [1, 1]) == [-1, 1]
 
 
 def test_the_cyclotomic_degree_is_euler_phi():
     for m in range(1, 301):
         phi = sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
-        assert theta_heisenberg._totient(m) == phi
-        if m <= 60:
-            assert len(cyclotomic_polynomial(m)) - 1 == phi
+        assert len(cyclotomic_polynomial(m)) - 1 == phi
 
 
-@pytest.mark.parametrize("m", [100_003, 10 ** 40])
+def test_the_radical_form_matches_the_recursive_division():
+    for m in range(1, 301):
+        assert cyclotomic_polynomial(m) == \
+            cyclotomic_polynomial_by_division(m), m
+
+
+@pytest.mark.parametrize("m", [100_003, 10 ** 40, 2 ** 127 - 1])
 def test_a_cyclotomic_polynomial_of_too_high_degree_is_refused(m):
-    """The prime 100003 has phi = 100002, just over the limit; beyond
-    2 * 10^10 phi(m) >= sqrt(m / 2) exceeds it and m is not factored."""
+    """The prime 100003 has phi = 100002, just over the limit; 10^40 has
+    small primes only; the prime 2^127 - 1 is refused once trial
+    division passes the limit, not after a search to its square root."""
     with pytest.raises(TooLarge) as e:
         CyclotomicInteger.one(m)
     assert e.value.field == "modulus"
@@ -246,8 +252,9 @@ def test_balanced_section_from_standard_lifts():
 def test_balanced_section_rejects_bad_lift():
     lifts = _standard_lifts(D3, M6)
     lifts[(1,)] = HeisenbergElement(0, (0,), (0,), D3, M6)
-    with pytest.raises(BadLift):
+    with pytest.raises(BadLift) as err:
         balanced_sections(D3, M6, (0,), lifts)
+    assert err.value.field == "lifts"
 
 
 def test_enumeration_matches_brute_force():
