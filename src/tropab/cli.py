@@ -386,8 +386,14 @@ def _h_twist(doc, opts):
 def _h_profile(doc, opts):
     delta = _delta(doc["delta"])
     m = _modulus(doc, delta)
-    coeffs = {tuple(_int(x) for x in k):
-              theta_heisenberg.CyclotomicInteger.zeta_power(m, _int(e))
+
+    def coefficient(e):
+        # the profile reads only which indices carry a component, and no
+        # zeta power is zero: the exponent is checked, the coefficient 1
+        _int(e)
+        return theta_heisenberg.CyclotomicInteger.one(m)
+
+    coeffs = {tuple(_int(x) for x in k): coefficient(e)
               for k, e in doc["section"]}
     section = theta_heisenberg.SchrodingerVector(delta, m, coeffs)
     q = quadform_delaunay.QuadraticForm(_frac_matrix(doc["q"]))

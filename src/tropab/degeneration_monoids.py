@@ -262,10 +262,10 @@ def central_fiber_complex(paving: PeriodicPaving,
     components = []
     for i, cell in enumerate(paving.cells):
         for t in cosets:
+            # distinct cosets t give distinct placements
             key = (i, placed(cell.vertices, t))
-            if key not in comp_index:
-                comp_index[key] = len(components)
-                components.append(cell.translated(key[1]))
+            comp_index[key] = len(components)
+            components.append(cell.translated(key[1]))
 
     incidences = set()
     for key, ((i, si), (j, sj)) in paving.walls().items():
@@ -316,10 +316,16 @@ def face_quotient(p: ToricMonoid, face_functionals,
         pi = [tuple(int(i == j) for j in range(k)) for i in range(k)]
         quotient = ToricMonoid(k, p.functionals)
     else:
-        # the face generators are the columns spanning F
-        pi, sec, face_basis = _saturated_quotient_rows(transpose(face_gens))
+        # the face generators are the columns spanning F; P + span F is
+        # cut out by the facets through F (the tangent cone at F), the
+        # functionals of P that vanish on every face generator, read on
+        # the quotient through the section
+        pi, sec, _ = _saturated_quotient_rows(transpose(face_gens))
+        rows = (tuple(geom.dot(u, c) for c in zip(*sec))
+                for u in p.functionals
+                if not any(geom.dot(u, g) for g in face_gens))
         quotient = ToricMonoid(
-            len(pi), _project_inequalities(p.functionals, sec, face_basis))
+            len(pi), sorted({geom.gcd_reduced(y) for y in rows if any(y)}))
 
     def push(rows):
         """pi @ rows, for the k rows of a k x r matrix."""
@@ -341,29 +347,3 @@ def face_quotient(p: ToricMonoid, face_functionals,
         return FaceQuotientData(quotient, pushed, coarser, True)
     except Unbounded:
         return FaceQuotientData(quotient, pushed, None, False)
-
-
-def _project_inequalities(functionals, sec, face_basis):
-    """Fourier-Motzkin image of {u_i >= 0} under quotient by the span of
-    face_basis columns: substitute x = sec y + face_basis z, then
-    eliminate the z variables."""
-    sec_cols, face_cols = transpose(sec), transpose(face_basis)
-    rows = [([geom.dot(u, c) for c in sec_cols],
-             [geom.dot(u, c) for c in face_cols]) for u in functionals]
-    for zi in range(len(face_cols)):
-        pos = [rw for rw in rows if rw[1][zi] > 0]
-        neg = [rw for rw in rows if rw[1][zi] < 0]
-        zero = [rw for rw in rows if rw[1][zi] == 0]
-        combined = []
-        for yp, zp in pos:
-            for yn, zn in neg:
-                a, b = zp[zi], -zn[zi]
-                yrow = [b * x + a * t for x, t in zip(yp, yn)]
-                zrow = [b * x + a * t for x, t in zip(zp, zn)]
-                combined.append((yrow, zrow))
-        rows = zero + combined
-    out = []
-    for yp, _ in rows:
-        if any(yp):
-            out.append(geom.gcd_reduced(yp))
-    return sorted(set(out))

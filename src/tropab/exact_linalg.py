@@ -2,11 +2,14 @@
 
 One fraction-free row reduction (``row_reduce``, Gauss-Jordan with the
 Bareiss update on rows of python ints, each row cleared of its
-denominators once) from which the determinant, inverse, rank and greedy
+denominators once) from which the determinant, rank and greedy
 independent subsets are derived; normal forms (Hermite, Smith),
 saturated quotients, symplectic reduction of integral alternating
 forms, polarization types, and the GL(X,Y)-action on quadratic forms.
-``LatticeCoordinates`` is the one reduction of points modulo a lattice.
+``LatticeCoordinates`` holds B^-1 as integer rows over one denominator,
+from the same elimination: every inverse goes through it (``frac_inv``,
+and the u^-1 of the saturated quotient and of ``glxy_act``), and it is
+the one reduction of points modulo a lattice.
 
 All arithmetic is exact, on lists of int or Fraction rows.
 ``read_matrix`` is the one reader of a matrix argument: nested
@@ -261,19 +264,11 @@ def frac_det(m) -> Fraction:
 
 
 def frac_inv(m):
-    """Exact inverse as an object array; raises Degenerate if singular."""
-    return _object_matrix(_inverse_rows(m))
-
-
-def _inverse_rows(m):
-    """frac_inv as rows of Fraction."""
-    rows = _square_rows(m)
-    n = len(rows)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    reduced, _, det = row_reduce(aug, n)
-    if det == 0:
-        raise Degenerate("matrix is singular")
-    return [row[n:] for row in reduced]
+    """Exact inverse as an object array of Fraction, from the integer
+    rows of LatticeCoordinates; raises Degenerate if singular."""
+    lat = LatticeCoordinates(m)
+    return _object_matrix([[Fraction(x, lat.den) for x in row]
+                           for row in lat.inv_rows])
 
 
 def rank(rows) -> int:
@@ -514,7 +509,7 @@ def _saturated_quotient_rows(a):
     """saturated_quotient of the int rows a, as rows (pi, sec, sat)."""
     diag, u, _ = _snf_rows(a)
     k = sum(1 for x in diag if x != 0)
-    uinv = [[as_int(x) for x in row] for row in _inverse_rows(u)]
+    uinv = LatticeCoordinates(u).inv_rows    # over 1: u is unimodular
     return u[k:], [row[k:] for row in uinv], [row[:k] for row in uinv]
 
 
@@ -576,8 +571,6 @@ def _symplectic_rows(rows):
             i, j = best
             if i != s:
                 congr_swap(s, i)
-                if j == s:
-                    j = i
             if j != s + 1:
                 congr_swap(s + 1, j)
             if m[s][s + 1] < 0:
@@ -729,5 +722,5 @@ def glxy_act(u, q, y_basis):
     q = read_matrix(q, as_frac)
     if len(q) != n or any(len(row) != n for row in q):
         raise ValueError("q must be %d x %d, as u is" % (n, n))
-    ui = _inverse_rows(u)
+    ui = LatticeCoordinates(u).inv_rows      # over 1: u is unimodular
     return _object_matrix(_matmul(_matmul(transpose(ui), q), ui))

@@ -50,6 +50,7 @@ def cyclotomic_polynomial(m: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _cyclotomic_degree(m):
     """(the primes dividing m, phi(m)).  A phi(m) over MAX_WINDOW_POINTS
     is refused, with TooLarge on the field ``modulus``.  Trial division
@@ -68,25 +69,27 @@ def _cyclotomic_degree(m):
         raise TooLarge("the cyclotomic polynomial of order %d has degree "
                        "phi(%d) > %d" % (m, m, MAX_WINDOW_POINTS),
                        field="modulus")
-    return primes, degree
+    return tuple(primes), degree
 
 
 class CyclotomicInteger:
     """An element of Z[zeta_m], stored reduced modulo the m-th
-    cyclotomic polynomial."""
+    cyclotomic polynomial: phi(m) coefficients.  Phi_m is built only
+    when there are more coefficients than that to reduce."""
 
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m, coeffs):
         self.m = int(m)
-        phi = cyclotomic_polynomial(self.m)
-        deg = len(phi) - 1
+        deg = _cyclotomic_degree(self.m)[1]
         cs = list(int(x) for x in coeffs)
-        for i in range(len(cs) - 1, deg - 1, -1):
-            c = cs[i]
-            if c:
-                for j in range(len(phi)):
-                    cs[i - deg + j] -= c * phi[j]
+        if len(cs) > deg:
+            phi = cyclotomic_polynomial(self.m)
+            for i in range(len(cs) - 1, deg - 1, -1):
+                c = cs[i]
+                if c:
+                    for j in range(len(phi)):
+                        cs[i - deg + j] -= c * phi[j]
         self.coeffs = tuple(cs[:deg]) + (0,) * (deg - len(cs))
 
     @staticmethod
@@ -424,19 +427,32 @@ def normalize_global_scalar(v: SchrodingerVector) -> SchrodingerVector:
 
 def section_exponent_pattern(v: SchrodingerVector):
     """index -> exponent for a section whose coefficients are single
-    zeta powers; raises if a coefficient is not of that shape."""
-    out = {}
+    zeta powers; raises ValueError if a coefficient is not of that
+    shape.  One pass over zeta^e, e < M, each step x zeta^e reduced by
+    its leading coefficient times Phi_M, looks every coefficient up."""
+    m = v.modulus
+    todo = {}
     for k, c in v.coeffs.items():
-        exp = None
-        for e in range(v.modulus):
-            if CyclotomicInteger.zeta_power(v.modulus, e) == c:
-                exp = e
+        if c.m == m:
+            todo.setdefault(c.coeffs, []).append(k)
+    out = {}
+    if todo:
+        phi = cyclotomic_polynomial(m)
+        power = list(CyclotomicInteger.one(m).coeffs)
+        for e in range(m):
+            for k in todo.pop(tuple(power), ()):
+                out[k] = e
+            if not todo:
                 break
-        if exp is None:
+            lead = power.pop()
+            power.insert(0, 0)
+            if lead:
+                power = [x - lead * y for x, y in zip(power, phi)]
+    for k in v.coeffs:
+        if k not in out:
             raise ValueError("coefficient at %r is not a root of unity"
                              % (k,))
-        out[k] = exp
-    return out
+    return {k: out[k] for k in v.coeffs}
 
 
 # ---------------------------------------------------------------------------

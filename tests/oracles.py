@@ -74,14 +74,15 @@ def frac_det(m):
 
 def lattice_inverse_reference(basis):
     """(inv_rows, den) of LatticeCoordinates by the Fraction route: the
-    inverse from frac_inv, den the least common denominator of its
+    inverse from the Gauss-Jordan of [B | 1] over Fraction
+    (row_reduce_reference), den the least common denominator of its
     entries and inv_rows the integer rows of den B^-1."""
-    from tropab.exact_linalg import frac_inv
-
-    inv = frac_inv([list(row) for row in basis])
-    den = math.lcm(*(Fraction(x).denominator for x in inv.flat))
-    return (tuple(tuple(int(x * den) for x in row) for row in inv.tolist()),
-            den)
+    n = len(basis)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(basis)]
+    inv = [row[n:] for row in row_reduce_reference(aug, n)[0]]
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in inv), den
 
 
 def frac_solve(a, b):
@@ -928,7 +929,7 @@ def trop_full_inverse(tau, gprime):
 
 
 # ---------------------------------------------------------------------------
-# Hilbert bases of toric monoids
+# Hilbert bases and face quotients of toric monoids
 # ---------------------------------------------------------------------------
 
 def _in_cone(functionals, p):
@@ -1001,6 +1002,38 @@ def hilbert_basis_rank2_reference(functionals):
         u = (x0[0] + step * u[0], x0[1] + step * u[1])
         basis.append(u)
     return sorted(basis, key=lambda p: (sum(map(abs, p)), p))
+
+
+def fourier_motzkin_projection(functionals, sec, face_basis):
+    """The image of the cone {x : u . x >= 0} in the quotient by the span
+    of the columns of face_basis, by Fourier-Motzkin elimination: write
+    x = sec y + face_basis z and eliminate the z_i in turn, each row
+    positive on z_i combined with each row negative on it, the rows
+    zero on it kept.  Returns (the nonzero y-rows, gcd-reduced with
+    their sign, deduplicated and sorted; the number of combined rows
+    formed)."""
+    sec_cols, face_cols = list(zip(*sec)), list(zip(*face_basis))
+
+    def dots(u, cols):
+        return [sum(a * b for a, b in zip(u, c)) for c in cols]
+    rows = [(dots(u, sec_cols), dots(u, face_cols)) for u in functionals]
+    combined = 0
+    for zi in range(len(face_cols)):
+        pos = [rw for rw in rows if rw[1][zi] > 0]
+        neg = [rw for rw in rows if rw[1][zi] < 0]
+        rows = [rw for rw in rows if rw[1][zi] == 0]
+        for yp, zp in pos:
+            for yn, zn in neg:
+                a, b = zp[zi], -zn[zi]
+                rows.append(([b * x + a * t for x, t in zip(yp, yn)],
+                             [b * x + a * t for x, t in zip(zp, zn)]))
+                combined += 1
+    out = set()
+    for y, _ in rows:
+        g = math.gcd(*y)
+        if g:
+            out.add(tuple(x // g for x in y))
+    return sorted(out), combined
 
 
 # ---------------------------------------------------------------------------

@@ -736,6 +736,42 @@ def test_balanced_answers_a_modulus_of_large_cyclotomic_degree():
                                "sections": [[[[0], 0]]]}
 
 
+@pytest.mark.parametrize("command, doc, limit, want", [
+    ("kw", {"delta": [1], "modulus": 510510}, 0.5,
+     {"kind": "kw", "spaces": [{"index": [0], "dimension": 1}]}),
+    ("profile", {"delta": [1], "modulus": 30030,
+                 "section": [[[0], 30029]], "q": [[1]], "phi_map": [[1]]},
+     2, {"kind": "valuation-profile", "profile": [[[0], "0"]]}),
+], ids=["kw", "profile"])
+def test_theta_commands_answer_a_modulus_of_large_cyclotomic_degree(
+        command, doc, limit, want):
+    """kw prints a delta function per index, and profile reads only which
+    indices carry a coefficient: neither builds Phi_M (phi(510510) =
+    92160) nor reduces x^30029 modulo Phi_30030.  The call runs in a
+    thread, so a regression fails here instead of hanging."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(run(
+        command, doc)), daemon=True)
+    worker.start()
+    worker.join(timeout=limit)
+    assert not worker.is_alive(), "%s still runs after %s s" % (command,
+                                                                limit)
+    code, out, _ = result[0]
+    assert code == 0
+    assert json.loads(out) == want
+
+
+@pytest.mark.parametrize("exponent", ["1/2", [1], "zeta"])
+def test_profile_checks_every_exponent_it_does_not_read(exponent):
+    """profile gives every component the coefficient 1, but a malformed
+    exponent, even after good ones, still exits 2."""
+    doc = dict(_seed_documents()["profile"],
+               section=[[[0], 0], [[1], exponent], [[2], 0]])
+    code, out, err = run("profile", doc)
+    assert (code, out) == (2, "")
+    assert err.startswith("malformed input: ")
+
+
 def test_balanced_prints_every_pattern_in_product_order():
     """delta = (2, 2, 2), M = 4: 4^7 patterns, the first exponent 0 and
     the other seven in itertools.product order over the sorted indices."""

@@ -2,7 +2,9 @@
 coset indices, the period-group action on monomials, dual complexes of
 central fibers, and face quotients."""
 
+import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -17,14 +19,16 @@ from tropab.degeneration_monoids import (HomogenizedFunction,
                                          minimal_lift, star_cocycle,
                                          twisted_add, y_action_on_monomial)
 from tropab.errors import (InconsistentData, NotAFace, NotInjective,
-                           NotInvariant, OutsideSupport, RankMismatch)
-from tropab.exact_linalg import lattice_membership
+                           NotInvariant, OutsideSupport, RankMismatch,
+                           TooLarge)
+from tropab.exact_linalg import lattice_membership, rank, saturated_quotient
 from tropab.pavings_pwl import (PwAffineFunction, ToricMonoid,
                                 sigma_section)
 from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
                                       QuadraticForm, delaunay_subdivision)
 
-from oracles import (evaluate_reference, homogenized, interp_half_square,
+from oracles import (evaluate_reference, fourier_motzkin_projection,
+                     homogenized, interp_half_square,
                      shifted_affine_reference)
 
 F = Fraction
@@ -331,3 +335,83 @@ def test_face_quotient_vector_payload(phi1):
     kills_flat = face_quotient(nat2, [(0, 1)], f2)
     assert not kills_flat.admissible
     assert kills_flat.coarsened_paving is None
+
+
+def _payload_sigma(k):
+    """k copies of sigma of [[1]] as one function of payload rank k."""
+    pav = sigma_section(Q1, I1, 4).paving
+    return PwAffineFunction(pav, [(((F(1, 2),),) * k, (F(0),) * k)],
+                            [I1] * k, [(F(0),)] * k, payload_rank=k)
+
+
+def _face_generators(p, face):
+    """The Hilbert basis elements of P on which the functional face
+    vanishes: the generators of the face F it cuts out."""
+    return [g for g in p.hilbert_basis() if not sum(map(mul, face, g))]
+
+
+def _quotient_by_elimination(p, face):
+    """The functionals of P/F by the Fourier-Motzkin oracle, with the
+    number of rows it combined.  F = {0} leaves P as it is."""
+    face_gens = _face_generators(p, face)
+    if not face_gens:
+        return list(p.functionals), 0
+    _, sec, sat = saturated_quotient(list(zip(*face_gens)))
+    return fourier_motzkin_projection(p.functionals, sec.tolist(),
+                                      sat.tolist())
+
+
+def _seeded_monoid(seed, k):
+    """A sharp toric monoid of rank k with a nonempty Hilbert basis, from
+    k to k + 2 functionals with entries in [-2, 2], drawn from the
+    seed."""
+    rng = random.Random(seed)
+    while True:
+        funcs = [tuple(rng.randint(-2, 2) for _ in range(k))
+                 for _ in range(rng.randint(k, k + 2))]
+        p = ToricMonoid(k, funcs)
+        try:
+            if p.hilbert_basis():
+                return p
+        except TooLarge:
+            pass
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_face_quotient_keeps_the_facets_through_the_face(k):
+    """Every face of 25 seeded monoids cut out by no functional, by the
+    first one, by the sum of the first two and by the sum of all: the
+    quotient functionals are those of the Fourier-Motzkin oracle."""
+    phi = _payload_sigma(k)
+    for seed in range(25):
+        p = _seeded_monoid(seed, k)
+        fs = p.functionals
+        for face in [(0,) * k, fs[0], tuple(map(sum, zip(*fs[:2]))),
+                     tuple(map(sum, zip(*fs)))]:
+            got = face_quotient(p, [face], phi).quotient_monoid
+            want, _ = _quotient_by_elimination(p, face)
+            assert list(got.functionals) == want, (seed, fs, face)
+            assert got.rank == k - rank(_face_generators(p, face))
+
+
+@pytest.mark.parametrize("functionals, face, want", [
+    # the facet u_0 = 0, with saturated basis (1, 0, -1), (-4, 2, 3)
+    ([(2, 1, 2), (1, 2, 0), (1, -2, 2)], (2, 1, 2), [(-1,)]),
+    # the facet u_0 = 0, with saturated basis (1, 0, 1), (0, -2, 1)
+    ([(-2, 1, 2), (1, 2, 0), (0, 2, 1), (1, 2, -2), (1, -2, -2)],
+     (-2, 1, 2), [(1,)]),
+], ids=["simplicial", "five-facets"])
+def test_a_face_basis_of_mixed_signs_combines_rows_that_do_not_survive(
+        functionals, face, want):
+    """A 2-dimensional face whose saturated basis has entries of both
+    signs: the elimination combines rows, none of which survives, and
+    the facet rule gives its answer."""
+    p = ToricMonoid(3, functionals)
+    _, _, sat = saturated_quotient(list(zip(*_face_generators(p, face))))
+    assert sat.shape == (3, 2)
+    assert any(min(col) < 0 < max(col) for col in sat.T.tolist())
+    rows, combined = _quotient_by_elimination(p, face)
+    assert combined > 0
+    assert rows == want
+    got = face_quotient(p, [face], _payload_sigma(3)).quotient_monoid
+    assert (got.rank, list(got.functionals)) == (1, want)

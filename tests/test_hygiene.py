@@ -3,7 +3,8 @@ imports is used in that module, every private module-level function of
 the package is used somewhere in it, no module of the package but
 siegel_trop and cli uses a float, none but _geometry calls the
 cofactor determinant _det, none but siegel_trop imports numpy
-when it is imported, and none holds an assert statement, which
+when it is imported, none imports the oracles or any other module of
+the tests, and none holds an assert statement, which
 ``python -O`` strips.  A function is private when its
 name or its module's file name starts with an underscore.  The package's
 ``__init__.py`` files import names only to re-export them and are not
@@ -272,6 +273,51 @@ def test_only_the_siegel_module_imports_numpy_at_import_time():
         if path.name in NUMPY_MODULES:
             continue
         lines = import_time_numpy_imports(path.read_text())
+        if lines:
+            found[str(path.relative_to(ROOT))] = lines
+    assert found == {}
+
+
+# the oracles are the references the package is checked against, so the
+# package never reads them, nor anything else of the test suite
+TEST_SUITE = {"tests"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
+
+
+def suite_imports(source, names=TEST_SUITE):
+    """The line of each absolute import, at any depth, of a module whose
+    top-level name is in names: the test package and its modules."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        if any(m.split(".")[0] in names for m in modules):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_the_scan_finds_every_import_of_the_test_suite():
+    source = ("import oracles\n"
+              "from oracles import fourier_motzkin_projection\n"
+              "import tests.oracles as reference\n"
+              "from tests import oracles\n"
+              "def f():\n    import test_cli\n"
+              "import oracles_extra\n"
+              "from tropab import oracles\n"
+              "from . import oracles\n"
+              "import numpy, oracles\n"
+              "checked = 'import oracles'\n")
+    assert "oracles" in TEST_SUITE and "test_cli" in TEST_SUITE
+    assert suite_imports(source) == [1, 2, 3, 4, 6, 10]
+
+
+def test_the_package_imports_nothing_of_the_test_suite():
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        lines = suite_imports(path.read_text())
         if lines:
             found[str(path.relative_to(ROOT))] = lines
     assert found == {}

@@ -249,6 +249,39 @@ def test_balanced_section_from_standard_lifts():
     assert section_exponent_pattern(sec) == {(0,): 0, (1,): 0, (2,): 0}
 
 
+@pytest.mark.parametrize("m", [2, 6, 12, 30, 42, 60])
+def test_the_exponent_pattern_reads_every_zeta_power(m):
+    """Every zeta^e, e < M, read back as e: M / 2 indices, each section
+    taking half of the exponents, in reverse order."""
+    delta = PolarizationType((m // 2,))
+    for half in (0, m // 2):
+        want = {(i,): half + m // 2 - 1 - i for i in range(m // 2)}
+        sec = SchrodingerVector(delta, m, {
+            k: CyclotomicInteger.zeta_power(m, e) for k, e in want.items()})
+        assert section_exponent_pattern(sec) == want
+
+
+def test_the_exponent_pattern_reads_the_last_power_of_a_large_modulus():
+    """zeta^2309 at M = 2310 (phi(M) = 480): one pass over the powers,
+    not one reduction of x^e per exponent."""
+    sec = SchrodingerVector(PolarizationType((1,)), 2310, {
+        (0,): CyclotomicInteger.zeta_power(2310, 2309)})
+    assert section_exponent_pattern(sec) == {(0,): 2309}
+
+
+@pytest.mark.parametrize("bad", [
+    CyclotomicInteger(6, [1, 1]), CyclotomicInteger(6, [2]),
+    CyclotomicInteger(12, [1])], ids=["one-plus-zeta", "two", "modulus"])
+def test_a_coefficient_that_is_no_root_of_unity_is_refused(bad):
+    sec = SchrodingerVector(D3, M6, {
+        (0,): CyclotomicInteger.zeta_power(M6, 5), (1,): bad,
+        (2,): CyclotomicInteger(M6, [0, 1, 1])})
+    with pytest.raises(ValueError,
+                       match=r"^coefficient at \(1,\) is not a root of "
+                             r"unity$"):
+        section_exponent_pattern(sec)
+
+
 def test_balanced_section_rejects_bad_lift():
     lifts = _standard_lifts(D3, M6)
     lifts[(1,)] = HeisenbergElement(0, (0,), (0,), D3, M6)
