@@ -4,10 +4,9 @@ decompositions and second-Voronoi cones, periodic piecewise-affine
 functions, twisted degeneration monoids, Siegel-space tropicalization,
 and finite Heisenberg/theta combinatorics.
 
-Only the binary64 Siegel module imports numpy at import time; its five
-names are re-exported on first use (PEP 562), so ``import tropab``
-loads no numpy.  The exact modules import it only to build the arrays
-their public functions and attributes return."""
+No module of the package imports numpy when it is imported: numpy is
+imported inside the functions that build or compute on arrays, so
+``import tropab`` loads none."""
 
 from .errors import DomainError
 from .exact_linalg import (PolarizationType, SymplecticDecomposition,
@@ -36,21 +35,7 @@ from .theta_heisenberg import (CyclotomicInteger, DegenerationData,
                                kw_decompose, power_map_kernel_check,
                                schrodinger_action,
                                section_valuation_profile, twist_data)
+from .siegel_trop import (CuspSpec, SiegelPoint, cayley_transform,
+                          gamma_action, tropicalize)
 
 __version__ = "0.1.0"
-
-_SIEGEL_NAMES = ("CuspSpec", "SiegelPoint", "cayley_transform",
-                 "gamma_action", "tropicalize")
-
-
-def __getattr__(name):
-    """The names of siegel_trop, imported with it (and numpy) on first
-    use."""
-    if name in _SIEGEL_NAMES:
-        from . import siegel_trop
-        return getattr(siegel_trop, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SIEGEL_NAMES))

@@ -1,11 +1,10 @@
 """Exact polyhedral helpers shared by the Delaunay and paving machinery.
 
 Everything works over the rationals on plain tuples of Fraction/int,
-and nothing here imports numpy: in the package only siegel_trop and the
-public functions and attributes that return arrays do.  Facet
-normals are integer cofactors of points whose denominators are cleared
-once, and polytope_facets is the one hull routine: volumes are pyramids
-over its facets and vertices are points on at least r of them.
+without numpy.  Facet normals are integer cofactors of points whose
+denominators are cleared once, and polytope_facets is the one hull
+routine: volumes are pyramids over its facets and vertices are points
+on at least r of them.
 Dimensions are desk scale (r <= 3), so the facet enumeration is allowed
 to be quadratic/cubic in the number of points.
 """
@@ -59,12 +58,6 @@ def primitive(vec):
     return v
 
 
-def normal_through(points):
-    """Primitive integer normal of the hyperplane spanned by points in
-    Q^r; None unless their affine span is a hyperplane."""
-    return _integer_normal(_cleared(points))
-
-
 def _cleared(points):
     """Integer numerators of rational points over their least common
     positive denominator: a positive scaling, which changes neither the
@@ -77,9 +70,10 @@ def _cleared(points):
 
 
 def _integer_normal(pts):
-    """normal_through for integer points: the cofactors of r - 1
-    independent difference rows, if every other row is orthogonal to
-    them."""
+    """Primitive integer normal, first nonzero entry positive, of the
+    hyperplane spanned by integer points; None unless their affine span
+    is a hyperplane.  It is the cofactors of r - 1 independent
+    difference rows, if every other row is orthogonal to them."""
     r = len(pts[0])
     diffs = [vsub(p, pts[0]) for p in pts[1:]]
     for rows in combinations(diffs, r - 1):
@@ -113,10 +107,6 @@ def polytope_facets(points):
     """
     pts = [tuple(p) for p in points]
     r = len(pts[0])
-    if r == 1:
-        lo = min(pts)
-        hi = max(pts)
-        return [((lo,), (-1,), -lo[0]), ((hi,), (1,), hi[0])]
     ints = _cleared(pts)
     seen = {}
     for sub in combinations(range(len(pts)), r):

@@ -5,10 +5,11 @@ self-describing JSON document on stdout.  Exit codes: 0 success, 1
 domain error (structured error object), 2 malformed input.  Rationals
 travel as strings "p/q"; complex numbers as [re, im] pairs.
 
-Input matrices are read into lists of int or Fraction rows.  The
-binary64 Siegel module, and with it numpy, is imported only by the
-gamma, cayley and trop handlers; the exact subcommands load numpy only
-where the library function they call returns an array.
+Input matrices are read into lists of int or Fraction rows, and the
+exact subcommands print the rows the library computes on.  No module of
+the package imports numpy when it is imported: numpy is imported inside
+the functions that build or compute on arrays, so only the gamma, cayley
+and trop subcommands load it.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import (degeneration_monoids, exact_linalg, pavings_pwl,
-               quadform_delaunay, theta_heisenberg)
+               quadform_delaunay, siegel_trop, theta_heisenberg)
 from .errors import DomainError
 
 
@@ -80,7 +81,7 @@ def _complex_matrix(m):
 
 def ser(x):
     """Recursive canonical serialization of library values; a value with
-    ``.tolist()`` (a numpy array or scalar) is serialized through it."""
+    ``.tolist()`` (a Siegel array) is serialized through it."""
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, (bool, int, float, str)) or x is None:
@@ -172,19 +173,19 @@ def _heis_el(obj, delta, m):
 # ---------------------------------------------------------------------------
 
 def _h_hnf(doc, opts):
-    h, u = exact_linalg.hermite_normal_form(_int_matrix(doc["matrix"]))
+    h, u = exact_linalg._hnf_rows(_int_matrix(doc["matrix"]))
     return {"kind": "hnf", "h": ser(h), "u": ser(u)}
 
 
 def _h_snf(doc, opts):
-    d, u, v = exact_linalg.smith_normal_form(_int_matrix(doc["matrix"]))
+    d, u, v = exact_linalg._snf_rows(_int_matrix(doc["matrix"]))
     return {"kind": "snf", "d": d, "u": ser(u), "v": ser(v)}
 
 
 def _h_symplectic(doc, opts):
-    dec = exact_linalg.symplectic_normal_form(_int_matrix(doc["matrix"]))
-    return {"kind": "symplectic", "type": list(dec.type.diag),
-            "basis_change": ser(dec.basis_change)}
+    typ, b = exact_linalg._symplectic_rows(_int_matrix(doc["matrix"]))
+    return {"kind": "symplectic", "type": list(typ.diag),
+            "basis_change": ser(b)}
 
 
 def _h_poltype(doc, opts):
@@ -193,9 +194,9 @@ def _h_poltype(doc, opts):
 
 
 def _h_glxy(doc, opts):
-    q = exact_linalg.glxy_act(_int_matrix(doc["u"]),
-                              _frac_matrix(doc["q"]),
-                              _int_matrix(doc["y_basis"]))
+    q = exact_linalg._glxy_rows(_int_matrix(doc["u"]),
+                                _frac_matrix(doc["q"]),
+                                _int_matrix(doc["y_basis"]))
     return {"kind": "glxy", "q": ser(q)}
 
 
@@ -232,7 +233,7 @@ def _h_qp_decompose(doc, opts):
                for pt, v in doc["samples"]}
     dec = pavings_pwl.quasiperiodic_decompose(
         samples, _int_matrix(doc["period_basis"]))
-    return {"kind": "qp-decomposition", "bilinear": ser(dec.bilinear),
+    return {"kind": "qp-decomposition", "bilinear": ser(dec._bilinear_rows),
             "linear": ser(list(dec.quadratic_linear)),
             "periodic": [[ser(list(k)), ser(v)]
                          for k, v in sorted(dec.periodic.items())]}
@@ -312,7 +313,6 @@ def _h_face(doc, opts):
 
 
 def _h_gamma(doc, opts):
-    from . import siegel_trop
     tau = siegel_trop.SiegelPoint(_complex_matrix(doc["tau"]), tol=opts.tol)
     out = siegel_trop.gamma_action(_int_matrix(doc["r"]), tau,
                                    _delta(doc["delta"]))
@@ -320,13 +320,11 @@ def _h_gamma(doc, opts):
 
 
 def _h_cayley(doc, opts):
-    from . import siegel_trop
     tau = siegel_trop.SiegelPoint(_complex_matrix(doc["tau"]), tol=opts.tol)
     return {"kind": "matrix", "value": ser(siegel_trop.cayley_transform(tau))}
 
 
 def _h_trop(doc, opts):
-    from . import siegel_trop
     tau = siegel_trop.SiegelPoint(_complex_matrix(doc["tau"]), tol=opts.tol)
     delta = _delta(doc.get("delta", [1] * tau.g))
     cusp = siegel_trop.CuspSpec(_int(doc.get("gprime", 0)), delta)

@@ -296,9 +296,12 @@ def face_quotient(p: ToricMonoid, face_functionals,
                   phi: PwAffineFunction):
     """Data attached to the face F = {x in P : u(x) = 0 for the given
     functionals}: the quotient monoid P/F, the composed function, its
-    affine-region paving, and the boundedness (admissibility) flag."""
+    affine-region paving, and the boundedness (admissibility) flag.  P
+    must be sharp: its Hilbert basis generates the faces."""
     if phi.payload_rank != p.rank:
         raise NotAFace("payload rank does not match the monoid")
+    if not p.is_sharp():
+        raise NotAFace("the monoid is not sharp", field="monoid")
     gens = p.hilbert_basis()
     funcs = [tuple(int(x) for x in u) for u in face_functionals]
     if any(len(u) != p.rank for u in funcs):

@@ -14,14 +14,15 @@ the one reduction of points modulo a lattice.
 All arithmetic is exact, on lists of int or Fraction rows.
 ``read_matrix`` is the one reader of a matrix argument: nested
 sequences, or anything with ``.tolist()`` (a numpy array), read through
-that method.  The normal forms have row cores (``_hnf_rows``,
-``_snf_rows``, ``_symplectic_rows``) that the package calls.  Numpy
-object arrays of python ints or Fractions are only the public boundary:
-``_object_matrix`` builds them, for the public functions that return an
-array and for the array attributes of the package's classes
-(``ObjectMatrix``), and it holds the one numpy import of the exact
-modules.  So numpy is imported only by siegel_trop and by the public
-functions and attributes that return arrays.
+that method.  The normal forms and the GL(X,Y)-action have row cores
+(``_hnf_rows``, ``_snf_rows``, ``_symplectic_rows``, ``_glxy_rows``)
+that the package calls.  Numpy object arrays of python ints or
+Fractions are only the public boundary: ``_object_matrix`` builds them,
+for the public functions that return an array and for the array
+attributes of the package's classes (``ObjectMatrix``).  No module of
+the package imports numpy when it is imported: numpy is imported inside
+the functions that build or compute on arrays, here ``_object_matrix``
+alone.
 """
 
 from dataclasses import dataclass, fields
@@ -708,6 +709,11 @@ def glxy_act(u, q, y_basis):
     u must be unimodular and must map the sublattice spanned by the
     columns of y_basis into itself; otherwise NotInGLXY.
     """
+    return _object_matrix(_glxy_rows(u, q, y_basis))
+
+
+def _glxy_rows(u, q, y_basis):
+    """glxy_act, as rows of Fraction."""
     u = read_matrix(u)
     n = len(u)
     if any(len(row) != n for row in u):
@@ -723,4 +729,4 @@ def glxy_act(u, q, y_basis):
     if len(q) != n or any(len(row) != n for row in q):
         raise ValueError("q must be %d x %d, as u is" % (n, n))
     ui = LatticeCoordinates(u).inv_rows      # over 1: u is unimodular
-    return _object_matrix(_matmul(_matmul(transpose(ui), q), ui))
+    return _matmul(_matmul(transpose(ui), q), ui)

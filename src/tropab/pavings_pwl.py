@@ -340,17 +340,16 @@ class ToricMonoid:
 def bending_parameters(f: PwAffineFunction):
     """Payload vector across each wall orbit of f's paving.
 
-    For a wall between sigma+ and sigma- (sides named so the primitive
-    wall normal n is positive on sigma+), the pieces agree on the wall,
-    so the linear part of f|sigma+ - f|sigma- is t n, and the bending is
-    t.  The pieces are read from f's integer table, D times the affine
-    ones; there t is an integer because n is primitive, and each bending
-    value is one Fraction t / D.
+    A wall's first incident cell i + s_i has the primitive outward wall
+    normal n, so the other cell lies where n is positive.  The pieces
+    agree on the wall, so the linear part of f on the other cell minus
+    f on cell i is t n, and the bending is t.  The pieces are read from
+    f's integer table, D times the affine ones; there t is an integer
+    because n is primitive, and each bending value is one Fraction
+    t / D.
     """
     out = {}
     for key, ((i, si), (j, sj)) in f.paving.walls().items():
-        n = geom.normal_through(key)
-        c = geom.dot(n, key[0])
         piece_i, piece_j = f._piece(i, si), f._piece(j, sj)
         # the two pieces must agree on the wall itself
         for v in key:
@@ -358,14 +357,10 @@ def bending_parameters(f: PwAffineFunction):
                 if geom.dot(li, v) + ci != geom.dot(lj, v) + cj:
                     raise NonMatchingFaces(
                         "pieces disagree at wall vertex %r" % (v,))
-        # n is positive on sigma+; cell i + si lies on the side of n
-        # where its vertex sum is, n . sum - c per vertex
-        vs = f.paving.cells[i].vertices
-        side = sum(geom.dot(n, v) - c for v in vs) + len(vs) * geom.dot(n, si)
-        plus, minus = (piece_i, piece_j) if side > 0 else (piece_j, piece_i)
+        n = f.paving._wall_normals[key]
         k = next(k for k, x in enumerate(n) if x)
-        out[key] = tuple(Fraction((lin_p[k] - lin_m[k]) // n[k], f._den)
-                         for (lin_p, _), (lin_m, _) in zip(plus, minus))
+        out[key] = tuple(Fraction((lin_j[k] - lin_i[k]) // n[k], f._den)
+                         for (lin_i, _), (lin_j, _) in zip(piece_i, piece_j))
     return out
 
 

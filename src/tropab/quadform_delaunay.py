@@ -167,7 +167,7 @@ class PeriodicPaving:
              for c in cells),
             key=lambda c: c.vertices)
         self._facet_cache = {}
-        self._wall_cache = None
+        self._wall_cache = self._wall_normals = None
         self._locator = None
         self._cone = None
         # (superbase basis, shift, Selling parameters) of a Delaunay
@@ -206,21 +206,24 @@ class PeriodicPaving:
 
         Returns dict: canonical facet vertex tuple -> list of
         (cell_index, shift) with cell[idx] + shift incident to the wall.
+        The primitive normal of each wall, outward from its first
+        incident cell, is kept in ``_wall_normals``.
         """
         if self._wall_cache is not None:
             return self._wall_cache
-        walls = {}
+        walls, normals = {}, {}
         for idx in range(len(self.cells)):
-            for fverts, _n, _c in self.cell_facets(idx):
+            for fverts, n, _c in self.cell_facets(idx):
                 t = self.lattice.shift(sorted(fverts)[0])
                 key = tuple(sorted(geom.vsub(v, t) for v in fverts))
                 shift = tuple(-x for x in t)
                 walls.setdefault(key, []).append((idx, shift))
+                normals.setdefault(key, n)
         for key, inc in walls.items():
             if len(inc) != 2:
                 raise InvalidPaving(
                     "wall %r has %d incident cells" % (key, len(inc)))
-        self._wall_cache = walls
+        self._wall_cache, self._wall_normals = walls, normals
         return walls
 
     def find_containing_cell(self, point):

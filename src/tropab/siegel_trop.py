@@ -5,11 +5,11 @@ standard cusp.
 
 This is deliberately the only inexact module; everything it feeds
 downstream is a cone location, which is robust to 1e-10-level noise.
+No module of the package imports numpy when it is imported: numpy is
+imported inside the functions that build or compute on arrays.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (IllConditionedBlock, NearSingularDenominator,
                      NotSymplectic)
@@ -24,6 +24,7 @@ class SiegelPoint:
     imaginary part."""
 
     def __init__(self, tau, tol: float = DEFAULT_TOL):
+        import numpy as np
         tau = np.asarray(tau, dtype=complex)
         if tau.ndim != 2 or tau.shape[0] != tau.shape[1]:
             raise ValueError("tau must be square")
@@ -52,6 +53,7 @@ class CuspSpec:
 def _min_cholesky_pivot(m):
     """Smallest pivot of the Cholesky factorization, or -inf when the
     factorization fails (matrix not positive definite)."""
+    import numpy as np
     try:
         c = np.linalg.cholesky((m + m.T) / 2)
     except np.linalg.LinAlgError:
@@ -63,6 +65,7 @@ def gamma_action(r, tau: SiegelPoint, delta: PolarizationType) -> SiegelPoint:
     """tau -> (a tau + b D)(c tau + d D)^{-1} D for r = [[a, b], [c, d]]
     in the integral symplectic group of the form of type delta; D is the
     diagonal matrix of the type."""
+    import numpy as np
     r = as_int_matrix(r)
     g = tau.g
     if r.shape != (2 * g, 2 * g):
@@ -81,9 +84,10 @@ def gamma_action(r, tau: SiegelPoint, delta: PolarizationType) -> SiegelPoint:
     return SiegelPoint((new + new.T) / 2, tol=tau.tol)
 
 
-def cayley_transform(tau: SiegelPoint) -> np.ndarray:
+def cayley_transform(tau: SiegelPoint):
     """Z = (tau - iI)(tau + iI)^{-1}, mapping the Siegel space into the
-    bounded realization I - Z conj(Z) > 0."""
+    bounded realization I - Z conj(Z) > 0; a complex array."""
+    import numpy as np
     g = tau.g
     eye = np.eye(g)
     denom = tau.tau + 1j * eye
@@ -97,11 +101,12 @@ def cayley_transform(tau: SiegelPoint) -> np.ndarray:
     return z
 
 
-def tropicalize(tau: SiegelPoint, cusp: CuspSpec) -> np.ndarray:
+def tropicalize(tau: SiegelPoint, cusp: CuspSpec):
     """The positive definite (g - g') x (g - g') form at the standard
     rank-g' cusp: Im(tau_2) - Im(tau_3)^T Im(tau_1)^{-1} Im(tau_3),
-    blocks taken with tau_1 the leading g' x g' corner.  At g' = 0 this
-    is just Im(tau)."""
+    blocks taken with tau_1 the leading g' x g' corner, as a float
+    array.  At g' = 0 this is just Im(tau)."""
+    import numpy as np
     gp = cusp.gprime
     g = tau.g
     if not 0 <= gp < g:

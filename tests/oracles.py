@@ -418,10 +418,6 @@ def polytope_facets_reference(points):
 
     pts = [tuple(p) for p in points]
     r = len(pts[0])
-    if r == 1:
-        lo = min(pts)
-        hi = max(pts)
-        return [((lo,), (-1,), -lo[0]), ((hi,), (1,), hi[0])]
     seen = {}
     for sub in combinations(pts, r):
         n = normal_through_reference(sub)
@@ -1090,7 +1086,7 @@ def bending_reference(f):
 
     out = {}
     for key, ((i, si), (j, sj)) in f.paving.walls().items():
-        n = geom.normal_through(key)
+        n = normal_through_reference(key)
         c = geom.dot(n, key[0])
         aff_i = f.affine_on_cell(i, si)
         aff_j = f.affine_on_cell(j, sj)

@@ -4,9 +4,11 @@ and piping one command's output into the next."""
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from functools import cache
 from itertools import product
 from pathlib import Path
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tropab import errors, quadform_delaunay
+from tropab import errors, exact_linalg, pavings_pwl, quadform_delaunay
 from tropab.cli import HANDLERS, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -345,10 +347,8 @@ def test_face():
     assert got["quotient"]["rank"] == 1
 
 
-def test_face_refuses_a_monoid_whose_basis_box_is_too_large():
-    """A payload of rank 2 over the monoid {x >= 0, 10^6 y >= x}: its ray
-    (10^6, 1) spans a box of more than 10^5 points, refused on the field
-    ``monoid`` before the box is listed."""
+def _sigma_of_payload_rank_2():
+    """Two copies of sigma of [[1]] as one function of payload rank 2."""
     sig = run_json("sigma", {"q": [[1]]})
     sig["payload_rank"] = 2
     for piece in sig["cell_affines"]:
@@ -356,12 +356,31 @@ def test_face_refuses_a_monoid_whose_basis_box_is_too_large():
         piece["constant"] *= 2
     sig["quasi_bilinear"] *= 2
     sig["quasi_linear"] *= 2
+    return sig
+
+
+def test_face_refuses_a_monoid_whose_basis_box_is_too_large():
+    """A payload of rank 2 over the monoid {x >= 0, 10^6 y >= x}: its ray
+    (10^6, 1) spans a box of more than 10^5 points, refused on the field
+    ``monoid`` before the box is listed."""
     code, out, _ = run("face", {
         "monoid": {"rank": 2, "functionals": [[1, 0], [-1, 10 ** 6]]},
-        "face_functionals": [[1, 0]], "function": sig})
+        "face_functionals": [[1, 0]], "function": _sigma_of_payload_rank_2()})
     assert code == 1
     got = json.loads(out)
     assert (got["code"], got["field"]) == ("TooLarge", "monoid")
+
+
+@pytest.mark.parametrize("face", [[1, 0], [0, 0]], ids=["line", "all"])
+def test_face_refuses_a_monoid_that_is_not_sharp(face):
+    """{x >= 0} in Z^2 holds a line: exit 1 on the field ``monoid``, not
+    a quotient of rank 2."""
+    code, out, _ = run("face", {
+        "monoid": {"rank": 2, "functionals": [[1, 0]]},
+        "face_functionals": [face], "function": _sigma_of_payload_rank_2()})
+    assert code == 1
+    got = json.loads(out)
+    assert (got["code"], got["field"]) == ("NotAFace", "monoid")
 
 
 @pytest.mark.parametrize("edit", [
@@ -842,11 +861,136 @@ def test_siegel_output_is_byte_stable(command, doc, want):
     assert (code, out, err) == (0, want, "")
 
 
+# -- the exact subcommands print the rows of the public arrays --------------
+
+def _matrix(rng, rows, cols, singular=False):
+    """A seeded integer matrix; a singular one repeats a combination of
+    its other rows (or is zero, with one row)."""
+    m = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+    if singular:
+        c = rng.randint(-2, 2)
+        m[-1] = [c * x for x in m[0]] if rows > 1 else [0] * cols
+        if rows > 2:
+            m[-1] = [x + y for x, y in zip(m[-1], m[1])]
+    return m
+
+
+def _alternating(rng, n, rank):
+    """B^T J B for a seeded integer B of the given rank and the standard
+    J of size n: alternating, and degenerate when rank < n."""
+    g = n // 2
+    j = [[(k == l + g) - (l == k + g) for l in range(n)] for k in range(n)]
+    b = _matrix(rng, n, n)
+    for k in range(rank, n):
+        b[k] = [0] * n
+    bt = list(map(list, zip(*b)))
+    return [[sum(bt[k][p] * j[p][q] * b[q][l] for p in range(n)
+                 for q in range(n)) for l in range(n)] for k in range(n)]
+
+
+def _unimodular(rng, n):
+    """A product of seeded elementary integer matrices."""
+    u = [[int(k == l) for l in range(n)] for k in range(n)]
+    for _ in range(4):
+        k, l = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        u[k] = [x + c * y for x, y in zip(u[k], u[l])]
+    return u
+
+
+def _symmetric(rng, n):
+    q = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for l in range(k, n):
+            q[k][l] = q[l][k] = "%d/%d" % (rng.randint(-6, 6),
+                                           rng.randint(1, 4))
+    return q
+
+
+def _rows_route_cases(rng):
+    """(command, document, public call) for square, non-square and
+    singular matrices, alternating forms that are nondegenerate,
+    degenerate, not alternating or of odd size, and GL(X, Y) elements
+    that do or do not preserve Y, or are not unimodular."""
+    cases = []
+    for shape in ((3, 3), (2, 4), (4, 2), (1, 3)):
+        for singular in (False, True):
+            m = _matrix(rng, *shape, singular=singular)
+            cases.append(("hnf", {"matrix": m},
+                          lambda m=m: exact_linalg.hermite_normal_form(m)))
+            cases.append(("snf", {"matrix": m},
+                          lambda m=m: exact_linalg.smith_normal_form(m)))
+    for e in (_alternating(rng, 4, 4), _alternating(rng, 2, 2),
+              _alternating(rng, 4, 2), _matrix(rng, 4, 4),
+              _matrix(rng, 3, 3), _matrix(rng, 2, 3)):
+        cases.append(("symplectic", {"matrix": e},
+                      lambda e=e: exact_linalg.symplectic_normal_form(e)))
+    y2 = [[2, 0], [0, 1]]
+    for u, y in ((_unimodular(rng, 2), [[1, 0], [0, 1]]),
+                 (_unimodular(rng, 2), y2), (_unimodular(rng, 3),
+                                             _matrix(rng, 3, 3)),
+                 ([[1, 1], [0, 1]], y2), ([[1, 0], [1, 1]], y2),
+                 (_matrix(rng, 2, 2, singular=True), y2),
+                 ([[2, 1], [1, 1]], y2), (_matrix(rng, 2, 3), y2)):
+        q = _symmetric(rng, len(u))
+        cases.append(("glxy", {"u": u, "q": q, "y_basis": y},
+                      lambda u=u, q=q, y=y: exact_linalg.glxy_act(
+                          u, [[Fraction(x) for x in row] for row in q], y)))
+    scale = rng.randint(1, 5)
+    samples = [[[x], str(scale * x * x + rng.randint(0, 1) * x)]
+               for x in range(-4, 5)]
+    cases.append(("qp-decompose", {"samples": samples,
+                                   "period_basis": [[1]]},
+                  lambda: pavings_pwl.quasiperiodic_decompose(
+                      {(x,): Fraction(v) for (x,), v in samples}, [[1]])))
+    return cases
+
+
+def _public_document(command, value):
+    """What the subcommand prints for the public function's value, its
+    arrays read through .tolist()."""
+    def rat(rows):
+        return [[str(x) for x in row] for row in rows]
+    if command == "hnf":
+        h, u = value
+        return {"kind": "hnf", "h": h.tolist(), "u": u.tolist()}
+    if command == "snf":
+        d, u, v = value
+        return {"kind": "snf", "d": d, "u": u.tolist(), "v": v.tolist()}
+    if command == "symplectic":
+        return {"kind": "symplectic", "type": list(value.type.diag),
+                "basis_change": value.basis_change.tolist()}
+    if command == "glxy":
+        return {"kind": "glxy", "q": rat(value.tolist())}
+    return {"kind": "qp-decomposition", "bilinear": rat(
+        value.bilinear.tolist()), "linear": [str(x) for x in
+                                             value.quadratic_linear],
+            "periodic": [[[str(x) for x in k], str(v)]
+                         for k, v in sorted(value.periodic.items())]}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_row_route_prints_the_public_arrays(seed):
+    """Each exact subcommand prints the rows the library computes on;
+    they are the public function's arrays, and a refusal is the public
+    function's, with its code and field."""
+    refused = set()
+    for command, doc, public in _rows_route_cases(random.Random(seed)):
+        code, out, err = run(command, doc)
+        try:
+            want = (0, _public_document(command, public()))
+        except errors.DomainError as e:
+            want = (1, {"kind": "error", "code": e.code, "message": str(e),
+                        "field": e.field})
+            refused.add((command, e.code))
+        assert (code, json.loads(out)) == want, (command, doc, err)
+    assert refused >= {("symplectic", "NotSkew"), ("symplectic", "Degenerate"),
+                       ("glxy", "NotUnimodular"), ("glxy", "NotInGLXY")}
+
+
 # -- start-up without numpy -------------------------------------------------
 
-NUMPY_FREE = ["delaunay", "voronoi-cone", "fiber", "cy-cone", "sigma",
-              "bend", "legendre", "monoid-add", "face", "fourier", "poltype",
-              "heis", "kw", "balanced", "profile", "degen", "twist"]
+NUMPY_FREE = sorted(set(HANDLERS) - {"gamma", "cayley", "trop"})
 
 _NUMPY_PROBE = """
 import io, json, sys
@@ -862,14 +1006,16 @@ for command, text in json.loads(sys.stdin.read()):
     step(command, main([command], stdin=io.StringIO(text), stdout=out,
                        stderr=err))
 step("tropab.SiegelPoint", tropab.SiegelPoint.__name__)
+step("SiegelPoint([[1j]])", tropab.SiegelPoint([[1j]]).g)
 print(json.dumps(steps))
 """
 
 
 def test_the_exact_subcommands_run_without_importing_numpy():
     """In a fresh interpreter, import tropab, import the CLI, and run
-    each exact subcommand and one malformed input: none loads numpy.
-    The Siegel names still resolve, and bring numpy in."""
+    each exact subcommand and one malformed input, and read the name
+    tropab.SiegelPoint: none loads numpy.  Building a Siegel point
+    does."""
     calls = [(c, json.dumps(_seed_documents()[c])) for c in NUMPY_FREE]
     calls.append(("snf", "this is not json"))
     p = subprocess.run(
@@ -880,5 +1026,7 @@ def test_the_exact_subcommands_run_without_importing_numpy():
     steps = json.loads(p.stdout)
     first = next((label for label, _, loaded in steps[:-1] if loaded), None)
     assert first is None, "%s loaded numpy" % first
-    assert [code for _, code, _ in steps[2:-1]] == [0] * len(NUMPY_FREE) + [2]
-    assert steps[-1] == ["tropab.SiegelPoint", "SiegelPoint", True]
+    assert len(NUMPY_FREE) == 22
+    assert [code for _, code, _ in steps[2:-2]] == [0] * len(NUMPY_FREE) + [2]
+    assert steps[-2:] == [["tropab.SiegelPoint", "SiegelPoint", False],
+                          ["SiegelPoint([[1j]])", 1, True]]

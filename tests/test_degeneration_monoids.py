@@ -321,6 +321,17 @@ def test_face_quotient_rejects_non_face(phi1):
                       phi1.base)
 
 
+@pytest.mark.parametrize("face", [(1, 0), (0, 0)], ids=["line", "all"])
+def test_face_quotient_refuses_a_monoid_that_is_not_sharp(face):
+    """P = {x >= 0} in Z^2 holds the line x = 0, so it has no Hilbert
+    basis to generate its faces: P/F is N for the face x = 0 and 0 for P
+    itself, where the quotient read from the empty basis would be P of
+    rank 2 both times.  P is refused, on the field ``monoid``."""
+    with pytest.raises(NotAFace) as e:
+        face_quotient(ToricMonoid(2, [(1, 0)]), [face], _payload_sigma(2))
+    assert e.value.field == "monoid"
+
+
 def test_face_quotient_vector_payload(phi1):
     # payload (x^2/2-interpolation, globally affine x): admissibility
     # depends on which coordinate survives the quotient

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropab._geometry import normal_through, polytope_facets, polytope_volume
+from tropab._geometry import (_cleared, _integer_normal, polytope_facets,
+                              polytope_volume)
 from tropab.exact_linalg import rank
 
 from oracles import (frac_det, normal_through_reference,
@@ -29,15 +30,16 @@ def _barycentre(pts):
 
 @st.composite
 def hulls(draw):
-    """A full-dimensional point set: r + 1 to r + 3 points, their
-    centroid (inside), and barycentres of some 2..r of them, which lie
-    on a facet whenever those points do."""
-    r = draw(st.sampled_from((2, 3)))
+    """A full-dimensional point set of rank 1 to 3: r + 1 to r + 3
+    points, their centroid (inside), and barycentres of some 2..max(r, 2)
+    of them, which lie on a facet whenever those points do."""
+    r = draw(st.sampled_from((1, 2, 3)))
     base = draw(st.lists(points(r), min_size=r + 1, max_size=r + 3))
     assume(rank([[a - b for a, b in zip(p, base[0])] for p in base[1:]])
            == r)
     subsets = draw(st.lists(st.lists(st.sampled_from(range(len(base))),
-                                     min_size=2, max_size=r, unique=True),
+                                     min_size=2, max_size=max(r, 2),
+                                     unique=True),
                             max_size=3))
     extra = [_barycentre(base)] + [_barycentre([base[i] for i in s])
                                    for s in subsets]
@@ -58,6 +60,12 @@ def spans(draw):
                         for i, p0 in enumerate(base[0])) for ws in combos]
     free = draw(st.one_of(st.none(), points(r)))
     return draw(st.permutations(pts + ([free] if free else [])))
+
+
+def normal_through(pts):
+    """The primitive normal of the hyperplane through rational points, as
+    the package computes it: cleared once, then integer cofactors."""
+    return _integer_normal(_cleared(pts))
 
 
 @settings(max_examples=60, deadline=None)

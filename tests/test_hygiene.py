@@ -2,8 +2,8 @@
 imports is used in that module, every private module-level function of
 the package is used somewhere in it, no module of the package but
 siegel_trop and cli uses a float, none but _geometry calls the
-cofactor determinant _det, none but siegel_trop imports numpy
-when it is imported, none imports the oracles or any other module of
+cofactor determinant _det, none imports numpy when it is imported,
+none imports the oracles or any other module of
 the tests, and none holds an assert statement, which
 ``python -O`` strips.  A function is private when its
 name or its module's file name starts with an underscore.  The package's
@@ -228,11 +228,6 @@ def test_only_the_geometry_module_calls_det():
     assert found == {}
 
 
-# numpy is imported at import time by siegel_trop alone; the exact
-# modules import it inside the function that builds their public arrays
-NUMPY_MODULES = {"siegel_trop.py"}
-
-
 def import_time_numpy_imports(source):
     """The line of each import of numpy or a numpy submodule that runs
     when the module is imported: any outside a function body."""
@@ -267,11 +262,9 @@ def test_the_scan_finds_every_import_time_numpy_import():
     assert import_time_numpy_imports(source) == [1, 2, 3, 8, 12]
 
 
-def test_only_the_siegel_module_imports_numpy_at_import_time():
+def test_no_module_imports_numpy_at_import_time():
     found = {}
     for path in sorted((ROOT / "src").rglob("*.py")):
-        if path.name in NUMPY_MODULES:
-            continue
         lines = import_time_numpy_imports(path.read_text())
         if lines:
             found[str(path.relative_to(ROOT))] = lines
