@@ -484,7 +484,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None):
         _emit(err, opts, stdout)
         return 1
     except (MalformedInput, KeyError, TypeError, ValueError,
-            json.JSONDecodeError, OSError) as e:
+            json.JSONDecodeError, OSError, OverflowError) as e:
         stderr.write("malformed input: %s\n" % e)
         return 2
     _emit(out, opts, stdout)

@@ -355,7 +355,7 @@ def _axpy(x, c, y):
 
 def _matmul(x, y):
     cols = list(zip(*y))
-    return [[_dot(row, col) for col in cols] for row in x]
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
 
 
 def hermite_normal_form(m):

@@ -349,7 +349,8 @@ def bending_parameters(f: PwAffineFunction):
     t / D.
     """
     out = {}
-    for key, ((i, si), (j, sj)) in f.paving.walls().items():
+    walls, normals = f.paving._walls
+    for key, ((i, si), (j, sj)) in walls.items():
         piece_i, piece_j = f._piece(i, si), f._piece(j, sj)
         # the two pieces must agree on the wall itself
         for v in key:
@@ -357,7 +358,7 @@ def bending_parameters(f: PwAffineFunction):
                 if geom.dot(li, v) + ci != geom.dot(lj, v) + cj:
                     raise NonMatchingFaces(
                         "pieces disagree at wall vertex %r" % (v,))
-        n = f.paving._wall_normals[key]
+        n = normals[key]
         k = next(k for k, x in enumerate(n) if x)
         out[key] = tuple(Fraction((lin_j[k] - lin_i[k]) // n[k], f._den)
                          for (lin_i, _), (lin_j, _) in zip(piece_i, piece_j))

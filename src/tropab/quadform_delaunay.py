@@ -11,7 +11,8 @@ lattice point on it, and no lattice point may lie inside.  The window
 does not enter the computation; the paving keeps it as a label.
 
 A QuadraticForm keeps its pavings, one per (period basis, window, shift),
-and a paving its facets, walls, point locator and second-Voronoi cone.
+and a paving, as cached properties, its walls, point locator and
+second-Voronoi cone; a DelaunayPaving reads the last two off its superbase.
 Both compute on int or Fraction rows; numpy is imported only to build
 their public arrays, ``matrix`` and ``period_basis``, on first access.
 
@@ -22,23 +23,16 @@ that has Q in its relative interior (Voronoi 1908; Conway and Sloane
 hand-built paving has no superbase; its rows come from its cells and
 walls (Alexeev 2002) and may repeat a facet.  See secondary_cone.
 
-Point location on a Delaunay paving is a table lookup by face type.  In
-the coordinates y = S^-1 (x - s) of the superbase basis S (s the shift)
-the permutation simplices and their integer translates are the Kuhn
-(Freudenthal) triangulation of R^r, and every cell is a union of its
-closed simplices.  Which simplices contain y is fixed by its face type:
-which fractional parts g_i of y are 0 and the sign of each g_i - g_j,
-i < j.  With f = floor(y) taken modulo M = S^-1 B (B the period basis),
-that fixes the cell translates containing the point up to a period.
-The scan's answer is the least (cell, period coordinates) among those
-translates, and a period shift preserves that order, so one scan per
-class answers every point of it: the table has at most
-2^r 3^(r(r-1)/2) |det B| keys, a bound of the paving, not of the
-points asked.  Hand-built pavings have no superbase and keep the scan.
+Point location on a DelaunayPaving is a table lookup by face type: in
+superbase coordinates its cells are unions of closed simplices of the
+Kuhn (Freudenthal) triangulation of R^r, and one scan per class of
+points answers the whole class (PeriodicPaving.locate_cleared).
+Hand-built pavings have no superbase and keep the scan.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations, product
 from math import ceil, floor, isqrt, lcm, prod
 from operator import add, mul
@@ -72,7 +66,6 @@ class QuadraticForm(ComparedByRows):
         if not is_symmetric(self._matrix_rows):
             raise ValueError("quadratic form matrix must be symmetric")
         object.__setattr__(self, "_pavings", {})
-        object.__setattr__(self, "_positive_definite", None)
 
     @property
     def rank(self) -> int:
@@ -92,10 +85,11 @@ class QuadraticForm(ComparedByRows):
 
     def is_positive_definite(self) -> bool:
         """Sylvester's criterion, run on the first call only."""
-        if self._positive_definite is None:
-            object.__setattr__(self, "_positive_definite",
-                               is_positive_definite(self._matrix_rows))
         return self._positive_definite
+
+    @cached_property
+    def _positive_definite(self):
+        return is_positive_definite(self._matrix_rows)
 
     def __add__(self, other):
         return QuadraticForm([list(map(add, a, b)) for a, b in zip(
@@ -131,6 +125,10 @@ class LatticePolytope:
         return LatticePolytope(tuple(geom.vadd(v, t) for v in self.vertices))
 
     def facets(self):
+        return self._facets
+
+    @cached_property
+    def _facets(self):
         return geom.polytope_facets(self.vertices)
 
     def volume(self) -> Fraction:
@@ -166,15 +164,6 @@ class PeriodicPaving:
             (c if isinstance(c, LatticePolytope) else LatticePolytope(tuple(c))
              for c in cells),
             key=lambda c: c.vertices)
-        self._facet_cache = {}
-        self._wall_cache = self._wall_normals = None
-        self._locator = None
-        self._cone = None
-        # (superbase basis, shift, Selling parameters) of a Delaunay
-        # paving, and the face-type locator built from it on the first
-        # locate_cleared
-        self._superbase = None
-        self._faces = None
 
     # -- canonical translates -------------------------------------------
 
@@ -189,9 +178,7 @@ class PeriodicPaving:
         return all(len(c.vertices) == self.rank + 1 for c in self.cells)
 
     def cell_facets(self, idx):
-        if idx not in self._facet_cache:
-            self._facet_cache[idx] = self.cells[idx].facets()
-        return self._facet_cache[idx]
+        return self.cells[idx].facets()
 
     def vertex_orbits(self):
         out = set()
@@ -206,11 +193,12 @@ class PeriodicPaving:
 
         Returns dict: canonical facet vertex tuple -> list of
         (cell_index, shift) with cell[idx] + shift incident to the wall.
-        The primitive normal of each wall, outward from its first
-        incident cell, is kept in ``_wall_normals``.
         """
-        if self._wall_cache is not None:
-            return self._wall_cache
+        return self._walls[0]
+
+    @cached_property
+    def _walls(self):
+        """(walls(), each wall's primitive normal out of its first cell)."""
         walls, normals = {}, {}
         for idx in range(len(self.cells)):
             for fverts, n, _c in self.cell_facets(idx):
@@ -223,8 +211,7 @@ class PeriodicPaving:
             if len(inc) != 2:
                 raise InvalidPaving(
                     "wall %r has %d incident cells" % (key, len(inc)))
-        self._wall_cache, self._wall_normals = walls, normals
-        return walls
+        return walls, normals
 
     def find_containing_cell(self, point):
         """Locate (cell_index, shift) with point in cells[idx] + shift.
@@ -256,7 +243,7 @@ class PeriodicPaving:
         the one a scan over all k finds.  The rows are tested in
         integers on the reduced numerators.
 
-        A Delaunay paving answers from a table instead.  The point's
+        A DelaunayPaving answers from a table instead.  The point's
         superbase coordinates y = S^-1 (x - s), cleared to integer
         numerators over one denominator, give f = floor(y) and the
         fractional numerators g.  The key is the face type (which g_i
@@ -274,65 +261,20 @@ class PeriodicPaving:
         every point, walls and vertices included.  The table holds at
         most 2^r 3^(r(r-1)/2) |det B| keys.
         """
-        if self._superbase is None:
-            return self._scan_cleared(num, den)
-        if self._faces is None:
-            self._faces = self._face_locator()
-        inv, s_inv, s_den, coset_rows, table = self._faces
-        d, pden = den * s_den, self.lattice.den
-        # the read path's hottest loop: geom.dot is written out inline
-        f, g = [], []
-        for row, s in zip(inv, s_inv):
-            q, m = divmod(s_den * sum(map(mul, row, num)) - den * s, d)
-            f.append(q)
-            g.append(m)
-        c, res = [], []
-        for row in coset_rows:
-            q, m = divmod(sum(map(mul, row, f)), pden)
-            c.append(q)
-            res.append(m)
-        levels = sorted({0, *g})    # the face type, as ranks among 0 and g
-        key = (tuple([levels.index(x) for x in g]), tuple(res))
-        t = [sum(map(mul, row, c)) for row in self.lattice.basis]   # B c
-        hit = table.get(key)
-        if hit is None:
-            hit = self._scan_cleared(num, den)
-            if hit is None:
-                return None
-            hit = table[key] = (hit[0], geom.vsub(hit[1], t))
-        return hit[0], geom.vadd(hit[1], t)
-
-    def _face_locator(self):
-        """(S^-1 rows, S^-1 s numerators, their denominator, the rows
-        of n B^-1 S, the table) for the face-type lookup of
-        locate_cleared, from the superbase basis S and the shift s.  S
-        is unimodular, so its inverse rows are integers over 1."""
-        basis, shift, _ = self._superbase
-        inv = LatticeCoordinates(list(zip(*basis))).inv_rows
-        s_num, s_den = clear_denominators(shift)
-        s_inv = tuple(geom.dot(row, s_num) for row in inv)
-        coset_rows = tuple(tuple(geom.dot(row, v) for v in basis)
-                           for row in self.lattice.inv_rows)
-        return inv, s_inv, s_den, coset_rows, {}
-
-    def _scan_cleared(self, num, den):
-        """locate_cleared by the scan over the locator's translates."""
         t0 = self.lattice.shift_cleared(num, den)
         local = tuple(x - den * t for x, t in zip(num, t0))
-        for idx, bk, rows in self._point_locator():
+        for idx, bk, rows in self._locator:
             if all(geom.dot(a, local) <= b * den for a, b in rows):
                 return idx, geom.vadd(bk, t0)
         return None
 
-    def _point_locator(self):
+    @cached_property
+    def _locator(self):
         """[(idx, B k, rows)] for locate_cleared; rows are integer
         (a, b) with <a, x> <= b exactly on cells[idx] + B k."""
-        if self._locator is not None:
-            return self._locator
         den = self.lattice.den
         locator = []
         for idx, cell in enumerate(self.cells):
-            facets = self.cell_facets(idx)
             # per period coordinate, the k_i that let the translate's
             # bounding box meet [0, 1]; coordinates are scaled by den
             ks = []
@@ -343,13 +285,32 @@ class PeriodicPaving:
             for k in product(*ks):
                 bk = self.lattice.vector(k)
                 rows = []
-                for _f, n, c in facets:
+                for _f, n, c in cell.facets():
                     b = c + geom.dot(n, bk)
                     rows.append((tuple(x * b.denominator for x in n),
                                  b.numerator))
                 locator.append((idx, bk, tuple(rows)))
-        self._locator = locator
         return locator
+
+    @cached_property
+    def _cone(self):
+        """secondary_cone's rows from the cells and walls."""
+        excess = [_excess_row(c.vertices, self.rank) for c in self.cells]
+        equalities, inequalities = set(), set()
+        for cell, row in zip(self.cells, excess):
+            vs = cell.vertices
+            equalities.update(geom.primitive(e) for e in map(row, vs)
+                              if any(e))    # zero just on the affine base
+            box = [range(ceil(min(xs) - x0), floor(max(xs) - x0) + 1)
+                   for xs, x0 in zip(zip(*vs), vs[0])]
+            for p in (geom.vadd(x, vs[0]) for x in product(*box)):
+                if p not in vs and geom.point_in_polytope(p, cell.facets()):
+                    inequalities.add(row(p))
+        for key, ((ia, sa), (ib, sb)) in self.walls().items():
+            far = next(geom.vadd(v, sb) for v in self.cells[ib].vertices
+                       if geom.vadd(v, sb) not in key)
+            inequalities.add(excess[ia](geom.vsub(far, sa)))
+        return tuple(sorted(equalities)), tuple(sorted(inequalities))
 
     def __eq__(self, other):
         if not isinstance(other, PeriodicPaving):
@@ -400,9 +361,89 @@ def coset_representatives(basis, field):
     return list(product(*map(range, pivots)))
 
 
+class DelaunayPaving(PeriodicPaving):
+    """The paving delaunay_subdivision builds from the integer form m.  It
+    keeps ``_superbase`` (v_0 ... v_{r-1} of an obtuse superbase, the
+    shift, the Selling parameters) and reads its locator and cone off it."""
+
+    def __init__(self, m, period_basis, window, shift):
+        super().__init__(len(m), period_basis, [], window)
+        offsets = [geom.vadd(t, shift) for t in
+                   coset_representatives(period_basis, "period_basis")]
+        basis, selling, cells = _delaunay_cells(m)
+        reps = {}
+        for cell, t in product(cells, offsets):
+            c = self.canonical_cell(geom.vadd(v, t) for v in cell)
+            reps[c.vertices] = c
+        self.cells = [reps[vs] for vs in sorted(reps)]
+        self._superbase = (basis, shift, selling)
+
+    def locate_cleared(self, num, den):
+        """PeriodicPaving.locate_cleared, from the face-type table."""
+        inv, s_inv, s_den, coset_rows, table = self._faces
+        d, pden = den * s_den, self.lattice.den
+        # the read path's hottest loop: geom.dot is written out inline
+        f, g = [], []
+        for row, s in zip(inv, s_inv):
+            q, m = divmod(s_den * sum(map(mul, row, num)) - den * s, d)
+            f.append(q)
+            g.append(m)
+        c, res = [], []
+        for row in coset_rows:
+            q, m = divmod(sum(map(mul, row, f)), pden)
+            c.append(q)
+            res.append(m)
+        levels = sorted({0, *g})    # the face type, as ranks among 0 and g
+        key = (tuple([levels.index(x) for x in g]), tuple(res))
+        t = [sum(map(mul, row, c)) for row in self.lattice.basis]   # B c
+        hit = table.get(key)
+        if hit is None:
+            hit = super().locate_cleared(num, den)
+            if hit is None:
+                return None
+            hit = table[key] = (hit[0], geom.vsub(hit[1], t))
+        return hit[0], geom.vadd(hit[1], t)
+
+    @cached_property
+    def _faces(self):
+        """(S^-1 rows, S^-1 s numerators, their denominator, the rows
+        of n B^-1 S, the table) for the face-type lookup of
+        locate_cleared, from the superbase basis S and the shift s.  S
+        is unimodular, so its inverse rows are integers over 1."""
+        basis, shift, _ = self._superbase
+        inv = LatticeCoordinates(list(zip(*basis))).inv_rows
+        s_num, s_den = clear_denominators(shift)
+        s_inv = tuple(geom.dot(row, s_num) for row in inv)
+        coset_rows = tuple(tuple(geom.dot(row, v) for v in basis)
+                           for row in self.lattice.inv_rows)
+        return inv, s_inv, s_den, coset_rows, {}
+
+    @cached_property
+    def _cone(self):
+        """secondary_cone's rows from the superbase basis v_0 ... v_{r-1}
+        (v_r = -sum v_i) and the Selling parameters over the edges of
+        K_{r+1}, in the order of combinations: the row of p_ij(q) =
+        -v_i^T q v_j over the q_ab, a <= b, is -v_ia v_ja on the diagonal
+        and -(v_ia v_jb + v_ib v_ja) off it."""
+        basis, _, selling = self._superbase
+        r = self.rank
+        vs = list(basis) + [tuple(-sum(col) for col in zip(*basis))]
+        equalities, inequalities = [], []
+        for (i, j), p in zip(combinations(range(r + 1), 2), selling):
+            u, v = vs[i], vs[j]
+            row = geom.gcd_reduced(
+                [-u[a] * v[a] if a == b else -(u[a] * v[b] + u[b] * v[a])
+                 for a in range(r) for b in range(a, r)])
+            if p:
+                inequalities.append(row)
+            else:
+                equalities.append(geom.primitive(row))
+        return tuple(sorted(equalities)), tuple(sorted(inequalities))
+
+
 def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
                          shift=None) -> PeriodicPaving:
-    """The Delaunay decomposition of Q, as a periodic paving.
+    """The Delaunay decomposition of Q, as a DelaunayPaving.
 
     Voronoi's closed form for rank r <= 3: the cells of an obtuse
     superbase are its r! permutation simplices, merged where a Selling
@@ -437,21 +478,9 @@ def delaunay_subdivision(q: QuadraticForm, period_basis, window: int,
         raise RankMismatch("shift of length %d for a form of rank %d"
                            % (len(shift), r), field="shift")
     key = (tuple(map(tuple, pb)), window, shift)
-    if key in q._pavings:
-        return q._pavings[key]
-    paving = PeriodicPaving(r, pb, [], window)
-    offsets = [geom.vadd(t, shift)
-               for t in coset_representatives(pb, "period_basis")]
-    reps = {}
-    basis, selling, cells = _delaunay_cells(q.cleared()[0])
-    for cell in cells:
-        for t in offsets:
-            c = paving.canonical_cell(geom.vadd(v, t) for v in cell)
-            reps[c.vertices] = c
-    paving.cells = [reps[vs] for vs in sorted(reps)]   # PeriodicPaving's order
-    paving._superbase = (basis, shift, selling)
-    q._pavings[key] = paving
-    return paving
+    if key not in q._pavings:
+        q._pavings[key] = DelaunayPaving(q.cleared()[0], pb, window, shift)
+    return q._pavings[key]
 
 
 def _delaunay_cells(m):
@@ -624,10 +653,10 @@ def secondary_cone(paving: PeriodicPaving):
     """The closed cone C(paving) as (equalities, inequalities), sorted
     primitive integer rows e with <e, q> = 0 or >= 0 on the entries
     q_ij, i <= j, of Q(x) = sum q_ii x_i^2 + 2 sum_{i<j} q_ij x_i x_j.
-    The rows are kept on the paving.
+    The rows are a cached property of the paving, ``_cone``.
 
     A Delaunay paving reads them off its obtuse superbase v_0 ... v_r
-    (_selling_cone).  For r <= 3, C(Del(Q)) is the face of the principal
+    (DelaunayPaving).  For r <= 3, C(Del(Q)) is the face of the principal
     cone {p_ij >= 0} of Q's superbase that has Q in its relative
     interior (Voronoi, J. reine angew. Math. 134, 1908; Conway and
     Sloane, Proc. R. Soc. A 436, 1992): one row p_ij(q) = -v_i^T q v_j
@@ -643,50 +672,7 @@ def secondary_cone(paving: PeriodicPaving):
     and is <= Q at each point of b_0 + Z^r in a cell that is not a
     vertex, b_0 its first vertex (Alexeev, Annals 155, 2002).  These
     rows cut out the same cone, but an inequality may be redundant."""
-    if paving._cone is not None:
-        return paving._cone
-    if paving._superbase is not None:
-        basis, _, selling = paving._superbase
-        paving._cone = _selling_cone(basis, selling)
-        return paving._cone
-    excess = [_excess_row(c.vertices, paving.rank) for c in paving.cells]
-    equalities, inequalities = set(), set()
-    for idx, (cell, row) in enumerate(zip(paving.cells, excess)):
-        equalities.update(geom.primitive(e) for e in map(row, cell.vertices)
-                          if any(e))    # zero just on the affine base
-        b0, facets = cell.vertices[0], paving.cell_facets(idx)
-        box = [range(ceil(min(xs) - x0), floor(max(xs) - x0) + 1)
-               for xs, x0 in zip(zip(*cell.vertices), b0)]
-        for p in (geom.vadd(x, b0) for x in product(*box)):
-            if p not in cell.vertices and geom.point_in_polytope(p, facets):
-                inequalities.add(row(p))
-    for key, ((ia, sa), (ib, sb)) in paving.walls().items():
-        far = next(geom.vadd(v, sb) for v in paving.cells[ib].vertices
-                   if geom.vadd(v, sb) not in key)
-        inequalities.add(excess[ia](geom.vsub(far, sa)))
-    paving._cone = (tuple(sorted(equalities)), tuple(sorted(inequalities)))
     return paving._cone
-
-
-def _selling_cone(basis, selling):
-    """secondary_cone's rows from the superbase basis v_0 ... v_{r-1}
-    (v_r = -sum v_i) and the Selling parameters over the edges of
-    K_{r+1}, in the order of combinations: the row of p_ij(q) =
-    -v_i^T q v_j over the q_ab, a <= b, is -v_ia v_ja on the diagonal and
-    -(v_ia v_jb + v_ib v_ja) off it."""
-    r = len(basis)
-    vs = list(basis) + [tuple(-sum(col) for col in zip(*basis))]
-    equalities, inequalities = [], []
-    for (i, j), p in zip(combinations(range(r + 1), 2), selling):
-        u, v = vs[i], vs[j]
-        row = geom.gcd_reduced(
-            [-u[a] * v[a] if a == b else -(u[a] * v[b] + u[b] * v[a])
-             for a in range(r) for b in range(a, r)])
-        if p:
-            inequalities.append(row)
-        else:
-            equalities.append(geom.primitive(row))
-    return tuple(sorted(equalities)), tuple(sorted(inequalities))
 
 
 def _excess_row(vertices, r):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .errors import (IllConditionedBlock, NearSingularDenominator,
                      NotSymplectic)
-from .exact_linalg import (PolarizationType, as_int_matrix,
-                           standard_symplectic_form)
+from .exact_linalg import (PolarizationType, _matmul, _standard_form_rows,
+                           read_matrix, transpose)
 
 DEFAULT_TOL = 1e-10
 
@@ -64,24 +64,33 @@ def _min_cholesky_pivot(m):
 def gamma_action(r, tau: SiegelPoint, delta: PolarizationType) -> SiegelPoint:
     """tau -> (a tau + b D)(c tau + d D)^{-1} D for r = [[a, b], [c, d]]
     in the integral symplectic group of the form of type delta; D is the
-    diagonal matrix of the type."""
+    diagonal matrix of the type.  An image whose imaginary part is not
+    positive definite in binary64 is refused (IllConditionedBlock)."""
     import numpy as np
-    r = as_int_matrix(r)
+    rows = read_matrix(r)
     g = tau.g
-    if r.shape != (2 * g, 2 * g):
+    if len(rows) != 2 * g or len(rows[0]) != 2 * g:
         raise NotSymplectic("expected a %dx%d matrix" % (2 * g, 2 * g))
-    e = standard_symplectic_form(delta)
-    if not (r @ e @ r.T == e).all():
+    e = _standard_form_rows(delta)
+    if len(e) != 2 * g:
+        raise ValueError("delta of length %d for tau of size %d"
+                         % (len(delta.diag), g))
+    if _matmul(_matmul(rows, e), transpose(rows)) != e:
         raise NotSymplectic("r does not preserve the alternating form")
-    rf = r.astype(float)
+    rf = np.array(rows, dtype=float)
     a, b = rf[:g, :g], rf[:g, g:]
     c, d = rf[g:, :g], rf[g:, g:]
     dd = np.diag([float(x) for x in delta.diag])
     denom = c @ tau.tau + d @ dd
     if np.linalg.cond(denom) > 1.0 / tau.tol:
-        raise NearSingularDenominator("c tau + d delta is near singular")
+        raise NearSingularDenominator("c tau + d delta is near singular",
+                                      field="tau")
     new = (a @ tau.tau + b @ dd) @ np.linalg.inv(denom) @ dd
-    return SiegelPoint((new + new.T) / 2, tol=tau.tol)
+    try:    # new is square and symmetric: only Im(new) can be refused
+        return SiegelPoint((new + new.T) / 2, tol=tau.tol)
+    except ValueError:
+        raise IllConditionedBlock("the image leaves the binary64 Siegel "
+                                  "space", field="tau") from None
 
 
 def cayley_transform(tau: SiegelPoint):
@@ -92,7 +101,8 @@ def cayley_transform(tau: SiegelPoint):
     eye = np.eye(g)
     denom = tau.tau + 1j * eye
     if np.linalg.cond(denom) > 1.0 / tau.tol:
-        raise NearSingularDenominator("tau + iI is near singular")
+        raise NearSingularDenominator("tau + iI is near singular",
+                                      field="tau")
     z = (tau.tau - 1j * eye) @ np.linalg.inv(denom)
     z = (z + z.T) / 2
     if _min_cholesky_pivot((eye - z @ np.conj(z)).real) <= 0:

@@ -8,8 +8,8 @@ Matrices are read once into int rows, arrays built on first access."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
-from itertools import product
+from functools import lru_cache
+from itertools import islice, product
 from math import prod
 
 from . import _geometry as geom
@@ -82,7 +82,7 @@ class CyclotomicInteger:
     def __init__(self, m, coeffs):
         self.m = int(m)
         deg = _cyclotomic_degree(self.m)[1]
-        cs = list(int(x) for x in coeffs)
+        cs = list(map(int, coeffs))
         if len(cs) > deg:
             phi = cyclotomic_polynomial(self.m)
             for i in range(len(cs) - 1, deg - 1, -1):
@@ -145,6 +145,15 @@ class CyclotomicInteger:
 
     def __repr__(self):
         return "CyclotomicInteger(%d, %r)" % (self.m, list(self.coeffs))
+
+
+def _zeta_powers(m):
+    """zeta^0 ... zeta^(m-1): zeta^(e+1) is x zeta^e, which the constructor
+    reduces in one step modulo Phi_m, so m phi(m) steps in all."""
+    power = CyclotomicInteger.one(m)
+    for _ in range(m):
+        yield power
+        power = CyclotomicInteger(m, (0,) + power.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +397,10 @@ def enumerate_balanced_set(delta: PolarizationType, m: int):
     patterns.  (The scalar exponents of the lifts are free, which makes
     each component's phase independently adjustable.)
     """
-    zeta = cache(partial(CyclotomicInteger.zeta_power, m))
-    return [SchrodingerVector(delta, m, {k: zeta(e) for k, e in pattern})
-            for pattern in _balanced_patterns(delta, m)]
+    patterns = list(_balanced_patterns(delta, m))
+    zeta = list(islice(_zeta_powers(m), m if delta.degree > 1 else 1))
+    return [SchrodingerVector(delta, m, {k: zeta[e] for k, e in pattern})
+            for pattern in patterns]
 
 
 def _balanced_patterns(delta: PolarizationType, m: int):
@@ -428,26 +438,18 @@ def normalize_global_scalar(v: SchrodingerVector) -> SchrodingerVector:
 def section_exponent_pattern(v: SchrodingerVector):
     """index -> exponent for a section whose coefficients are single
     zeta powers; raises ValueError if a coefficient is not of that
-    shape.  One pass over zeta^e, e < M, each step x zeta^e reduced by
-    its leading coefficient times Phi_M, looks every coefficient up."""
+    shape.  One pass of _zeta_powers looks every coefficient up."""
     m = v.modulus
     todo = {}
     for k, c in v.coeffs.items():
         if c.m == m:
             todo.setdefault(c.coeffs, []).append(k)
     out = {}
-    if todo:
-        phi = cyclotomic_polynomial(m)
-        power = list(CyclotomicInteger.one(m).coeffs)
-        for e in range(m):
-            for k in todo.pop(tuple(power), ()):
-                out[k] = e
-            if not todo:
-                break
-            lead = power.pop()
-            power.insert(0, 0)
-            if lead:
-                power = [x - lead * y for x, y in zip(power, phi)]
+    for e, power in enumerate(_zeta_powers(m) if todo else ()):
+        for k in todo.pop(power.coeffs, ()):
+            out[k] = e
+        if not todo:
+            break
     for k in v.coeffs:
         if k not in out:
             raise ValueError("coefficient at %r is not a root of unity"

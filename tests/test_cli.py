@@ -462,6 +462,44 @@ def test_cayley_refuses_a_point_too_close_to_the_boundary(tau):
         "error", "IllConditionedBlock", "tau")
 
 
+def _far_tau(s):
+    """[[s, s], [s, s + 1]] + iI as JSON."""
+    return [[[s, 1], [s, 0]], [[s, 0], [s + 1, 1]]]
+
+
+@pytest.mark.parametrize("command, s, code", [
+    ("gamma", 1e8, "IllConditionedBlock"),
+    ("gamma", 1e10, "NearSingularDenominator"),
+    ("cayley", 1e11, "NearSingularDenominator"),
+], ids=["gamma-image", "gamma-denominator", "cayley-denominator"])
+def test_siegel_refusals_name_tau(command, s, code):
+    """Well-formed input that binary64 cannot carry through exits 1 with
+    a structured error on tau (the gamma image used to exit 2 as
+    malformed, and the denominators named no field)."""
+    doc = {"tau": _far_tau(s)}
+    if command == "gamma":
+        doc.update(r=[[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0],
+                      [0, 1, 0, 0]], delta=[1, 1])
+    rc, out, err = run(command, doc)
+    assert (rc, err) == (1, "")
+    got = json.loads(out)
+    assert (got["kind"], got["code"], got["field"]) == ("error", code, "tau")
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("gamma", {"tau": [[[0, 1]]], "r": [[1, 10 ** 340], [0, 1]],
+               "delta": [1]}),
+    ("cayley", {"tau": [[[10 ** 340, 1]]]}),
+    ("trop", {"tau": [[10 ** 340]]}),
+], ids=["gamma-r", "cayley-tau", "trop-tau"])
+def test_an_integer_beyond_binary64_is_malformed(command, doc):
+    """The Siegel maps compute in binary64: an integer entry no float can
+    hold exits 2 with a message, not with a traceback."""
+    code, out, err = run(command, doc)
+    assert (code, out) == (2, "")
+    assert err.startswith("malformed input: ")
+
+
 # -- Heisenberg commands ----------------------------------------------------
 
 def test_heis_mul():

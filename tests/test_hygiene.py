@@ -4,8 +4,9 @@ the package is used somewhere in it, no module of the package but
 siegel_trop and cli uses a float, none but _geometry calls the
 cofactor determinant _det, none imports numpy when it is imported,
 none imports the oracles or any other module of
-the tests, and none holds an assert statement, which
-``python -O`` strips.  A function is private when its
+the tests, none holds an assert statement, which
+``python -O`` strips, and none writes an attribute of an object other
+than self or cls.  A function is private when its
 name or its module's file name starts with an underscore.  The package's
 ``__init__.py`` files import names only to re-export them and are not
 scanned for imports."""
@@ -336,6 +337,54 @@ def test_the_package_holds_no_assert_statement():
     found = {}
     for path in sorted((ROOT / "src").rglob("*.py")):
         lines = assert_statements(path.read_text())
+        if lines:
+            found[str(path.relative_to(ROOT))] = lines
+    assert found == {}
+
+
+def foreign_attribute_writes(source):
+    """The line of each write to an attribute of an object other than
+    ``self`` or ``cls``: an assignment, augmented assignment or ``del``
+    of such an attribute, or a setattr or object.__setattr__ call on
+    such an object.  A numpy array's ``flags`` are not the package's
+    state and are not counted."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and \
+                not isinstance(node.ctx, ast.Load):
+            obj = node.value
+        elif isinstance(node, ast.Call) and node.args and ast.unparse(
+                node.func) in {"setattr", "object.__setattr__"}:
+            obj = node.args[0]
+        else:
+            continue
+        if not (isinstance(obj, ast.Name) and obj.id in {"self", "cls"}
+                or isinstance(obj, ast.Attribute) and obj.attr == "flags"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_finds_every_foreign_attribute_write():
+    source = ("def f(p, q, self, cls):\n"
+              "    p.cells = []\n"
+              "    q.a, self.b = 1, 2\n"
+              "    p.lattice.den += 1\n"
+              "    setattr(p, 'x', 1)\n"
+              "    object.__setattr__(q, 'y', 2)\n"
+              "    del p.z\n"
+              "    self.c = cls.d = p.cells\n"
+              "    object.__setattr__(self, 'e', 4)\n"
+              "    out.flags.writeable = False\n"
+              "    return getattr(p, 'x')\n")
+    assert foreign_attribute_writes(source) == [2, 3, 4, 5, 6, 7]
+
+
+def test_the_package_writes_only_its_own_attributes():
+    """Every object of the package sets its own state: no function
+    writes into a paving, a form or any other object it is handed."""
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        lines = foreign_attribute_writes(path.read_text())
         if lines:
             found[str(path.relative_to(ROOT))] = lines
     assert found == {}

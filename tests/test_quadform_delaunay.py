@@ -1012,6 +1012,41 @@ def test_the_face_type_table_stays_within_its_bound(q, pb, window):
         2 ** r * 3 ** (r * (r - 1) // 2) * abs(frac_det(_obj(pb)))
 
 
+CONSTRUCTION_STATE = {"rank", "_period_basis_rows", "lattice", "window",
+                      "cells"}
+
+
+def test_a_hand_built_paving_derives_its_data_on_first_use():
+    """The constructor sets no placeholder; walls, locator and cone are
+    computed on first use, and each later use returns the same object."""
+    pav = PeriodicPaving(2, I2, [LatticePolytope(PARALLELOGRAM)], 5)
+    assert set(vars(pav)) == CONSTRUCTION_STATE
+    assert pav.walls() is pav.walls()
+    assert secondary_cone(pav) is secondary_cone(pav)
+    assert pav.cell_facets(0) is pav.cells[0].facets()
+    pt = (Fraction(1, 2), 0)
+    assert pav.find_containing_cell(pt) == \
+        locate_by_scan([PARALLELOGRAM], [[1, 0], [0, 1]], pt)
+    assert set(vars(pav)) == CONSTRUCTION_STATE | {"_walls", "_cone",
+                                                   "_locator"}
+
+
+def test_a_delaunay_paving_is_built_whole():
+    """delaunay_subdivision returns a DelaunayPaving that holds its cells
+    and its superbase from construction on, prints as a PeriodicPaving,
+    and reads its locator table and cone off the superbase."""
+    pav = delaunay_subdivision(QuadraticForm(_obj(A3)), _obj(I3), 3)
+    assert isinstance(pav, PeriodicPaving)
+    assert type(pav) is quadform_delaunay.DelaunayPaving
+    assert repr(pav) == "PeriodicPaving(rank=3, cells=3, window=3)"
+    assert set(vars(pav)) == CONSTRUCTION_STATE | {"_superbase"}
+    assert secondary_cone(pav) is secondary_cone(pav)
+    assert pav.find_containing_cell((Fraction(1, 3), 0, 0)) == \
+        PeriodicPaving.locate_cleared(pav, (1, 0, 0), 3)
+    assert set(vars(pav)) == CONSTRUCTION_STATE | {"_superbase", "_cone",
+                                                   "_faces", "_locator"}
+
+
 def test_find_containing_cell_reaches_long_cells():
     """The parallelogram of SHEARED needs translates far outside
     [-2, 2]^2 to cover the unit square."""

@@ -5,7 +5,8 @@ imaginary part)."""
 import numpy as np
 import pytest
 
-from tropab.errors import IllConditionedBlock, NotSymplectic
+from tropab.errors import (IllConditionedBlock, NearSingularDenominator,
+                           NotSymplectic)
 from tropab.exact_linalg import PolarizationType, standard_symplectic_form
 from tropab.siegel_trop import (CuspSpec, SiegelPoint, cayley_transform,
                                 gamma_action, tropicalize)
@@ -77,6 +78,36 @@ def test_action_rejects_non_symplectic():
         gamma_action(np.eye(4, dtype=int), tau, PRINCIPAL[1])
 
 
+def test_action_refuses_a_type_of_another_genus():
+    with pytest.raises(ValueError, match="delta of length 2"):
+        gamma_action(np.eye(2, dtype=int), random_tau(1), PRINCIPAL[2])
+
+
+# tau_s = [[s, s], [s, s + 1]] + iI is in the Siegel space for every s,
+# and J maps it to -tau_s^-1, whose imaginary part shrinks as s grows
+J = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+
+
+def far_tau(s):
+    return SiegelPoint(np.array([[s, s], [s, s + 1]]) + 1j * np.eye(2))
+
+
+@pytest.mark.parametrize("s", [1e5, 1e8])
+def test_action_refuses_an_image_outside_the_binary64_siegel_space(s):
+    """The input is valid; only the image's Im(tau) fails to be positive
+    definite in binary64, which is a structured refusal on tau and not
+    the ValueError of SiegelPoint."""
+    with pytest.raises(IllConditionedBlock) as err:
+        gamma_action(J, far_tau(s), PRINCIPAL[2])
+    assert err.value.field == "tau"
+
+
+def test_action_refuses_a_near_singular_denominator():
+    with pytest.raises(NearSingularDenominator) as err:
+        gamma_action(J, far_tau(1e10), PRINCIPAL[2])
+    assert err.value.field == "tau"
+
+
 def test_action_with_nonprincipal_type():
     # at g = 1 any determinant-one matrix preserves the scaled form,
     # but the type rescales the action: tau -> 2 (-tau)^{-1} 2
@@ -107,6 +138,12 @@ def test_cayley_refuses_a_point_too_close_to_the_boundary(tau):
     """In binary64 I - Z conj(Z) is not positive definite there."""
     with pytest.raises(IllConditionedBlock) as err:
         cayley_transform(SiegelPoint([[tau]]))
+    assert err.value.field == "tau"
+
+
+def test_cayley_refuses_a_near_singular_denominator():
+    with pytest.raises(NearSingularDenominator) as err:
+        cayley_transform(far_tau(1e11))
     assert err.value.field == "tau"
 
 

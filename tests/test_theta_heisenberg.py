@@ -301,6 +301,26 @@ def test_enumeration_matches_brute_force():
         assert len(got) == m ** (delta.degree - 1)
 
 
+@pytest.mark.parametrize("m", [1, 2, 12, 30, 105, 210])
+def test_the_zeta_walk_matches_each_power(m):
+    """zeta^(e+1) = x zeta^e, reduced by the constructor, is the reduction
+    of x^e by long division, for every e < M."""
+    assert list(theta_heisenberg._zeta_powers(m)) == [
+        CyclotomicInteger.zeta_power(m, e) for e in range(m)]
+
+
+@pytest.mark.parametrize("diag, m", [((1,), 30), ((3,), 6), ((2,), 28),
+                                     ((2, 2), 4), ((1, 3), 6)])
+def test_the_balanced_set_takes_its_powers_from_the_walk(diag, m):
+    """The walk changes no section: each is the zeta_power of its
+    pattern's exponents, in pattern order."""
+    delta = PolarizationType(diag)
+    got = enumerate_balanced_set(delta, m)
+    want = [{k: CyclotomicInteger.zeta_power(m, e) for k, e in pattern}
+            for pattern in theta_heisenberg._balanced_patterns(delta, m)]
+    assert [v.coeffs for v in got] == want
+
+
 def test_enumeration_bound():
     with pytest.raises(TooLarge) as err:
         enumerate_balanced_set(PolarizationType((3, 3)), 6)
