@@ -5,8 +5,8 @@ functions, twisted degeneration monoids, Siegel-space tropicalization,
 and finite Heisenberg/theta combinatorics.
 
 No module of the package imports numpy when it is imported: numpy is
-imported inside the functions that build or compute on arrays, so
-``import tropab`` loads none."""
+imported inside the functions that hand out arrays, so ``import tropab``
+loads none, and neither does building a Siegel point or acting on it."""
 
 from .errors import DomainError
 from .exact_linalg import (PolarizationType, SymplecticDecomposition,

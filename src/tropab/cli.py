@@ -8,8 +8,9 @@ travel as strings "p/q"; complex numbers as [re, im] pairs.
 Input matrices are read into lists of int or Fraction rows, and the
 exact subcommands print the rows the library computes on.  No module of
 the package imports numpy when it is imported: numpy is imported inside
-the functions that build or compute on arrays, so only the gamma, cayley
-and trop subcommands load it.
+the functions that hand out arrays, and the Siegel subcommands print the
+complex and float rows the library computes on, so no subcommand loads
+it.
 """
 
 import argparse
@@ -80,16 +81,13 @@ def _complex_matrix(m):
 
 
 def ser(x):
-    """Recursive canonical serialization of library values; a value with
-    ``.tolist()`` (a Siegel array) is serialized through it."""
+    """Recursive canonical serialization of library values."""
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, (bool, int, float, str)) or x is None:
         return x
     if isinstance(x, complex):
         return [x.real, x.imag]
-    if hasattr(x, "tolist"):
-        return ser(x.tolist())
     if isinstance(x, (list, tuple)):
         return [ser(v) for v in x]
     if isinstance(x, dict):
@@ -316,12 +314,12 @@ def _h_gamma(doc, opts):
     tau = siegel_trop.SiegelPoint(_complex_matrix(doc["tau"]), tol=opts.tol)
     out = siegel_trop.gamma_action(_int_matrix(doc["r"]), tau,
                                    _delta(doc["delta"]))
-    return {"kind": "siegel-point", "tau": ser(out.tau)}
+    return {"kind": "siegel-point", "tau": ser(out._rows)}
 
 
 def _h_cayley(doc, opts):
     tau = siegel_trop.SiegelPoint(_complex_matrix(doc["tau"]), tol=opts.tol)
-    return {"kind": "matrix", "value": ser(siegel_trop.cayley_transform(tau))}
+    return {"kind": "matrix", "value": ser(siegel_trop._cayley_rows(tau))}
 
 
 def _h_trop(doc, opts):
@@ -329,7 +327,7 @@ def _h_trop(doc, opts):
     delta = _delta(doc.get("delta", [1] * tau.g))
     cusp = siegel_trop.CuspSpec(_int(doc.get("gprime", 0)), delta)
     return {"kind": "matrix",
-            "value": ser(siegel_trop.tropicalize(tau, cusp))}
+            "value": ser(siegel_trop._tropicalize_rows(tau, cusp))}
 
 
 def _h_heis(doc, opts):

@@ -924,6 +924,96 @@ def trop_full_inverse(tau, gprime):
     return np.linalg.inv(block)
 
 
+# The numpy Siegel maps the package used before it computed on rows of
+# Python complex numbers, kept as the reference: the same checks, the
+# same refusals, LAPACK's inverse, Cholesky and SVD condition number.
+
+class SiegelPointReference:
+    """tau as a symmetrized complex array, with positive definite
+    imaginary part."""
+
+    def __init__(self, tau, tol=1e-10):
+        tau = np.asarray(tau, dtype=complex)
+        if tau.ndim != 2 or tau.shape[0] != tau.shape[1]:
+            raise ValueError("tau must be square")
+        if np.max(np.abs(tau - tau.T)) > tol:
+            raise ValueError("tau must be symmetric within tolerance")
+        self.tau = (tau + tau.T) / 2
+        self.g = tau.shape[0]
+        self.tol = tol
+        if min_cholesky_pivot_reference(self.tau.imag) <= tol:
+            raise ValueError("Im(tau) must be positive definite")
+
+
+def min_cholesky_pivot_reference(m):
+    """Smallest pivot of the Cholesky factorization, or -inf when the
+    factorization fails (matrix not positive definite)."""
+    try:
+        c = np.linalg.cholesky((m + m.T) / 2)
+    except np.linalg.LinAlgError:
+        return -np.inf
+    return float(np.min(np.diag(c)) ** 2)
+
+
+def gamma_action_reference(r, tau, delta):
+    """(a tau + b D)(c tau + d D)^{-1} D on a SiegelPointReference,
+    r = [[a, b], [c, d]] already known to be symplectic."""
+    from tropab.errors import IllConditionedBlock, NearSingularDenominator
+    g = tau.g
+    rf = np.array(r, dtype=float)
+    a, b = rf[:g, :g], rf[:g, g:]
+    c, d = rf[g:, :g], rf[g:, g:]
+    dd = np.diag([float(x) for x in delta.diag])
+    denom = c @ tau.tau + d @ dd
+    if np.linalg.cond(denom) > 1.0 / tau.tol:
+        raise NearSingularDenominator("c tau + d delta is near singular",
+                                      field="tau")
+    new = (a @ tau.tau + b @ dd) @ np.linalg.inv(denom) @ dd
+    try:    # new is square and symmetric: only Im(new) can be refused
+        return SiegelPointReference((new + new.T) / 2, tol=tau.tol)
+    except ValueError:
+        raise IllConditionedBlock("the image leaves the binary64 Siegel "
+                                  "space", field="tau") from None
+
+
+def cayley_transform_reference(tau):
+    """Z = (tau - iI)(tau + iI)^{-1} on a SiegelPointReference."""
+    from tropab.errors import IllConditionedBlock, NearSingularDenominator
+    g = tau.g
+    eye = np.eye(g)
+    denom = tau.tau + 1j * eye
+    if np.linalg.cond(denom) > 1.0 / tau.tol:
+        raise NearSingularDenominator("tau + iI is near singular",
+                                      field="tau")
+    z = (tau.tau - 1j * eye) @ np.linalg.inv(denom)
+    z = (z + z.T) / 2
+    if min_cholesky_pivot_reference((eye - z @ np.conj(z)).real) <= 0:
+        raise IllConditionedBlock("I - Z conj(Z) is not positive definite "
+                                  "in binary64", field="tau")
+    return z
+
+
+def tropicalize_reference(tau, gprime):
+    """Im(tau_2) - Im(tau_3)^T Im(tau_1)^{-1} Im(tau_3) on a
+    SiegelPointReference."""
+    from tropab.errors import IllConditionedBlock
+    gp = gprime
+    g = tau.g
+    if not 0 <= gp < g:
+        raise ValueError("need 0 <= gprime < g")
+    im = tau.tau.imag
+    if gp == 0:
+        return (im + im.T) / 2
+    im1 = im[:gp, :gp]
+    im3 = im[:gp, gp:]
+    im2 = im[gp:, gp:]
+    if min_cholesky_pivot_reference(im1) <= tau.tol:
+        raise IllConditionedBlock("leading block of Im(tau) is too close "
+                                  "to singular")
+    tr = im2 - im3.T @ np.linalg.inv(im1) @ im3
+    return (tr + tr.T) / 2
+
+
 # ---------------------------------------------------------------------------
 # Hilbert bases and face quotients of toric monoids
 # ---------------------------------------------------------------------------

@@ -500,6 +500,37 @@ def test_an_integer_beyond_binary64_is_malformed(command, doc):
     assert err.startswith("malformed input: ")
 
 
+@pytest.mark.parametrize("command, text", [
+    ("trop", '{"tau": [[NaN]]}'),
+    ("trop", '{"tau": [[[Infinity, 1]]]}'),
+    ("cayley", '{"tau": [[[0, NaN]]]}'),
+    ("gamma", '{"tau": [[[-Infinity, 1]]], "r": [[1, 0], [0, 1]], '
+              '"delta": [1]}'),
+], ids=["trop-nan", "trop-inf", "cayley-nan", "gamma-inf"])
+def test_a_non_finite_tau_is_malformed(command, text):
+    """json.loads reads NaN and Infinity; a Siegel point refuses them, so
+    no subcommand prints a non-JSON NaN or fails inside an SVD."""
+    code, out, err = run(command, text=text)
+    assert (code, out) == (2, "")
+    assert err == "malformed input: tau must have finite entries\n"
+
+
+@pytest.mark.parametrize("command, tol", [
+    ("gamma", "0"), ("cayley", "0"), ("cayley", "-5"), ("trop", "nan"),
+    ("trop", "inf")])
+def test_a_tolerance_that_is_not_finite_and_positive_is_malformed(command,
+                                                                  tol):
+    """--tol 0 used to end in a ZeroDivisionError traceback, and a
+    negative one called a valid tau asymmetric."""
+    doc = {"gamma": {"tau": [[[0, 1]]], "r": [[1, 0], [0, 1]],
+                     "delta": [1]},
+           "cayley": {"tau": [[[0, 1]]]},
+           "trop": {"tau": [[[0, 1]]]}}[command]
+    code, out, err = run(command, doc, args=("--tol", tol))
+    assert (code, out) == (2, "")
+    assert err.startswith("malformed input: tol must be finite and positive")
+
+
 # -- Heisenberg commands ----------------------------------------------------
 
 def test_heis_mul():
@@ -1028,7 +1059,18 @@ def test_the_row_route_prints_the_public_arrays(seed):
 
 # -- start-up without numpy -------------------------------------------------
 
-NUMPY_FREE = sorted(set(HANDLERS) - {"gamma", "cayley", "trop"})
+NUMPY_FREE = sorted(HANDLERS)
+
+# one input of each kind that every subcommand refuses or fails to read
+_REFUSED = [
+    ("snf", "this is not json", 2),
+    ("gamma", json.dumps({"tau": [[[1e10, 1], [1e10, 0]],
+                                  [[1e10, 0], [1e10 + 1, 1]]],
+                          "r": [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0],
+                                [0, 1, 0, 0]], "delta": [1, 1]}), 1),
+    ("cayley", json.dumps({"tau": [[[1e8, 1e-8]]]}), 1),
+    ("trop", '{"tau": [[NaN]]}', 2),
+]
 
 _NUMPY_PROBE = """
 import io, json, sys
@@ -1044,18 +1086,24 @@ for command, text in json.loads(sys.stdin.read()):
     step(command, main([command], stdin=io.StringIO(text), stdout=out,
                        stderr=err))
 step("tropab.SiegelPoint", tropab.SiegelPoint.__name__)
-step("SiegelPoint([[1j]])", tropab.SiegelPoint([[1j]]).g)
+point = tropab.SiegelPoint([[1j]])
+step("SiegelPoint([[1j]])", point.g)
+moved = tropab.gamma_action([[0, 1], [-1, 0]], point,
+                            tropab.PolarizationType((1,)))
+step("gamma_action", moved.g)
+step("SiegelPoint.tau", moved.tau.shape[0])
 print(json.dumps(steps))
 """
 
 
-def test_the_exact_subcommands_run_without_importing_numpy():
-    """In a fresh interpreter, import tropab, import the CLI, and run
-    each exact subcommand and one malformed input, and read the name
-    tropab.SiegelPoint: none loads numpy.  Building a Siegel point
+def test_no_subcommand_imports_numpy():
+    """In a fresh interpreter, import tropab, import the CLI, run every
+    subcommand, a malformed input and a refusal of each Siegel
+    subcommand, read the name tropab.SiegelPoint, build a Siegel point
+    and act on it: none loads numpy.  Reading the point's public array
     does."""
     calls = [(c, json.dumps(_seed_documents()[c])) for c in NUMPY_FREE]
-    calls.append(("snf", "this is not json"))
+    calls += [(c, text) for c, text, _ in _REFUSED]
     p = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE], input=json.dumps(calls),
         capture_output=True, text=True, timeout=120,
@@ -1064,7 +1112,10 @@ def test_the_exact_subcommands_run_without_importing_numpy():
     steps = json.loads(p.stdout)
     first = next((label for label, _, loaded in steps[:-1] if loaded), None)
     assert first is None, "%s loaded numpy" % first
-    assert len(NUMPY_FREE) == 22
-    assert [code for _, code, _ in steps[2:-2]] == [0] * len(NUMPY_FREE) + [2]
-    assert steps[-2:] == [["tropab.SiegelPoint", "SiegelPoint", False],
-                          ["SiegelPoint([[1j]])", 1, True]]
+    assert len(NUMPY_FREE) == 25
+    assert [code for _, code, _ in steps[2:-4]] == \
+        [0] * len(NUMPY_FREE) + [code for _, _, code in _REFUSED]
+    assert steps[-4:] == [["tropab.SiegelPoint", "SiegelPoint", False],
+                          ["SiegelPoint([[1j]])", 1, False],
+                          ["gamma_action", 1, False],
+                          ["SiegelPoint.tau", 1, True]]
