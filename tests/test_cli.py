@@ -1061,7 +1061,8 @@ def test_the_row_route_prints_the_public_arrays(seed):
 
 NUMPY_FREE = sorted(HANDLERS)
 
-# one input of each kind that every subcommand refuses or fails to read
+# (command, input, exit code): a malformed input, and a refusal of each
+# Siegel subcommand
 _REFUSED = [
     ("snf", "this is not json", 2),
     ("gamma", json.dumps({"tau": [[[1e10, 1], [1e10, 0]],
