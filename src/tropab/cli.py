@@ -6,11 +6,15 @@ domain error (structured error object), 2 malformed input.  Rationals
 travel as strings "p/q"; complex numbers as [re, im] pairs.
 
 Input matrices are read into lists of int or Fraction rows, and the
-exact subcommands print the rows the library computes on.  No module of
-the package imports numpy when it is imported: numpy is imported inside
-the functions that hand out arrays, and the Siegel subcommands print the
-complex and float rows the library computes on, so no subcommand loads
-it.
+exact subcommands print the rows the library computes on.  A JSON
+boolean is not a number here: ``true`` where a number belongs exits 2.
+
+A subcommand loads only the modules its handler uses.  This module
+imports no library module but ``errors`` when it is imported: each
+handler and each reader of an input object imports the modules it
+calls, and the ``tropab`` namespace imports none until a name is read
+from it.  No subcommand loads numpy: the Siegel subcommands print the
+complex and float rows the library computes on.
 """
 
 import argparse
@@ -18,8 +22,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import (degeneration_monoids, exact_linalg, pavings_pwl,
-               quadform_delaunay, siegel_trop, theta_heisenberg)
 from .errors import DomainError
 
 
@@ -33,7 +35,7 @@ class MalformedInput(Exception):
 
 def _frac(x):
     try:
-        if isinstance(x, (str, int, float)):
+        if isinstance(x, (str, int, float)) and not isinstance(x, bool):
             return Fraction(x)
     except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise MalformedInput("bad rational %r: %s" % (x, e))
@@ -67,17 +69,19 @@ def _int_vector(v):
     return tuple(_int(x) for x in v)
 
 
+def _complex(e):
+    parts = e if isinstance(e, list) else [e]
+    if isinstance(e, list) and len(e) != 2 or \
+            any(isinstance(x, bool) for x in parts):
+        raise MalformedInput("a complex entry is a number or an "
+                             "[re, im] pair of numbers")
+    return complex(*parts)
+
+
 def _complex_matrix(m):
     if not isinstance(m, list):
         raise MalformedInput("expected a complex matrix")
-    out = []
-    for row in m:
-        if any(isinstance(e, list) and len(e) != 2 for e in row):
-            raise MalformedInput("a complex entry is a number or an "
-                                 "[re, im] pair")
-        out.append([complex(e[0], e[1]) if isinstance(e, list)
-                    else complex(e) for e in row])
-    return out
+    return [[_complex(e) for e in row] for row in m]
 
 
 def ser(x):
@@ -102,6 +106,7 @@ def ser_paving(p):
 
 
 def de_paving(obj):
+    from . import quadform_delaunay
     try:
         rank = _int(obj["rank"])
         cells = [quadform_delaunay.LatticePolytope(
@@ -130,6 +135,7 @@ def ser_pwa(f):
 
 
 def de_pwa(obj):
+    from . import pavings_pwl
     try:
         paving = de_paving(obj["paving"])
         k = _int(obj.get("payload_rank", 1))
@@ -144,6 +150,7 @@ def de_pwa(obj):
 
 
 def _delta(obj):
+    from . import exact_linalg
     if not isinstance(obj, list) or not obj:
         raise MalformedInput("delta must be a nonempty list of integers")
     return exact_linalg.PolarizationType(tuple(_int(x) for x in obj))
@@ -152,12 +159,14 @@ def _delta(obj):
 def _modulus(doc, delta):
     """The modulus M of a Heisenberg input, 2 d_g by default, checked
     before any cyclotomic integer mod M is built."""
+    from . import theta_heisenberg
     m = _int(doc.get("modulus", 2 * delta.diag[-1]))
     theta_heisenberg._check_modulus(delta, m)
     return m
 
 
 def _heis_el(obj, delta, m):
+    from . import theta_heisenberg
     try:
         t, a, b = obj
         return theta_heisenberg.HeisenbergElement(
@@ -171,27 +180,32 @@ def _heis_el(obj, delta, m):
 # ---------------------------------------------------------------------------
 
 def _h_hnf(doc, opts):
+    from . import exact_linalg
     h, u = exact_linalg._hnf_rows(_int_matrix(doc["matrix"]))
     return {"kind": "hnf", "h": ser(h), "u": ser(u)}
 
 
 def _h_snf(doc, opts):
+    from . import exact_linalg
     d, u, v = exact_linalg._snf_rows(_int_matrix(doc["matrix"]))
     return {"kind": "snf", "d": d, "u": ser(u), "v": ser(v)}
 
 
 def _h_symplectic(doc, opts):
+    from . import exact_linalg
     typ, b = exact_linalg._symplectic_rows(_int_matrix(doc["matrix"]))
     return {"kind": "symplectic", "type": list(typ.diag),
             "basis_change": ser(b)}
 
 
 def _h_poltype(doc, opts):
+    from . import exact_linalg
     t = exact_linalg.polarization_type(_int_matrix(doc["matrix"]))
     return {"kind": "poltype", "type": list(t.diag)}
 
 
 def _h_glxy(doc, opts):
+    from . import exact_linalg
     q = exact_linalg._glxy_rows(_int_matrix(doc["u"]),
                                 _frac_matrix(doc["q"]),
                                 _int_matrix(doc["y_basis"]))
@@ -199,6 +213,7 @@ def _h_glxy(doc, opts):
 
 
 def _h_delaunay(doc, opts):
+    from . import quadform_delaunay
     q = quadform_delaunay.QuadraticForm(_frac_matrix(doc["q"]))
     pb = _int_matrix(doc.get("period_basis",
                              _identity_json(q.rank)))
@@ -211,6 +226,7 @@ def _h_delaunay(doc, opts):
 
 
 def _h_voronoi_cone(doc, opts):
+    from . import quadform_delaunay
     pav = de_paving(doc["paving"])
     q = quadform_delaunay.QuadraticForm(_frac_matrix(doc["q"]))
     return {"kind": "voronoi-cone",
@@ -218,6 +234,7 @@ def _h_voronoi_cone(doc, opts):
 
 
 def _h_bend(doc, opts):
+    from . import pavings_pwl
     f = de_pwa(doc["function"])
     bends = pavings_pwl.bending_parameters(f)
     walls = [{"vertices": [list(v) for v in key],
@@ -227,6 +244,7 @@ def _h_bend(doc, opts):
 
 
 def _h_qp_decompose(doc, opts):
+    from . import pavings_pwl
     samples = {tuple(_int(x) for x in pt): _frac(v)
                for pt, v in doc["samples"]}
     dec = pavings_pwl.quasiperiodic_decompose(
@@ -238,6 +256,7 @@ def _h_qp_decompose(doc, opts):
 
 
 def _h_cy_cone(doc, opts):
+    from . import pavings_pwl
     samples = {tuple(_int(x) for x in pt): _frac(v)
                for pt, v in doc["samples"]}
     t = de_paving(doc["paving"])
@@ -247,12 +266,14 @@ def _h_cy_cone(doc, opts):
 
 
 def _h_sigma(doc, opts):
+    from . import pavings_pwl, quadform_delaunay
     q = quadform_delaunay.QuadraticForm(_frac_matrix(doc["q"]))
     pb = _int_matrix(doc.get("period_basis", _identity_json(q.rank)))
     return ser_pwa(pavings_pwl.sigma_section(q, pb, opts.window))
 
 
 def _h_legendre(doc, opts):
+    from . import pavings_pwl
     f = de_pwa(doc["function"])
     window = _int(doc.get("window", opts.window))
     vals = pavings_pwl.legendre_transform(f, window)
@@ -262,6 +283,7 @@ def _h_legendre(doc, opts):
 
 
 def _de_monoid_element(obj):
+    from . import degeneration_monoids
     try:
         return degeneration_monoids.TwistedMonoidElement(
             _int(obj["degree"]), _int_vector(obj["point"]),
@@ -271,6 +293,7 @@ def _de_monoid_element(obj):
 
 
 def _h_monoid_add(doc, opts):
+    from . import degeneration_monoids
     phi = degeneration_monoids.HomogenizedFunction(de_pwa(doc["function"]))
     z = degeneration_monoids.twisted_add(_de_monoid_element(doc["x"]),
                                          _de_monoid_element(doc["y"]), phi)
@@ -279,6 +302,7 @@ def _h_monoid_add(doc, opts):
 
 
 def _h_fourier(doc, opts):
+    from . import degeneration_monoids
     reps, t = degeneration_monoids.fourier_indices(
         _int(doc["rank"]), _int_matrix(doc["phi_map"]))
     return {"kind": "fourier", "reps": [list(r) for r in reps],
@@ -286,6 +310,7 @@ def _h_fourier(doc, opts):
 
 
 def _h_fiber(doc, opts):
+    from . import degeneration_monoids
     pav = de_paving(doc["paving"])
     cfc = degeneration_monoids.central_fiber_complex(
         pav, _int_matrix(doc["phi_image_basis"]))
@@ -295,6 +320,7 @@ def _h_fiber(doc, opts):
 
 
 def _h_face(doc, opts):
+    from . import degeneration_monoids, pavings_pwl
     monoid = pavings_pwl.ToricMonoid(
         _int(doc["monoid"]["rank"]),
         [_int_vector(u) for u in doc["monoid"]["functionals"]])
@@ -311,6 +337,7 @@ def _h_face(doc, opts):
 
 
 def _h_gamma(doc, opts):
+    from . import siegel_trop
     tau = siegel_trop.SiegelPoint(_complex_matrix(doc["tau"]), tol=opts.tol)
     out = siegel_trop.gamma_action(_int_matrix(doc["r"]), tau,
                                    _delta(doc["delta"]))
@@ -318,11 +345,13 @@ def _h_gamma(doc, opts):
 
 
 def _h_cayley(doc, opts):
+    from . import siegel_trop
     tau = siegel_trop.SiegelPoint(_complex_matrix(doc["tau"]), tol=opts.tol)
     return {"kind": "matrix", "value": ser(siegel_trop._cayley_rows(tau))}
 
 
 def _h_trop(doc, opts):
+    from . import siegel_trop
     tau = siegel_trop.SiegelPoint(_complex_matrix(doc["tau"]), tol=opts.tol)
     delta = _delta(doc.get("delta", [1] * tau.g))
     cusp = siegel_trop.CuspSpec(_int(doc.get("gprime", 0)), delta)
@@ -331,6 +360,7 @@ def _h_trop(doc, opts):
 
 
 def _h_heis(doc, opts):
+    from . import theta_heisenberg
     delta = _delta(doc["delta"])
     m = _modulus(doc, delta)
     z = theta_heisenberg.heis_mul(_heis_el(doc["x"], delta, m),
@@ -340,6 +370,7 @@ def _h_heis(doc, opts):
 
 
 def _h_kw(doc, opts):
+    from . import theta_heisenberg
     delta = _delta(doc["delta"])
     m = _modulus(doc, delta)
     spaces = theta_heisenberg.kw_decompose(delta, m)
@@ -349,6 +380,7 @@ def _h_kw(doc, opts):
 
 
 def _h_balanced(doc, opts):
+    from . import theta_heisenberg
     delta = _delta(doc["delta"])
     m = _modulus(doc, delta)
     pats = [[[list(k), e] for k, e in p]
@@ -357,6 +389,7 @@ def _h_balanced(doc, opts):
 
 
 def _de_degen(doc):
+    from . import quadform_delaunay, theta_heisenberg
     q = quadform_delaunay.QuadraticForm(_frac_matrix(doc["q"]))
     sp = doc.get("s_prime")
     return theta_heisenberg.DegenerationData(
@@ -366,6 +399,7 @@ def _de_degen(doc):
 
 
 def _h_degen(doc, opts):
+    from . import theta_heisenberg
     a, b = theta_heisenberg.degen_exponents(
         _de_degen(doc), _int_vector(doc["lambda"]),
         _int_vector(doc["alpha"]))
@@ -373,6 +407,7 @@ def _h_degen(doc, opts):
 
 
 def _h_twist(doc, opts):
+    from . import theta_heisenberg
     a, b = theta_heisenberg.twist_data(
         _de_degen(doc), _int_vector(doc["lambda"]),
         _int_vector(doc["alpha"]))
@@ -380,6 +415,7 @@ def _h_twist(doc, opts):
 
 
 def _h_profile(doc, opts):
+    from . import pavings_pwl, quadform_delaunay, theta_heisenberg
     delta = _delta(doc["delta"])
     m = _modulus(doc, delta)
 

@@ -63,6 +63,8 @@ class QuadraticForm(ComparedByRows):
     matrix: object = ObjectMatrix(as_frac, writeable=False)
 
     def __post_init__(self):
+        if any(len(row) != self.rank for row in self._matrix_rows):
+            raise ValueError("quadratic form matrix must be square")
         if not is_symmetric(self._matrix_rows):
             raise ValueError("quadratic form matrix must be symmetric")
         object.__setattr__(self, "_pavings", {})

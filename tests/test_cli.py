@@ -531,6 +531,31 @@ def test_a_tolerance_that_is_not_finite_and_positive_is_malformed(command,
     assert err.startswith("malformed input: tol must be finite and positive")
 
 
+@pytest.mark.parametrize("command, text", [
+    ("hnf", '{"matrix": [[true, false], [false, true]]}'),
+    ("delaunay", '{"q": [[true]]}'),
+    ("cayley", '{"tau": [[[false, true]]]}'),
+    ("kw", '{"delta": [true, true]}'),
+], ids=["hnf", "delaunay", "cayley", "kw"])
+def test_a_json_boolean_is_malformed(command, text):
+    """bool is an int in Python, but true is no number: each of these
+    exited 0, reading true as 1 and false as 0."""
+    code, out, err = run(command, text=text)
+    assert (code, out) == (2, "")
+    assert err.startswith("malformed input: ")
+
+
+@pytest.mark.parametrize("command", ["delaunay", "sigma"])
+@pytest.mark.parametrize("q", [[[1, 2]], [[1], [2]], [[]]],
+                         ids=["row", "column", "empty-row"])
+def test_a_form_that_is_not_square_is_malformed(command, q):
+    """The refusal says what is wrong: such a form used to be called not
+    symmetric."""
+    code, out, err = run(command, {"q": q})
+    assert (code, out) == (2, "")
+    assert err == "malformed input: quadratic form matrix must be square\n"
+
+
 # -- Heisenberg commands ----------------------------------------------------
 
 def test_heis_mul():
@@ -1073,11 +1098,15 @@ _REFUSED = [
     ("trop", '{"tau": [[NaN]]}', 2),
 ]
 
-_NUMPY_PROBE = """
+# each step records its label, the value it computed, whether numpy is
+# loaded, and the package's loaded modules, sorted
+_PROBE = """
 import io, json, sys
 steps = []
 def step(label, code=None):
-    steps.append([label, code, "numpy" in sys.modules])
+    steps.append([label, code, "numpy" in sys.modules,
+                  sorted(m for m in sys.modules
+                         if m.partition(".")[0] == "tropab")])
 import tropab
 step("import tropab")
 from tropab.cli import main
@@ -1086,6 +1115,9 @@ for command, text in json.loads(sys.stdin.read()):
     out, err = io.StringIO(), io.StringIO()
     step(command, main([command], stdin=io.StringIO(text), stdout=out,
                        stderr=err))
+"""
+
+_NUMPY_PROBE = _PROBE + """
 step("tropab.SiegelPoint", tropab.SiegelPoint.__name__)
 point = tropab.SiegelPoint([[1j]])
 step("SiegelPoint([[1j]])", point.g)
@@ -1093,8 +1125,18 @@ moved = tropab.gamma_action([[0, 1], [-1, 0]], point,
                             tropab.PolarizationType((1,)))
 step("gamma_action", moved.g)
 step("SiegelPoint.tau", moved.tau.shape[0])
-print(json.dumps(steps))
 """
+
+
+def _probe(source, calls):
+    """The steps of source, run in a fresh interpreter on the
+    (command, input) calls."""
+    p = subprocess.run(
+        [sys.executable, "-c", source + "print(json.dumps(steps))\n"],
+        input=json.dumps(calls), capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert p.returncode == 0, p.stderr
+    return json.loads(p.stdout)
 
 
 def test_no_subcommand_imports_numpy():
@@ -1105,18 +1147,41 @@ def test_no_subcommand_imports_numpy():
     does."""
     calls = [(c, json.dumps(_seed_documents()[c])) for c in NUMPY_FREE]
     calls += [(c, text) for c, text, _ in _REFUSED]
-    p = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE], input=json.dumps(calls),
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(SRC)))
-    assert p.returncode == 0, p.stderr
-    steps = json.loads(p.stdout)
-    first = next((label for label, _, loaded in steps[:-1] if loaded), None)
+    steps = _probe(_NUMPY_PROBE, calls)
+    first = next((label for label, _, loaded, _ in steps[:-1] if loaded),
+                 None)
     assert first is None, "%s loaded numpy" % first
     assert len(NUMPY_FREE) == 25
-    assert [code for _, code, _ in steps[2:-4]] == \
+    assert [code for _, code, _, _ in steps[2:-4]] == \
         [0] * len(NUMPY_FREE) + [code for _, _, code in _REFUSED]
-    assert steps[-4:] == [["tropab.SiegelPoint", "SiegelPoint", False],
-                          ["SiegelPoint([[1j]])", 1, False],
-                          ["gamma_action", 1, False],
-                          ["SiegelPoint.tau", 1, True]]
+    assert [step[:3] for step in steps[-4:]] == [
+        ["tropab.SiegelPoint", "SiegelPoint", False],
+        ["SiegelPoint([[1j]])", 1, False],
+        ["gamma_action", 1, False],
+        ["SiegelPoint.tau", 1, True]]
+
+
+_CLI_MODULES = ["tropab", "tropab.cli", "tropab.errors"]
+_PAVING_MODULES = ["tropab._geometry", "tropab.exact_linalg",
+                   "tropab.pavings_pwl", "tropab.quadform_delaunay"]
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("hnf", ["tropab.exact_linalg"]),
+    ("trop", ["tropab.exact_linalg", "tropab.siegel_trop"]),
+    ("sigma", _PAVING_MODULES),
+    ("kw", _PAVING_MODULES + ["tropab.degeneration_monoids",
+                              "tropab.theta_heisenberg"]),
+], ids=["hnf", "trop", "sigma", "kw"])
+def test_a_subcommand_loads_only_the_modules_its_handler_uses(command,
+                                                              loaded):
+    """In a fresh interpreter, import tropab loads no submodule, importing
+    the CLI adds only itself and the errors it catches, and a subcommand
+    adds the modules its handler calls and what they import."""
+    steps = _probe(_PROBE, [(command,
+                             json.dumps(_seed_documents()[command]))])
+    assert [(label, modules) for label, _, _, modules in steps] == [
+        ("import tropab", ["tropab"]),
+        ("import tropab.cli", _CLI_MODULES),
+        (command, sorted(_CLI_MODULES + loaded))]
+    assert steps[2][1] == 0

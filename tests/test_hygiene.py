@@ -3,13 +3,12 @@ imports is used in that module, every private module-level function of
 the package is used somewhere in it, no module of the package but
 siegel_trop and cli uses a float, none but _geometry calls the
 cofactor determinant _det, none imports numpy when it is imported,
-none imports the oracles or any other module of
-the tests, none holds an assert statement, which
+neither the package namespace nor the CLI imports a library module but
+errors when it is imported, none imports the oracles or any other module
+of the tests, none holds an assert statement, which
 ``python -O`` strips, and none writes an attribute of an object other
 than self or cls.  A function is private when its
-name or its module's file name starts with an underscore.  The package's
-``__init__.py`` files import names only to re-export them and are not
-scanned for imports."""
+name or its module's file name starts with an underscore."""
 
 import ast
 from pathlib import Path, PurePath
@@ -41,8 +40,6 @@ def test_no_module_imports_a_name_it_does_not_use():
     found = {}
     for path in sorted((ROOT / "src").rglob("*.py")) + \
             sorted((ROOT / "tests").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         names = unused_imports(path.read_text())
         if names:
             found[str(path.relative_to(ROOT))] = names
@@ -229,9 +226,11 @@ def test_only_the_geometry_module_calls_det():
     assert found == {}
 
 
-def import_time_numpy_imports(source):
-    """The line of each import of numpy or a numpy submodule that runs
-    when the module is imported: any outside a function body."""
+def import_time_imports(source, modules):
+    """The line of each import that runs when the module is imported,
+    any outside a function body, of a module in modules or a submodule
+    of one.  A relative import is read in the package tropab, and ``from
+    m import a`` imports m and m.a, which may be a submodule."""
     out = []
     todo = list(ast.parse(source).body)
     while todo:
@@ -242,11 +241,14 @@ def import_time_numpy_imports(source):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
+            base = ".".join(filter(None, ["tropab" if node.level else None,
+                                          node.module]))
+            names = [base] + [base + "." + alias.name for alias in node.names]
         else:
             todo.extend(ast.iter_child_nodes(node))
             continue
-        if any(n == "numpy" or n.startswith("numpy.") for n in names):
+        if any(n == m or n.startswith(m + ".") for n in names
+               for m in modules):
             out.append(node.lineno)
     return sorted(out)
 
@@ -260,15 +262,47 @@ def test_the_scan_finds_every_import_time_numpy_import():
               "    def f(self):\n        from numpy import array\n"
               "try:\n    import numpy\nexcept ImportError:\n    pass\n"
               "import numpyish\n")
-    assert import_time_numpy_imports(source) == [1, 2, 3, 8, 12]
+    assert import_time_imports(source, {"numpy"}) == [1, 2, 3, 8, 12]
 
 
 def test_no_module_imports_numpy_at_import_time():
     found = {}
     for path in sorted((ROOT / "src").rglob("*.py")):
-        lines = import_time_numpy_imports(path.read_text())
+        lines = import_time_imports(path.read_text(), {"numpy"})
         if lines:
             found[str(path.relative_to(ROOT))] = lines
+    assert found == {}
+
+
+def test_the_scan_reads_relative_imports_in_the_package():
+    source = ("from .errors import DomainError\n"
+              "from . import (errors,\n               exact_linalg)\n"
+              "from tropab.siegel_trop import SiegelPoint\n"
+              "import tropab.pavings_pwl as pw\n"
+              "from tropab import errors\n"
+              "from .exact_linalgs import x\n"
+              "def f():\n    from . import theta_heisenberg\n")
+    modules = {"tropab.exact_linalg", "tropab.siegel_trop",
+               "tropab.pavings_pwl", "tropab.theta_heisenberg"}
+    assert import_time_imports(source, modules) == [2, 4, 5]
+
+
+# a CLI call imports the namespace and the CLI before it knows its
+# subcommand, so neither loads a library module but the errors the CLI
+# catches: each handler imports what it calls
+PACKAGE = ROOT / "src" / "tropab"
+LIBRARY_MODULES = {"tropab." + path.stem for path in PACKAGE.glob("*.py")
+                   if path.stem not in ("__init__", "cli", "errors")}
+
+
+def test_the_namespace_and_the_cli_import_no_library_module():
+    assert len(LIBRARY_MODULES) == 7
+    found = {}
+    for name in ("__init__.py", "cli.py"):
+        lines = import_time_imports((PACKAGE / name).read_text(),
+                                    LIBRARY_MODULES)
+        if lines:
+            found[name] = lines
     assert found == {}
 
 
