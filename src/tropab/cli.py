@@ -70,9 +70,12 @@ def _int_vector(v):
 
 
 def _complex(e):
+    """One complex entry: a JSON number, or an [re, im] pair of them.  A
+    string is no number here, though complex() would read one."""
     parts = e if isinstance(e, list) else [e]
-    if isinstance(e, list) and len(e) != 2 or \
-            any(isinstance(x, bool) for x in parts):
+    if isinstance(e, list) and len(e) != 2 or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            for x in parts):
         raise MalformedInput("a complex entry is a number or an "
                              "[re, im] pair of numbers")
     return complex(*parts)

@@ -7,20 +7,18 @@ Lattice vectors and matrices are plain int/Fraction rows inside, each
 matrix argument read once by exact_linalg.read_matrix; this module
 never imports numpy, and builds no array."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
 
 from . import _geometry as geom
 from .errors import (InconsistentData, NotAFace, NotInjective, NotInvariant,
                      OutsideSupport, RankMismatch, Unbounded)
-from .exact_linalg import (LatticeCoordinates, PolarizationType,
+from .exact_linalg import (LatticeCoordinates, PolarizationType, Record,
                            _hnf_rows, _saturated_quotient_rows, _snf_rows,
-                           as_int, frac_det, read_matrix, transpose)
+                           as_int, coset_representatives, frac_det,
+                           read_matrix, transpose)
 from .pavings_pwl import PwAffineFunction, ToricMonoid, affine_region_paving
-from .quadform_delaunay import (PeriodicPaving, QuadraticForm,
-                               coset_representatives)
+from .quadform_delaunay import PeriodicPaving, QuadraticForm
 
 
 class HomogenizedFunction:
@@ -65,8 +63,7 @@ class HomogenizedFunction:
         return nums, scale // d
 
 
-@dataclass(frozen=True)
-class TwistedMonoidElement:
+class TwistedMonoidElement(Record):
     """(degree, point, payload): an integer degree >= 0, an integer point
     (the origin at degree 0) and a rational payload.  A degree or point
     entry that is not an integer raises ValueError."""
@@ -75,17 +72,18 @@ class TwistedMonoidElement:
     point: tuple
     payload: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "degree", as_int(self.degree, "degree"))
-        object.__setattr__(self, "point", tuple(as_int(x, "point entry")
-                                                for x in self.point))
-        object.__setattr__(self, "payload",
-                           tuple(Fraction(x) for x in self.payload))
-        if self.degree < 0:
+    def __init__(self, degree, point, payload):
+        degree = as_int(degree, "degree")
+        point = tuple(as_int(x, "point entry") for x in point)
+        payload = tuple(Fraction(x) for x in payload)
+        if degree < 0:
             raise OutsideSupport("negative degree", field="degree")
-        if self.degree == 0 and any(self.point):
+        if degree == 0 and any(point):
             raise OutsideSupport("degree 0 admits only the origin",
                                  field="point")
+        self.__dict__["degree"] = degree
+        self.__dict__["point"] = point
+        self.__dict__["payload"] = payload
 
 
 def star_cocycle(a, b, phi: HomogenizedFunction):
@@ -215,10 +213,13 @@ def y_action_on_monomial(lam, mu, data):
 # central fiber dual complex
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CentralFiberComplex:
+class CentralFiberComplex(Record):
     components: tuple            # LatticePolytope reps, one per orbit
     incidences: tuple            # sorted (i, j, wall_vertices) triples
+
+    def __init__(self, components, incidences):
+        self.__dict__["components"] = components
+        self.__dict__["incidences"] = incidences
 
     @property
     def component_count(self):
@@ -284,12 +285,18 @@ def central_fiber_complex(paving: PeriodicPaving,
 # face quotients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FaceQuotientData:
+class FaceQuotientData(Record):
     quotient_monoid: ToricMonoid
     pushed_function: PwAffineFunction
-    coarsened_paving: Optional[PeriodicPaving]
+    coarsened_paving: PeriodicPaving | None
     admissible: bool
+
+    def __init__(self, quotient_monoid, pushed_function, coarsened_paving,
+                 admissible):
+        self.__dict__["quotient_monoid"] = quotient_monoid
+        self.__dict__["pushed_function"] = pushed_function
+        self.__dict__["coarsened_paving"] = coarsened_paving
+        self.__dict__["admissible"] = admissible
 
 
 def face_quotient(p: ToricMonoid, face_functionals,

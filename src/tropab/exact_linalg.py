@@ -23,16 +23,21 @@ attributes of the package's classes (``ObjectMatrix``).  No module of
 the package imports numpy when it is imported: numpy is imported inside
 the functions that build or compute on arrays, here ``_object_matrix``
 alone.
+
+``Record`` is the immutable base of the package's record types (the
+polarization type, Heisenberg and twisted-monoid elements, Delaunay
+cells, degeneration data, ...), and ``coset_representatives`` lists the
+cosets of a lattice from its Hermite form, under the bound
+MAX_WINDOW_POINTS that every enumeration of the package keeps.
 """
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
-from typing import Tuple
+from itertools import product
+from math import gcd, lcm, prod
+from operator import attrgetter, mul
 
 from .errors import (Degenerate, NotInGLXY, NotInjective, NotSkew,
-                     NotUnimodular)
+                     NotUnimodular, TooLarge)
 
 
 def _object_matrix(rows, ncols=None, writeable=True):
@@ -117,22 +122,18 @@ class ObjectMatrix:
     access and then kept, so it is one object per instance.  None is
     kept as it is.  ``writeable`` is the array's flag.
 
-    The attribute can be a field of a frozen dataclass (whose __init__
-    assigns through it): without a ``default`` the field has none."""
+    The attribute can be a field of a Record, assigned through it once
+    by the record's constructor."""
 
-    _none = object()
-
-    def __init__(self, entry=as_int, writeable=True, default=_none):
-        self.entry, self.writeable, self.default = entry, writeable, default
+    def __init__(self, entry=as_int, writeable=True):
+        self.entry, self.writeable = entry, writeable
 
     def __set_name__(self, owner, name):
         self.name, self.rows = name, "_%s_rows" % name
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            if self.default is self._none:
-                raise AttributeError(self.name)
-            return self.default
+            return self
         cache = obj.__dict__
         if self.name not in cache:
             rows = cache[self.rows]
@@ -146,23 +147,62 @@ class ObjectMatrix:
         obj.__dict__.pop(self.name, None)
 
 
-class ComparedByRows:
-    """Equality and hash of a frozen dataclass declared with eq=False:
-    its field values, an ObjectMatrix field's as rows, a dict's as items.
-    (The generated ones compare object arrays, whose == is elementwise.)"""
+class Record:
+    """An immutable record.  Its fields are the names annotated in its
+    class body, in order; a field whose class attribute is an
+    ObjectMatrix is a matrix field.  The record's constructor takes the
+    fields as parameters, checks and normalizes them, and assigns each
+    once: a plain field straight into the instance's ``__dict__``, a
+    matrix field with object.__setattr__, which reads it through its
+    ObjectMatrix.
 
-    def _key(self):
-        own = vars(self)
-        values = (own.get("_%s_rows" % f.name, own.get(f.name))
-                  for f in fields(self))
-        return tuple(frozenset(v.items()) if isinstance(v, dict) else v
-                     for v in values)
+    Assigning or deleting an attribute raises AttributeError.  Records
+    are equal when they are of one class and their fields are equal, a
+    matrix field compared by its rows and a dict by its items, and
+    equal records hash alike.  The repr is ``Name(field=value, ...)``,
+    a matrix field printed as its rows, so it builds no array."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        cls._fields = tuple(own.get("__annotations__", ()))
+        # the attribute each field's value is kept in: a matrix field's
+        # rows, never its array
+        cls._kept = tuple(own[f].rows if isinstance(own.get(f), ObjectMatrix)
+                          else f for f in cls._fields)
+        # the values equality compares: a tuple, or one field's value
+        cls._values = attrgetter(*cls._kept)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable: cannot assign %r"
+                             % (type(self).__qualname__, name))
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable: cannot delete %r"
+                             % (type(self).__qualname__, name))
 
     def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
+        if type(other) is not type(self):
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
 
     def __hash__(self):
-        return hash(self._key())
+        values = self._values(self)
+        try:
+            return hash(values)
+        except TypeError:
+            # a dict is hashed by its items; equal dicts have equal items
+            if len(self._kept) == 1:
+                values = (values,)
+            return hash(tuple(frozenset(v.items()) if isinstance(v, dict)
+                              else v for v in values))
+
+    def __repr__(self):
+        own = vars(self)
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (field, own[kept])
+            for field, kept in zip(self._fields, self._kept)))
 
 
 def clear_denominators(point):
@@ -310,20 +350,19 @@ def is_positive_definite(m) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PolarizationType:
+class PolarizationType(Record):
     """A divisor chain d_1 | d_2 | ... | d_r of positive integers."""
 
-    diag: Tuple[int, ...]
+    diag: tuple[int, ...]
 
-    def __post_init__(self):
-        d = tuple(int(x) for x in self.diag)
-        object.__setattr__(self, "diag", d)
+    def __init__(self, diag):
+        d = tuple(int(x) for x in diag)
         if any(x <= 0 for x in d):
             raise ValueError("polarization type entries must be positive")
         for a, b in zip(d, d[1:]):
             if b % a != 0:
                 raise ValueError("divisibility chain violated: %d | %d" % (a, b))
+        self.__dict__["diag"] = d
 
     @property
     def degree(self) -> int:
@@ -338,10 +377,13 @@ class PolarizationType:
             len(self.diag))] for i, x in enumerate(self.diag)])
 
 
-@dataclass(frozen=True, eq=False)
-class SymplecticDecomposition(ComparedByRows):
+class SymplecticDecomposition(Record):
     type: PolarizationType
     basis_change: object = ObjectMatrix()   # B e B^T in standard form
+
+    def __init__(self, type, basis_change):
+        self.__dict__["type"] = type
+        object.__setattr__(self, "basis_change", basis_change)
 
 
 def _eye_rows(n):
@@ -414,6 +456,38 @@ def _check(holds, identity):
     identity it names holds."""
     if not holds:
         raise ArithmeticError("normal form self-check failed: " + identity)
+
+
+# The most lattice points a box of work may hold: the dual box of
+# legendre_transform, the cosets of a lattice (coset_representatives:
+# coarser period lattices, Fourier indices, cy-cone and valuation-profile
+# cosets) and the elements of a finite Heisenberg group.  Rank 2 at
+# window 16 spans 1089 points and rank 3 at window 8 spans 4913.
+MAX_WINDOW_POINTS = 100_000
+
+
+def check_window_points(window, points):
+    """Refuse, with TooLarge on the field ``window``, work over a window
+    whose box holds more than MAX_WINDOW_POINTS lattice points."""
+    if points > MAX_WINDOW_POINTS:
+        raise TooLarge("window %d spans %d lattice points, more than %d"
+                       % (window, points, MAX_WINDOW_POINTS), field="window")
+
+
+def coset_representatives(basis, field):
+    """One vector per coset of Z^r modulo the column lattice of the
+    nonsingular square integer ``basis``, in lexicographic order: the box
+    0 <= v_i < h_ii of the pivots of its Hermite normal form, whose
+    upper-triangular rows generate the lattice (reducing ascending
+    through the pivots leaves one vector of each coset in the box).  An
+    index over MAX_WINDOW_POINTS is refused, with TooLarge on ``field``,
+    before any vector is listed."""
+    h, _ = _hnf_rows(transpose(read_matrix(basis)))
+    pivots = [h[i][i] for i in range(len(h))]
+    if prod(pivots) > MAX_WINDOW_POINTS:
+        raise TooLarge("a lattice of index %d has more than %d cosets"
+                       % (prod(pivots), MAX_WINDOW_POINTS), field=field)
+    return list(product(*map(range, pivots)))
 
 
 def smith_normal_form(m):

@@ -20,26 +20,24 @@ only to build the public arrays (quasi_bilinear, and the bilinear form
 and period basis of a QuasiperiodicDecomposition) on first access.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm, prod
 from operator import add, itemgetter
-from typing import Dict
 
 from . import _geometry as geom
 from .errors import (Degenerate, InvalidPaving, MissingVertexValue,
                      NonMatchingFaces, NotConvex, NotQuasiperiodic,
                      NotSimplicial, RankMismatch, TooLarge, Unbounded)
-from .exact_linalg import (ComparedByRows, LatticeCoordinates, ObjectMatrix,
-                           _is_vector, _object_matrix, as_frac,
-                           clear_denominators, is_positive_definite, rank,
+from .exact_linalg import (MAX_WINDOW_POINTS, LatticeCoordinates,
+                           ObjectMatrix, Record, _is_vector, _object_matrix,
+                           as_frac, check_window_points, clear_denominators,
+                           coset_representatives, is_positive_definite, rank,
                            read_matrix, row_reduce, transpose)
-from .quadform_delaunay import (MAX_WINDOW_POINTS, PeriodicPaving,
-                                QuadraticForm, _ellipsoid_points,
-                                _obtuse_superbase, check_window_points,
-                                coset_representatives, delaunay_subdivision)
+from .quadform_delaunay import (PeriodicPaving, QuadraticForm,
+                                _ellipsoid_points, _obtuse_superbase,
+                                delaunay_subdivision)
 
 
 def _as_rows(lin, k, r):
@@ -235,8 +233,7 @@ class PwAffineFunction:
                                 self.payload_rank)
 
 
-@dataclass(frozen=True, eq=False)
-class QuasiperiodicDecomposition(ComparedByRows):
+class QuasiperiodicDecomposition(Record):
     """psi = A + periodic with A(x) = 1/2 x^T B x + 1/2 L x.
 
     B and the period basis are kept as Fraction and int rows; their
@@ -246,6 +243,12 @@ class QuasiperiodicDecomposition(ComparedByRows):
     quadratic_linear: tuple       # rational row L
     periodic: dict                # residue point -> value
     period_basis: object = ObjectMatrix()
+
+    def __init__(self, bilinear, quadratic_linear, periodic, period_basis):
+        object.__setattr__(self, "bilinear", bilinear)
+        self.__dict__["quadratic_linear"] = quadratic_linear
+        self.__dict__["periodic"] = periodic
+        object.__setattr__(self, "period_basis", period_basis)
 
     @cached_property
     def lattice(self) -> LatticeCoordinates:
@@ -383,7 +386,7 @@ def is_p_convex(f: PwAffineFunction, p: ToricMonoid,
 # quasiperiodic decomposition (quadratic + periodic splitting)
 # ---------------------------------------------------------------------------
 
-def quasiperiodic_decompose(samples: Dict[tuple, Fraction],
+def quasiperiodic_decompose(samples: dict[tuple, Fraction],
                             period_basis) -> QuasiperiodicDecomposition:
     """Split lattice samples of a quasiperiodic function into a
     quadratic part 1/2 x^T B x + 1/2 L x and an exactly periodic rest.
@@ -468,7 +471,7 @@ def _affine_through(points, values):
     return tuple(sol[:r]), sol[r]
 
 
-def interpolate_on_triangulation(values: Dict[tuple, Fraction],
+def interpolate_on_triangulation(values: dict[tuple, Fraction],
                                  t: PeriodicPaving) -> PwAffineFunction:
     """The function affine on each simplex of t matching the sampled
     vertex values (which must be quasiperiodic for the result to be
@@ -486,7 +489,7 @@ def interpolate_on_triangulation(values: Dict[tuple, Fraction],
                             [dec.quadratic_linear], payload_rank=1)
 
 
-def cone_cy_membership(psi: Dict[tuple, Fraction], t: PeriodicPaving,
+def cone_cy_membership(psi: dict[tuple, Fraction], t: PeriodicPaving,
                        period_basis) -> bool:
     """Is the interpolation g of psi over t convex and below psi at every
     lattice point that is not a vertex?

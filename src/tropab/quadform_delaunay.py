@@ -30,25 +30,22 @@ points answers the whole class (PeriodicPaving.locate_cleared).
 Hand-built pavings have no superbase and keep the scan.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
-from math import ceil, floor, isqrt, lcm, prod
+from math import ceil, floor, isqrt, lcm
 from operator import add, mul
-from typing import List, Tuple
 
 from . import _geometry as geom
 from .errors import (Degenerate, InvalidPaving, NotPositiveDefinite,
                      RankMismatch, TooLarge, WindowTooSmall)
-from .exact_linalg import (ComparedByRows, LatticeCoordinates, ObjectMatrix,
-                           _hnf_rows, as_frac, clear_denominators,
+from .exact_linalg import (LatticeCoordinates, ObjectMatrix, Record, as_frac,
+                           clear_denominators, coset_representatives,
                            independent_rows, is_positive_definite,
-                           is_symmetric, read_matrix, row_reduce, transpose)
+                           is_symmetric, read_matrix, row_reduce)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticForm(ComparedByRows):
+class QuadraticForm(Record):
     """A symmetric rational matrix; Q(x) = x^T M x.
 
     The form computes on the Fraction rows of the matrix given, read
@@ -62,12 +59,13 @@ class QuadraticForm(ComparedByRows):
 
     matrix: object = ObjectMatrix(as_frac, writeable=False)
 
-    def __post_init__(self):
+    def __init__(self, matrix):
+        object.__setattr__(self, "matrix", matrix)
         if any(len(row) != self.rank for row in self._matrix_rows):
             raise ValueError("quadratic form matrix must be square")
         if not is_symmetric(self._matrix_rows):
             raise ValueError("quadratic form matrix must be symmetric")
-        object.__setattr__(self, "_pavings", {})
+        self.__dict__["_pavings"] = {}
 
     @property
     def rank(self) -> int:
@@ -110,18 +108,17 @@ def _as_int_if_possible(x):
     return int(f) if f.denominator == 1 else f
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(Record):
     """Vertex set of a cell, stored sorted for canonical comparison."""
 
-    vertices: Tuple[Tuple, ...]
+    vertices: tuple[tuple, ...]
 
-    def __post_init__(self):
+    def __init__(self, vertices):
         vs = tuple(sorted(tuple(map(_as_int_if_possible, v))
-                          for v in self.vertices))
+                          for v in vertices))
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate vertices in cell %r" % (vs,))
-        object.__setattr__(self, "vertices", vs)
+        self.__dict__["vertices"] = vs
 
     def translated(self, t) -> "LatticePolytope":
         return LatticePolytope(tuple(geom.vadd(v, t) for v in self.vertices))
@@ -162,7 +159,7 @@ class PeriodicPaving:
             raise InvalidPaving("period basis must be nondegenerate") \
                 from None
         self.window = int(window)
-        self.cells: List[LatticePolytope] = sorted(
+        self.cells: list[LatticePolytope] = sorted(
             (c if isinstance(c, LatticePolytope) else LatticePolytope(tuple(c))
              for c in cells),
             key=lambda c: c.vertices)
@@ -330,38 +327,6 @@ class PeriodicPaving:
 # ---------------------------------------------------------------------------
 # Delaunay in closed form from an obtuse superbase
 # ---------------------------------------------------------------------------
-
-# The most lattice points a box of work may hold: the dual box of
-# legendre_transform, the cosets of a lattice (coset_representatives:
-# coarser period lattices, Fourier indices, cy-cone and valuation-profile
-# cosets) and the elements of a finite Heisenberg group.  Rank 2 at
-# window 16 spans 1089 points and rank 3 at window 8 spans 4913.
-MAX_WINDOW_POINTS = 100_000
-
-
-def check_window_points(window, points):
-    """Refuse, with TooLarge on the field ``window``, work over a window
-    whose box holds more than MAX_WINDOW_POINTS lattice points."""
-    if points > MAX_WINDOW_POINTS:
-        raise TooLarge("window %d spans %d lattice points, more than %d"
-                       % (window, points, MAX_WINDOW_POINTS), field="window")
-
-
-def coset_representatives(basis, field):
-    """One vector per coset of Z^r modulo the column lattice of the
-    nonsingular square integer ``basis``, in lexicographic order: the box
-    0 <= v_i < h_ii of the pivots of its Hermite normal form, whose
-    upper-triangular rows generate the lattice (reducing ascending
-    through the pivots leaves one vector of each coset in the box).  An
-    index over MAX_WINDOW_POINTS is refused, with TooLarge on ``field``,
-    before any vector is listed."""
-    h, _ = _hnf_rows(transpose(read_matrix(basis)))
-    pivots = [h[i][i] for i in range(len(h))]
-    if prod(pivots) > MAX_WINDOW_POINTS:
-        raise TooLarge("a lattice of index %d has more than %d cosets"
-                       % (prod(pivots), MAX_WINDOW_POINTS), field=field)
-    return list(product(*map(range, pivots)))
-
 
 class DelaunayPaving(PeriodicPaving):
     """The paving delaunay_subdivision builds from the integer form m.  It

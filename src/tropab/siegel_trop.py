@@ -16,14 +16,13 @@ of a SiegelPoint, and the values of ``cayley_transform`` and
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
 from .errors import (IllConditionedBlock, NearSingularDenominator,
                      NotSymplectic)
-from .exact_linalg import (PolarizationType, _matmul, _standard_form_rows,
-                           read_matrix, transpose)
+from .exact_linalg import (PolarizationType, Record, _matmul,
+                           _standard_form_rows, read_matrix, transpose)
 
 DEFAULT_TOL = 1e-10
 JACOBI_SWEEPS = 60      # one-sided Jacobi converges in well under 10
@@ -65,14 +64,15 @@ class SiegelPoint:
         return "SiegelPoint(g=%d)" % self.g
 
 
-@dataclass(frozen=True)
-class CuspSpec:
+class CuspSpec(Record):
     gprime: int
     delta: PolarizationType
 
-    def __post_init__(self):
-        if self.gprime < 0:
+    def __init__(self, gprime, delta):
+        if gprime < 0:
             raise ValueError("gprime must be nonnegative")
+        self.__dict__["gprime"] = gprime
+        self.__dict__["delta"] = delta
 
 
 # ---------------------------------------------------------------------------

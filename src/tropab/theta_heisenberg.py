@@ -6,7 +6,6 @@ Phi_M is built from the radical of M, the balanced set is listed by
 exponent pattern, and exponents are integer sums over plain tuples.
 Matrices are read once into int rows, arrays built on first access."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
@@ -15,12 +14,9 @@ from math import prod
 from . import _geometry as geom
 from .errors import (BadLift, BadModulus, BadTwistPair, EmptyComponent,
                      InconsistentData, RankMismatch, TooLarge)
-from .exact_linalg import (ComparedByRows, ObjectMatrix, PolarizationType,
-                           _hnf_rows, read_matrix)
-from .degeneration_monoids import _fourier_indices
-from .pavings_pwl import PwAffineFunction, lattice_minimum
-from .quadform_delaunay import (MAX_WINDOW_POINTS, QuadraticForm,
-                                coset_representatives)
+from .exact_linalg import (MAX_WINDOW_POINTS, ObjectMatrix, PolarizationType,
+                           Record, _hnf_rows, coset_representatives,
+                           read_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +171,7 @@ def _reduce_tuple(vals, delta):
     return tuple(int(v) % d for v, d in zip(vals, delta.diag))
 
 
-@dataclass(frozen=True)
-class HeisenbergElement:
+class HeisenbergElement(Record):
     """(zeta-exponent t mod M; a in H(delta); b in the dual, stored as
     an exponent tuple also reduced mod delta)."""
 
@@ -186,17 +181,18 @@ class HeisenbergElement:
     delta: PolarizationType
     modulus: int
 
-    def __post_init__(self):
-        _check_modulus(self.delta, self.modulus)
-        g = len(self.delta.diag)
-        if (len(self.a), len(self.b)) != (g, g):
-            field = "a" if len(self.a) != g else "b"
+    def __init__(self, scalar_exp, a, b, delta, modulus):
+        _check_modulus(delta, modulus)
+        g = len(delta.diag)
+        if (len(a), len(b)) != (g, g):
+            field = "a" if len(a) != g else "b"
             raise RankMismatch("%s must have length %d" % (field, g),
                                field=field)
-        object.__setattr__(self, "scalar_exp",
-                           int(self.scalar_exp) % self.modulus)
-        object.__setattr__(self, "a", _reduce_tuple(self.a, self.delta))
-        object.__setattr__(self, "b", _reduce_tuple(self.b, self.delta))
+        self.__dict__["scalar_exp"] = int(scalar_exp) % modulus
+        self.__dict__["a"] = _reduce_tuple(a, delta)
+        self.__dict__["b"] = _reduce_tuple(b, delta)
+        self.__dict__["delta"] = delta
+        self.__dict__["modulus"] = modulus
 
     @staticmethod
     def identity(delta, m):
@@ -461,20 +457,24 @@ def section_exponent_pattern(v: SchrodingerVector):
 # degeneration and twist exponents
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class DegenerationData(ComparedByRows):
+class DegenerationData(Record):
     """The matrices are read once into int rows (``_phi_check_rows``,
     ``_s_xi_rows``, ``_s_prime_rows``); phi_check, s_xi and s_prime are
     object arrays of them, built on first access.  S' defaults to the
     symmetric mod-2 lift of S_xi with zero diagonal."""
 
-    q_form: QuadraticForm
+    q_form: object      # a QuadraticForm: its rank and rows are read
     phi_check: object = ObjectMatrix()
     d_type: PolarizationType
     s_xi: object = ObjectMatrix()
-    s_prime: object = ObjectMatrix(default=None)
+    s_prime: object = ObjectMatrix()
 
-    def __post_init__(self):
+    def __init__(self, q_form, phi_check, d_type, s_xi, s_prime=None):
+        self.__dict__["q_form"] = q_form
+        object.__setattr__(self, "phi_check", phi_check)
+        self.__dict__["d_type"] = d_type
+        object.__setattr__(self, "s_xi", s_xi)
+        object.__setattr__(self, "s_prime", s_prime)
         pc = self._phi_check_rows
         g = self.q_form.rank
         d = self.d_type.diag
@@ -551,8 +551,7 @@ def twist_bilinear_form(data: DegenerationData, lam, mu):
 # valuation profiles
 # ---------------------------------------------------------------------------
 
-def section_valuation_profile(section: SchrodingerVector,
-                              phi: PwAffineFunction, phi_map,
+def section_valuation_profile(section: SchrodingerVector, phi, phi_map,
                               window: int):
     """Leading q-exponent of each Fourier class of the Y-symmetrized
     section: the min of phi over rep + phi_map Z^r, one lattice_minimum
@@ -566,7 +565,10 @@ def section_valuation_profile(section: SchrodingerVector,
     Smith form u phi_map v = diag(delta): u maps phi_map Z^r onto
     diag(delta) Z^r, so classes and indices correspond one to one.  A
     section whose delta is not the Smith type of phi_map raises
-    InconsistentData on the field ``delta``."""
+    InconsistentData on the field ``delta``.  phi is a PwAffineFunction."""
+    # the one function of this module that uses the paving layer
+    from .degeneration_monoids import _fourier_indices
+    from .pavings_pwl import lattice_minimum
     pm_rows = read_matrix(phi_map)
     r = phi.rank
     reps, ptype, u_rows = _fourier_indices(r, pm_rows)

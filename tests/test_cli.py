@@ -531,6 +531,21 @@ def test_a_tolerance_that_is_not_finite_and_positive_is_malformed(command,
     assert err.startswith("malformed input: tol must be finite and positive")
 
 
+@pytest.mark.parametrize("command", ["trop", "gamma", "cayley"])
+@pytest.mark.parametrize("tau", [[["2j"]], [[["0", "2"]]]],
+                         ids=["string", "pair-of-strings"])
+def test_a_string_complex_entry_is_malformed(command, tau):
+    """complex() reads a string as a Python literal: "2j" was read as 2j
+    and a pair of strings failed with Python's own message."""
+    doc = {"tau": tau}
+    if command == "gamma":
+        doc.update(r=[[1, 0], [0, 1]], delta=[1])
+    code, out, err = run(command, doc)
+    assert (code, out) == (2, "")
+    assert err == ("malformed input: a complex entry is a number or an "
+                   "[re, im] pair of numbers\n")
+
+
 @pytest.mark.parametrize("command, text", [
     ("hnf", '{"matrix": [[true, false], [false, true]]}'),
     ("delaunay", '{"q": [[true]]}'),
@@ -1098,13 +1113,16 @@ _REFUSED = [
     ("trop", '{"tau": [[NaN]]}', 2),
 ]
 
-# each step records its label, the value it computed, whether numpy is
-# loaded, and the package's loaded modules, sorted
+# each step records its label, the value it computed, which of numpy,
+# dataclasses and inspect are loaded, and the package's loaded modules,
+# sorted
 _PROBE = """
 import io, json, sys
 steps = []
 def step(label, code=None):
-    steps.append([label, code, "numpy" in sys.modules,
+    steps.append([label, code,
+                  [m for m in ("numpy", "dataclasses", "inspect")
+                   if m in sys.modules],
                   sorted(m for m in sys.modules
                          if m.partition(".")[0] == "tropab")])
 import tropab
@@ -1143,36 +1161,42 @@ def test_no_subcommand_imports_numpy():
     """In a fresh interpreter, import tropab, import the CLI, run every
     subcommand, a malformed input and a refusal of each Siegel
     subcommand, read the name tropab.SiegelPoint, build a Siegel point
-    and act on it: none loads numpy.  Reading the point's public array
-    does."""
+    and act on it: none loads numpy, nor dataclasses or inspect, which
+    the package's records do without.  Reading the point's public array
+    loads numpy."""
     calls = [(c, json.dumps(_seed_documents()[c])) for c in NUMPY_FREE]
     calls += [(c, text) for c, text, _ in _REFUSED]
     steps = _probe(_NUMPY_PROBE, calls)
-    first = next((label for label, _, loaded, _ in steps[:-1] if loaded),
-                 None)
-    assert first is None, "%s loaded numpy" % first
+    first = next(((label, loaded) for label, _, loaded, _ in steps[:-1]
+                  if loaded), None)
+    assert first is None, "%s loaded %s" % first
     assert len(NUMPY_FREE) == 25
     assert [code for _, code, _, _ in steps[2:-4]] == \
         [0] * len(NUMPY_FREE) + [code for _, _, code in _REFUSED]
-    assert [step[:3] for step in steps[-4:]] == [
-        ["tropab.SiegelPoint", "SiegelPoint", False],
-        ["SiegelPoint([[1j]])", 1, False],
-        ["gamma_action", 1, False],
-        ["SiegelPoint.tau", 1, True]]
+    assert [step[:2] for step in steps[-4:]] == [
+        ["tropab.SiegelPoint", "SiegelPoint"],
+        ["SiegelPoint([[1j]])", 1],
+        ["gamma_action", 1],
+        ["SiegelPoint.tau", 1]]
+    assert "numpy" in steps[-1][2]
 
 
 _CLI_MODULES = ["tropab", "tropab.cli", "tropab.errors"]
 _PAVING_MODULES = ["tropab._geometry", "tropab.exact_linalg",
                    "tropab.pavings_pwl", "tropab.quadform_delaunay"]
+# heis, kw and balanced call theta_heisenberg alone, not the paving layer
+_THETA_MODULES = ["tropab._geometry", "tropab.exact_linalg",
+                  "tropab.theta_heisenberg"]
 
 
 @pytest.mark.parametrize("command, loaded", [
     ("hnf", ["tropab.exact_linalg"]),
     ("trop", ["tropab.exact_linalg", "tropab.siegel_trop"]),
     ("sigma", _PAVING_MODULES),
-    ("kw", _PAVING_MODULES + ["tropab.degeneration_monoids",
-                              "tropab.theta_heisenberg"]),
-], ids=["hnf", "trop", "sigma", "kw"])
+    ("heis", _THETA_MODULES),
+    ("kw", _THETA_MODULES),
+    ("balanced", _THETA_MODULES),
+], ids=["hnf", "trop", "sigma", "heis", "kw", "balanced"])
 def test_a_subcommand_loads_only_the_modules_its_handler_uses(command,
                                                               loaded):
     """In a fresh interpreter, import tropab loads no submodule, importing

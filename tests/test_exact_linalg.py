@@ -1,25 +1,35 @@
 """Integer/rational linear algebra: normal forms, symplectic reduction,
 and the stabilizer action on quadratic forms."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropab.degeneration_monoids import (CentralFiberComplex,
+                                         FaceQuotientData,
+                                         TwistedMonoidElement)
 from tropab.errors import (Degenerate, NotInGLXY, NotInjective, NotSkew,
                            NotUnimodular)
 from tropab.exact_linalg import (LatticeCoordinates, PolarizationType,
-                                 as_int_matrix, frac_det, frac_inv, glxy_act,
+                                 SymplecticDecomposition, as_int_matrix,
+                                 frac_det, frac_inv, glxy_act,
                                  hermite_normal_form, independent_rows,
                                  is_positive_definite, lattice_membership,
                                  polarization_type, rank, row_reduce,
                                  smith_normal_form, standard_symplectic_form,
                                  symplectic_normal_form)
-from tropab.pavings_pwl import quasiperiodic_decompose
-from tropab.quadform_delaunay import QuadraticForm
-from tropab.theta_heisenberg import DegenerationData
+from tropab.pavings_pwl import (QuasiperiodicDecomposition, ToricMonoid,
+                                quasiperiodic_decompose, sigma_section)
+from tropab.quadform_delaunay import LatticePolytope, QuadraticForm
+from tropab.siegel_trop import CuspSpec
+from tropab.theta_heisenberg import DegenerationData, HeisenbergElement
 
 from oracles import frac_det as cofactor_det
 from oracles import (frac_solve, hermite_normal_form_reference, kernel,
@@ -190,6 +200,109 @@ def test_rank_2_values_compare_and_hash_on_their_rows(make, args, other):
         getattr(a, name, None)
     assert a == b and not a != b and hash(a) == hash(b)
     assert a != make(other) and a != "a value of another type"
+
+
+def _record_arguments():
+    """Per record class of the package: arguments of one record, and the
+    same with one field changed."""
+    delta, unimodular = PolarizationType((1, 2)), PolarizationType((1, 1))
+    form = QuadraticForm([[2, 1], [1, 2]])
+    cell = LatticePolytope(((0, 0), (0, 1), (1, 0)))
+    monoid = ToricMonoid(1, [(1,)])
+    pushed = sigma_section(QuadraticForm([[2]]), [[1]], 4)
+    return {
+        PolarizationType: (((1, 2),), ((1, 4),)),
+        SymplecticDecomposition: ((delta, [[1, 0], [0, 1]]),
+                                  (delta, [[0, 1], [1, 0]])),
+        QuadraticForm: (([[2, 1], [1, 2]],), ([[2, 0], [0, 2]],)),
+        LatticePolytope: ((((0, 0), (0, 1), (1, 0)),),
+                          (((0, 0), (0, 1), (1, 1)),)),
+        QuasiperiodicDecomposition: (
+            ([[2, 1], [1, 2]], (0, 0), {(0, 0): 0}, [[1, 0], [0, 1]]),
+            ([[2, 1], [1, 2]], (0, 0), {(0, 0): 1}, [[1, 0], [0, 1]])),
+        TwistedMonoidElement: ((1, (0, 1), (Fraction(1, 2),)),
+                               (1, (0, 1), (Fraction(1, 3),))),
+        CentralFiberComplex: (((cell,), ()),
+                              ((cell,), ((0, 0, ((0, 0),)),))),
+        FaceQuotientData: ((monoid, pushed, None, True),
+                           (monoid, pushed, None, False)),
+        HeisenbergElement: ((1, (0, 1), (0, 1), delta, 4),
+                            (2, (0, 1), (0, 1), delta, 4)),
+        DegenerationData: (
+            (form, [[4, 2], [2, 4]], unimodular, [[0, 0], [0, 0]]),
+            (form, [[4, 2], [2, 4]], unimodular, [[0, 1], [-1, 0]])),
+        CuspSpec: ((1, delta), (0, delta)),
+    }
+
+
+RECORDS = list(_record_arguments())
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[c.__name__ for c in RECORDS])
+def test_a_record_compares_by_its_fields_and_is_immutable(cls):
+    """Equal arguments, positional or by keyword, give equal records with
+    equal hashes; a changed field gives an unequal record.  Assigning or
+    deleting a field, or any other attribute, raises AttributeError.  A
+    FaceQuotientData has no hash: its function, a PwAffineFunction, has
+    none."""
+    assert len(RECORDS) == 11
+    args, changed = _record_arguments()[cls]
+    a, b = cls(*args), cls(**dict(zip(cls._fields, args)))
+    assert a == b and not a != b
+    if cls is FaceQuotientData:
+        with pytest.raises(TypeError, match="PwAffineFunction"):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert a != cls(*changed) and a != "a value of another type"
+    for name in (cls._fields[0], "another"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+
+
+def test_a_record_repr_names_its_fields():
+    assert repr(PolarizationType((1, 2))) == "PolarizationType(diag=(1, 2))"
+    assert repr(LatticePolytope([(1, 0), (0, 0), (0, 1)])) == \
+        "LatticePolytope(vertices=((0, 0), (0, 1), (1, 0)))"
+
+
+def test_the_repr_of_a_matrix_field_is_its_rows_and_loads_no_numpy():
+    """In a fresh interpreter, the repr of each record with a matrix
+    field prints the field's rows: it builds no array, so numpy stays
+    unloaded."""
+    source = """import sys
+from tropab.exact_linalg import PolarizationType, symplectic_normal_form
+from tropab.pavings_pwl import QuasiperiodicDecomposition
+from tropab.quadform_delaunay import QuadraticForm
+from tropab.theta_heisenberg import DegenerationData
+form = QuadraticForm([[2, 1], [1, 2]])
+print(repr(form))
+print(repr(symplectic_normal_form([[0, 1], [-1, 0]])))
+print(repr(QuasiperiodicDecomposition([[2]], (0,), {(0,): 0}, [[1]])))
+print(repr(DegenerationData(form, [[4, 2], [2, 4]], PolarizationType((1, 1)),
+                            [[0, 1], [-1, 0]])))
+print("numpy" in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    p = subprocess.run([sys.executable, "-c", source], capture_output=True,
+                       text=True, timeout=120,
+                       env=dict(os.environ, PYTHONPATH=str(src)))
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.splitlines() == [
+        "QuadraticForm(matrix=((Fraction(2, 1), Fraction(1, 1)), "
+        "(Fraction(1, 1), Fraction(2, 1))))",
+        "SymplecticDecomposition(type=PolarizationType(diag=(1,)), "
+        "basis_change=((1, 0), (0, 1)))",
+        "QuasiperiodicDecomposition(bilinear=((Fraction(2, 1),),), "
+        "quadratic_linear=(0,), periodic={(0,): 0}, period_basis=((1,),))",
+        "DegenerationData(q_form=QuadraticForm(matrix=((Fraction(2, 1), "
+        "Fraction(1, 1)), (Fraction(1, 1), Fraction(2, 1)))), "
+        "phi_check=((4, 2), (2, 4)), d_type=PolarizationType(diag=(1, 1)), "
+        "s_xi=((0, 1), (-1, 0)), s_prime=((0, 1), (1, 0)))",
+        "False"]
 
 
 # -- polarization types -----------------------------------------------------

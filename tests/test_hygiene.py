@@ -5,10 +5,10 @@ siegel_trop and cli uses a float, none but _geometry calls the
 cofactor determinant _det, none imports numpy when it is imported,
 neither the package namespace nor the CLI imports a library module but
 errors when it is imported, none imports the oracles or any other module
-of the tests, none holds an assert statement, which
-``python -O`` strips, and none writes an attribute of an object other
-than self or cls.  A function is private when its
-name or its module's file name starts with an underscore."""
+of the tests, nor dataclasses or typing, none holds an assert statement,
+which ``python -O`` strips, and none writes an attribute of an object
+other than self or cls.  A function is private when its name or its
+module's file name starts with an underscore."""
 
 import ast
 from pathlib import Path, PurePath
@@ -311,9 +311,10 @@ def test_the_namespace_and_the_cli_import_no_library_module():
 TEST_SUITE = {"tests"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
 
 
-def suite_imports(source, names=TEST_SUITE):
+def absolute_imports(source, names=TEST_SUITE):
     """The line of each absolute import, at any depth, of a module whose
-    top-level name is in names: the test package and its modules."""
+    top-level name is in names, by default the test package and its
+    modules."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -339,13 +340,25 @@ def test_the_scan_finds_every_import_of_the_test_suite():
               "import numpy, oracles\n"
               "checked = 'import oracles'\n")
     assert "oracles" in TEST_SUITE and "test_cli" in TEST_SUITE
-    assert suite_imports(source) == [1, 2, 3, 4, 6, 10]
+    assert absolute_imports(source) == [1, 2, 3, 4, 6, 10]
 
 
 def test_the_package_imports_nothing_of_the_test_suite():
     found = {}
     for path in sorted((ROOT / "src").rglob("*.py")):
-        lines = suite_imports(path.read_text())
+        lines = absolute_imports(path.read_text())
+        if lines:
+            found[str(path.relative_to(ROOT))] = lines
+    assert found == {}
+
+
+# the records are built on exact_linalg.Record: dataclasses loads inspect,
+# ast, dis and tokenize when a CLI call starts, and the annotations are
+# builtins, so typing is not needed either
+def test_the_package_imports_neither_dataclasses_nor_typing():
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        lines = absolute_imports(path.read_text(), {"dataclasses", "typing"})
         if lines:
             found[str(path.relative_to(ROOT))] = lines
     assert found == {}

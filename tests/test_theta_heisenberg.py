@@ -14,11 +14,11 @@ from tropab import theta_heisenberg
 from tropab.errors import (BadLift, BadModulus, BadTwistPair,
                            EmptyComponent, InconsistentData, TooLarge,
                            Unbounded)
-from tropab.exact_linalg import PolarizationType
+from tropab.exact_linalg import MAX_WINDOW_POINTS, PolarizationType
 from tropab.pavings_pwl import (PwAffineFunction,
                                 interpolate_on_triangulation, sigma_section)
-from tropab.quadform_delaunay import (MAX_WINDOW_POINTS, LatticePolytope,
-                                      PeriodicPaving, QuadraticForm)
+from tropab.quadform_delaunay import (LatticePolytope, PeriodicPaving,
+                                      QuadraticForm)
 from tropab.theta_heisenberg import (CyclotomicInteger, DegenerationData,
                                      HeisenbergElement, SchrodingerVector,
                                      balanced_sections,
